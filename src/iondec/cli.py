@@ -212,6 +212,8 @@ def _cmd_equilibrium(cfg, args):
 
 
 def _cmd_continuum(cfg, args):
+    if args.points < 1:
+        raise ValidationError("points", f"must be >= 1, got {args.points}")
     n = cfg.trap.n_ions
     header = []
     for model in ContinuumModel:

@@ -10,8 +10,10 @@ only in how L and s0 depend on N:
 
 All lengths are dimensionless (units of the trap scale d0).  DubinFluid
 is the default everywhere downstream: at N = 1000 it reproduces the
-known ~0.5 um central spacing for a Ba+ trap, the nearest-neighbour
-normalization does not (see notes/decisions.md in the repository root).
+known ~0.5 um central spacing for a Ba+ trap (0.496 um on the ba_example
+preset), the nearest-neighbour normalization does not (0.932 um).  Its
+density 1/s(z) integrates over [-L, L] to 4L/(3 s0) = 2L^3/(3 pi^2) = N/3,
+so it describes a third of the ions and puts the centre gap ~1.9x too wide.
 """
 from __future__ import annotations
 

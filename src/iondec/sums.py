@@ -111,8 +111,9 @@ def continuum_sites(n_ions: int, model: ContinuumModel) -> ContinuumSites:
 
     For DubinFluid the count inversion covers every ion (the density
     integrates to exactly N).  The NearestNeighbor normalization
-    integrates to N/3, so its cubic has no solution for the outer ions
-    and it is rejected here; see notes/decisions.md at the repo root.
+    integrates to N/3 (4L/(3 s0) with L^3 = pi^2 N/2), so its cubic has no
+    solution for the outer ions and it is rejected here rather than
+    silently placing only the inner third of the chain.
     """
     L = chain_length(n_ions, model)
     s0 = min_spacing(n_ions, model)

@@ -117,7 +117,9 @@ def test_criterion_09_fidelity_approximation():
     """100 heterogeneous rates, t up to 0.3 min tau_i: the exact product
     and the Gaussian agree within 1e-2.  The product sits *below* the
     Gaussian (ln cos^2 x <= -x^2 term by term); the originally quoted
-    direction of that inequality is inverted, see notes/decisions.md."""
+    direction of that inequality is inverted: product >= Gaussian fails
+    at every t > 0 with a nonzero rate, since ln cos^2 x = -x^2 - x^4/3
+    - ... lies strictly below -x^2 there."""
     rng = np.random.default_rng(7)
     rates = rng.uniform(0.2, 1.0, size=100)
     times = np.linspace(0.0, 0.3 / rates.max(), 200)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from iondec.adiabatic import (DEFAULT_DTHETA, DriveField, SpinTrajectory,
                               adiabatic_phase, instantaneous_frequency,
                               integrate_tls, overlap_fidelity, suggested_step)
+from iondec.adiabatic import _chunk_operator
 from iondec.errors import AccuracyError, ValidationError
 from iondec.physmodel import CONSTANTS
 
@@ -94,6 +95,8 @@ def test_accuracy_abort_on_tight_budget():
     t_end = (math.pi / 2) * 1e4 / W0
     with pytest.raises(AccuracyError):
         integrate_tls(W0, demo_drive(), EQUAL, t_end, max_norm_drift=1e-10)
+    with pytest.raises(AccuracyError):  # a NaN budget certifies nothing
+        integrate_tls(W0, demo_drive(), EQUAL, 1.0, max_norm_drift=math.nan)
 
 
 def test_storage_is_decimated():
@@ -121,6 +124,15 @@ def test_step_and_state_validation():
         integrate_tls(-1.0, demo_drive(), EQUAL, 1.0)
     with pytest.raises(ValidationError):
         integrate_tls(W0, demo_drive(), EQUAL, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="omega0"):
+            integrate_tls(bad, demo_drive(), EQUAL, 1.0)
+        with pytest.raises(ValidationError, match="t_end"):
+            integrate_tls(W0, demo_drive(), EQUAL, bad)
+        with pytest.raises(ValidationError, match="dt"):
+            integrate_tls(W0, demo_drive(), EQUAL, 1.0, dt=bad)
+    with pytest.raises(ValidationError, match="initial"):
+        integrate_tls(W0, demo_drive(), (math.nan, 0.0), 1.0)
     # the boundary step itself is allowed
     integrate_tls(W0, demo_drive(), EQUAL, 1.0, dt=0.1 / W0)
 
@@ -215,6 +227,21 @@ def test_drive_validation():
         DriveField.sampled([0.0, 1.0], [1.0], [1.0, 2.0])
     with pytest.raises(ValidationError):
         DriveField.sampled([0.0, 0.0], [1.0, 1.0], [1.0, 2.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="amplitude"):
+            DriveField.circular(bad, 0.0)
+        with pytest.raises(ValidationError, match="rotation"):
+            DriveField.circular(0.1, bad)
+        with pytest.raises(ValidationError, match="fx"):
+            DriveField.constant(bad, 0.0)
+        with pytest.raises(ValidationError, match="fy"):
+            DriveField.constant(0.0, bad)
+        with pytest.raises(ValidationError, match="times"):
+            DriveField.sampled([0.0, bad], [1.0, 1.0], [1.0, 2.0])
+        with pytest.raises(ValidationError, match="fx"):
+            DriveField.sampled([0.0, 1.0], [bad, 1.0], [1.0, 2.0])
+        with pytest.raises(ValidationError, match="fy"):
+            DriveField.sampled([0.0, 1.0], [1.0, 1.0], [1.0, bad])
 
 
 @settings(max_examples=25, deadline=None)
@@ -234,3 +261,61 @@ def test_trajectory_fields_consistent():
     assert traj.theta.shape == traj.u_plus.shape == traj.u_minus.shape
     assert traj.norm_drift == pytest.approx(np.max(np.abs(traj.norms() - 1.0)),
                                             abs=1e-15)
+
+
+_SAMPLED = np.linspace(0.0, 600.0, 13)
+
+# Final amplitudes and norm drift of windows that exercise every way the
+# steps split into stored chunks, recorded from the one-chunk-at-a-time
+# stepper.  Exact equality: regrouping the operator products must not move
+# a single bit.
+PINNED = [
+    ("circular", DriveField.circular(0.01, 1e-3), 500.0, None,
+     complex(0.720219765332157, -0.03546502880220957),
+     complex(0.6919401629369368, 0.03527792934310391), 2.698041789983563e-11),
+    ("constant", DriveField.constant(0.006, -0.003), 500.0, None,
+     complex(0.7138269322656258, -0.009977263450643186),
+     complex(0.6999095333189818, 0.021868016981863084), 1.1231682250922859e-11),
+    ("sampled", DriveField.sampled(_SAMPLED, 0.01 * np.cos(1e-2 * _SAMPLED),
+                                   0.005 * np.sin(2e-2 * _SAMPLED)), 500.0, None,
+     complex(0.7147205522850668, -0.017132759807201345),
+     complex(0.6988523314070837, 0.022054922007744313), 1.5166312650194413e-11),
+    ("store_every_1", DriveField.circular(0.01, 1e-3), 20.0, 1,
+     complex(0.7111376192254538, -0.007773021522582989),
+     complex(0.7029915758172715, -0.005070600535552398), 1.078692690725802e-12),
+    ("store_every_1500", DriveField.circular(0.01, 1e-3), 150.0, 1500,
+     complex(0.7098518908598873, -0.00509886935265174),
+     complex(0.7041451701374255, 0.016244197558401677), 8.212763802362133e-12),
+    ("leftover_chunk", DriveField.circular(0.01, 1e-3), 123.456, 7,
+     complex(0.7188234361729807, -0.0036882317617935832),
+     complex(0.6950441534699566, 0.013888458826432264), 6.401990049198503e-12),
+]
+
+
+@pytest.mark.parametrize("name, drive, t_end, store_every, up, um, drift", PINNED,
+                         ids=[case[0] for case in PINNED])
+def test_output_is_bit_identical_to_pinned(name, drive, t_end, store_every,
+                                           up, um, drift):
+    traj = integrate_tls(W0, drive, EQUAL, t_end, store_every=store_every)
+    assert traj.u_plus[-1] == up
+    assert traj.u_minus[-1] == um
+    assert traj.norm_drift == drift
+
+
+@pytest.mark.parametrize("store_every", [1, 7, 1500])
+@pytest.mark.parametrize("case", [0, 2], ids=["circular", "sampled"])
+def test_batched_chunks_match_one_chunk_per_call(case, store_every):
+    """Reference: the stored-point loop building one chunk operator per call."""
+    drive, t_end = PINNED[case][1], 123.456
+    traj = integrate_tls(W0, drive, EQUAL, t_end, store_every=store_every)
+    n_steps = math.ceil(t_end / DEFAULT_DTHETA - 1e-9)
+    dtheta = t_end / n_steps
+    u = np.array(EQUAL, dtype=complex)
+    stored = [u]
+    for pos in range(0, n_steps, store_every):
+        m = min(store_every, n_steps - pos)
+        u = _chunk_operator(drive, W0, np.array([pos * dtheta]), dtheta, m)[0] @ u
+        stored.append(u)
+    stored = np.array(stored)
+    assert np.array_equal(traj.u_plus, stored[:, 0])
+    assert np.array_equal(traj.u_minus, stored[:, 1])

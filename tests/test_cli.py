@@ -308,6 +308,27 @@ def test_exit_unwritable_output(capsys, tmp_path):
     assert "i/o error" in capsys.readouterr().err
 
 
+REFUSED_CASES = [
+    ["adiabatic", "--eps-ratio", "nan"],
+    ["adiabatic", "--eps-ratio", "inf"],
+    ["adiabatic", "--rot-ratio", "nan"],
+    ["adiabatic", "--theta-end", "nan"],
+    ["adiabatic", "--theta-end", "inf"],
+    ["continuum", "--points", "-1"],
+    ["continuum", "--points", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED_CASES, ids=[" ".join(c) for c in REFUSED_CASES])
+def test_bad_input_refused_with_one_line(argv, capsys, recwarn):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not recwarn.list
+
+
 def test_argparse_usage_errors():
     with pytest.raises(SystemExit):
         main([])
