@@ -208,6 +208,8 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None, *,
         raise ValidationError(
             "dt", f"step {dt * omega0:.4g}/omega0 does not resolve the fast phase "
             f"(need <= {MAX_DTHETA}/omega0)")
+    if store_every is not None and not store_every >= 1:
+        raise ValidationError("store_every", f"must be >= 1, got {store_every!r}")
     _warn_regime(drive, omega0)
 
     theta_end = omega0 * t_end

@@ -4,8 +4,10 @@ Physics parameters live in a sectioned key = value file ([species],
 [trap], [model]); command flags select what to compute and may override
 the ion count or multipole order.  All numeric output is printed with
 12 significant digits and LF line endings so identical configs produce
-byte-identical files.  Exit codes: 0 ok, 1 bad config/validation,
-2 numerical failure, 3 output I/O failure.
+byte-identical files at a fixed BLAS thread count (the equilibrium
+solve's linear algebra can round differently with the number of
+OpenBLAS threads, moving the last printed digit).  Exit codes: 0 ok,
+1 bad config/validation, 2 numerical failure, 3 output I/O failure.
 """
 from __future__ import annotations
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .chain import IonChain, solve_equilibrium
 from .continuum import ContinuumModel, chain_length, min_spacing
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .physmodel import (CONSTANTS, IonSpecies, TrapConfig, derive_scales,
                         qsq_convention_stamp, radiative_time)
 from .sums import chain_total_asymptotic, pair_sum_exact_all, zeta
@@ -143,9 +143,13 @@ def closed_form_rate(n_ions: int, species: IonSpecies, trap: TrapConfig,
     pref = vibrational_prefactor(species, trap, qsq_constant)
     two_p = 2 * species.multipole.pair_exponent
     total = chain_total_asymptotic(n_ions, 2 * two_p, model)
-    full = pref * 2.0 * zeta(two_p) * math.sqrt(total) / scales.d0 ** two_p
     s0_m = min_spacing(n_ions, model) * scales.d0
-    bare = math.sqrt(n_ions) * pref / s0_m ** two_p
+    try:
+        full = pref * 2.0 * zeta(two_p) * math.sqrt(total) / scales.d0 ** two_p
+        bare = math.sqrt(n_ions) * pref / s0_m ** two_p
+    except OverflowError:
+        raise DomainError(f"d0 = {scales.d0!r} m puts d0^{two_p} outside the "
+                          "float range") from None
     return ClosedFormRate(full=full, bare=bare)
 
 

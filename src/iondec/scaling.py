@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .continuum import C0_DUBIN, ContinuumModel, min_spacing
 from .decoherence import closed_form_rate
-from .errors import SolverError, ValidationError
+from .errors import DomainError, SolverError, ValidationError
 from .physmodel import CONSTANTS, IonSpecies, TrapConfig, derive_scales
 
 # Quoted large-N exponents, for comparison against fitted values: the
@@ -53,9 +52,9 @@ class ScalingPolicy:
 
     def __post_init__(self):
         if self.kind is PolicyKind.FIXED_SPACING:
-            if self.s0_target is None or not self.s0_target > 0:
+            if self.s0_target is None or not 0 < self.s0_target < math.inf:
                 raise ValidationError("s0_target", "fixed-spacing policy needs a "
-                                      f"positive target, got {self.s0_target!r}")
+                                      f"finite positive target, got {self.s0_target!r}")
             if self.omega_z is not None:
                 raise ValidationError("omega_z", "fixed-spacing policy solves for "
                                       "omega_z; do not pin it")
@@ -116,13 +115,72 @@ def default_n_grid(n_min: int, n_max: int) -> np.ndarray:
     return grid[grid >= 2]
 
 
+def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A statement-for-statement port of scipy's C ``brentq``: the same
+    block/interpolate/extrapolate step, the same ``delta`` test and the
+    same minimum step of +-delta, in the same floating-point order, so it
+    returns the same bits.  Raises SolverError when f(xa), f(xb) share a
+    sign or when maxiter iterations do not converge.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise SolverError(f"no sign change on [{xa!r}, {xb!r}]",
+                          min(abs(fpre), abs(fcur)))
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets an inf or NaN step here: bisect
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise SolverError(f"Brent iteration did not converge in {maxiter} steps",
+                      min(abs(fpre), abs(fcur)))
+
+
 def _solve_omega_z(n_ions, species, s0_target, model):
     """omega_z making the model's central spacing equal the target.
 
     The spacing is monotone decreasing in omega_z (stiffer axial trap,
-    shorter chain), so a sign-change bracket plus Brent's method is
-    certified; the bracket is seeded from the scale relation
-    d0 = s0_target/s0_dim and widened if needed.
+    shorter chain), so a sign-change bracket plus Brent's method
+    (``_brentq``, an in-module port of scipy's ``brentq``) is certified;
+    the bracket is seeded from the scale relation d0 = s0_target/s0_dim
+    and widened if needed.  A target so large or small that omega_z or
+    the spacing leaves the float range raises DomainError.
     """
     s0_dim = min_spacing(n_ions, model)
     q2 = species.charge**2 / (4.0 * math.pi * CONSTANTS.epsilon0)
@@ -132,17 +190,23 @@ def _solve_omega_z(n_ions, species, s0_target, model):
         return s0_dim * d0 - s0_target
 
     d0_needed = s0_target / s0_dim
-    guess = math.sqrt(q2 / (species.mass * d0_needed**3))
-    lo, hi = 0.5 * guess, 2.0 * guess
-    for _ in range(60):
-        if gap(lo) > 0 > gap(hi):
-            break
-        lo *= 0.5
-        hi *= 2.0
-    else:
-        raise SolverError(f"could not bracket omega_z for s0 = {s0_target} m "
-                          f"at N = {n_ions}")
-    return brentq(gap, lo, hi, xtol=1e-30, rtol=1e-14)
+    try:
+        guess = math.sqrt(q2 / (species.mass * d0_needed**3))
+        if 0 < guess < math.inf:
+            lo, hi = 0.5 * guess, 2.0 * guess
+            for _ in range(60):
+                if gap(lo) > 0 > gap(hi):
+                    break
+                lo *= 0.5
+                hi *= 2.0
+            else:
+                raise SolverError(f"could not bracket omega_z for s0 = {s0_target} m "
+                                  f"at N = {n_ions}", min(abs(gap(lo)), abs(gap(hi))))
+            return _brentq(gap, lo, hi, xtol=1e-30, rtol=1e-14)
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise DomainError(f"s0 target {s0_target!r} m gives no finite omega_z "
+                      f"at N = {n_ions}")
 
 
 def scan(policy: ScalingPolicy, n_values, species: IonSpecies,

@@ -133,6 +133,9 @@ def test_step_and_state_validation():
             integrate_tls(W0, demo_drive(), EQUAL, 1.0, dt=bad)
     with pytest.raises(ValidationError, match="initial"):
         integrate_tls(W0, demo_drive(), (math.nan, 0.0), 1.0)
+    for bad in (0, -3):
+        with pytest.raises(ValidationError, match="store_every"):
+            integrate_tls(W0, demo_drive(), EQUAL, 1.0, store_every=bad)
     # the boundary step itself is allowed
     integrate_tls(W0, demo_drive(), EQUAL, 1.0, dt=0.1 / W0)
 

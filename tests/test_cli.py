@@ -316,6 +316,10 @@ REFUSED_CASES = [
     ["adiabatic", "--theta-end", "inf"],
     ["continuum", "--points", "-1"],
     ["continuum", "--points", "0"],
+    ["scaling", "--policy", "fixed_spacing", "--s0-target=inf"],
+    ["scaling", "--policy", "fixed_spacing", "--s0-target=1e300"],
+    ["scaling", "--policy", "fixed_spacing", "--s0-target=1e-300"],
+    ["scaling", "--policy", "fixed_spacing", "--s0-target=1e50"],
 ]
 
 

@@ -1,15 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iondec
+from iondec import scaling
 from iondec.continuum import C0_DUBIN, ContinuumModel
 from iondec.decoherence import closed_form_rate
-from iondec.errors import ValidationError
+from iondec.errors import SolverError, ValidationError
 from iondec.physmodel import TrapConfig
 from iondec.scaling import (LOG_POWERS, POINTS_PER_DECADE,
                             REFERENCE_EXPONENTS, ExponentFit, PolicyKind,
-                            ScalingPolicy, default_n_grid, fit_exponent, scan)
+                            ScalingPolicy, _brentq, default_n_grid,
+                            fit_exponent, scan)
 
 S0_TARGET = 0.5e-6  # meters
 
@@ -33,8 +40,9 @@ def e2_series(voltage_policy, grid, ba, trap1000):
 
 
 def test_policy_validation():
-    with pytest.raises(ValidationError):
-        ScalingPolicy.fixed_spacing(-1e-6)
+    for bad in (-1e-6, 0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            ScalingPolicy.fixed_spacing(bad)
     with pytest.raises(ValidationError):
         ScalingPolicy(kind=PolicyKind.FIXED_SPACING, s0_target=1e-6, omega_z=1.0)
     with pytest.raises(ValidationError):
@@ -175,3 +183,74 @@ def test_exponent_fit_record():
     fit = ExponentFit(slope=2.0, width=0.1)
     assert fit.log_power is None
     assert fit.slope == 2.0
+
+
+# omega_z holding a 5 um spacing, recorded as exact floats from the
+# scipy.optimize.brentq solve; omega_z depends on the model, not on the
+# multipole order.
+PINNED_N = [2, 10, 1000, 30000]
+PINNED_OMEGA_Z = {
+    ContinuumModel.NEAREST_NEIGHBOR: [25279221.642115194, 5055844.32842304,
+                                      50558.44328423039, 1685.2814428076802],
+    ContinuumModel.DUBIN_FLUID: [2578612.2299008644, 1091908.7491660195,
+                                 19602.862077896665, 802.7899561105827],
+}
+
+
+@pytest.mark.parametrize("model", list(ContinuumModel), ids=lambda m: m.name)
+@pytest.mark.parametrize("species", ["ba", "ba_e1"])
+def test_fixed_spacing_omega_z_is_bit_identical_to_pinned(species, model, request,
+                                                           trap1000):
+    series = scan(ScalingPolicy.fixed_spacing(5e-6), PINNED_N,
+                  request.getfixturevalue(species), trap1000, model)
+    assert series.omega_z.tolist() == PINNED_OMEGA_Z[model]
+
+
+def test_brentq_port_matches_scipy(monkeypatch, ba):
+    """The in-module Brent iteration returns scipy's bits on every case."""
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    ns = np.unique(np.rint(np.geomspace(2, 1e6, 40)).astype(int)).tolist()
+    targets = np.geomspace(1e-7, 1e-3, 4).tolist()
+    cases = [(n, t, model) for n in ns for t in targets for model in ContinuumModel]
+    assert len(cases) >= 300
+
+    def solve_all():
+        return [scaling._solve_omega_z(n, ba, t, model) for n, t, model in cases]
+
+    ported = solve_all()
+    monkeypatch.setattr(scaling, "_brentq", brentq)
+    assert ported == solve_all()
+
+
+@pytest.mark.parametrize("xtol, rtol", [(1e-30, 1e-14), (2e-12, 8.9e-16), (1e-3, 1e-6)])
+def test_brentq_port_matches_scipy_on_other_functions(xtol, rtol):
+    """Coarse tolerances make the delta test and the +-delta step decide
+    more of the iterates than the smooth spacing gap does."""
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    funcs = [lambda x: x**3 - 2 * x - 5, lambda x: math.cos(x) - x,
+             lambda x: math.exp(x) - 10.0, lambda x: math.atan(1e6 * (x - 0.7))]
+    rng = np.random.default_rng(5)
+    brackets = list(zip(rng.uniform(-3.0, 0.0, 25).tolist(),
+                        rng.uniform(2.5, 5.0, 25).tolist()))
+    for f in funcs:
+        for a, b in brackets:
+            assert _brentq(f, a, b, xtol, rtol) == brentq(f, a, b, xtol=xtol, rtol=rtol)
+
+
+def test_brentq_refuses_without_sign_change_or_convergence():
+    with pytest.raises(SolverError, match="sign"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, rtol=1e-14)
+    with pytest.raises(SolverError, match="converge"):
+        _brentq(lambda x: x**3 - 2 * x - 5, 0.0, 10.0, xtol=1e-12, rtol=1e-14,
+                maxiter=3)
+    root = _brentq(lambda x: x * x - 2.0, 0.0, 2.0, xtol=1e-30, rtol=1e-14)
+    assert root == pytest.approx(math.sqrt(2.0), rel=1e-14)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(iondec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import iondec.cli, sys; "
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
