@@ -9,9 +9,23 @@ kept in 80-bit extended precision: the Jacobian diagonal grows like
 s0^-3 (~5e4 at N = 1000), so plain double-precision position rounding
 alone would floor the force residual near 1e-11, above the 1e-12
 certificate this module promises.
+
+All O(N^2) pairwise work (the force, the Jacobian and the lattice sums
+of ``sums``) goes through one kernel, ``_pair_rows``.  Each pairwise
+matrix is symmetric or antisymmetric, so the kernel evaluates the upper
+triangle of each diagonal row-block tile and mirrors it.  The mirrored
+values are the bits a direct evaluation gives: IEEE subtraction is
+sign-symmetric (u_j - u_i == -(u_i - u_j) exactly), and |d|, d^2 and
+sign(d) are exact under negation.  Rows keep their full length, so row
+sums reduce in the same order as before.
+
+``IonChain`` is frozen and its positions are read-only, so its pair sums
+are a pure function of the chain; ``sums.pair_sum_exact_all`` memoizes
+them per exponent on the chain itself.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +39,8 @@ DEFAULT_MAX_ITER = 200
 
 # row-block size for O(N^2) pairwise work, keeps peak memory ~tens of MB
 _BLOCK = 4_000_000
+# rows per strip of a mirrored diagonal tile
+_STRIP = 32
 
 
 @dataclass(frozen=True)
@@ -39,6 +55,9 @@ class IonChain:
     n_ions: int
     positions: np.ndarray = field(repr=False)
     residual: float
+    # exponent n -> S_n(i) for every ion, filled by sums.pair_sum_exact_all
+    _pair_sums: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         pos = np.array(self.positions, dtype=np.longdouble)  # private copy
@@ -63,24 +82,60 @@ class IonChain:
         return cls(n_ions=pos.size, positions=pos, residual=res)
 
 
+def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int) -> np.ndarray:
+    """Rows [lo, hi) of M[i, j] = entry(u_i - u_j), entry(inf) on the diagonal.
+
+    The diagonal tile [lo, hi)^2 is evaluated in row strips, on and above
+    the diagonal only.  Each strip is evaluated at the negated differences,
+    so its transpose fills the rows below it as is, and the strip's own
+    rows are those values, negated when ``odd`` (M[i, j] = -M[j, i]).
+    Columns left of the tile are evaluated directly.  Every row keeps its
+    full length, so row sums reduce in the same order as over a directly
+    evaluated matrix.
+    """
+    rows = None
+    for a in range(lo, hi, _STRIP):
+        b = min(a + _STRIP, hi)
+        # flipped strip: flip[k, c] = entry(u_(a+c) - u_(a+k)) = M[a+c, a+k],
+        # so the rows below the strip are its plain transpose
+        d = u[None, a:] - u[a:b, None]
+        d[np.arange(b - a), np.arange(b - a)] = -np.inf
+        flip = entry(d)
+        if rows is None:
+            rows = np.empty((hi - lo, u.size), dtype=flip.dtype)
+        rows[b - lo:, a:b] = flip[:, b - a:hi - a].T
+        if odd:
+            np.negative(flip, out=rows[a - lo:b - lo, a:])
+        else:
+            rows[a - lo:b - lo, a:] = flip
+        if lo > 0:
+            rows[a - lo:b - lo, :lo] = entry(u[a:b, None] - u[None, :lo])
+    return rows
+
+
+def _row_sums(u: np.ndarray, entry, odd: bool) -> np.ndarray:
+    """sum_j M[i, j] for every row of the _pair_rows matrix, in row blocks."""
+    n = u.size
+    block = max(1, _BLOCK // n)
+    return np.concatenate([_pair_rows(u, entry, odd, lo, min(lo + block, n)).sum(axis=1)
+                           for lo in range(0, n, block)])
+
+
+def _coulomb(d):
+    return np.sign(d) / d**2
+
+
+def _stiffness(d):
+    return -2.0 / np.abs(d.astype(float)) ** 3
+
+
 def _force(u: np.ndarray) -> np.ndarray:
     """F_i = u_i - sum_j sign(u_i - u_j)/(u_i - u_j)^2, in blocks."""
-    n = u.size
-    out = np.array(u, dtype=np.longdouble)
-    block = max(1, _BLOCK // n)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        d = u[lo:hi, None] - u[None, :]
-        d[np.arange(lo, hi) - lo, np.arange(lo, hi)] = np.inf
-        out[lo:hi] -= (np.sign(d) / d**2).sum(axis=1)
-    return out
+    return np.asarray(u, dtype=np.longdouble) - _row_sums(u, _coulomb, odd=True)
 
 
 def _jacobian(u: np.ndarray) -> np.ndarray:
-    d = (u[:, None] - u[None, :]).astype(float)
-    np.fill_diagonal(d, np.inf)
-    off = -2.0 / np.abs(d) ** 3
-    jac = off
+    jac = _pair_rows(u, _stiffness, False, 0, u.size)
     np.fill_diagonal(jac, 0.0)
     np.fill_diagonal(jac, 1.0 - jac.sum(axis=1))
     return jac
@@ -109,6 +164,10 @@ def solve_equilibrium(n_ions: int, tol: float = DEFAULT_TOL,
     """
     if not isinstance(n_ions, (int, np.integer)) or not 1 <= n_ions <= MAX_IONS:
         raise ValidationError("n_ions", f"need an integer in [1, {MAX_IONS}], got {n_ions!r}")
+    if not isinstance(tol, (int, float, np.integer, np.floating)) or not 0 < tol < math.inf:
+        raise ValidationError("tol", f"need a finite tolerance > 0, got {tol!r}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValidationError("max_iter", f"need an integer >= 1, got {max_iter!r}")
     if n_ions == 1:
         return IonChain(n_ions=1, positions=np.zeros(1, dtype=np.longdouble), residual=0.0)
 
@@ -159,19 +218,3 @@ def local_spacings(chain: IonChain) -> np.ndarray:
     out[0], out[-1] = gaps[0], gaps[-1]
     out[1:-1] = 0.5 * (gaps[:-1] + gaps[1:])
     return out
-
-
-def residual_force(chain: IonChain) -> float:
-    """Recompute the max-norm force residual at the stored positions."""
-    if chain.n_ions == 1:
-        return 0.0
-    return float(np.max(np.abs(_force(chain.positions))))
-
-
-def potential_energy(positions) -> float:
-    """Dimensionless energy (1/2) sum u^2 + sum_{i<j} 1/(u_j - u_i)."""
-    u = np.asarray(positions, dtype=np.longdouble)
-    harm = 0.5 * np.sum(u**2)
-    i, j = np.triu_indices(u.size, k=1)
-    coul = np.sum(1.0 / np.abs(u[j] - u[i]))
-    return float(harm + coul)

@@ -85,6 +85,13 @@ def _positive(section, key, raw):
     return value
 
 
+def _finite_positive(section, key, raw):
+    value = _positive(section, key, raw)
+    if not math.isfinite(value):
+        raise ValidationError(key, f"[{section}] {key} must be finite, got {raw}")
+    return value
+
+
 def parse_config(text: str) -> RunConfig:
     """Validate sectioned key = value text into a RunConfig."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -153,9 +160,13 @@ def parse_config(text: str) -> RunConfig:
         if "qsq_constant" in mo:
             qsq_constant = _positive("model", "qsq_constant", mo["qsq_constant"])
         if "chain_tol" in mo:
-            chain_tol = _positive("model", "chain_tol", mo["chain_tol"])
+            chain_tol = _finite_positive("model", "chain_tol", mo["chain_tol"])
         if "max_iter" in mo:
-            max_iter = int(_positive("model", "max_iter", mo["max_iter"]))
+            value = _finite_positive("model", "max_iter", mo["max_iter"])
+            if value != int(value):
+                raise ValidationError("max_iter", "[model] max_iter must be an "
+                                      f"integer, got {mo['max_iter']}")
+            max_iter = int(value)
     return RunConfig(species=species, trap=trap, model=model,
                      qsq_constant=qsq_constant, chain_tol=chain_tol,
                      max_iter=max_iter)

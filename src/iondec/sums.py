@@ -6,6 +6,13 @@ T_n = sum_i s^-n(z_i) has an integral asymptotic (L/s0^(n+1)) *
 sqrt(4 pi/(4n+7)).  Everything here stays in dimensionless d0 units;
 dimensional prefactors belong to the decoherence module (s0^-16 in
 meters would underflow/overflow long before physics entered).
+
+pair_sum_exact_all runs on the chain module's mirrored pairwise kernel:
+|u_i - u_j|^-n is symmetric, so each pair's power is evaluated once
+rather than twice, bit-identically (|d| is exact under negation, and
+every row is still summed over its full length in the same order).
+An IonChain is immutable, so the sums are memoized on the chain per
+exponent; callers get a copy and may modify it freely.
 """
 from __future__ import annotations
 
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import IonChain, local_spacings
+from .chain import IonChain, _row_sums, local_spacings
 from .continuum import ContinuumModel, chain_length, min_spacing
 from .errors import DomainError, ValidationError
 
@@ -67,20 +74,16 @@ def pair_sum_exact(chain: IonChain, i: int, n: int) -> float:
 
 
 def pair_sum_exact_all(chain: IonChain, n: int) -> np.ndarray:
-    """S_n(i) for every ion in one pass (O(N^2), blocked)."""
+    """S_n(i) for every ion in one mirrored pass, memoized on the chain."""
     _check_exponent(n)
     if chain.n_ions < 2:
         raise ValidationError("n_ions", "pair sums need N >= 2")
-    u = chain.positions
-    size = u.size
-    out = np.empty(size)
-    block = max(1, 4_000_000 // size)
-    for lo in range(0, size, block):
-        hi = min(lo + block, size)
-        d = np.abs(u[lo:hi, None] - u[None, :])
-        d[np.arange(lo, hi) - lo, np.arange(lo, hi)] = np.inf
-        out[lo:hi] = (d ** -float(n)).sum(axis=1).astype(float)
-    return out
+    sums = chain._pair_sums.get(n)
+    if sums is None:
+        sums = _row_sums(chain.positions, lambda d: np.abs(d) ** -float(n),
+                         odd=False).astype(float)
+        chain._pair_sums[n] = sums
+    return sums.copy()
 
 
 def pair_sum_approx(s_local: float, n: int) -> float:

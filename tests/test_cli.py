@@ -333,6 +333,37 @@ def test_bad_input_refused_with_one_line(argv, capsys, recwarn):
     assert not recwarn.list
 
 
+BAD_SOLVER_SETTINGS = [
+    ("max_iter = 200", "max_iter = inf"),
+    ("max_iter = 200", "max_iter = nan"),
+    ("max_iter = 200", "max_iter = 0.5"),
+    ("max_iter = 200", "max_iter = 1e400"),
+    ("chain_tol = 1e-12", "chain_tol = inf"),
+    ("chain_tol = 1e-12", "chain_tol = nan"),
+    ("chain_tol = 1e-12", "chain_tol = 1e400"),
+]
+
+
+@pytest.mark.parametrize("old,new", BAD_SOLVER_SETTINGS,
+                         ids=[new for _, new in BAD_SOLVER_SETTINGS])
+def test_bad_solver_settings_refused_with_one_line(old, new, tmp_path, capsys, recwarn):
+    path = tmp_path / "solver.ini"
+    path.write_text(BA_EXAMPLE.replace(old, new))
+    assert main(["equilibrium", "--config", str(path), "--n-ions", "50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert new.split(" = ")[0] in lines[0]
+    assert not recwarn.list
+
+
+def test_integer_valued_max_iter_accepted(tmp_path):
+    path = tmp_path / "solver.ini"
+    path.write_text(BA_EXAMPLE.replace("max_iter = 200", "max_iter = 2e2"))
+    assert load_config(str(path)).max_iter == 200
+
+
 def test_argparse_usage_errors():
     with pytest.raises(SystemExit):
         main([])

@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iondec import sums as sums_module
 from iondec.chain import IonChain
 from iondec.continuum import ContinuumModel, chain_length, min_spacing
+from iondec.decoherence import per_ion_rate, per_ion_rates
 from iondec.errors import DomainError, ValidationError
+from iondec.physmodel import TrapConfig
 from iondec.sums import (SumSource, SumSpec, asymptotic_total,
                          chain_total_asymptotic, chain_total_exact,
                          continuum_sites, pair_sum_approx, pair_sum_exact,
@@ -121,6 +126,78 @@ def test_pair_sum_all_matches_single(chains):
     sums = pair_sum_exact_all(chain, 6)
     for i in range(11):
         assert sums[i] == pytest.approx(pair_sum_exact(chain, i, 6), rel=1e-13)
+
+
+# ----------------------------------------------- per-chain pair-sum cache
+
+
+def _counting_kernel(monkeypatch):
+    """Log each call pair_sum_exact_all makes into the pairwise kernel."""
+    calls = []
+    real = sums_module._row_sums
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sums_module, "_row_sums", counted)
+    return calls
+
+
+def _fresh_chain(n=40):
+    return IonChain.from_positions(np.linspace(-3.0, 3.0, n) ** 3 + np.linspace(-3.0, 3.0, n))
+
+
+def test_pair_sum_cache_returns_private_copies():
+    chain = _fresh_chain()
+    first = pair_sum_exact_all(chain, 8)
+    expected = first.copy()
+    first[:] = -1.0
+    assert np.array_equal(pair_sum_exact_all(chain, 8), expected)
+
+
+def test_pair_sum_cache_skips_the_kernel_on_repeat(monkeypatch):
+    calls = _counting_kernel(monkeypatch)
+    chain = _fresh_chain()
+    s8 = pair_sum_exact_all(chain, 8)
+    assert np.array_equal(pair_sum_exact_all(chain, 8), s8)
+    assert len(calls) == 1
+    pair_sum_exact_all(chain, 6)  # another exponent is another entry
+    assert len(calls) == 2
+    pair_sum_exact_all(_fresh_chain(), 8)  # an equal but distinct chain
+    assert len(calls) == 3
+
+
+def test_pair_sum_cache_leaves_repr_and_equality_alone():
+    chain = _fresh_chain(3)
+    before = repr(chain)
+    pair_sum_exact_all(chain, 8)
+    assert repr(chain) == before
+    assert before.startswith("IonChain(n_ions=3, residual=") and "_pair_sums" not in before
+    assert chain == chain
+    assert [f.name for f in dataclasses.fields(IonChain) if f.compare] == [
+        "n_ions", "positions", "residual"]
+    single = IonChain.from_positions([0.0])
+    assert single == IonChain.from_positions([0.0])
+
+
+def test_replaced_chain_starts_with_an_empty_cache(monkeypatch):
+    calls = _counting_kernel(monkeypatch)
+    chain = _fresh_chain()
+    pair_sum_exact_all(chain, 8)
+    other = dataclasses.replace(chain, residual=0.0)
+    assert other._pair_sums == {}
+    assert np.array_equal(pair_sum_exact_all(other, 8), pair_sum_exact_all(chain, 8))
+    assert len(calls) == 2
+
+
+def test_per_ion_rate_reuses_the_sums_of_per_ion_rates(monkeypatch, ba):
+    calls = _counting_kernel(monkeypatch)
+    chain = _fresh_chain()
+    trap = TrapConfig.from_lab_units(fz_hz=1e5, ft_hz=2e7, n_ions=chain.n_ions)
+    rates = per_ion_rates(chain, ba, trap)
+    assert per_ion_rate(chain, 7, ba, trap) == rates[7]
+    assert len(calls) == 1
 
 
 def test_pair_sum_validation(chains):
