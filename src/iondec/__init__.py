@@ -14,7 +14,7 @@ from .chain import IonChain, local_spacing, local_spacings, solve_equilibrium
 from .continuum import ContinuumModel, chain_length, min_spacing, spacing_profile
 from .decoherence import (ClosedFormRate, DecoherenceMode, DecoherenceReport,
                           aggregate_tau_vib, build_report, closed_form_rate,
-                          fidelity_curve, per_ion_rate, per_ion_rates)
+                          fidelity_curve, per_ion_rates)
 from .errors import AccuracyError, DomainError, SolverError, ValidationError
 from .physmodel import (CONSTANTS, DerivedScales, IonSpecies, Multipole,
                         TrapConfig, derive_scales, radiative_time)
@@ -33,6 +33,6 @@ __all__ = [
     "chain_total_exact", "closed_form_rate", "continuum_sites",
     "derive_scales", "fidelity_curve", "fit_exponent", "local_spacing",
     "local_spacings", "min_spacing", "pair_sum_approx", "pair_sum_exact",
-    "per_ion_rate", "per_ion_rates", "radiative_time", "scan",
+    "per_ion_rates", "radiative_time", "scan",
     "solve_equilibrium", "spacing_profile", "zeta",
 ]

@@ -324,13 +324,12 @@ def adiabatic_phase(drive, omega0, t):
     return float(np.sum(seg)) / omega0
 
 
-def overlap_fidelity(trajectory, omega0=None):
+def overlap_fidelity(trajectory):
     """Re<psi_0(t)|psi(t)> along the trajectory, psi_0 the undriven state.
 
     The fast phases cancel in the inner product, leaving Re[(u+ + u-)/sqrt(2)]
-    for the equal-superposition start; omega0 is accepted for symmetry with
-    the other operations but is not needed.  Rejects trajectories that did
-    not start in the equal superposition, where this reduction fails.
+    for the equal-superposition start.  Rejects trajectories that did not
+    start in the equal superposition, where this reduction fails.
     """
     start = np.array([trajectory.u_plus[0], trajectory.u_minus[0]])
     if np.max(np.abs(start - 1.0 / np.sqrt(2.0))) > 1e-9:
@@ -338,18 +337,3 @@ def overlap_fidelity(trajectory, omega0=None):
             "trajectory", "overlap formula assumes u+(0) = u-(0) = 1/sqrt(2)")
     return np.real((trajectory.u_plus + trajectory.u_minus) / np.sqrt(2.0))
 
-
-def instantaneous_frequency(omega0, V, hbar=None):
-    """(exact, second-order) precession frequency with transverse energy V.
-
-    exact = sqrt(omega0^2 + (V/hbar)^2); the second-order form adds
-    V^2/(2 hbar^2 omega0).  Pass hbar=1 for V already in angular-frequency
-    units; default is SI.
-    """
-    if hbar is None:
-        from .physmodel import CONSTANTS
-        hbar = CONSTANTS.hbar
-    ratio = V / hbar
-    exact = math.sqrt(omega0**2 + ratio**2)
-    second = omega0 + ratio**2 / (2.0 * omega0)
-    return exact, second

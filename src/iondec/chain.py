@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .continuum import ContinuumModel, chain_length, min_spacing
+from .continuum import (ContinuumModel, chain_length, invert_cubic_count,
+                         min_spacing)
 from .errors import SolverError, ValidationError
 
 MAX_IONS = 10_000
@@ -60,26 +61,36 @@ class IonChain:
                              compare=False)
 
     def __post_init__(self):
-        pos = np.array(self.positions, dtype=np.longdouble)  # private copy
-        if pos.ndim != 1 or pos.size != self.n_ions:
-            raise ValidationError("positions", f"expected {self.n_ions} coordinates")
-        if self.n_ions >= 2 and not np.all(np.diff(pos) > 0):
-            raise ValidationError("positions", "must be strictly increasing")
+        pos = _checked_positions(self.positions, self.n_ions)
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
 
     @classmethod
     def from_positions(cls, positions) -> "IonChain":
         """Wrap explicit positions, computing their residual certificate."""
-        pos = np.asarray(positions, dtype=np.longdouble)
-        if pos.ndim != 1 or pos.size == 0:
-            raise ValidationError("positions", "expected a non-empty 1-D array")
-        if pos.size >= 2 and not np.all(np.diff(pos) > 0):
-            # checked again in __post_init__, but the residual evaluation
-            # below would divide by zero on coincident ions
-            raise ValidationError("positions", "must be strictly increasing")
+        pos = _checked_positions(positions)
         res = 0.0 if pos.size == 1 else float(np.max(np.abs(_force(pos))))
         return cls(n_ions=pos.size, positions=pos, residual=res)
+
+
+def _checked_positions(positions, n_ions=None) -> np.ndarray:
+    """A private longdouble copy of valid chain positions, else ValidationError.
+
+    Valid means a non-empty 1-D array of finite, strictly increasing
+    values, with ``n_ions`` entries when given.  Finiteness is checked
+    before the ordering, so an infinity is refused without the NaN its
+    difference would produce.
+    """
+    pos = np.array(positions, dtype=np.longdouble)
+    if pos.ndim != 1 or pos.size == 0:
+        raise ValidationError("positions", "expected a non-empty 1-D array")
+    if n_ions is not None and pos.size != n_ions:
+        raise ValidationError("positions", f"expected {n_ions} coordinates")
+    if not np.all(np.isfinite(pos)):
+        raise ValidationError("positions", "must be finite")
+    if not np.all(np.diff(pos) > 0):
+        raise ValidationError("positions", "must be strictly increasing")
+    return pos
 
 
 def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int) -> np.ndarray:
@@ -145,13 +156,11 @@ def _initial_guess(n: int) -> np.ndarray:
     centered = np.arange(n, dtype=np.longdouble) - (n - 1) / 2.0
     if n < 10:
         return 1.3 * centered
-    # invert the cubic cumulative count of the fluid model: with
-    # n(z) = (z - z^3/3L^2)/s0 and s0 = 4L/3N this reduces to
-    # z_m = 2 L sin(arcsin(2m/N)/3)
+    # the fluid model's sites: with s0 = 4L/3N the inverse's argument is
+    # 2m/N, so |m| <= (N-1)/2 keeps every index inside the cubic's range
     L = chain_length(n, ContinuumModel.DUBIN_FLUID)
     s0 = min_spacing(n, ContinuumModel.DUBIN_FLUID)
-    arg = np.clip(3.0 * s0 * centered.astype(float) / (2.0 * L), -1.0, 1.0)
-    return (2.0 * L * np.sin(np.arcsin(arg) / 3.0)).astype(np.longdouble)
+    return invert_cubic_count(centered.astype(float), L, s0).astype(np.longdouble)
 
 
 def solve_equilibrium(n_ions: int, tol: float = DEFAULT_TOL,

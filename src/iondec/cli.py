@@ -21,13 +21,13 @@ import numpy as np
 
 from .adiabatic import DriveField, adiabatic_phase, integrate_tls, overlap_fidelity
 from .chain import local_spacings, solve_equilibrium
-from .continuum import C0_DUBIN, ContinuumModel, chain_length, min_spacing
-from .decoherence import DecoherenceMode, build_report, closed_form_rate
+from .continuum import ContinuumModel, chain_length, min_spacing, spacing_profile
+from .decoherence import DecoherenceMode, build_report
 from .errors import AccuracyError, DomainError, SolverError, ValidationError
 from .physmodel import (IonSpecies, Multipole, TrapConfig, derive_scales,
-                        qsq_convention_stamp)
-from .scaling import (LOG_POWERS, ScalingPolicy, default_n_grid, fit_exponent,
-                      scan)
+                        qsq_convention_stamp, radiative_time)
+from .scaling import (LOG_POWERS, REFERENCE_EXPONENTS, ScalingPolicy,
+                      default_n_grid, fit_exponent, scan)
 from .sums import pair_sum_approx, pair_sum_exact_all
 
 BA_EXAMPLE = """\
@@ -199,7 +199,6 @@ def _cmd_scales(cfg, args):
     scales = derive_scales(cfg.species, cfg.trap, cfg.qsq_constant)
     two_p = 2 * cfg.species.multipole.pair_exponent
     qsq_unit = f"J*m^{two_p - 3}"
-    tau_rad = 2.0 * cfg.species.tau_s / cfg.trap.n_ions
     return [
         f"# {qsq_convention_stamp(cfg.species, cfg.qsq_constant)}",
         "quantity,value,unit",
@@ -207,7 +206,7 @@ def _cmd_scales(cfg, args):
         _row("k0", scales.k0, "1/m"),
         _row("q2_coul", scales.q2_coul, "J*m"),
         _row("q_sq", scales.q_sq, qsq_unit),
-        _row("tau_rad", tau_rad, "s"),
+        _row("tau_rad", radiative_time(cfg.species, cfg.trap.n_ions), "s"),
     ]
 
 
@@ -233,8 +232,8 @@ def _cmd_continuum(cfg, args):
         header.append(f"# {model.value}: L = {_fmt(chain_length(n, model))} d0, "
                       f"s0 = {_fmt(min_spacing(n, model))} d0")
     x = np.linspace(-0.99, 0.99, args.points)
-    s_nn = min_spacing(n, ContinuumModel.NEAREST_NEIGHBOR) / (1.0 - x**2)
-    s_du = min_spacing(n, ContinuumModel.DUBIN_FLUID) / (1.0 - x**2)
+    s_nn = spacing_profile(x, n, ContinuumModel.NEAREST_NEIGHBOR)
+    s_du = spacing_profile(x, n, ContinuumModel.DUBIN_FLUID)
     lines = header + ["z_over_L,s_over_d0_nn,s_over_d0_dubin"]
     lines += [_row(x[i], s_nn[i], s_du[i]) for i in range(x.size)]
     return lines
@@ -331,7 +330,7 @@ def _cmd_scaling(cfg, args):
         corr = fit_exponent(series, log_power=LOG_POWERS[key])
         lines.append(f"# fit: slope = {_fmt(corr.slope)}, width = "
                      f"{_fmt(corr.width)}, log_power = {_fmt(corr.log_power)}")
-        lines.append(f"# reference: {key} = {_fmt(series.reference[key])}")
+        lines.append(f"# reference: {key} = {_fmt(REFERENCE_EXPONENTS[key])}")
     return lines
 
 

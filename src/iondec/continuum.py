@@ -14,12 +14,16 @@ known ~0.5 um central spacing for a Ba+ trap (0.496 um on the ba_example
 preset), the nearest-neighbour normalization does not (0.932 um).  Its
 density 1/s(z) integrates over [-L, L] to 4L/(3 s0) = 2L^3/(3 pi^2) = N/3,
 so it describes a third of the ions and puts the centre gap ~1.9x too wide.
+
+invert_cubic_count inverts the cumulative count n(z) = (z - z^3/3L^2)/s0
+of this profile in closed form.  It is the one site inversion of the
+package: sums.continuum_sites places ion sites with it, and the
+equilibrium solver starts from those sites for N >= 10.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,67 +78,16 @@ def spacing_profile(z_over_L, n_ions: int, model: ContinuumModel):
     return float(out) if np.isscalar(z_over_L) else out
 
 
-@dataclass(frozen=True)
-class MJFit:
-    """Cubic fit n(z) = a z - b z^3 to the cumulative ion count.
+def invert_cubic_count(counts, length: float, s0: float):
+    """Sites z whose cumulative count (z - z^3/(3 L^2))/s0 equals ``counts``.
 
-    a has units 1/d0 (the central line density) and b units 1/d0^3.
+    The trigonometric root z = 2 L sin(arcsin(3 s0 n/(2 L))/3) of the
+    depressed cubic, the one on the physical branch |z| <= L.  A count
+    with |3 s0 n/(2 L)| > 1 lies beyond what the density holds up to the
+    edge and raises DomainError.
     """
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValidationError("a", f"fit requires a, b > 0, got a={self.a}, b={self.b}")
-
-    @property
-    def edge(self) -> float:
-        """Position where the fitted density a - 3 b z^2 would vanish."""
-        return math.sqrt(self.a / (3.0 * self.b))
-
-    def invert(self, counts):
-        """Solve a z - b z^3 = n for z given cumulative counts |n| <= n(edge).
-
-        Uses the trigonometric root of the depressed cubic that lies on
-        the physical branch |z| <= edge.
-        """
-        n = np.asarray(counts, dtype=float)
-        ze = self.edge
-        arg = n / (2.0 * self.b * ze**3)
-        if np.any(np.abs(arg) > 1.0):
-            raise DomainError("cumulative count outside the invertible range of the cubic")
-        z = 2.0 * ze * np.sin(np.arcsin(arg) / 3.0)
-        return float(z) if np.isscalar(counts) else z
-
-
-def fit_cubic_counts(z_samples, count_samples) -> MJFit:
-    """Least-squares fit of a, b in n(z) = a z - b z^3 to given samples."""
-    z = np.asarray(z_samples, dtype=float)
-    n = np.asarray(count_samples, dtype=float)
-    if z.size < 4:
-        raise ValidationError("z_samples", "need at least 4 samples to fit two coefficients")
-    design = np.column_stack([z, -z**3])
-    gram = design.T @ design
-    if np.linalg.cond(gram) > 1e12:
-        raise DomainError("singular normal equations in cubic count fit")
-    coeffs, *_ = np.linalg.lstsq(design, n, rcond=None)
-    return MJFit(a=float(coeffs[0]), b=float(coeffs[1]))
-
-
-def fit_mj(n_ions: int, model: ContinuumModel, samples: int = 401) -> MJFit:
-    """Fit the cubic count model to a continuum model's cumulative count.
-
-    The count n(z) = integral_0^z dz'/s(z') = (1/s0)(z - z^3/(3 L^2)) is
-    sampled on |z| <= 0.95 L, inside the profile's validity region.  The
-    fit is over the model class that contains the target, so it recovers
-    a = 1/s0 and b = 1/(3 s0 L^2) up to round-off; the operation exists
-    to mirror the fit-then-invert workflow used for discrete chains.
-    """
-    if n_ions < 25:
-        raise ValidationError("n_ions", f"cubic count fit is meaningful for N >= 25, got {n_ions}")
-    L = chain_length(n_ions, model)
-    s0 = min_spacing(n_ions, model)
-    z = np.linspace(-0.95 * L, 0.95 * L, samples)
-    counts = (z - z**3 / (3.0 * L**2)) / s0
-    return fit_cubic_counts(z, counts)
+    arg = 3.0 * s0 * counts / (2.0 * length)
+    if np.any(np.abs(arg) > 1.0):
+        raise DomainError("cumulative count exceeds what the density holds on "
+                          "|z| <= L; the cubic has no site for it")
+    return 2.0 * length * np.sin(np.arcsin(arg) / 3.0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import IonChain, solve_equilibrium
-from .continuum import ContinuumModel, chain_length, min_spacing
+from .continuum import ContinuumModel, min_spacing
 from .errors import DomainError, ValidationError
 from .physmodel import (CONSTANTS, IonSpecies, TrapConfig, derive_scales,
                         qsq_convention_stamp, radiative_time)
@@ -47,12 +47,6 @@ def vibrational_prefactor(species: IonSpecies, trap: TrapConfig,
                * species.omega0 * trap.omega_t))
 
 
-def per_ion_rate(chain: IonChain, i: int, species: IonSpecies,
-                 trap: TrapConfig, qsq_constant: float = 1.0) -> float:
-    """Vibrational dephasing rate of ion i, 1/s."""
-    return float(per_ion_rates(chain, species, trap, qsq_constant)[i])
-
-
 def per_ion_rates(chain: IonChain, species: IonSpecies, trap: TrapConfig,
                   qsq_constant: float = 1.0) -> np.ndarray:
     """All per-ion rates at once (the pair sums share one O(N^2) pass)."""
@@ -74,8 +68,8 @@ def aggregate_tau_vib(per_ion: np.ndarray | list) -> float:
     rates = np.asarray(per_ion, dtype=float)
     if rates.size == 0:
         raise ValidationError("per_ion", "need at least one rate")
-    if np.any(rates < 0):
-        raise ValidationError("per_ion", "rates must be >= 0")
+    if not np.all(rates >= 0):
+        raise ValidationError("per_ion", "rates must be >= 0 (NaN is refused)")
     total_sq = float(np.sum(rates**2))
     if total_sq == 0.0:
         return math.inf
@@ -101,12 +95,8 @@ def fidelity_curve(per_ion: np.ndarray | list, times: np.ndarray | list) -> Fide
     """prod_i cos^2(t/tau_i) and exp(-t^2/tau_vib^2) at each time."""
     rates = np.asarray(per_ion, dtype=float)
     t = np.asarray(times, dtype=float)
-    if np.any(t < 0):
-        raise ValidationError("times", "must be >= 0")
-    if rates.size == 0:
-        raise ValidationError("per_ion", "need at least one rate")
-    if np.any(rates < 0):
-        raise ValidationError("per_ion", "rates must be >= 0")
+    if not np.all(t >= 0):
+        raise ValidationError("times", "must be >= 0 (NaN is refused)")
     tau_vib = aggregate_tau_vib(rates)
     max_rate = float(np.max(rates))
     window = FIDELITY_WINDOW / max_rate if max_rate > 0 else math.inf
@@ -184,10 +174,7 @@ def build_report(species: IonSpecies, trap: TrapConfig, mode: DecoherenceMode,
     if mode is DecoherenceMode.DISCRETE_SUM:
         if chain is None:
             chain = solve_equilibrium(n)
-        if n == 1:
-            rates = np.zeros(1)
-        else:
-            rates = per_ion_rates(chain, species, trap, qsq_constant)
+        rates = per_ion_rates(chain, species, trap, qsq_constant)
         tau_vib = aggregate_tau_vib(rates)
         with np.errstate(divide="ignore"):
             per_tau = 1.0 / rates  # inf where the rate vanishes (N = 1)

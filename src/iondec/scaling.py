@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,11 +98,6 @@ class ScalingSeries:
     s0_m: np.ndarray
     rate_vib: np.ndarray
     rate_rad: np.ndarray
-    reference: dict = field(default_factory=lambda: dict(REFERENCE_EXPONENTS))
-    fit: ExponentFit | None = None
-
-    def with_fit(self, fit: ExponentFit) -> "ScalingSeries":
-        return replace(self, fit=fit)
 
 
 def default_n_grid(n_min: int, n_max: int) -> np.ndarray:

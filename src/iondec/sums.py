@@ -16,34 +16,17 @@ exponent; callers get a copy and may modify it freely.
 """
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import IonChain, _row_sums, local_spacings
-from .continuum import ContinuumModel, chain_length, min_spacing
+from .continuum import (ContinuumModel, chain_length, invert_cubic_count,
+                         min_spacing)
 from .errors import DomainError, ValidationError
 
 _ZETA_JMAX = 1_000_000
-
-
-class SumSource(enum.Enum):
-    DISCRETE_CHAIN = "discrete_chain"
-    CONTINUUM_PROFILE = "continuum_profile"
-
-
-@dataclass(frozen=True)
-class SumSpec:
-    """Which sum to take: exponent n and the site source."""
-
-    n: int
-    source: SumSource = SumSource.DISCRETE_CHAIN
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError(f"lattice sums need integer n >= 2, got {self.n!r}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,13 +103,7 @@ def continuum_sites(n_ions: int, model: ContinuumModel) -> ContinuumSites:
     """
     L = chain_length(n_ions, model)
     s0 = min_spacing(n_ions, model)
-    m = np.arange(n_ions) - (n_ions - 1) / 2.0
-    arg = 3.0 * s0 * m / (2.0 * L)
-    if np.any(np.abs(arg) > 1.0):
-        raise DomainError(
-            f"{model.value} density integrates to less than N; "
-            "cannot place all ions from its cumulative count")
-    z = 2.0 * L * np.sin(np.arcsin(arg) / 3.0)
+    z = invert_cubic_count(np.arange(n_ions) - (n_ions - 1) / 2.0, L, s0)
     s = s0 / (1.0 - (z / L) ** 2)
     return ContinuumSites(n_ions=n_ions, model=model, sites=z, spacings=s)
 
@@ -153,17 +130,14 @@ def chain_total_exact(chain_or_profile, n: int) -> float:
     return float(np.sum(s ** -float(n)))
 
 
-def asymptotic_total(length: float, s0: float, n: int) -> float:
-    """Integral asymptotic (L/s0^(n+1)) sqrt(4 pi/(4n+7)) from geometry."""
-    _check_exponent(n)
-    if not (length > 0 and s0 > 0):
-        raise ValidationError("length", "geometry must be positive")
-    return (length / s0 ** (n + 1.0)) * float(np.sqrt(4.0 * np.pi / (4.0 * n + 7.0)))
-
-
 def chain_total_asymptotic(n_ions: int, n: int, model: ContinuumModel) -> float:
-    """T_n from the continuum integral with the model's L and s0."""
-    return asymptotic_total(chain_length(n_ions, model), min_spacing(n_ions, model), n)
+    """T_n from the continuum integral (L/s0^(n+1)) sqrt(4 pi/(4n+7)).
+
+    L and s0 are the model's half-length and central spacing at N ions.
+    """
+    length, s0 = chain_length(n_ions, model), min_spacing(n_ions, model)
+    _check_exponent(n)
+    return (length / s0 ** (n + 1.0)) * float(np.sqrt(4.0 * np.pi / (4.0 * n + 7.0)))
 
 
 def _check_exponent(n: int) -> None:

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iondec.adiabatic import (DEFAULT_DTHETA, DriveField, SpinTrajectory,
-                              adiabatic_phase, instantaneous_frequency,
-                              integrate_tls, overlap_fidelity, suggested_step)
+                              adiabatic_phase, integrate_tls, overlap_fidelity,
+                              suggested_step)
 from iondec.adiabatic import _chunk_operator
 from iondec.errors import AccuracyError, ValidationError
-from iondec.physmodel import CONSTANTS
 
 W0 = 1.0
 EQUAL = (2**-0.5, 2**-0.5)
@@ -170,29 +169,15 @@ def test_phase_sampled_quadrature_exact():
 
 def test_phase_consistency_with_instantaneous_frequency():
     """Phi equals half the excess precession angle for V = 2 hbar |f|,
-    using the second-order frequency (the identity is exact there)."""
+    using the second-order frequency w0 + V^2/(2 w0) (the identity is
+    exact there)."""
     for drive in (demo_drive(), DriveField.constant(0.002, 0.007)):
         t = 123.0
-        f = float(drive.magnitude(0.0))
-        _, second = instantaneous_frequency(W0, 2.0 * f, hbar=1.0)
+        V = 2.0 * float(drive.magnitude(0.0))
+        second = W0 + V**2 / (2.0 * W0)
         excess = (second - W0) * t
         assert adiabatic_phase(drive, W0, t) == pytest.approx(0.5 * excess,
                                                               rel=1e-12)
-
-
-def test_instantaneous_frequency_examples():
-    assert instantaneous_frequency(W0, 0.0, hbar=1.0) == (W0, W0)
-    exact, second = instantaneous_frequency(W0, W0, hbar=1.0)
-    assert exact == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert second == pytest.approx(1.5, rel=1e-12)
-    exact, second = instantaneous_frequency(W0, 0.01 * W0, hbar=1.0)
-    assert abs(exact - second) / W0 <= 1e-8
-
-
-def test_instantaneous_frequency_si_default():
-    V = 0.01 * W0 * CONSTANTS.hbar
-    assert instantaneous_frequency(W0, V) == \
-        instantaneous_frequency(W0, 0.01 * W0, hbar=1.0)
 
 
 def test_regime_warnings():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,23 @@ def test_from_positions_requires_sorted():
         IonChain.from_positions(np.array([0.5, -0.5]))
     with pytest.raises(ValidationError):
         IonChain.from_positions(np.array([0.0, 0.0]))
+
+
+@pytest.mark.parametrize("positions", [[0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0],
+                                       [0.0, np.nan, 1.0]])
+def test_non_finite_positions_refused_on_both_paths(positions):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="finite"):
+            IonChain.from_positions(positions)
+        with pytest.raises(ValidationError, match="finite"):
+            IonChain(n_ions=3, positions=positions, residual=0.0)
+
+
+def test_constructor_refuses_empty_or_miscounted_positions():
+    for positions, n_ions in (([], 0), ([[0.0, 1.0]], 2), ([0.0, 1.0], 3)):
+        with pytest.raises(ValidationError):
+            IonChain(n_ions=n_ions, positions=positions, residual=0.0)
 
 
 def test_positions_are_immutable(chains):

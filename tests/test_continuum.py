@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from iondec.continuum import (C0_DUBIN, ContinuumModel, MJFit, chain_length,
-                              fit_cubic_counts, fit_mj, min_spacing,
-                              spacing_profile)
+from iondec.continuum import (C0_DUBIN, ContinuumModel, chain_length,
+                              invert_cubic_count, min_spacing, spacing_profile)
 from iondec.errors import DomainError, ValidationError
+from iondec.sums import continuum_sites
 
 NN = ContinuumModel.NEAREST_NEIGHBOR
 DU = ContinuumModel.DUBIN_FLUID
@@ -120,48 +120,20 @@ def test_s0_ratio_is_logarithmic():
         assert ratio == pytest.approx(predicted, rel=5e-3)
 
 
-def test_fit_recovers_synthetic_cubic():
-    z = np.linspace(-1.2, 1.2, 241)
-    counts = 2.0 * z - z**3
-    fit = fit_cubic_counts(z, counts)
-    assert fit.a == pytest.approx(2.0, abs=1e-8)
-    assert fit.b == pytest.approx(1.0, abs=1e-8)
-
-
-def test_fit_matches_central_density():
-    for n in (100, 1000):
-        fit = fit_mj(n, DU)
-        assert fit.a == pytest.approx(1.0 / min_spacing(n, DU), rel=0.02)
-
-
-def test_fit_density_positive_on_range():
-    for n in (25, 100, 400):
-        fit = fit_mj(n, DU)
-        L = chain_length(n, DU)
-        assert fit.a > 0 and fit.b > 0
-        assert fit.a - 3.0 * fit.b * (0.95 * L) ** 2 > 0
-
-
-def test_fit_requires_enough_ions():
-    with pytest.raises(ValidationError):
-        fit_mj(24, DU)
-
-
 def test_invert_roundtrip_and_range():
-    fit = MJFit(a=2.0, b=1.0)
+    """n = 2z - z^3 is the count (z - z^3/(3 L^2))/s0 at s0 = 1/2, L^2 = 2/3."""
+    length, s0 = np.sqrt(2.0 / 3.0), 0.5
     for z in (-0.7, 0.0, 0.4, 0.77):
-        assert fit.invert(2.0 * z - z**3) == pytest.approx(z, abs=1e-12)
+        assert invert_cubic_count(2.0 * z - z**3, length, s0) == pytest.approx(z, abs=1e-12)
     with pytest.raises(DomainError):
-        fit.invert(10.0)
+        invert_cubic_count(10.0, length, s0)
 
 
 def test_inverted_cubic_reproduces_positions(chains):
-    """Fitted count function, inverted at half-integer indices, lands on
+    """The fluid count function, inverted at half-integer indices, lands on
     the solved N = 100 positions to about 5%."""
-    fit = fit_mj(100, DU)
     u = chains(100).positions.astype(float)
-    counts = np.arange(100) - 49.5
-    predicted = np.array([fit.invert(c) for c in counts])
+    predicted = continuum_sites(100, DU).sites
     mask = np.abs(u) > 0.1
     rel = np.max(np.abs(predicted[mask] - u[mask]) / np.abs(u[mask]))
     assert rel < 0.05

@@ -7,7 +7,7 @@ from iondec.continuum import ContinuumModel
 from iondec.decoherence import (FIDELITY_WINDOW, DecoherenceMode,
                                 aggregate_tau_vib, build_report,
                                 closed_form_rate, combined_window,
-                                fidelity_curve, per_ion_rate, per_ion_rates,
+                                fidelity_curve, per_ion_rates,
                                 vibrational_prefactor)
 from iondec.errors import ValidationError
 from iondec.physmodel import CONSTANTS, TrapConfig, derive_scales, radiative_time
@@ -42,7 +42,7 @@ def test_prefactor_value_and_identity(ba, trap1000):
 
 def test_three_ion_center_rate(ba, chains):
     trap = trap_for(3)
-    rate = per_ion_rate(chains(3), 1, ba, trap)
+    rate = per_ion_rates(chains(3), ba, trap)[1]
     assert rate == pytest.approx(RATE_3_CENTER, rel=1e-12)
     scales = derive_scales(ba, trap)
     manual = (vibrational_prefactor(ba, trap)
@@ -60,11 +60,6 @@ def test_rates_mirror_symmetric(ba, chains):
     rates = per_ion_rates(chains(10), ba, trap_for(10))
     assert np.allclose(rates, rates[::-1], rtol=1e-9)
     assert np.argmax(rates) in (4, 5)
-
-
-def test_single_rate_matches_batch(ba, chains):
-    rates = per_ion_rates(chains(10), ba, trap_for(10))
-    assert per_ion_rate(chains(10), 4, ba, trap_for(10)) == rates[4]
 
 
 def test_chain_trap_mismatch(ba, chains):
@@ -96,6 +91,18 @@ def test_aggregate_properties():
         aggregate_tau_vib([])
     with pytest.raises(ValidationError):
         aggregate_tau_vib([0.1, -0.2])
+
+
+def test_aggregate_refuses_nan_rate():
+    with pytest.raises(ValidationError):
+        aggregate_tau_vib([1.0, math.nan])
+
+
+def test_fidelity_refuses_nan_rate_and_time():
+    with pytest.raises(ValidationError):
+        fidelity_curve([math.nan], [0.0, 1.0])
+    with pytest.raises(ValidationError):
+        fidelity_curve([0.1], [0.0, math.nan])
 
 
 def test_fidelity_at_zero_time():
@@ -229,6 +236,11 @@ def test_report_single_ion(ba):
     assert rep.t_d == pytest.approx(rep.tau_rad, rel=1e-15)
     assert np.all(np.isinf(rep.per_ion_tau))
     assert "tau_vib = inf tau_s" in rep.notes
+
+
+def test_report_single_ion_checks_the_chain(ba, chains):
+    with pytest.raises(ValidationError):
+        build_report(ba, trap_for(1), DecoherenceMode.DISCRETE_SUM, chain=chains(3))
 
 
 def test_report_mode_validation(ba, trap1000):

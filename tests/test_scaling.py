@@ -143,22 +143,12 @@ def test_fixed_spacing_rate_slope(grid, ba, trap1000):
     fit = fit_exponent(series)
     assert fit.slope == pytest.approx(0.5, abs=1e-9)
     assert fit.width < 1e-12
-    assert series.reference["fixed_spacing_quoted"] == 2.5
 
 
-def test_reference_metadata(e2_series):
-    assert e2_series.reference == REFERENCE_EXPONENTS
-    assert e2_series.reference is not REFERENCE_EXPONENTS
-    assert e2_series.reference["fixed_voltage_e2"] == pytest.approx(35.0 / 6.0)
-    assert e2_series.reference["fixed_voltage_e1"] == pytest.approx(4.5)
-
-
-def test_with_fit_is_functional(e2_series):
-    fit = fit_exponent(e2_series)
-    extended = e2_series.with_fit(fit)
-    assert extended.fit is fit
-    assert e2_series.fit is None
-    assert extended.n_ions is e2_series.n_ions
+def test_reference_metadata():
+    assert REFERENCE_EXPONENTS["fixed_voltage_e2"] == pytest.approx(35.0 / 6.0)
+    assert REFERENCE_EXPONENTS["fixed_voltage_e1"] == pytest.approx(4.5)
+    assert REFERENCE_EXPONENTS["fixed_spacing_quoted"] == 2.5
 
 
 def test_scan_validation(voltage_policy, ba, trap1000):

@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from iondec import sums as sums_module
 from iondec.chain import IonChain
 from iondec.continuum import ContinuumModel, chain_length, min_spacing
-from iondec.decoherence import per_ion_rate, per_ion_rates
 from iondec.errors import DomainError, ValidationError
-from iondec.physmodel import TrapConfig
-from iondec.sums import (SumSource, SumSpec, asymptotic_total,
-                         chain_total_asymptotic, chain_total_exact,
+from iondec.sums import (chain_total_asymptotic, chain_total_exact,
                          continuum_sites, pair_sum_approx, pair_sum_exact,
                          pair_sum_exact_all, zeta)
 
@@ -191,15 +188,6 @@ def test_replaced_chain_starts_with_an_empty_cache(monkeypatch):
     assert len(calls) == 2
 
 
-def test_per_ion_rate_reuses_the_sums_of_per_ion_rates(monkeypatch, ba):
-    calls = _counting_kernel(monkeypatch)
-    chain = _fresh_chain()
-    trap = TrapConfig.from_lab_units(fz_hz=1e5, ft_hz=2e7, n_ions=chain.n_ions)
-    rates = per_ion_rates(chain, ba, trap)
-    assert per_ion_rate(chain, 7, ba, trap) == rates[7]
-    assert len(calls) == 1
-
-
 def test_pair_sum_validation(chains):
     with pytest.raises(IndexError):
         pair_sum_exact(chains(3), 5, 8)
@@ -228,12 +216,6 @@ def test_asymptotic_factors():
     assert n200 == pytest.approx((L / s0**9) * np.sqrt(4 * np.pi / 39), rel=1e-14)
     assert np.sqrt(4 * np.pi / 39) == pytest.approx(0.567640, abs=5e-6)
     assert np.sqrt(4 * np.pi / 71) == pytest.approx(0.420703, abs=5e-6)
-
-
-def test_asymptotic_spacing_power():
-    for n_exp in (6, 16):
-        assert asymptotic_total(10.0, 0.2, n_exp) == pytest.approx(
-            asymptotic_total(10.0, 0.1, n_exp) / 2 ** (n_exp + 1), rel=1e-12)
 
 
 def test_continuum_sites_cover_all_ions():
@@ -299,15 +281,6 @@ def test_edge_spacing_contribution_negligible(chains):
 def test_chain_total_rejects_other_types():
     with pytest.raises(ValidationError):
         chain_total_exact([1.0, 2.0], 8)
-
-
-def test_sum_spec_validation():
-    spec = SumSpec(n=8)
-    assert spec.source is SumSource.DISCRETE_CHAIN
-    with pytest.raises(DomainError):
-        SumSpec(n=1)
-    with pytest.raises(DomainError):
-        SumSpec(n=3.0)
 
 
 @settings(max_examples=30)
