@@ -18,7 +18,7 @@ from .decoherence import (ClosedFormRate, DecoherenceMode, DecoherenceReport,
 from .errors import AccuracyError, DomainError, SolverError, ValidationError
 from .physmodel import (CONSTANTS, DerivedScales, IonSpecies, Multipole,
                         TrapConfig, derive_scales, radiative_time)
-from .scaling import ScalingPolicy, ScalingSeries, fit_exponent, scan
+from .scaling import ScalingSeries, fit_exponent, scan
 from .sums import (chain_total_asymptotic, chain_total_exact, continuum_sites,
                    pair_sum_approx, pair_sum_exact, zeta)
 
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyError", "CONSTANTS", "ClosedFormRate", "ContinuumModel",
     "DecoherenceMode", "DecoherenceReport", "DerivedScales", "DomainError",
-    "IonChain", "IonSpecies", "Multipole", "ScalingPolicy", "ScalingSeries",
+    "IonChain", "IonSpecies", "Multipole", "ScalingSeries",
     "SolverError", "TrapConfig", "ValidationError", "aggregate_tau_vib",
     "build_report", "chain_length", "chain_total_asymptotic",
     "chain_total_exact", "closed_form_rate", "continuum_sites",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,16 +65,26 @@ def per_ion_rates(chain: IonChain, species: IonSpecies, trap: TrapConfig,
 
 
 def aggregate_tau_vib(per_ion: np.ndarray | list) -> float:
-    """tau_vib from tau_vib^-2 = sum of squared rates; +inf if all vanish."""
+    """tau_vib from tau_vib^-2 = sum of squared rates; +inf if all vanish.
+
+    A sum of squares that leaves the normal float range (rates below
+    ~1e-154 or above ~1e154) is taken again on rates scaled by their
+    maximum; every other input keeps the direct sum's bits.
+    """
     rates = np.asarray(per_ion, dtype=float)
     if rates.size == 0:
         raise ValidationError("per_ion", "need at least one rate")
-    if not np.all(rates >= 0):
-        raise ValidationError("per_ion", "rates must be >= 0 (NaN is refused)")
-    total_sq = float(np.sum(rates**2))
-    if total_sq == 0.0:
+    if not np.all((rates >= 0) & (rates < math.inf)):
+        raise ValidationError("per_ion", "rates must be finite and >= 0 "
+                              "(NaN and inf are refused)")
+    with np.errstate(over="ignore"):
+        total_sq = float(np.sum(rates**2))
+    if sys.float_info.min <= total_sq < math.inf:
+        return total_sq ** -0.5
+    scale = float(np.max(rates))
+    if scale == 0.0:
         return math.inf
-    return total_sq ** -0.5
+    return 1.0 / (scale * math.sqrt(float(np.sum((rates / scale) ** 2))))
 
 
 @dataclass(frozen=True)
@@ -95,8 +106,9 @@ def fidelity_curve(per_ion: np.ndarray | list, times: np.ndarray | list) -> Fide
     """prod_i cos^2(t/tau_i) and exp(-t^2/tau_vib^2) at each time."""
     rates = np.asarray(per_ion, dtype=float)
     t = np.asarray(times, dtype=float)
-    if not np.all(t >= 0):
-        raise ValidationError("times", "must be >= 0 (NaN is refused)")
+    if not np.all((t >= 0) & (t < math.inf)):
+        raise ValidationError("times", "must be finite and >= 0 (NaN and inf "
+                              "are refused)")
     tau_vib = aggregate_tau_vib(rates)
     max_rate = float(np.max(rates))
     window = FIDELITY_WINDOW / max_rate if max_rate > 0 else math.inf
@@ -132,15 +144,17 @@ def closed_form_rate(n_ions: int, species: IonSpecies, trap: TrapConfig,
     scales = derive_scales(species, trap, qsq_constant)
     pref = vibrational_prefactor(species, trap, qsq_constant)
     two_p = 2 * species.multipole.pair_exponent
-    total = chain_total_asymptotic(n_ions, 2 * two_p, model)
     s0_m = min_spacing(n_ions, model) * scales.d0
     try:
+        total = chain_total_asymptotic(n_ions, 2 * two_p, model)
         full = pref * 2.0 * zeta(two_p) * math.sqrt(total) / scales.d0 ** two_p
         bare = math.sqrt(n_ions) * pref / s0_m ** two_p
-    except OverflowError:
-        raise DomainError(f"d0 = {scales.d0!r} m puts d0^{two_p} outside the "
-                          "float range") from None
-    return ClosedFormRate(full=full, bare=bare)
+        if 0 < full < math.inf:
+            return ClosedFormRate(full=full, bare=bare)
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise DomainError(f"N = {n_ions}, d0 = {scales.d0!r} m put the closed-form "
+                      "rate outside the float range")
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,15 @@
 
 Holding the trap voltages (so omega_z, omega_t) fixed while adding ions
 lets the chain lengthen and the central spacing shrink; holding the
-central spacing fixed instead requires relaxing omega_z with N.  Both
-scans push every N through the closed-form rate pipeline and fit
-effective log-log exponents afterwards — quoted asymptotic exponents
-are carried as reference metadata only, never substituted for the
-computation.
+central spacing fixed instead requires relaxing omega_z with N.  scan
+takes the trap it scans and one policy value, s0_target: None holds the
+voltages, a spacing in meters holds that spacing.  Both scans push
+every N through the closed-form rate pipeline and fit effective log-log
+exponents afterwards — quoted asymptotic exponents are carried as
+reference metadata only, never substituted for the computation.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -36,62 +36,18 @@ LOG_POWERS = {"fixed_voltage_e2": -8.0 / 3.0, "fixed_voltage_e1": -2.0}
 POINTS_PER_DECADE = 16
 
 
-class PolicyKind(enum.Enum):
-    FIXED_SPACING = "fixed_spacing"
-    FIXED_VOLTAGE = "fixed_voltage"
-
-
-@dataclass(frozen=True)
-class ScalingPolicy:
-    """What is held constant while N grows."""
-
-    kind: PolicyKind
-    s0_target: float | None = None
-    omega_z: float | None = None
-    omega_t: float | None = None
-
-    def __post_init__(self):
-        if self.kind is PolicyKind.FIXED_SPACING:
-            if self.s0_target is None or not 0 < self.s0_target < math.inf:
-                raise ValidationError("s0_target", "fixed-spacing policy needs a "
-                                      f"finite positive target, got {self.s0_target!r}")
-            if self.omega_z is not None:
-                raise ValidationError("omega_z", "fixed-spacing policy solves for "
-                                      "omega_z; do not pin it")
-        else:
-            if self.omega_z is None or self.omega_t is None:
-                raise ValidationError("omega_z", "fixed-voltage policy needs both "
-                                      "omega_z and omega_t")
-            if not (0 < self.omega_z < self.omega_t):
-                raise ValidationError("omega_z", "need 0 < omega_z < omega_t")
-
-    @classmethod
-    def fixed_voltage(cls, omega_z, omega_t):
-        return cls(kind=PolicyKind.FIXED_VOLTAGE, omega_z=float(omega_z),
-                   omega_t=float(omega_t))
-
-    @classmethod
-    def fixed_spacing(cls, s0_target):
-        """Hold the central spacing (meters) by retuning omega_z per N."""
-        return cls(kind=PolicyKind.FIXED_SPACING, s0_target=float(s0_target))
-
-
 @dataclass(frozen=True)
 class ExponentFit:
     """Least-squares slope of ln(rate) vs ln(N), with 1-sigma width."""
 
     slope: float
     width: float
-    log_power: float | None = None
 
 
 @dataclass(frozen=True)
 class ScalingSeries:
     """One scan: per-N trap state and rates, sorted by N."""
 
-    policy: ScalingPolicy
-    model: ContinuumModel
-    multipole: str
     n_ions: np.ndarray
     omega_z: np.ndarray
     d0_m: np.ndarray
@@ -101,10 +57,16 @@ class ScalingSeries:
 
 
 def default_n_grid(n_min: int, n_max: int) -> np.ndarray:
-    """Logarithmic N grid at 16 points per decade, deduplicated integers."""
+    """Logarithmic N grid at 16 points per decade, deduplicated integers.
+
+    n_max is capped at 2**53, the largest N that every float in the
+    pipeline still holds exactly.
+    """
     if not (2 <= n_min < n_max):
         raise ValidationError("n_min", f"need 2 <= n_min < n_max, got "
                               f"({n_min!r}, {n_max!r})")
+    if n_max > 2**53:
+        raise ValidationError("n_max", f"need n_max <= 2**53, got {n_max!r}")
     count = max(2, int(round(POINTS_PER_DECADE * math.log10(n_max / n_min))) + 1)
     grid = np.unique(np.rint(np.geomspace(n_min, n_max, count)).astype(int))
     return grid[grid >= 2]
@@ -173,9 +135,9 @@ def _solve_omega_z(n_ions, species, s0_target, model):
     The spacing is monotone decreasing in omega_z (stiffer axial trap,
     shorter chain), so a sign-change bracket plus Brent's method
     (``_brentq``, an in-module port of scipy's ``brentq``) is certified;
-    the bracket is seeded from the scale relation d0 = s0_target/s0_dim
-    and widened if needed.  A target so large or small that omega_z or
-    the spacing leaves the float range raises DomainError.
+    the bracket is [guess/2, 2 guess] around the guess from the scale
+    relation d0 = s0_target/s0_dim.  A target so large or small that
+    omega_z or the spacing leaves the float range raises DomainError.
     """
     s0_dim = min_spacing(n_ions, model)
     q2 = species.charge**2 / (4.0 * math.pi * CONSTANTS.epsilon0)
@@ -187,16 +149,8 @@ def _solve_omega_z(n_ions, species, s0_target, model):
     d0_needed = s0_target / s0_dim
     try:
         guess = math.sqrt(q2 / (species.mass * d0_needed**3))
-        if 0 < guess < math.inf:
-            lo, hi = 0.5 * guess, 2.0 * guess
-            for _ in range(60):
-                if gap(lo) > 0 > gap(hi):
-                    break
-                lo *= 0.5
-                hi *= 2.0
-            else:
-                raise SolverError(f"could not bracket omega_z for s0 = {s0_target} m "
-                                  f"at N = {n_ions}", min(abs(gap(lo)), abs(gap(hi))))
+        lo, hi = 0.5 * guess, 2.0 * guess
+        if gap(lo) > 0 > gap(hi):
             return _brentq(gap, lo, hi, xtol=1e-30, rtol=1e-14)
     except (OverflowError, ZeroDivisionError):
         pass
@@ -204,10 +158,20 @@ def _solve_omega_z(n_ions, species, s0_target, model):
                       f"at N = {n_ions}")
 
 
-def scan(policy: ScalingPolicy, n_values, species: IonSpecies,
-         base_trap: TrapConfig, model: ContinuumModel = ContinuumModel.DUBIN_FLUID,
-         qsq_constant: float = 1.0) -> ScalingSeries:
-    """Walk N over n_values and evaluate the closed-form pipeline at each."""
+def scan(n_values, species: IonSpecies, trap: TrapConfig,
+         model: ContinuumModel = ContinuumModel.DUBIN_FLUID,
+         qsq_constant: float = 1.0, *, s0_target: float | None = None) -> ScalingSeries:
+    """Walk N over n_values and evaluate the closed-form pipeline at each.
+
+    s0_target None holds the trap voltages: every N sees trap.omega_z.  A
+    finite positive s0_target (meters) holds the central spacing instead,
+    retuning omega_z per N.  trap.omega_t is held either way.
+    """
+    if s0_target is not None:
+        s0_target = float(s0_target)
+        if not 0 < s0_target < math.inf:
+            raise ValidationError("s0_target", "fixed-spacing scan needs a finite "
+                                  f"positive target, got {s0_target!r}")
     ns = np.unique(np.asarray(n_values, dtype=int))
     if ns.size < 2:
         raise ValidationError("n_values", "need at least two distinct N")
@@ -221,27 +185,21 @@ def scan(policy: ScalingPolicy, n_values, species: IonSpecies,
     rad = np.empty(ns.size)
     for k, n in enumerate(ns):
         n = int(n)
-        if policy.kind is PolicyKind.FIXED_VOLTAGE:
-            wz, wt = policy.omega_z, policy.omega_t
-        else:
-            wz = _solve_omega_z(n, species, policy.s0_target, model)
-            wt = base_trap.omega_t
-        trap = TrapConfig(omega_z=wz, omega_t=wt, n_ions=n)
-        scales = derive_scales(species, trap, qsq_constant)
+        wz = (trap.omega_z if s0_target is None
+              else _solve_omega_z(n, species, s0_target, model))
+        trap_n = TrapConfig(omega_z=wz, omega_t=trap.omega_t, n_ions=n)
+        scales = derive_scales(species, trap_n, qsq_constant)
         omega_z[k] = wz
         d0[k] = scales.d0
         s0[k] = min_spacing(n, model) * scales.d0
-        vib[k] = closed_form_rate(n, species, trap, model, qsq_constant).full
+        vib[k] = closed_form_rate(n, species, trap_n, model, qsq_constant).full
         rad[k] = n / (2.0 * species.tau_s)
-    return ScalingSeries(policy=policy, model=model,
-                         multipole=species.multipole.name,
-                         n_ions=ns, omega_z=omega_z, d0_m=d0, s0_m=s0,
+    return ScalingSeries(n_ions=ns, omega_z=omega_z, d0_m=d0, s0_m=s0,
                          rate_vib=vib, rate_rad=rad)
 
 
-def fit_exponent(series: ScalingSeries, log_power: float | None = None,
-                 rates: np.ndarray | None = None) -> ExponentFit:
-    """Effective exponent of rate_vib (or a supplied column) against N.
+def fit_exponent(series: ScalingSeries, log_power: float | None = None) -> ExponentFit:
+    """Effective exponent of rate_vib against N.
 
     log_power = c divides out a (ln c0 N)^c factor before fitting, so a
     rate following N^a (ln c0 N)^c comes back with slope exactly a.
@@ -251,9 +209,8 @@ def fit_exponent(series: ScalingSeries, log_power: float | None = None,
         raise ValidationError("series", "need at least 4 rows to fit")
     if n.max() / n.min() < 10.0 - 1e-9:
         raise ValidationError("series", "rows must span at least a decade in N")
-    y = np.log(series.rate_vib if rates is None else np.asarray(rates, dtype=float))
+    y = np.log(series.rate_vib)
     if log_power is not None:
         y = y - log_power * np.log(np.log(C0_DUBIN * n))
     coeffs, cov = np.polyfit(np.log(n), y, 1, cov=True)
-    return ExponentFit(slope=float(coeffs[0]), width=float(math.sqrt(cov[0, 0])),
-                       log_power=log_power)
+    return ExponentFit(slope=float(coeffs[0]), width=float(math.sqrt(cov[0, 0])))

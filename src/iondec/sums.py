@@ -63,8 +63,11 @@ def pair_sum_exact_all(chain: IonChain, n: int) -> np.ndarray:
         raise ValidationError("n_ions", "pair sums need N >= 2")
     sums = chain._pair_sums.get(n)
     if sums is None:
-        sums = _row_sums(chain.positions, lambda d: np.abs(d) ** -float(n),
-                         odd=False).astype(float)
+        with np.errstate(over="ignore"):
+            sums = _row_sums(chain.positions, lambda d: np.abs(d) ** -float(n),
+                             odd=False).astype(float)
+        if not np.all(np.isfinite(sums)):
+            raise DomainError(f"S_{n} overflows a float on this chain")
         chain._pair_sums[n] = sums
     return sums.copy()
 
@@ -74,7 +77,10 @@ def pair_sum_approx(s_local: float, n: int) -> float:
     _check_exponent(n)
     if not s_local > 0:
         raise ValidationError("s_local", f"spacing must be positive, got {s_local!r}")
-    return 2.0 * zeta(n) / s_local ** float(n)
+    try:
+        return 2.0 * zeta(n) / s_local ** float(n)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"s^{n} at s = {s_local!r} leaves the float range") from None
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from iondec.continuum import ContinuumModel, min_spacing
 from iondec.decoherence import (DecoherenceMode, aggregate_tau_vib,
                                 build_report, fidelity_curve, per_ion_rates)
 from iondec.physmodel import derive_scales, radiative_time
-from iondec.scaling import LOG_POWERS, ScalingPolicy, default_n_grid, fit_exponent, scan
+from iondec.scaling import LOG_POWERS, default_n_grid, fit_exponent, scan
 from iondec.sums import (chain_total_asymptotic, chain_total_exact,
                          continuum_sites, pair_sum_approx, pair_sum_exact)
 
@@ -131,12 +131,11 @@ def test_criterion_09_fidelity_approximation():
 def test_criterion_10_scaling_exponents(ba, ba_e1, trap1000):
     """Fixed-voltage log-corrected slopes: 35/6 (E2) and 9/2 (E1),
     each within 0.05, fitted over N in [1e3, 1e4]."""
-    policy = ScalingPolicy.fixed_voltage(trap1000.omega_z, trap1000.omega_t)
     grid = default_n_grid(1000, 10000)
-    e2 = fit_exponent(scan(policy, grid, ba, trap1000),
+    e2 = fit_exponent(scan(grid, ba, trap1000),
                       log_power=LOG_POWERS["fixed_voltage_e2"])
     assert abs(e2.slope - 35.0 / 6.0) <= 0.05
-    e1 = fit_exponent(scan(policy, grid, ba_e1, trap1000),
+    e1 = fit_exponent(scan(grid, ba_e1, trap1000),
                       log_power=LOG_POWERS["fixed_voltage_e1"])
     assert abs(e1.slope - 9.0 / 2.0) <= 0.05
 

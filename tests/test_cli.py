@@ -189,6 +189,21 @@ def test_decohere_discrete_output(capsys):
     assert "tau_vib = " in lines[10] and "tau_s" in lines[10]
 
 
+def test_decohere_tau_vib_finite_when_squared_rates_underflow(capsys, tmp_path):
+    """At fz = 1e-30 Hz every per-ion rate is ~1e-225 1/s, so each squared
+    rate underflows; tau_vib must still be the finite aggregate."""
+    path = tmp_path / "soft.ini"
+    path.write_text(BA_EXAMPLE.replace("fz_hz = 1e5", "fz_hz = 1e-30"))
+    rc, lines = run(capsys, ["decohere", "--config", str(path), "--n-ions", "10"])
+    assert rc == 0
+    taus = [float(line.split(",")[1]) for line in lines[1:11]]
+    tau_vib = float(lines[11].removeprefix("# tau_vib = "))
+    assert all(math.isfinite(t) for t in taus)
+    fastest = min(taus)
+    expected = fastest / math.sqrt(sum((fastest / t) ** 2 for t in taus))
+    assert tau_vib == pytest.approx(expected, rel=1e-9)
+
+
 def test_decohere_closed_output(capsys):
     rc, lines = run(capsys, ["decohere", "--mode", "closed"])
     assert rc == 0
@@ -320,6 +335,14 @@ REFUSED_CASES = [
     ["scaling", "--policy", "fixed_spacing", "--s0-target=1e300"],
     ["scaling", "--policy", "fixed_spacing", "--s0-target=1e-300"],
     ["scaling", "--policy", "fixed_spacing", "--s0-target=1e50"],
+    ["scaling", "--policy", "fixed_voltage", "--s0-target", "1e-6"],
+    ["scaling", "--n-min", "10", "--n-max", str(10**20)],
+    ["scaling", "--n-min", "1"],
+    ["scaling", "--n-min", "100", "--n-max", "100"],
+    ["scales", "--n-ions", "0"],
+    ["sums", "--n-ions", "5", "--exponent", "5000"],
+    ["sums", "--n-ions", "3", "--exponent", "100000"],
+    ["decohere", "--mode", "closed", "--n-ions", str(10**30)],
 ]
 
 

@@ -9,7 +9,7 @@ from iondec.decoherence import (FIDELITY_WINDOW, DecoherenceMode,
                                 closed_form_rate, combined_window,
                                 fidelity_curve, per_ion_rates,
                                 vibrational_prefactor)
-from iondec.errors import ValidationError
+from iondec.errors import DomainError, ValidationError
 from iondec.physmodel import CONSTANTS, TrapConfig, derive_scales, radiative_time
 from iondec.sums import chain_total_asymptotic, pair_sum_exact, zeta
 
@@ -105,6 +105,28 @@ def test_fidelity_refuses_nan_rate_and_time():
         fidelity_curve([0.1], [0.0, math.nan])
 
 
+def test_aggregate_and_fidelity_refuse_infinite_inputs():
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            aggregate_tau_vib([1.0, bad])
+        with pytest.raises(ValidationError):
+            fidelity_curve([bad], [0.0, 1.0])
+        with pytest.raises(ValidationError):
+            fidelity_curve([1.0], [0.0, bad])
+
+
+def test_aggregate_outside_the_float_range_of_squares(recwarn):
+    """Squares that underflow or overflow fall back to a max-scaled sum;
+    rates whose squares stay normal keep the direct sum's bits."""
+    assert aggregate_tau_vib([1e-170]) == pytest.approx(1e170, rel=1e-15)
+    assert aggregate_tau_vib([1e200, 1e200]) == pytest.approx(
+        1e-200 / math.sqrt(2.0), rel=1e-15)
+    assert aggregate_tau_vib([3e-160, 4e-160]) == pytest.approx(2e159, rel=1e-15)
+    rates = [0.1, 0.7, 0.3]
+    assert aggregate_tau_vib(rates) == (0.1**2 + 0.7**2 + 0.3**2) ** -0.5
+    assert not recwarn.list
+
+
 def test_fidelity_at_zero_time():
     fc = fidelity_curve([0.4, 0.9], [0.0])
     assert fc.product[0] == 1.0
@@ -155,6 +177,18 @@ def test_fidelity_validation():
         fidelity_curve([], [0.0])
     with pytest.raises(ValidationError):
         fidelity_curve([-0.1], [0.0])
+
+
+def test_closed_form_rate_outside_the_float_range_is_refused(ba):
+    """s0^(n+1) underflowing at N = 1e30, and a rate underflowing to zero
+    in a 1e-60 Hz trap, are refused instead of dividing by zero."""
+    with pytest.raises(DomainError):
+        closed_form_rate(10**30, ba, trap_for(10**30))
+    soft = TrapConfig.from_lab_units(fz_hz=1e-60, ft_hz=2e7, n_ions=10)
+    with pytest.raises(DomainError):
+        closed_form_rate(10, ba, soft)
+    with pytest.raises(DomainError):
+        build_report(ba, soft, DecoherenceMode.CONTINUUM_CLOSED_FORM)
 
 
 def test_discrete_tau_vib_frozen(ba, trap1000, chains):

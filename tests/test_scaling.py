@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -14,9 +15,8 @@ from iondec.decoherence import closed_form_rate
 from iondec.errors import SolverError, ValidationError
 from iondec.physmodel import TrapConfig
 from iondec.scaling import (LOG_POWERS, POINTS_PER_DECADE,
-                            REFERENCE_EXPONENTS, ExponentFit, PolicyKind,
-                            ScalingPolicy, _brentq, default_n_grid,
-                            fit_exponent, scan)
+                            REFERENCE_EXPONENTS, ExponentFit, _brentq,
+                            default_n_grid, fit_exponent, scan)
 
 S0_TARGET = 0.5e-6  # meters
 
@@ -30,25 +30,14 @@ def grid():
 
 
 @pytest.fixture(scope="module")
-def voltage_policy(trap1000):
-    return ScalingPolicy.fixed_voltage(trap1000.omega_z, trap1000.omega_t)
+def e2_series(grid, ba, trap1000):
+    return scan(grid, ba, trap1000)
 
 
-@pytest.fixture(scope="module")
-def e2_series(voltage_policy, grid, ba, trap1000):
-    return scan(voltage_policy, grid, ba, trap1000)
-
-
-def test_policy_validation():
+def test_policy_validation(grid, ba, trap1000):
     for bad in (-1e-6, 0.0, math.inf, math.nan):
-        with pytest.raises(ValidationError):
-            ScalingPolicy.fixed_spacing(bad)
-    with pytest.raises(ValidationError):
-        ScalingPolicy(kind=PolicyKind.FIXED_SPACING, s0_target=1e-6, omega_z=1.0)
-    with pytest.raises(ValidationError):
-        ScalingPolicy(kind=PolicyKind.FIXED_VOLTAGE, omega_z=1e5)
-    with pytest.raises(ValidationError):
-        ScalingPolicy.fixed_voltage(2e7, 1e5)  # ordering
+        with pytest.raises(ValidationError, match="s0_target"):
+            scan(grid, ba, trap1000, s0_target=bad)
 
 
 def test_default_grid_density():
@@ -62,18 +51,23 @@ def test_default_grid_density():
         default_n_grid(1000, 100)
     with pytest.raises(ValidationError):
         default_n_grid(1, 100)
+    assert default_n_grid(2**53 // 10, 2**53)[-1] == 2**53
+    with pytest.raises(ValidationError, match="n_max"):
+        default_n_grid(10, 2**53 + 1)
+    with pytest.raises(ValidationError, match="n_max"):
+        default_n_grid(10, 10**20)
 
 
 def test_synthetic_power_law_recovery(e2_series):
     n = e2_series.n_ions.astype(float)
-    fit = fit_exponent(e2_series, rates=n**3)
+    fit = fit_exponent(dataclasses.replace(e2_series, rate_vib=n**3))
     assert fit.slope == pytest.approx(3.0, abs=1e-12)
     assert fit.width < 1e-12
     # with a log factor present, the corrected fit recovers the power
     rates = n**3 * np.log(C0_DUBIN * n) ** (-8.0 / 3.0)
-    fit = fit_exponent(e2_series, log_power=-8.0 / 3.0, rates=rates)
+    fit = fit_exponent(dataclasses.replace(e2_series, rate_vib=rates),
+                       log_power=-8.0 / 3.0)
     assert fit.slope == pytest.approx(3.0, abs=1e-12)
-    assert fit.log_power == -8.0 / 3.0
 
 
 def test_e2_fixed_voltage_exponent(e2_series):
@@ -87,9 +81,8 @@ def test_e2_fixed_voltage_exponent(e2_series):
     assert raw.slope == pytest.approx(5.3458, abs=5e-3)
 
 
-def test_e1_fixed_voltage_exponent(voltage_policy, grid, ba_e1, trap1000):
-    series = scan(voltage_policy, grid, ba_e1, trap1000)
-    assert series.multipole == "E1"
+def test_e1_fixed_voltage_exponent(grid, ba_e1, trap1000):
+    series = scan(grid, ba_e1, trap1000)
     fit = fit_exponent(series, log_power=LOG_POWERS["fixed_voltage_e1"])
     assert fit.slope == pytest.approx(9.0 / 2.0, abs=1e-9)
     assert fit.width < 1e-12
@@ -98,7 +91,7 @@ def test_e1_fixed_voltage_exponent(voltage_policy, grid, ba_e1, trap1000):
 
 
 def test_radiative_rate_is_linear(e2_series, ba):
-    fit = fit_exponent(e2_series, rates=e2_series.rate_rad)
+    fit = fit_exponent(dataclasses.replace(e2_series, rate_vib=e2_series.rate_rad))
     assert fit.slope == pytest.approx(1.0, abs=1e-12)
     expected = e2_series.n_ions / (2.0 * ba.tau_s)
     assert np.allclose(e2_series.rate_rad, expected, rtol=1e-15)
@@ -116,7 +109,7 @@ def test_fixed_voltage_rows_match_closed_form(e2_series, ba, trap1000):
 def test_fixed_spacing_certificate(grid, ba, trap1000):
     """The solved omega_z must actually hold the spacing: the residual
     |s0 - target|/target stays at rounding level for every N."""
-    series = scan(ScalingPolicy.fixed_spacing(S0_TARGET), grid, ba, trap1000)
+    series = scan(grid, ba, trap1000, s0_target=S0_TARGET)
     cert = np.max(np.abs(series.s0_m - S0_TARGET)) / S0_TARGET
     assert cert <= 1e-6
     assert cert <= 1e-12  # in practice it is exact to the last bit
@@ -127,7 +120,7 @@ def test_fixed_spacing_certificate(grid, ba, trap1000):
 
 def test_fixed_spacing_frequency_law(grid, ba, trap1000):
     """Holding s0 forces omega_z^2 proportional to ln(c0 N)/N^2."""
-    series = scan(ScalingPolicy.fixed_spacing(S0_TARGET), grid, ba, trap1000)
+    series = scan(grid, ba, trap1000, s0_target=S0_TARGET)
     n = series.n_ions.astype(float)
     invariant = series.omega_z**2 * n**2 / np.log(C0_DUBIN * n)
     assert invariant.max() / invariant.min() - 1.0 <= 1e-12
@@ -139,7 +132,7 @@ def test_fixed_spacing_rate_slope(grid, ba, trap1000):
     factors cancel and the aggregate rate is a pure sqrt(N) — far from
     the quoted 5/2, which assumes a different normalization; the quoted
     figure stays available as reference metadata only."""
-    series = scan(ScalingPolicy.fixed_spacing(S0_TARGET), grid, ba, trap1000)
+    series = scan(grid, ba, trap1000, s0_target=S0_TARGET)
     fit = fit_exponent(series)
     assert fit.slope == pytest.approx(0.5, abs=1e-9)
     assert fit.width < 1e-12
@@ -151,28 +144,27 @@ def test_reference_metadata():
     assert REFERENCE_EXPONENTS["fixed_spacing_quoted"] == 2.5
 
 
-def test_scan_validation(voltage_policy, ba, trap1000):
+def test_scan_validation(ba, trap1000):
     with pytest.raises(ValidationError):
-        scan(voltage_policy, [100], ba, trap1000)
+        scan([100], ba, trap1000)
     with pytest.raises(ValidationError):
-        scan(voltage_policy, [1, 100], ba, trap1000)
-    series = scan(voltage_policy, [100, 100, 200], ba, trap1000)
+        scan([1, 100], ba, trap1000)
+    series = scan([100, 100, 200], ba, trap1000)
     assert series.n_ions.tolist() == [100, 200]
 
 
-def test_fit_preconditions(voltage_policy, ba, trap1000):
-    three = scan(voltage_policy, [100, 300, 1000], ba, trap1000)
+def test_fit_preconditions(ba, trap1000):
+    three = scan([100, 300, 1000], ba, trap1000)
     with pytest.raises(ValidationError):
         fit_exponent(three)
-    narrow = scan(voltage_policy, [100, 120, 150, 200], ba, trap1000)
+    narrow = scan([100, 120, 150, 200], ba, trap1000)
     with pytest.raises(ValidationError):
         fit_exponent(narrow)
 
 
 def test_exponent_fit_record():
     fit = ExponentFit(slope=2.0, width=0.1)
-    assert fit.log_power is None
-    assert fit.slope == 2.0
+    assert (fit.slope, fit.width) == (2.0, 0.1)
 
 
 # omega_z holding a 5 um spacing, recorded as exact floats from the
@@ -191,8 +183,8 @@ PINNED_OMEGA_Z = {
 @pytest.mark.parametrize("species", ["ba", "ba_e1"])
 def test_fixed_spacing_omega_z_is_bit_identical_to_pinned(species, model, request,
                                                            trap1000):
-    series = scan(ScalingPolicy.fixed_spacing(5e-6), PINNED_N,
-                  request.getfixturevalue(species), trap1000, model)
+    series = scan(PINNED_N, request.getfixturevalue(species), trap1000, model,
+                  s0_target=5e-6)
     assert series.omega_z.tolist() == PINNED_OMEGA_Z[model]
 
 

@@ -188,6 +188,20 @@ def test_replaced_chain_starts_with_an_empty_cache(monkeypatch):
     assert len(calls) == 2
 
 
+def test_sums_beyond_the_float_range_are_refused(recwarn):
+    """A sum that leaves the float range is refused, without a warning,
+    and an overflowing exact sum is not memoized on the chain."""
+    chain = IonChain.from_positions([-0.5, 0.0, 0.5])
+    with pytest.raises(DomainError):
+        pair_sum_exact_all(chain, 5000)
+    assert chain._pair_sums == {}
+    with pytest.raises(DomainError):
+        pair_sum_approx(0.5, 5000)  # s^n underflows to zero
+    with pytest.raises(DomainError):
+        pair_sum_approx(2.0, 100000)  # s^n overflows
+    assert not recwarn.list
+
+
 def test_pair_sum_validation(chains):
     with pytest.raises(IndexError):
         pair_sum_exact(chains(3), 5, 8)
