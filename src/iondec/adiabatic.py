@@ -32,6 +32,12 @@ DEFAULT_DTHETA = 0.05
 MAX_DTHETA = 0.1
 DEFAULT_NORM_BUDGET = 1e-6
 _MAX_STORED = 4000
+# Longest window, in RK4 steps.  A chunk's operators take ~590 B of numpy
+# temporaries per step, and at the default decimation a chunk is at most
+# MAX_STEPS / _MAX_STORED = 1e6 steps (~0.6 GB); an explicit store_every
+# is held to the same chunk length.
+MAX_STEPS = 4_000_000_000
+_MAX_CHUNK = MAX_STEPS // _MAX_STORED
 # RK4 steps whose operators one _chunk_operator call builds at once.  A
 # 1024-step call peaks at ~0.7 MB of numpy temporaries (4096: ~2.5 MB) and
 # takes ~3 ms, against which numpy's fixed per-call cost is already small.
@@ -189,6 +195,11 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None, *,
         Abort threshold on | |u+|^2 + |u-|^2 - 1 | at stored times.
     store_every : int, optional
         Keep every k-th step; default decimates to at most ~4000 points.
+        At most 1e6 steps per stored point.
+
+    A window of more than MAX_STEPS = 4e9 steps (theta_end = 2e8 at the
+    default step) is refused with ValidationError before anything is
+    allocated.
     """
     if not 0 < omega0 < math.inf:
         raise ValidationError("omega0", f"must be finite and positive, got {omega0!r}")
@@ -210,10 +221,17 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None, *,
             f"(need <= {MAX_DTHETA}/omega0)")
     if store_every is not None and not store_every >= 1:
         raise ValidationError("store_every", f"must be >= 1, got {store_every!r}")
+    theta_end = omega0 * t_end
+    if not theta_end <= MAX_STEPS * (omega0 * dt):
+        raise ValidationError(
+            "t_end", f"the window needs more than MAX_STEPS = {MAX_STEPS:.0e} "
+            f"steps of {omega0 * dt:.3g}/omega0")
+    n_steps = max(1, math.ceil(theta_end / (omega0 * dt) - 1e-9)) if theta_end > 0 else 0
+    if store_every is not None and min(store_every, n_steps) > _MAX_CHUNK:
+        raise ValidationError("store_every", f"chunks longer than {_MAX_CHUNK:.0e} "
+                              f"steps are refused, got {store_every!r}")
     _warn_regime(drive, omega0)
 
-    theta_end = omega0 * t_end
-    n_steps = max(1, math.ceil(theta_end / (omega0 * dt) - 1e-9)) if theta_end > 0 else 0
     if n_steps == 0:
         theta = np.zeros(1)
         return SpinTrajectory(omega0=omega0, theta=theta,

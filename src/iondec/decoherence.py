@@ -50,7 +50,12 @@ def vibrational_prefactor(species: IonSpecies, trap: TrapConfig,
 
 def per_ion_rates(chain: IonChain, species: IonSpecies, trap: TrapConfig,
                   qsq_constant: float = 1.0) -> np.ndarray:
-    """All per-ion rates at once (the pair sums share one O(N^2) pass)."""
+    """All per-ion rates at once (the pair sums share one O(N^2) pass).
+
+    A chain of N >= 2 ions whose trap puts any rate outside the float
+    range (zero after underflow, or not finite) is refused with
+    DomainError, as closed_form_rate refuses its aggregate.
+    """
     if chain.n_ions != trap.n_ions:
         raise ValidationError(
             "chain", f"chain has {chain.n_ions} ions but the trap is configured "
@@ -61,7 +66,15 @@ def per_ion_rates(chain: IonChain, species: IonSpecies, trap: TrapConfig,
     two_p = 2 * species.multipole.pair_exponent
     sums = pair_sum_exact_all(chain, two_p)
     pref = vibrational_prefactor(species, trap, qsq_constant)
-    return pref * sums / scales.d0 ** two_p
+    try:
+        with np.errstate(over="ignore", divide="ignore"):
+            rates = pref * sums / scales.d0 ** two_p
+        if np.all((rates > 0) & (rates < math.inf)):
+            return rates
+    except OverflowError:
+        pass
+    raise DomainError(f"N = {chain.n_ions}, d0 = {scales.d0!r} m put a per-ion "
+                      "rate outside the float range")
 
 
 def aggregate_tau_vib(per_ion: np.ndarray | list) -> float:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iondec import adiabatic
 from iondec.adiabatic import (DEFAULT_DTHETA, DriveField, SpinTrajectory,
                               adiabatic_phase, integrate_tls, overlap_fidelity,
                               suggested_step)
@@ -137,6 +138,24 @@ def test_step_and_state_validation():
             integrate_tls(W0, demo_drive(), EQUAL, 1.0, store_every=bad)
     # the boundary step itself is allowed
     integrate_tls(W0, demo_drive(), EQUAL, 1.0, dt=0.1 / W0)
+
+
+def test_windows_beyond_max_steps_refused(monkeypatch, recwarn):
+    """Refused before anything is allocated: at theta_end = 1e20 one chunk
+    alone would ask numpy for exabytes."""
+    for theta_end in (1e20, 1e300, 2.0001e8):
+        with pytest.raises(ValidationError, match="MAX_STEPS"):
+            integrate_tls(W0, demo_drive(), EQUAL, theta_end / W0)
+    monkeypatch.setattr(adiabatic, "MAX_STEPS", 1000)
+    monkeypatch.setattr(adiabatic, "_MAX_CHUNK", 10)
+    at_cap = integrate_tls(W0, demo_drive(), EQUAL, 50.0 / W0)  # 1000 steps
+    assert at_cap.theta.size == 1001
+    with pytest.raises(ValidationError, match="MAX_STEPS"):
+        integrate_tls(W0, demo_drive(), EQUAL, 50.1 / W0)
+    integrate_tls(W0, demo_drive(), EQUAL, 50.0 / W0, store_every=10)
+    with pytest.raises(ValidationError, match="store_every"):
+        integrate_tls(W0, demo_drive(), EQUAL, 50.0 / W0, store_every=11)
+    assert not recwarn.list
 
 
 def test_overlap_rejects_other_initial_states():

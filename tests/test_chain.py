@@ -8,7 +8,7 @@ from iondec.chain import (IonChain, _force, _jacobian, local_spacing,
                           local_spacings, solve_equilibrium)
 from iondec.continuum import ContinuumModel, min_spacing
 from iondec.errors import SolverError, ValidationError
-from iondec.sums import pair_sum_exact_all
+from iondec.sums import _inverse_power, pair_sum_exact_all
 
 U2 = 0.25 ** (1.0 / 3.0)       # two-ion half-separation, u^3 = 1/4
 U3 = 1.25 ** (1.0 / 3.0)       # three-ion outer position, u^3 = 1 + 1/4
@@ -216,9 +216,9 @@ def _jacobian_full(u):
 
 
 def _pair_sums_full(u, n):
-    d = np.abs(u[:, None] - u[None, :])
+    d = u[:, None] - u[None, :]
     np.fill_diagonal(d, np.inf)
-    return (d ** -float(n)).sum(axis=1).astype(float)
+    return _inverse_power(d, n).sum(axis=1).astype(float)
 
 
 def _fixed_positions(n):

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iondec
 from iondec.cli import BA_EXAMPLE, load_config, main, parse_config
 from iondec.continuum import ContinuumModel
 from iondec.errors import ValidationError
@@ -157,6 +162,44 @@ def test_sums_output(capsys):
     assert all(float(r[2]) > 0 for r in rows)
 
 
+# SHA-256 of `iondec sums --n-ions N --exponent n` stdout on the preset,
+# recorded before the pair powers moved off libm powl
+SUMS_SHA256 = {
+    (10, 2): "f14638b3bee50992e53e7d2b2e68b64cbaf90cc20c306a176a562aa04a8dc187",
+    (10, 6): "66a1c2549ffd6264245c43866883a48bb1d938bb3704c40b05005b51e4fdafd9",
+    (10, 8): "37c1e0b3cfb0268262d4ae07997575ae543b497dc5e68a210b7dd4ff6a9ca239",
+    (10, 16): "f8d3c6753966b2c31ae7b5885bcf4c588c617d1c04096b40ce82b69d916488e6",
+    (60, 2): "0d3e4a065bba4c9c1cfad803c7bfea70f76fbd2476b4cea0e735c5d0e2f0fec5",
+    (60, 6): "947cf5d6c592bf66e76e137c65cfba4470b978f298091d8a742bc8397df32c59",
+    (60, 8): "df000f82d9f2a38895a64ff115e52d95ea184b556191c5cc0bc2e15a0c1bfc60",
+    (60, 16): "d83be7128c5f75f92cfa94a69b2b01d0ecc319b3fe04ffc2b1a5dc4fe0f8cf7c",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sums_bytes_pinned(threads):
+    """`sums` stdout keeps its bytes, at one and at two BLAS threads (a
+    chain of N <= 60 solves to the same bits at either count)."""
+    src = str(Path(iondec.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import contextlib, hashlib, io\n"
+            "from iondec.cli import main\n"
+            "for n, p in " + repr(list(SUMS_SHA256)) + ":\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert main(['sums', '--n-ions', str(n), '--exponent', str(p)]) == 0\n"
+            "    print(n, p, hashlib.sha256(out.getvalue().encode()).hexdigest())\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    got = {}
+    for line in out.splitlines():
+        n, p, digest = line.split()
+        got[int(n), int(p)] = digest
+    assert got == SUMS_SHA256
+
+
 def test_adiabatic_output(capsys):
     rc, lines = run(capsys, ["adiabatic", "--theta-end", "50"])
     assert rc == 0
@@ -202,6 +245,18 @@ def test_decohere_tau_vib_finite_when_squared_rates_underflow(capsys, tmp_path):
     fastest = min(taus)
     expected = fastest / math.sqrt(sum((fastest / t) ** 2 for t in taus))
     assert tau_vib == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("fz_hz", ["1e-60", "1e-70"])
+def test_decohere_refuses_rates_outside_the_float_range(fz_hz, capsys, tmp_path, recwarn):
+    path = tmp_path / "soft.ini"
+    path.write_text(BA_EXAMPLE.replace("fz_hz = 1e5", f"fz_hz = {fz_hz}"))
+    assert main(["decohere", "--config", str(path), "--n-ions", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not recwarn.list
 
 
 def test_decohere_closed_output(capsys):
@@ -329,6 +384,8 @@ REFUSED_CASES = [
     ["adiabatic", "--rot-ratio", "nan"],
     ["adiabatic", "--theta-end", "nan"],
     ["adiabatic", "--theta-end", "inf"],
+    ["adiabatic", "--theta-end", "1e20"],
+    ["adiabatic", "--theta-end", "1e300"],
     ["continuum", "--points", "-1"],
     ["continuum", "--points", "0"],
     ["scaling", "--policy", "fixed_spacing", "--s0-target=inf"],

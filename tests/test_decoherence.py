@@ -191,6 +191,17 @@ def test_closed_form_rate_outside_the_float_range_is_refused(ba):
         build_report(ba, soft, DecoherenceMode.CONTINUUM_CLOSED_FORM)
 
 
+@pytest.mark.parametrize("fz_hz", [1e-60, 1e-70])
+def test_discrete_rates_outside_the_float_range_are_refused(fz_hz, ba, chains):
+    """At 1e-60 Hz every per-ion rate underflows to zero, and at 1e-70 Hz
+    d0^2p overflows; both are refused rather than reported as tau = inf."""
+    soft = TrapConfig.from_lab_units(fz_hz=fz_hz, ft_hz=2e7, n_ions=10)
+    with pytest.raises(DomainError, match="per-ion rate"):
+        per_ion_rates(chains(10), ba, soft)
+    with pytest.raises(DomainError):
+        build_report(ba, soft, DecoherenceMode.DISCRETE_SUM, chain=chains(10))
+
+
 def test_discrete_tau_vib_frozen(ba, trap1000, chains):
     rates = per_ion_rates(chains(1000), ba, trap1000)
     tau = aggregate_tau_vib(rates)

@@ -125,6 +125,43 @@ def test_pair_sum_all_matches_single(chains):
         assert sums[i] == pytest.approx(pair_sum_exact(chain, i, 6), rel=1e-13)
 
 
+def _exact(x):
+    """A longdouble as an exact mpmath number (mpmath cannot read it directly)."""
+    import mpmath
+    mant, exp = np.frexp(x)
+    return mpmath.ldexp(int(np.ldexp(mant, 64)), int(exp) - 64)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 8, 16, 100])
+def test_inverse_power_accuracy(n):
+    """Each term within 2n * 2^-64 of |d|^-n, taken at 40 digits; +-inf gives 0."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(n)
+    d = np.longdouble(10.0) ** rng.uniform(-3.0, 3.0, 400).astype(np.longdouble)
+    d *= rng.choice([-1, 1], d.size)
+    d = np.append(d, [np.inf, -np.inf])
+    got = sums_module._inverse_power(d.copy(), n)
+    assert got.dtype == np.longdouble
+    assert np.array_equal(got[-2:], [0.0, 0.0])
+    with mpmath.workdps(40):
+        worst = max(abs(_exact(g) / _exact(abs(x)) ** -n - 1)
+                    for x, g in zip(d[:-2], got[:-2]))
+    assert worst <= 2 * n * mpmath.mpf(2) ** -64
+
+
+@pytest.mark.parametrize("n", [2, 6, 8, 16])
+def test_pair_sums_within_one_ulp_of_powl(n, chains):
+    """The reciprocal-and-squaring sums stay within one float64 ulp of the
+    libm powl evaluation |d| ** -n they replace."""
+    chain = chains(500)
+    u = chain.positions
+    d = np.abs(u[:, None] - u[None, :])
+    np.fill_diagonal(d, np.inf)
+    powl = (d ** -float(n)).sum(axis=1).astype(float)
+    got = pair_sum_exact_all(chain, n)
+    assert np.all(np.abs(got - powl) <= np.spacing(powl))
+
+
 # ----------------------------------------------- per-chain pair-sum cache
 
 
