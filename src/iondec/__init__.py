@@ -10,7 +10,7 @@ accumulated phase.  The cli module wraps everything in deterministic
 CSV-emitting subcommands.
 """
 
-from .chain import IonChain, local_spacing, local_spacings, solve_equilibrium
+from .chain import IonChain, local_spacings, solve_equilibrium
 from .continuum import ContinuumModel, chain_length, min_spacing, spacing_profile
 from .decoherence import (ClosedFormRate, DecoherenceMode, DecoherenceReport,
                           aggregate_tau_vib, build_report, closed_form_rate,
@@ -31,7 +31,7 @@ __all__ = [
     "SolverError", "TrapConfig", "ValidationError", "aggregate_tau_vib",
     "build_report", "chain_length", "chain_total_asymptotic",
     "chain_total_exact", "closed_form_rate", "continuum_sites",
-    "derive_scales", "fidelity_curve", "fit_exponent", "local_spacing",
+    "derive_scales", "fidelity_curve", "fit_exponent",
     "local_spacings", "min_spacing", "pair_sum_approx", "pair_sum_exact",
     "per_ion_rates", "radiative_time", "scan",
     "solve_equilibrium", "spacing_profile", "zeta",

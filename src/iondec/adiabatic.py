@@ -150,7 +150,6 @@ class SpinTrajectory:
     theta: np.ndarray
     u_plus: np.ndarray
     u_minus: np.ndarray
-    norm_drift: float
 
     @property
     def times(self):
@@ -159,6 +158,12 @@ class SpinTrajectory:
 
     def norms(self):
         return np.abs(self.u_plus) ** 2 + np.abs(self.u_minus) ** 2
+
+    @property
+    def norm_drift(self) -> float:
+        """max | |u|^2 - |u(0)|^2 | over the stored points: the norm certificate."""
+        norms = self.norms()
+        return float(np.max(np.abs(norms - norms[0])))
 
 
 def suggested_step(omega0, drive, t_end, norm_budget=1e-9):
@@ -235,8 +240,7 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None, *,
     if n_steps == 0:
         theta = np.zeros(1)
         return SpinTrajectory(omega0=omega0, theta=theta,
-                              u_plus=u0[:1] * np.ones(1), u_minus=u0[1:] * np.ones(1),
-                              norm_drift=0.0)
+                              u_plus=u0[:1] * np.ones(1), u_minus=u0[1:] * np.ones(1))
     dtheta = theta_end / n_steps
     if store_every is None:
         store_every = max(1, -(-n_steps // _MAX_STORED))
@@ -267,14 +271,13 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None, *,
             up[out], um[out] = u[0], u[1]
             out += 1
 
-    norms = np.abs(up)**2 + np.abs(um)**2
-    drift = float(np.max(np.abs(norms - norm0)))
+    traj = SpinTrajectory(omega0=omega0, theta=theta, u_plus=up, u_minus=um)
+    drift = traj.norm_drift
     if not drift <= max_norm_drift:
         raise AccuracyError(
             f"norm drifted by {drift:.3e} (budget {max_norm_drift:.1e}); "
             "reduce the step")
-    return SpinTrajectory(omega0=omega0, theta=theta, u_plus=up, u_minus=um,
-                          norm_drift=drift)
+    return traj
 
 
 def _coupling(drive, omega0, theta):

@@ -19,12 +19,16 @@ sign-symmetric (u_j - u_i == -(u_i - u_j) exactly), and |d|, d^2 and
 sign(d) are exact under negation.  Rows keep their full length, so row
 sums reduce in the same order as before.
 
-``IonChain`` is frozen and its positions are read-only, so its pair sums
-are a pure function of the chain; ``sums.pair_sum_exact_all`` memoizes
-them per exponent on the chain itself.
+An ``IonChain`` is its positions, frozen and read-only; the ion count,
+the residual certificate and the pair sums are pure functions of them.
+The residual is evaluated on first read and cached (``solve_equilibrium``
+fills the cache with the max |F| its last Newton step already measured at
+those positions), and ``sums.pair_sum_exact_all`` memoizes the pair sums
+per exponent on the chain itself.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -44,53 +48,48 @@ _BLOCK = 4_000_000
 _STRIP = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IonChain:
-    """Solved (or synthetic) chain: ordered dimensionless positions.
+    """N ions at ordered dimensionless positions; everything else is derived.
 
-    ``residual`` is the max-norm force imbalance at the stored positions —
-    the solution certificate.  Synthetic chains (e.g. uniform test
-    lattices) carry whatever residual their positions actually have.
+    ``positions`` must be a non-empty 1-D array of finite, strictly
+    increasing values; the chain keeps a read-only longdouble copy.
+    Finiteness is checked before the ordering, so an infinity is refused
+    without the NaN its difference would produce.  Equality is identity,
+    as an array has no single truth value to compare by.
     """
 
-    n_ions: int
-    positions: np.ndarray = field(repr=False)
-    residual: float
+    positions: np.ndarray
     # exponent n -> S_n(i) for every ion, filled by sums.pair_sum_exact_all
-    _pair_sums: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
+    _pair_sums: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        pos = _checked_positions(self.positions, self.n_ions)
+        pos = np.array(self.positions, dtype=np.longdouble)
+        if pos.ndim != 1 or pos.size == 0:
+            raise ValidationError("positions", "expected a non-empty 1-D array")
+        if not np.all(np.isfinite(pos)):
+            raise ValidationError("positions", "must be finite")
+        if not np.all(np.diff(pos) > 0):
+            raise ValidationError("positions", "must be strictly increasing")
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
 
-    @classmethod
-    def from_positions(cls, positions) -> "IonChain":
-        """Wrap explicit positions, computing their residual certificate."""
-        pos = _checked_positions(positions)
-        res = 0.0 if pos.size == 1 else float(np.max(np.abs(_force(pos))))
-        return cls(n_ions=pos.size, positions=pos, residual=res)
+    @property
+    def n_ions(self) -> int:
+        """The ion count, ``positions.size``."""
+        return self.positions.size
 
+    @functools.cached_property
+    def residual(self) -> float:
+        """Max-norm force imbalance at the positions: the solution certificate.
 
-def _checked_positions(positions, n_ions=None) -> np.ndarray:
-    """A private longdouble copy of valid chain positions, else ValidationError.
-
-    Valid means a non-empty 1-D array of finite, strictly increasing
-    values, with ``n_ions`` entries when given.  Finiteness is checked
-    before the ordering, so an infinity is refused without the NaN its
-    difference would produce.
-    """
-    pos = np.array(positions, dtype=np.longdouble)
-    if pos.ndim != 1 or pos.size == 0:
-        raise ValidationError("positions", "expected a non-empty 1-D array")
-    if n_ions is not None and pos.size != n_ions:
-        raise ValidationError("positions", f"expected {n_ions} coordinates")
-    if not np.all(np.isfinite(pos)):
-        raise ValidationError("positions", "must be finite")
-    if not np.all(np.diff(pos) > 0):
-        raise ValidationError("positions", "must be strictly increasing")
-    return pos
+        Evaluated on first read, an O(N^2) pass, and cached on the chain.
+        Gaps so small that 1/d^2 leaves the extended range read inf, never
+        NaN, although an ion pulled infinitely both ways gets a NaN force.
+        """
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            res = float(np.max(np.abs(_force(self.positions))))
+        return math.inf if math.isnan(res) else res
 
 
 def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int) -> np.ndarray:
@@ -177,8 +176,6 @@ def solve_equilibrium(n_ions: int, tol: float = DEFAULT_TOL,
         raise ValidationError("tol", f"need a finite tolerance > 0, got {tol!r}")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
         raise ValidationError("max_iter", f"need an integer >= 1, got {max_iter!r}")
-    if n_ions == 1:
-        return IonChain(n_ions=1, positions=np.zeros(1, dtype=np.longdouble), residual=0.0)
 
     u = _initial_guess(int(n_ions))
     f = _force(u)
@@ -187,7 +184,10 @@ def solve_equilibrium(n_ions: int, tol: float = DEFAULT_TOL,
         res = float(np.max(np.abs(f)))
         best = min(best, res)
         if res <= tol:
-            return IonChain(n_ions=int(n_ions), positions=u, residual=res)
+            chain = IonChain(u)
+            # res is max|F| at exactly these positions: fill the cache with it
+            chain.__dict__["residual"] = res
+            return chain
         step = np.linalg.solve(_jacobian(u), f.astype(float)).astype(np.longdouble)
         lam = 1.0
         while lam >= 1e-8:
@@ -203,23 +203,9 @@ def solve_equilibrium(n_ions: int, tol: float = DEFAULT_TOL,
     raise SolverError(f"no convergence in {max_iter} Newton iterations", best)
 
 
-def local_spacing(chain: IonChain, i: int) -> float:
-    """Local spacing of ion i: mean of its two gaps, or the single edge gap."""
-    n = chain.n_ions
-    if not 0 <= i < n:
-        raise IndexError(f"ion index {i} out of range for N = {n}")
-    if n < 2:
-        raise ValidationError("n_ions", "local spacing needs N >= 2")
-    u = chain.positions
-    if i == 0:
-        return float(u[1] - u[0])
-    if i == n - 1:
-        return float(u[n - 1] - u[n - 2])
-    return float(0.5 * (u[i + 1] - u[i - 1]))
-
-
 def local_spacings(chain: IonChain) -> np.ndarray:
-    """Vector of local_spacing over all ions."""
+    """Local spacing of every ion: the mean of its two gaps, or the single
+    gap of an edge ion."""
     if chain.n_ions < 2:
         raise ValidationError("n_ions", "local spacing needs N >= 2")
     gaps = np.diff(chain.positions.astype(float))

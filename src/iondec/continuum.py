@@ -39,16 +39,10 @@ class ContinuumModel(enum.Enum):
     DUBIN_FLUID = "dubin_fluid"
 
 
-def _check_n(n_ions: int, model: ContinuumModel) -> None:
-    if not isinstance(n_ions, (int, np.integer)) or n_ions < 2:
-        raise ValidationError("n_ions", f"continuum models need N >= 2, got {n_ions!r}")
-    if model is ContinuumModel.DUBIN_FLUID and C0_DUBIN * n_ions <= 1.0:
-        raise DomainError(f"DubinFluid needs ln(c0 N) > 0; got N = {n_ions}")
-
-
 def chain_length(n_ions: int, model: ContinuumModel) -> float:
     """Half-length L of the chain in units of d0."""
-    _check_n(n_ions, model)
+    if not isinstance(n_ions, (int, np.integer)) or n_ions < 2:
+        raise ValidationError("n_ions", f"continuum models need N >= 2, got {n_ions!r}")
     if model is ContinuumModel.NEAREST_NEIGHBOR:
         return (math.pi**2 * n_ions / 2.0) ** (1.0 / 3.0)
     return (3.0 * n_ions * math.log(C0_DUBIN * n_ions)) ** (1.0 / 3.0)

@@ -11,7 +11,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -155,15 +155,22 @@ def derive_scales(species: IonSpecies, trap: TrapConfig,
     Q^2 = qsq_constant * hbar / (tau_s * k0^(2p-3)), i.e. hbar/(tau_s k0^5)
     for a quadrupole (p = 4) and hbar/(tau_s k0^3) for a dipole (p = 3).
     The proportionality constant is an order-of-magnitude convention and
-    is surfaced as ``qsq_constant`` (default 1).
+    is surfaced as ``qsq_constant`` (default 1).  Inputs that put any of
+    the four scales outside the positive float range raise DomainError.
     """
     _require_positive("qsq_constant", qsq_constant)
-    q2_coul = species.charge**2 / (4.0 * math.pi * CONSTANTS.epsilon0)
-    d0 = (q2_coul / (species.mass * trap.omega_z**2)) ** (1.0 / 3.0)
-    k0 = species.omega0 / CONSTANTS.c_light
-    p = species.multipole.pair_exponent
-    q_sq = qsq_constant * CONSTANTS.hbar / (species.tau_s * k0 ** (2 * p - 3))
-    return DerivedScales(d0=d0, k0=k0, q2_coul=q2_coul, q_sq=q_sq)
+    try:
+        q2_coul = species.charge**2 / (4.0 * math.pi * CONSTANTS.epsilon0)
+        d0 = (q2_coul / (species.mass * trap.omega_z**2)) ** (1.0 / 3.0)
+        k0 = species.omega0 / CONSTANTS.c_light
+        p = species.multipole.pair_exponent
+        q_sq = qsq_constant * CONSTANTS.hbar / (species.tau_s * k0 ** (2 * p - 3))
+        if all(0 < value < math.inf for value in (d0, k0, q2_coul, q_sq)):
+            return DerivedScales(d0=d0, k0=k0, q2_coul=q2_coul, q_sq=q_sq)
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise DomainError("the species and trap put a derived scale (d0, k0, "
+                      "q2_coul or q_sq) outside the float range")
 
 
 def radiative_time(species: IonSpecies, n_ions: int) -> float:

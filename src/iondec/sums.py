@@ -60,7 +60,11 @@ def pair_sum_exact(chain: IonChain, i: int, n: int) -> float:
         raise IndexError(f"ion index {i} out of range for N = {chain.n_ions}")
     d = chain.positions - chain.positions[i]
     d[i] = np.inf
-    return float(np.sum(_inverse_power(d, n)))
+    with np.errstate(over="ignore"):
+        s = float(np.sum(_inverse_power(d, n)))
+    if not np.isfinite(s):
+        raise DomainError(f"S_{n} overflows a float on this chain")
+    return s
 
 
 def pair_sum_exact_all(chain: IonChain, n: int) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from iondec.adiabatic import DriveField, integrate_tls, overlap_fidelity
-from iondec.chain import local_spacing
+from iondec.chain import local_spacings
 from iondec.cli import main
 from iondec.continuum import ContinuumModel, min_spacing
 from iondec.decoherence import (DecoherenceMode, aggregate_tau_vib,
@@ -56,7 +56,7 @@ def test_criterion_04_continuum_convergence(n_ions, chains):
     """Solved central spacing within 10% of the fluid-model s0."""
     chain = chains(n_ions)
     center = chain.n_ions // 2
-    gap = local_spacing(chain, center)
+    gap = local_spacings(chain)[center]
     s0 = min_spacing(n_ions, DU)
     assert abs(gap - s0) / s0 <= 0.10
 

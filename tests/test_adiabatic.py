@@ -268,6 +268,10 @@ def test_trajectory_fields_consistent():
     assert traj.theta.shape == traj.u_plus.shape == traj.u_minus.shape
     assert traj.norm_drift == pytest.approx(np.max(np.abs(traj.norms() - 1.0)),
                                             abs=1e-15)
+    # the certificate is derived from the amplitudes, never given
+    with pytest.raises(TypeError):
+        SpinTrajectory(omega0=W0, theta=traj.theta, u_plus=traj.u_plus,
+                       u_minus=traj.u_minus, norm_drift=math.nan)
 
 
 _SAMPLED = np.linspace(0.0, 600.0, 13)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from iondec import chain as chain_module
-from iondec.chain import (IonChain, _force, _jacobian, local_spacing,
-                          local_spacings, solve_equilibrium)
+from iondec.chain import (IonChain, _force, _jacobian, local_spacings,
+                          solve_equilibrium)
 from iondec.continuum import ContinuumModel, min_spacing
 from iondec.errors import SolverError, ValidationError
 from iondec.sums import _inverse_power, pair_sum_exact_all
@@ -18,7 +18,7 @@ def test_single_ion():
     chain = solve_equilibrium(1)
     assert chain.n_ions == 1
     assert float(chain.positions[0]) == pytest.approx(0.0, abs=1e-15)
-    assert IonChain.from_positions(chain.positions).residual == 0.0
+    assert IonChain(chain.positions).residual == 0.0
 
 
 def test_two_ions_analytic():
@@ -45,8 +45,7 @@ def test_mirror_symmetry(n, chains):
 def test_residual_below_tolerance(n, chains):
     chain = chains(n)
     assert chain.residual <= 1e-12
-    recomputed = IonChain.from_positions(chain.positions).residual
-    assert recomputed == pytest.approx(chain.residual, abs=1e-15)
+    assert IonChain(chain.positions).residual == chain.residual
 
 
 def test_positions_strictly_increasing(chains):
@@ -55,37 +54,31 @@ def test_positions_strictly_increasing(chains):
 
 
 def test_local_spacing_small_chains(chains):
-    assert local_spacing(chains(2), 0) == pytest.approx(2 * U2, rel=1e-10)
-    assert local_spacing(chains(2), 1) == pytest.approx(2 * U2, rel=1e-10)
-    assert local_spacing(chains(3), 1) == pytest.approx(U3, rel=1e-10)
+    assert local_spacings(chains(2))[0] == pytest.approx(2 * U2, rel=1e-10)
+    assert local_spacings(chains(2))[1] == pytest.approx(2 * U2, rel=1e-10)
+    assert local_spacings(chains(3))[1] == pytest.approx(U3, rel=1e-10)
 
 
 def test_local_spacing_uniform_chain():
     h = 0.37
     u = h * (np.arange(9) - 4.0)
-    chain = IonChain.from_positions(u)
+    chain = IonChain(u)
+    spacings = local_spacings(chain)
     for i in range(1, 8):
-        assert local_spacing(chain, i) == pytest.approx(h, rel=1e-14)
-    assert local_spacing(chain, 0) == pytest.approx(h, rel=1e-14)
-    assert np.allclose(local_spacings(chain), h)
-
-
-def test_local_spacing_index_error(chains):
-    with pytest.raises(IndexError):
-        local_spacing(chains(3), 3)
-    with pytest.raises(IndexError):
-        local_spacing(chains(3), -4)
+        assert spacings[i] == pytest.approx(h, rel=1e-14)
+    assert spacings[0] == pytest.approx(h, rel=1e-14)
+    assert np.allclose(spacings, h)
 
 
 def test_residual_of_exact_two_ion_positions():
-    chain = IonChain.from_positions(np.array([-U2, U2]))
+    chain = IonChain(np.array([-U2, U2]))
     assert chain.residual <= 1e-12
 
 
 def test_residual_detects_perturbation():
     u = np.array([-U3, 0.0, U3])
     u[1] += 0.1
-    chain = IonChain.from_positions(u)
+    chain = IonChain(u)
     assert chain.residual > 0.01
 
 
@@ -159,26 +152,95 @@ def test_valid_solver_settings_keep_their_bits(chains):
 
 def test_from_positions_requires_sorted():
     with pytest.raises(ValidationError):
-        IonChain.from_positions(np.array([0.5, -0.5]))
+        IonChain(np.array([0.5, -0.5]))
     with pytest.raises(ValidationError):
-        IonChain.from_positions(np.array([0.0, 0.0]))
+        IonChain(np.array([0.0, 0.0]))
 
 
 @pytest.mark.parametrize("positions", [[0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0],
                                        [0.0, np.nan, 1.0]])
-def test_non_finite_positions_refused_on_both_paths(positions):
+def test_non_finite_positions_refused(positions):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="finite"):
-            IonChain.from_positions(positions)
-        with pytest.raises(ValidationError, match="finite"):
-            IonChain(n_ions=3, positions=positions, residual=0.0)
+            IonChain(positions)
 
 
-def test_constructor_refuses_empty_or_miscounted_positions():
-    for positions, n_ions in (([], 0), ([[0.0, 1.0]], 2), ([0.0, 1.0], 3)):
+def test_constructor_refuses_empty_or_non_vector_positions():
+    for positions in ([], [[0.0, 1.0]]):
         with pytest.raises(ValidationError):
-            IonChain(n_ions=n_ions, positions=positions, residual=0.0)
+            IonChain(positions)
+
+
+def test_count_and_certificate_are_derived_not_given():
+    """The positions are the chain's one input: a count or a residual
+    cannot be passed, so neither can disagree with the positions."""
+    with pytest.raises(TypeError):
+        IonChain([0.0, 1.0, 2.0], residual=0.0)
+    with pytest.raises(TypeError):
+        IonChain([0.0, 1.0, 2.0], residual=float("nan"))
+    with pytest.raises(TypeError):
+        IonChain(n_ions=3, positions=[0.0, 1.0, 2.0])
+    chain = IonChain([0.0, 1.0, 2.0])
+    assert chain.n_ions == 3
+    assert chain.residual == 1.25
+    with pytest.raises(AttributeError):
+        chain.n_ions = 4
+    with pytest.raises(AttributeError):
+        chain.residual = 0.0
+
+
+@pytest.mark.parametrize("gap", ["1e-3000", "1e-2470"])
+def test_residual_of_overflowing_forces_is_infinite_not_nan(gap, recwarn):
+    """Gaps whose 1/d^2 leaves even the extended range pull the middle
+    ion infinitely both ways; the certificate reads inf, never NaN."""
+    d = np.longdouble(gap)
+    chain = IonChain(np.array([0.0, d, 2 * d], dtype=np.longdouble))
+    assert chain.residual == np.inf
+    assert not recwarn.list
+
+
+def _counting_force(monkeypatch):
+    calls = []
+    real = chain_module._force
+
+    def counted(u):
+        calls.append(u.size)
+        return real(u)
+
+    monkeypatch.setattr(chain_module, "_force", counted)
+    return calls
+
+
+def test_residual_is_evaluated_on_first_read_only(monkeypatch):
+    calls = _counting_force(monkeypatch)
+    big = IonChain(np.arange(chain_module.MAX_IONS, dtype=float))
+    assert big.n_ions == chain_module.MAX_IONS
+    assert calls == []
+    chain = IonChain(np.linspace(-2.0, 2.0, 7))
+    first = chain.residual
+    assert chain.residual == first
+    assert calls == [7]
+
+
+def test_solver_hands_its_residual_to_the_chain(monkeypatch):
+    """The solve's last max|F| is the certificate: reading it evaluates
+    no further force, and it equals a fresh evaluation bit for bit."""
+    calls = _counting_force(monkeypatch)
+    chain = solve_equilibrium(40)
+    solved_calls = len(calls)
+    assert chain.residual <= 1e-12
+    assert len(calls) == solved_calls
+    assert IonChain(chain.positions).residual == chain.residual
+    assert len(calls) == solved_calls + 1
+
+
+def test_equality_is_identity(chains):
+    chain = chains(5)
+    twin = IonChain(chain.positions)
+    assert chain == chain
+    assert chain != twin
+    assert len({chain, twin}) == 2
 
 
 def test_positions_are_immutable(chains):
@@ -225,7 +287,7 @@ def _fixed_positions(n):
     """Irregular, strictly increasing, off-centre positions (no solve, so
     no dependence on the BLAS thread count)."""
     gaps = np.random.default_rng(n).uniform(0.3, 1.7, n)
-    return IonChain.from_positions(np.cumsum(gaps.astype(np.longdouble)) - 0.4 * n)
+    return IonChain(np.cumsum(gaps.astype(np.longdouble)) - 0.4 * n)
 
 
 def _assert_kernels_match_full(n):

@@ -259,6 +259,33 @@ def test_decohere_refuses_rates_outside_the_float_range(fz_hz, capsys, tmp_path,
     assert not recwarn.list
 
 
+# Configs whose derived scales (d0, k0, q2_coul, q_sq) leave the float range.
+OUT_OF_RANGE_SCALES = {
+    "fz=1e190,ft=1e200": [("fz_hz = 1e5", "fz_hz = 1e190"), ("ft_hz = 2e7", "ft_hz = 1e200")],
+    "f0=1e300": [("f0_hz = 1.7e14", "f0_hz = 1e300")],
+    "charge=1e300": [("charge_e = 1", "charge_e = 1e300")],
+    "fz=1e-300": [("fz_hz = 1e5", "fz_hz = 1e-300")],
+}
+
+
+@pytest.mark.parametrize("command", ["scales", "equilibrium", "decohere", "scaling"])
+@pytest.mark.parametrize("edits", list(OUT_OF_RANGE_SCALES.values()),
+                         ids=list(OUT_OF_RANGE_SCALES))
+def test_scales_outside_the_float_range_refused(edits, command, capsys, tmp_path, recwarn):
+    text = BA_EXAMPLE
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "extreme.ini"
+    path.write_text(text)
+    assert main([command, "--config", str(path), "--n-ions", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not recwarn.list
+
+
 def test_decohere_closed_output(capsys):
     rc, lines = run(capsys, ["decohere", "--mode", "closed"])
     assert rc == 0
