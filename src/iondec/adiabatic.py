@@ -12,11 +12,24 @@ fixed-step classical RK4.  One RK4 step of a linear system is itself a
 linear map, so the stepper materializes the 2x2 one-step operators and
 combines the steps of each stored chunk pairwise (matrix products
 associate); that keeps 10^7-step windows at numpy speed without changing
-the method or its numbers.  The operators are built for many stored
-chunks at once (about _BATCH_STEPS steps per numpy call), each chunk
-paired exactly as if it were built alone, so the output is bit-identical
-to building one chunk per call, and short windows do not pay numpy's
-per-call overhead once per stored point.
+the method or its numbers.
+
+The one-step operators are assembled entry by entry on component arrays.
+The RK4 stages multiply by the coupling matrix [[0, -i g], [-i g*, 0]],
+whose diagonal is zero, so each entry of a stage is a single complex
+product; written out, it rounds exactly as the stacked 2x2 matrix product
+did, and the output keeps its bits.  The three stage times of every step
+lie on one grid of half steps, so the coupling is evaluated once per half
+step (2m + 1 points for m steps), not three times per step.  The pairwise
+reduction stays on stacked matrix products: there the products of general
+2x2 matrices are fused by BLAS, and the same sums written elementwise
+round differently in the last bits.
+
+The operators are built for many stored chunks at once (about
+_BATCH_STEPS steps per numpy call), each chunk paired exactly as if it
+were built alone, so the output is bit-identical to building one chunk per
+call, and short windows do not pay numpy's per-call overhead once per
+stored point.
 """
 from __future__ import annotations
 
@@ -26,21 +39,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AccuracyError, ValidationError
+from .errors import AccuracyError, DomainError, ValidationError
 
 DEFAULT_DTHETA = 0.05
 MAX_DTHETA = 0.1
 DEFAULT_NORM_BUDGET = 1e-6
 _MAX_STORED = 4000
-# Longest window, in RK4 steps.  A chunk's operators take ~590 B of numpy
+# Longest window, in RK4 steps.  A chunk's operators take ~420 B of numpy
 # temporaries per step, and at the default decimation a chunk is at most
-# MAX_STEPS / _MAX_STORED = 1e6 steps (~0.6 GB); an explicit store_every
+# MAX_STEPS / _MAX_STORED = 1e6 steps (~0.42 GB); an explicit store_every
 # is held to the same chunk length.
 MAX_STEPS = 4_000_000_000
 _MAX_CHUNK = MAX_STEPS // _MAX_STORED
 # RK4 steps whose operators one _chunk_operator call builds at once.  A
-# 1024-step call peaks at ~0.7 MB of numpy temporaries (4096: ~2.5 MB) and
-# takes ~3 ms, against which numpy's fixed per-call cost is already small.
+# 1024-step call peaks at ~0.45 MB of numpy temporaries (4096: ~1.8 MB) and
+# takes ~0.45 ms, of which numpy's fixed per-call cost (~50 us) is a tenth.
 _BATCH_STEPS = 1024
 # Empirical norm-drift model for this stepper: drift ~ C * theta * (eps/w0)^2
 # * dtheta^4.  Measured C is ~9e-5; the value below carries a ~10x margin.
@@ -161,7 +174,11 @@ class SpinTrajectory:
 
     @property
     def norm_drift(self) -> float:
-        """max | |u|^2 - |u(0)|^2 | over the stored points: the norm certificate."""
+        """max | |u|^2 - |u(0)|^2 | over the stored points: the norm certificate.
+
+        It bounds the norm, not the state error: on the CLI defaults the
+        amplitudes are some 20x further from the exact solution.
+        """
         norms = self.norms()
         return float(np.max(np.abs(norms - norms[0])))
 
@@ -291,27 +308,41 @@ def _chunk_operator(drive, omega0, theta0, dtheta, m):
 
     theta0 is a vector of B chunk starts; the result is a (B, 2, 2) stack.
     Each step is u_{k+1} = A_k u_k with A_k assembled from the coupling at
-    theta_k, theta_k + dtheta/2 and theta_k + dtheta; within each chunk the
-    A_k combine by pairwise matrix products along the step axis.
+    theta_k, theta_k + dtheta/2 and theta_k + dtheta, all read off one grid
+    of 2m + 1 half steps (j * (dtheta/2) is bitwise k * dtheta at j = 2k).
+
+    With M_i = [[0, b_i], [c_i, 0]], b = -i g, c = -i g*, the stages are
+    k1 = M_1, k2 = M_2 (I + dtheta/2 k1), k3 = M_2 (I + dtheta/2 k2) and
+    k4 = M_3 (I + dtheta k3), and A_k = I + dtheta/6 (k1 + 2k2 + 2k3 + k4).
+    Each stage entry is held as a (B, m) array, in row-major entry order;
+    M's zero diagonal leaves one complex product per entry, which is how
+    the stacked matmul rounded it.  The off-diagonal "0 +" keeps the signed
+    zeros of an undriven step as the matmul left them.
+
+    Within each chunk the A_k then combine by pairwise matrix products
+    along the step axis, on stacked matmul: a general 2x2 product written
+    elementwise would not round as BLAS does.
     """
-    k = np.arange(m)
+    h = 0.5 * dtheta
     theta0 = np.asarray(theta0, dtype=float)[:, None]
-    g1 = _coupling(drive, omega0, theta0 + k * dtheta)
-    g2 = _coupling(drive, omega0, theta0 + (k + 0.5) * dtheta)
-    g3 = _coupling(drive, omega0, theta0 + (k + 1.0) * dtheta)
+    g = _coupling(drive, omega0, theta0 + np.arange(2 * m + 1) * h)
+    b = -1j * g
+    c = -1j * np.conj(g)
+    b1, b2, b3 = b[:, 0:2 * m:2], b[:, 1::2], b[:, 2::2]
+    c1, c2, c3 = c[:, 0:2 * m:2], c[:, 1::2], c[:, 2::2]
 
-    zeros = np.zeros_like(g1)
-    def mat(g):
-        return np.stack([np.stack([zeros, -1j * g], axis=-1),
-                         np.stack([-1j * np.conj(g), zeros], axis=-1)], axis=-2)
+    k2 = (b2 * (h * c1), b2, c2, c2 * (h * b1))
+    x = (1 + h * k2[0], h * k2[1], h * k2[2], 1 + h * k2[3])
+    k3 = (b2 * x[2], b2 * x[3], c2 * x[0], c2 * x[1])
+    x = (1 + dtheta * k3[0], dtheta * k3[1], dtheta * k3[2], 1 + dtheta * k3[3])
+    k4 = (b3 * x[2], b3 * x[3], c3 * x[0], c3 * x[1])
 
-    m1, m2, m3 = mat(g1), mat(g2), mat(g3)
-    eye = np.eye(2, dtype=complex)
-    k1 = m1
-    k2 = m2 @ (eye + 0.5 * dtheta * k1)
-    k3 = m2 @ (eye + 0.5 * dtheta * k2)
-    k4 = m3 @ (eye + dtheta * k3)
-    ops = eye + (dtheta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    s = dtheta / 6.0
+    ops = np.empty(g.shape[:1] + (m, 2, 2), dtype=complex)
+    ops[..., 0, 0] = 1 + s * (2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+    ops[..., 0, 1] = 0 + s * (b1 + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    ops[..., 1, 0] = 0 + s * (c1 + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+    ops[..., 1, 1] = 1 + s * (2.0 * k2[3] + 2.0 * k3[3] + k4[3])
 
     while ops.shape[1] > 1:
         n = ops.shape[1]
@@ -327,22 +358,33 @@ def adiabatic_phase(drive, omega0, t):
 
     Closed form eps^2 t/omega0 when |f| is constant (circular or constant
     drives); otherwise segment-wise Simpson quadrature, which is exact for
-    the piecewise-linear sampled form.
+    the piecewise-linear sampled form.  A phase outside the float range
+    (|f|^2 overflows, or the product with t does) is refused with
+    DomainError.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValidationError("t", f"must be >= 0, got {t!r}")
-    if drive.kind == "circular":
-        return drive.amplitude**2 * t / omega0
-    if drive.kind == "constant":
-        return (drive.fx**2 + drive.fy**2) * t / omega0
-    knots = drive.times[(drive.times > 0) & (drive.times < t)]
-    edges = np.concatenate([[0.0], knots, [t]])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    f2_edges = drive.magnitude(edges) ** 2
-    f2_mids = drive.magnitude(mids) ** 2
-    seg = (edges[1:] - edges[:-1]) / 6.0 * (
-        f2_edges[:-1] + 4.0 * f2_mids + f2_edges[1:])
-    return float(np.sum(seg)) / omega0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if drive.kind == "circular":
+                phase = drive.amplitude**2 * t / omega0
+            elif drive.kind == "constant":
+                phase = (drive.fx**2 + drive.fy**2) * t / omega0
+            else:
+                knots = drive.times[(drive.times > 0) & (drive.times < t)]
+                edges = np.concatenate([[0.0], knots, [t]])
+                mids = 0.5 * (edges[:-1] + edges[1:])
+                f2_edges = drive.magnitude(edges) ** 2
+                f2_mids = drive.magnitude(mids) ** 2
+                seg = (edges[1:] - edges[:-1]) / 6.0 * (
+                    f2_edges[:-1] + 4.0 * f2_mids + f2_edges[1:])
+                phase = float(np.sum(seg)) / omega0
+    except OverflowError:
+        phase = math.inf
+    if not phase < math.inf:
+        raise DomainError(f"the adiabatic phase at t = {t!r} s leaves the float "
+                          f"range (omega0 = {omega0!r} rad/s)")
+    return phase
 
 
 def overlap_fidelity(trajectory):

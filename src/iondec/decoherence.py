@@ -67,7 +67,7 @@ def per_ion_rates(chain: IonChain, species: IonSpecies, trap: TrapConfig,
     sums = pair_sum_exact_all(chain, two_p)
     pref = vibrational_prefactor(species, trap, qsq_constant)
     try:
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             rates = pref * sums / scales.d0 ** two_p
         if np.all((rates > 0) & (rates < math.inf)):
             return rates

@@ -286,6 +286,30 @@ def test_scales_outside_the_float_range_refused(edits, command, capsys, tmp_path
     assert not recwarn.list
 
 
+# Configs whose trouble shows only in one subcommand's own arithmetic:
+# |f|^2 overflows in the adiabatic phase; d0^16 underflows to 0 with a
+# zero rate above it, so the per-ion rates are 0/0.
+ONE_COMMAND_OUT_OF_RANGE = {
+    "adiabatic f0=1e300": ("f0_hz = 1.7e14", "f0_hz = 1e300", ["adiabatic"]),
+    "decohere mass=1e300": ("mass_amu = 137.33", "mass_amu = 1e300",
+                            ["decohere", "--n-ions", "10"]),
+}
+
+
+@pytest.mark.parametrize("old, new, argv", list(ONE_COMMAND_OUT_OF_RANGE.values()),
+                         ids=list(ONE_COMMAND_OUT_OF_RANGE))
+def test_float_range_refused_with_one_line(old, new, argv, capsys, tmp_path, recwarn):
+    assert old in BA_EXAMPLE
+    path = tmp_path / "extreme.ini"
+    path.write_text(BA_EXAMPLE.replace(old, new))
+    assert main(argv + ["--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not recwarn.list
+
+
 def test_decohere_closed_output(capsys):
     rc, lines = run(capsys, ["decohere", "--mode", "closed"])
     assert rc == 0
