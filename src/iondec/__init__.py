@@ -8,31 +8,44 @@ and exponent fits).  adiabatic stands alone: it integrates the driven
 two-level system that motivates treating dephasing through the
 accumulated phase.  The cli module wraps everything in deterministic
 CSV-emitting subcommands.
+
+``import iondec`` loads no submodule and not numpy: each name in
+``__all__`` is imported from the module that owns it on first access
+(PEP 562), so ``iondec.solve_equilibrium`` loads chain and what chain
+needs, and nothing else.  Submodules import as usual
+(``from iondec import chain``).
 """
 
-from .chain import IonChain, local_spacings, solve_equilibrium
-from .continuum import ContinuumModel, chain_length, min_spacing, spacing_profile
-from .decoherence import (ClosedFormRate, DecoherenceMode, DecoherenceReport,
-                          aggregate_tau_vib, build_report, closed_form_rate,
-                          fidelity_curve, per_ion_rates)
-from .errors import AccuracyError, DomainError, SolverError, ValidationError
-from .physmodel import (CONSTANTS, DerivedScales, IonSpecies, Multipole,
-                        TrapConfig, derive_scales, radiative_time)
-from .scaling import ScalingSeries, fit_exponent, scan
-from .sums import (chain_total_asymptotic, chain_total_exact, continuum_sites,
-                   pair_sum_approx, pair_sum_exact, zeta)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyError", "CONSTANTS", "ClosedFormRate", "ContinuumModel",
-    "DecoherenceMode", "DecoherenceReport", "DerivedScales", "DomainError",
-    "IonChain", "IonSpecies", "Multipole", "ScalingSeries",
-    "SolverError", "TrapConfig", "ValidationError", "aggregate_tau_vib",
-    "build_report", "chain_length", "chain_total_asymptotic",
-    "chain_total_exact", "closed_form_rate", "continuum_sites",
-    "derive_scales", "fidelity_curve", "fit_exponent",
-    "local_spacings", "min_spacing", "pair_sum_approx", "pair_sum_exact",
-    "per_ion_rates", "radiative_time", "scan",
-    "solve_equilibrium", "spacing_profile", "zeta",
-]
+_EXPORTS = {
+    "chain": ("IonChain", "local_spacings", "solve_equilibrium"),
+    "continuum": ("ContinuumModel", "chain_length", "min_spacing", "spacing_profile"),
+    "decoherence": ("ClosedFormRate", "DecoherenceMode", "DecoherenceReport",
+                    "aggregate_tau_vib", "build_report", "closed_form_rate",
+                    "fidelity_curve", "per_ion_rates"),
+    "errors": ("AccuracyError", "DomainError", "SolverError", "ValidationError"),
+    "physmodel": ("CONSTANTS", "DerivedScales", "IonSpecies", "Multipole",
+                  "TrapConfig", "derive_scales", "radiative_time"),
+    "scaling": ("ScalingSeries", "fit_exponent", "scan"),
+    "sums": ("chain_total_asymptotic", "chain_total_exact", "continuum_sites",
+             "pair_sum_approx", "pair_sum_exact", "zeta"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

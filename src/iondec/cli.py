@@ -8,6 +8,14 @@ byte-identical files at a fixed BLAS thread count (the equilibrium
 solve's linear algebra can round differently with the number of
 OpenBLAS threads, moving the last printed digit).  Exit codes: 0 ok,
 1 bad config/validation, 2 numerical failure, 3 output I/O failure.
+
+Every call is a fresh process, so this module loads at import only what
+parsing a config needs (errors, physmodel, continuum, and numpy through
+continuum).  Each subcommand imports the modules it runs when it runs:
+``scales`` and ``continuum`` nothing more; ``equilibrium`` chain; ``sums``
+chain and sums; ``adiabatic`` adiabatic alone; ``decohere`` decoherence,
+which brings chain and sums; ``scaling`` scaling, which brings
+decoherence.  No subcommand loads scipy or numpy.ma.
 """
 from __future__ import annotations
 
@@ -19,16 +27,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adiabatic import DriveField, adiabatic_phase, integrate_tls, overlap_fidelity
-from .chain import local_spacings, solve_equilibrium
 from .continuum import ContinuumModel, chain_length, min_spacing, spacing_profile
-from .decoherence import DecoherenceMode, build_report
 from .errors import AccuracyError, DomainError, SolverError, ValidationError
 from .physmodel import (IonSpecies, Multipole, TrapConfig, derive_scales,
                         qsq_convention_stamp, radiative_time)
-from .scaling import (LOG_POWERS, REFERENCE_EXPONENTS, default_n_grid,
-                      fit_exponent, scan)
-from .sums import pair_sum_approx, pair_sum_exact_all
 
 BA_EXAMPLE = """\
 [species]
@@ -52,6 +54,11 @@ max_iter = 200
 """
 
 PRESETS = {"ba_example": BA_EXAMPLE}
+
+# Largest continuum --points, checked before anything is allocated.  At the
+# cap a call holds about 230 MB at its peak (the three profiles and the CSV
+# rows) and takes about 6.5 s on a 2-core x86-64 host.
+MAX_POINTS = 10**6
 
 _SECTIONS = {
     "species": {"name", "mass_amu", "charge_e", "f0_hz", "tau_s_s", "multipole"},
@@ -211,6 +218,8 @@ def _cmd_scales(cfg, args):
 
 
 def _cmd_equilibrium(cfg, args):
+    from .chain import local_spacings, solve_equilibrium
+
     chain = solve_equilibrium(cfg.trap.n_ions, tol=cfg.chain_tol,
                               max_iter=cfg.max_iter)
     d0 = derive_scales(cfg.species, cfg.trap, cfg.qsq_constant).d0
@@ -226,6 +235,8 @@ def _cmd_equilibrium(cfg, args):
 def _cmd_continuum(cfg, args):
     if args.points < 1:
         raise ValidationError("points", f"must be >= 1, got {args.points}")
+    if args.points > MAX_POINTS:
+        raise ValidationError("points", f"must be <= {MAX_POINTS}, got {args.points}")
     n = cfg.trap.n_ions
     header = []
     for model in ContinuumModel:
@@ -240,6 +251,9 @@ def _cmd_continuum(cfg, args):
 
 
 def _cmd_sums(cfg, args):
+    from .chain import local_spacings, solve_equilibrium
+    from .sums import pair_sum_approx, pair_sum_exact_all
+
     n_exp = args.exponent
     if n_exp < 2:
         raise ValidationError("exponent", f"need an integer >= 2, got {n_exp}")
@@ -258,6 +272,8 @@ def _cmd_sums(cfg, args):
 
 
 def _cmd_adiabatic(cfg, args):
+    from .adiabatic import DriveField, adiabatic_phase, integrate_tls, overlap_fidelity
+
     omega0 = cfg.species.omega0
     drive = DriveField.circular(args.eps_ratio * omega0, args.rot_ratio * omega0)
     t_end = args.theta_end / omega0
@@ -275,12 +291,15 @@ def _cmd_adiabatic(cfg, args):
     return lines
 
 
-_MODES = {"discrete": DecoherenceMode.DISCRETE_SUM,
-          "closed": DecoherenceMode.CONTINUUM_CLOSED_FORM}
+# --mode value -> DecoherenceMode member name
+_MODES = {"discrete": "DISCRETE_SUM", "closed": "CONTINUUM_CLOSED_FORM"}
 
 
 def _cmd_decohere(cfg, args):
-    mode = _MODES[args.mode]
+    from .chain import solve_equilibrium
+    from .decoherence import DecoherenceMode, build_report
+
+    mode = DecoherenceMode[_MODES[args.mode]]
     chain = None
     if mode is DecoherenceMode.DISCRETE_SUM and cfg.trap.n_ions > 1:
         chain = solve_equilibrium(cfg.trap.n_ions, tol=cfg.chain_tol,
@@ -304,6 +323,9 @@ _POLICIES = ("fixed_voltage", "fixed_spacing")
 
 
 def _cmd_scaling(cfg, args):
+    from .scaling import (LOG_POWERS, REFERENCE_EXPONENTS, default_n_grid,
+                          fit_exponent, scan)
+
     target = args.s0_target
     if args.policy == "fixed_voltage" and target is not None:
         raise ValidationError("s0_target", "--s0-target applies to --policy "

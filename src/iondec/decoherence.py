@@ -40,12 +40,20 @@ def vibrational_prefactor(species: IonSpecies, trap: TrapConfig,
     """q2_coul*Q_sq/(2 pi hbar m w0 w_t), in m^2p/s.
 
     Multiplying by a pair sum in SI units (S_2p/d0^2p, units m^-2p)
-    yields a rate in 1/s.
+    yields a rate in 1/s.  A species and trap that put it outside the
+    positive float range are refused with DomainError.
     """
     scales = derive_scales(species, trap, qsq_constant)
-    return (scales.q2_coul * scales.q_sq
-            / (2.0 * math.pi * CONSTANTS.hbar * species.mass
-               * species.omega0 * trap.omega_t))
+    try:
+        pref = (scales.q2_coul * scales.q_sq
+                / (2.0 * math.pi * CONSTANTS.hbar * species.mass
+                   * species.omega0 * trap.omega_t))
+    except ZeroDivisionError:  # the denominator underflowed
+        pref = math.inf
+    if not 0 < pref < math.inf:
+        raise DomainError("the species and trap put the vibrational prefactor "
+                          "outside the float range")
+    return pref
 
 
 def per_ion_rates(chain: IonChain, species: IonSpecies, trap: TrapConfig,
@@ -195,7 +203,9 @@ def build_report(species: IonSpecies, trap: TrapConfig, mode: DecoherenceMode,
     """Assemble per-ion rates (or the closed form), tau_rad, and t_d.
 
     A pre-solved chain may be supplied to skip the equilibrium solve in
-    DISCRETE_SUM mode; it must match trap.n_ions.
+    DISCRETE_SUM mode; it must match trap.n_ions.  For N >= 2 every
+    reported time is finite: a rate so small that its reciprocal, or
+    tau_vib/tau_s, leaves the float range is refused with DomainError.
     """
     n = trap.n_ions
     if mode is DecoherenceMode.DISCRETE_SUM:
@@ -203,13 +213,17 @@ def build_report(species: IonSpecies, trap: TrapConfig, mode: DecoherenceMode,
             chain = solve_equilibrium(n)
         rates = per_ion_rates(chain, species, trap, qsq_constant)
         tau_vib = aggregate_tau_vib(rates)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             per_tau = 1.0 / rates  # inf where the rate vanishes (N = 1)
     elif mode is DecoherenceMode.CONTINUUM_CLOSED_FORM:
         tau_vib = 1.0 / closed_form_rate(n, species, trap, model, qsq_constant).full
         per_tau = None
     else:
         raise ValidationError("mode", f"unknown mode {mode!r}")
+    if n > 1 and not (tau_vib / species.tau_s < math.inf
+                      and (per_tau is None or np.all(per_tau < math.inf))):
+        raise DomainError(f"N = {n}: a vibrational time or tau_vib/tau_s is "
+                          "outside the float range")
     tau_rad = radiative_time(species, n)
     t_d = combined_window(tau_rad, tau_vib)
     ratio = "inf" if math.isinf(tau_vib) else f"{tau_vib / species.tau_s:.6g}"

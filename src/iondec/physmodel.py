@@ -116,7 +116,8 @@ class TrapConfig:
         if not self.omega_t > self.omega_z:
             raise ValidationError(
                 "omega_t",
-                f"linear-chain regime requires omega_t > omega_z "
+                f"omega_t must exceed omega_z, the linear-chain bound at "
+                f"N = 2; longer chains need a stiffer transverse trap "
                 f"(got {self.omega_t} <= {self.omega_z})")
         if not isinstance(self.n_ions, int) or self.n_ions < 1:
             raise ValidationError("n_ions", f"must be an integer >= 1, got {self.n_ions!r}")

@@ -56,6 +56,18 @@ class ScalingSeries:
     rate_rad: np.ndarray
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of values, flattened: np.unique's result
+    for an integer array.  np.unique itself first asks numpy.ma whether its
+    input is masked, and importing numpy.ma costs more than a whole CLI
+    scaling call's own work."""
+    ordered = np.sort(values, axis=None)
+    keep = np.empty(ordered.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
 def default_n_grid(n_min: int, n_max: int) -> np.ndarray:
     """Logarithmic N grid at 16 points per decade, deduplicated integers.
 
@@ -68,7 +80,7 @@ def default_n_grid(n_min: int, n_max: int) -> np.ndarray:
     if n_max > 2**53:
         raise ValidationError("n_max", f"need n_max <= 2**53, got {n_max!r}")
     count = max(2, int(round(POINTS_PER_DECADE * math.log10(n_max / n_min))) + 1)
-    grid = np.unique(np.rint(np.geomspace(n_min, n_max, count)).astype(int))
+    grid = _distinct(np.rint(np.geomspace(n_min, n_max, count)).astype(int))
     return grid[grid >= 2]
 
 
@@ -172,7 +184,7 @@ def scan(n_values, species: IonSpecies, trap: TrapConfig,
         if not 0 < s0_target < math.inf:
             raise ValidationError("s0_target", "fixed-spacing scan needs a finite "
                                   f"positive target, got {s0_target!r}")
-    ns = np.unique(np.asarray(n_values, dtype=int))
+    ns = _distinct(np.asarray(n_values, dtype=int))
     if ns.size < 2:
         raise ValidationError("n_values", "need at least two distinct N")
     if np.any(ns < 2):

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import iondec
 from iondec.cli import BA_EXAMPLE, load_config, main, parse_config
@@ -439,6 +445,8 @@ REFUSED_CASES = [
     ["adiabatic", "--theta-end", "1e300"],
     ["continuum", "--points", "-1"],
     ["continuum", "--points", "0"],
+    ["continuum", "--points", "1000001"],
+    ["continuum", "--points", "100000000000"],
     ["scaling", "--policy", "fixed_spacing", "--s0-target=inf"],
     ["scaling", "--policy", "fixed_spacing", "--s0-target=1e300"],
     ["scaling", "--policy", "fixed_spacing", "--s0-target=1e-300"],
@@ -502,3 +510,116 @@ def test_argparse_usage_errors():
         main(["frobnicate"])
     with pytest.raises(SystemExit):
         main(["decohere", "--mode", "sideways"])
+
+
+# ---------------------------------------------------------- module loads
+
+def _imported(*args):
+    """Every module a fresh ``python -X importtime args`` imports."""
+    src = str(Path(iondec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def _unwanted(modules):
+    return sorted(m for m in modules if m.split(".")[0] == "scipy"
+                  or m == "numpy.ma" or m.startswith("numpy.ma."))
+
+
+def test_import_iondec_loads_no_submodule():
+    loaded = _imported("-c", "import iondec")
+    assert "iondec" in loaded
+    assert sorted(m for m in loaded if m.startswith("iondec.")
+                  or m.split(".")[0] == "numpy") == []
+    assert _unwanted(_imported("-c", "import iondec.cli")) == []
+    assert set(iondec.__all__) <= set(dir(iondec))
+    assert all(getattr(iondec, name) is not None for name in iondec.__all__)
+    with pytest.raises(AttributeError):
+        iondec.no_such_name
+
+
+# The iondec modules each subcommand loads beyond the package, errors,
+# physmodel and continuum (what parsing a config needs).
+SUBCOMMAND_MODULES = [
+    (["scales"], set()),
+    (["continuum", "--points", "5"], set()),
+    (["equilibrium", "--n-ions", "5"], {"chain"}),
+    (["sums", "--n-ions", "5"], {"chain", "sums"}),
+    (["adiabatic", "--theta-end", "10"], {"adiabatic"}),
+    (["decohere", "--n-ions", "5"], {"chain", "sums", "decoherence"}),
+    (["decohere", "--mode", "closed"], {"chain", "sums", "decoherence"}),
+    (["scaling", "--n-min", "10", "--n-max", "100"],
+     {"chain", "sums", "decoherence", "scaling"}),
+    (["scaling", "--policy", "fixed_spacing", "--n-min", "10", "--n-max", "100"],
+     {"chain", "sums", "decoherence", "scaling"}),
+]
+
+
+@pytest.mark.parametrize("argv, extra", SUBCOMMAND_MODULES,
+                         ids=[" ".join(argv) for argv, _ in SUBCOMMAND_MODULES])
+def test_subcommand_loads_only_its_modules(argv, extra):
+    loaded = _imported("-m", "iondec.cli", *argv)
+    base = {"iondec", "iondec.errors", "iondec.physmodel", "iondec.continuum"}
+    assert {m for m in loaded if m.split(".")[0] == "iondec"} == \
+        base | {f"iondec.{m}" for m in extra}
+    assert _unwanted(loaded) == []
+
+
+# ------------------------------------------------------------ config fuzz
+
+FUZZ_KEYS = ("mass_amu", "charge_e", "f0_hz", "tau_s_s", "fz_hz", "ft_hz")
+FUZZ_COMMANDS = [
+    ["scales"],
+    ["equilibrium", "--n-ions", "3"],
+    ["continuum", "--n-ions", "10", "--points", "5"],
+    ["sums", "--n-ions", "5"],
+    ["adiabatic", "--theta-end", "10"],
+    ["decohere", "--n-ions", "5"],
+    ["decohere", "--mode", "closed", "--n-ions", "5"],
+    ["scaling", "--n-min", "10", "--n-max", "100"],
+    ["scaling", "--policy", "fixed_spacing", "--n-min", "10", "--n-max", "100"],
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_config(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.ini"
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(edits=st.dictionaries(st.sampled_from(FUZZ_KEYS),
+                             st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)))
+# |f|^2 overflows in the adiabatic phase; d0^16 underflows under a zero rate
+@example(edits={"f0_hz": 1e300})
+@example(edits={"mass_amu": 1e300})
+# the vibrational prefactor's denominator underflows to 0
+@example(edits={"mass_amu": 1e-273})
+# every rate is subnormal, so tau_vib = 1/rate overflows
+@example(edits={"fz_hz": 1e-50})
+# tau_vib is finite but tau_vib/tau_s overflows
+@example(edits={"fz_hz": 1e-50, "tau_s_s": 1e-10})
+def test_config_fuzz_exits_cleanly(fuzz_config, edits):
+    """Any species and trap values from 1e-300 to 1e300 end in a documented
+    exit code: a finite table and nothing on stderr, or one stderr line."""
+    text = BA_EXAMPLE
+    for key, value in edits.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value!r}", text, flags=re.M)
+    fuzz_config.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for argv in FUZZ_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv + ["--config", str(fuzz_config)])
+            assert rc in (0, 1, 2, 3), argv
+            if rc:
+                assert len(err.getvalue().splitlines()) == 1, argv
+                assert out.getvalue() == "", argv
+            else:
+                assert err.getvalue() == "", argv
+                assert not re.search(r"\b(nan|inf)\b", out.getvalue(), re.I), argv
+    assert [str(w.message) for w in caught] == []

@@ -1,14 +1,9 @@
 import dataclasses
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import iondec
 from iondec import scaling
 from iondec.continuum import C0_DUBIN, ContinuumModel
 from iondec.decoherence import closed_form_rate
@@ -40,6 +35,12 @@ def test_policy_validation(grid, ba, trap1000):
             scan(grid, ba, trap1000, s0_target=bad)
 
 
+# The CLI catalog's scaling ranges, the CLI default, and the narrowest
+# grids, where rounding the geometric grid repeats integers.
+DEDUP_RANGES = [(10, 100), (100, 1000), (1000, 10000), (300, 30000), (2, 3),
+                (2, 10), (2, 40), (2**53 // 10, 2**53), (2, 4)]
+
+
 def test_default_grid_density():
     grid = default_n_grid(100, 1000)
     assert grid.size == POINTS_PER_DECADE + 1
@@ -47,6 +48,13 @@ def test_default_grid_density():
     assert np.all(np.diff(grid) > 0)
     small = default_n_grid(2, 4)
     assert small[0] == 2 and small[-1] == 4
+    # the same integers, in the same dtype, as deduplicating with np.unique
+    for n_min, n_max in DEDUP_RANGES:
+        count = max(2, int(round(POINTS_PER_DECADE * math.log10(n_max / n_min))) + 1)
+        expected = np.unique(np.rint(np.geomspace(n_min, n_max, count)).astype(int))
+        expected = expected[expected >= 2]
+        got = default_n_grid(n_min, n_max)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
     with pytest.raises(ValidationError):
         default_n_grid(1000, 100)
     with pytest.raises(ValidationError):
@@ -151,6 +159,14 @@ def test_scan_validation(ba, trap1000):
         scan([1, 100], ba, trap1000)
     series = scan([100, 100, 200], ba, trap1000)
     assert series.n_ions.tolist() == [100, 200]
+    # unsorted, repeated and two-dimensional: sorted and flattened as np.unique does
+    n_values = [[300, 20, 300], [7, 20, 5000]]
+    series = scan(n_values, ba, trap1000)
+    expected = np.unique(np.asarray(n_values, dtype=int))
+    assert series.n_ions.dtype == expected.dtype
+    assert np.array_equal(series.n_ions, expected)
+    with pytest.raises(ValidationError, match="distinct"):
+        scan([], ba, trap1000)
 
 
 def test_fit_preconditions(ba, trap1000):
@@ -227,12 +243,3 @@ def test_brentq_refuses_without_sign_change_or_convergence():
                 maxiter=3)
     root = _brentq(lambda x: x * x - 2.0, 0.0, 2.0, xtol=1e-30, rtol=1e-14)
     assert root == pytest.approx(math.sqrt(2.0), rel=1e-14)
-
-
-def test_import_does_not_load_scipy():
-    src = str(Path(iondec.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import iondec.cli, sys; "
-            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
