@@ -73,7 +73,6 @@ class RunConfig:
     species: IonSpecies
     trap: TrapConfig
     model: ContinuumModel
-    qsq_constant: float
     chain_tol: float
     max_iter: int
 
@@ -129,6 +128,7 @@ def parse_config(text: str) -> RunConfig:
             raise ValidationError("config", f"[{section}] is missing "
                                   + ", ".join(sorted(absent)))
 
+    mo = parser["model"] if parser.has_section("model") else {}
     sp = parser["species"]
     multipole_raw = sp["multipole"].strip().upper()
     if multipole_raw not in ("E1", "E2"):
@@ -139,7 +139,8 @@ def parse_config(text: str) -> RunConfig:
         charge_e=_positive("species", "charge_e", sp["charge_e"]),
         f0_hz=_positive("species", "f0_hz", sp["f0_hz"]),
         tau_s_s=_positive("species", "tau_s_s", sp["tau_s_s"]),
-        multipole=Multipole[multipole_raw])
+        multipole=Multipole[multipole_raw],
+        qsq_constant=_positive("model", "qsq_constant", mo.get("qsq_constant", "1")))
 
     tr = parser["trap"]
     n_raw = tr["n_ions"].strip()
@@ -153,30 +154,25 @@ def parse_config(text: str) -> RunConfig:
         n_ions=n_ions)
 
     model = ContinuumModel.DUBIN_FLUID
-    qsq_constant, chain_tol, max_iter = 1.0, 1e-12, 200
-    if parser.has_section("model"):
-        mo = parser["model"]
-        if "continuum" in mo:
-            kind = mo["continuum"].strip().lower()
-            try:
-                model = ContinuumModel(kind)
-            except ValueError:
-                raise ValidationError(
-                    "continuum", f"expected one of "
-                    f"{[m.value for m in ContinuumModel]}, got {kind!r}") from None
-        if "qsq_constant" in mo:
-            qsq_constant = _positive("model", "qsq_constant", mo["qsq_constant"])
-        if "chain_tol" in mo:
-            chain_tol = _finite_positive("model", "chain_tol", mo["chain_tol"])
-        if "max_iter" in mo:
-            value = _finite_positive("model", "max_iter", mo["max_iter"])
-            if value != int(value):
-                raise ValidationError("max_iter", "[model] max_iter must be an "
-                                      f"integer, got {mo['max_iter']}")
-            max_iter = int(value)
+    chain_tol, max_iter = 1e-12, 200
+    if "continuum" in mo:
+        kind = mo["continuum"].strip().lower()
+        try:
+            model = ContinuumModel(kind)
+        except ValueError:
+            raise ValidationError(
+                "continuum", f"expected one of "
+                f"{[m.value for m in ContinuumModel]}, got {kind!r}") from None
+    if "chain_tol" in mo:
+        chain_tol = _finite_positive("model", "chain_tol", mo["chain_tol"])
+    if "max_iter" in mo:
+        value = _finite_positive("model", "max_iter", mo["max_iter"])
+        if value != int(value):
+            raise ValidationError("max_iter", "[model] max_iter must be an "
+                                  f"integer, got {mo['max_iter']}")
+        max_iter = int(value)
     return RunConfig(species=species, trap=trap, model=model,
-                     qsq_constant=qsq_constant, chain_tol=chain_tol,
-                     max_iter=max_iter)
+                     chain_tol=chain_tol, max_iter=max_iter)
 
 
 def load_config(path_or_preset: str) -> RunConfig:
@@ -203,11 +199,11 @@ def _row(*values) -> str:
 
 
 def _cmd_scales(cfg, args):
-    scales = derive_scales(cfg.species, cfg.trap, cfg.qsq_constant)
+    scales = derive_scales(cfg.species, cfg.trap)
     two_p = 2 * cfg.species.multipole.pair_exponent
     qsq_unit = f"J*m^{two_p - 3}"
     return [
-        f"# {qsq_convention_stamp(cfg.species, cfg.qsq_constant)}",
+        f"# {qsq_convention_stamp(cfg.species)}",
         "quantity,value,unit",
         _row("d0", scales.d0, "m"),
         _row("k0", scales.k0, "1/m"),
@@ -222,7 +218,7 @@ def _cmd_equilibrium(cfg, args):
 
     chain = solve_equilibrium(cfg.trap.n_ions, tol=cfg.chain_tol,
                               max_iter=cfg.max_iter)
-    d0 = derive_scales(cfg.species, cfg.trap, cfg.qsq_constant).d0
+    d0 = derive_scales(cfg.species, cfg.trap).d0
     spacings = local_spacings(chain)
     lines = [f"# N = {chain.n_ions}, residual = {_fmt(chain.residual)}, "
              f"d0_m = {_fmt(d0)}",
@@ -304,8 +300,7 @@ def _cmd_decohere(cfg, args):
     if mode is DecoherenceMode.DISCRETE_SUM and cfg.trap.n_ions > 1:
         chain = solve_equilibrium(cfg.trap.n_ions, tol=cfg.chain_tol,
                                   max_iter=cfg.max_iter)
-    report = build_report(cfg.species, cfg.trap, mode, cfg.model,
-                          cfg.qsq_constant, chain=chain)
+    report = build_report(cfg.species, cfg.trap, mode, cfg.model, chain=chain)
     lines = ["i,tau_i_seconds"]
     if report.per_ion_tau is not None:
         lines += [_row(i, tau) for i, tau in enumerate(report.per_ion_tau)]
@@ -332,10 +327,9 @@ def _cmd_scaling(cfg, args):
                               "fixed_spacing only")
     grid = default_n_grid(args.n_min, args.n_max)
     if args.policy == "fixed_spacing" and target is None:
-        scales = derive_scales(cfg.species, cfg.trap, cfg.qsq_constant)
+        scales = derive_scales(cfg.species, cfg.trap)
         target = min_spacing(cfg.trap.n_ions, cfg.model) * scales.d0
-    series = scan(grid, cfg.species, cfg.trap, cfg.model, cfg.qsq_constant,
-                  s0_target=target)
+    series = scan(grid, cfg.species, cfg.trap, cfg.model, s0_target=target)
     lines = ["N,omega_z_hz,d0_m,s0_m,rate_vib_hz,rate_rad_hz"]
     two_pi = 2.0 * math.pi
     for k in range(series.n_ions.size):

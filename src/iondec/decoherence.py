@@ -35,15 +35,14 @@ class DecoherenceMode(enum.Enum):
     CONTINUUM_CLOSED_FORM = "continuum_closed_form"
 
 
-def vibrational_prefactor(species: IonSpecies, trap: TrapConfig,
-                          qsq_constant: float = 1.0) -> float:
+def vibrational_prefactor(species: IonSpecies, trap: TrapConfig) -> float:
     """q2_coul*Q_sq/(2 pi hbar m w0 w_t), in m^2p/s.
 
     Multiplying by a pair sum in SI units (S_2p/d0^2p, units m^-2p)
     yields a rate in 1/s.  A species and trap that put it outside the
     positive float range are refused with DomainError.
     """
-    scales = derive_scales(species, trap, qsq_constant)
+    scales = derive_scales(species, trap)
     try:
         pref = (scales.q2_coul * scales.q_sq
                 / (2.0 * math.pi * CONSTANTS.hbar * species.mass
@@ -56,8 +55,7 @@ def vibrational_prefactor(species: IonSpecies, trap: TrapConfig,
     return pref
 
 
-def per_ion_rates(chain: IonChain, species: IonSpecies, trap: TrapConfig,
-                  qsq_constant: float = 1.0) -> np.ndarray:
+def per_ion_rates(chain: IonChain, species: IonSpecies, trap: TrapConfig) -> np.ndarray:
     """All per-ion rates at once (the pair sums share one O(N^2) pass).
 
     A chain of N >= 2 ions whose trap puts any rate outside the float
@@ -70,10 +68,10 @@ def per_ion_rates(chain: IonChain, species: IonSpecies, trap: TrapConfig,
             f"for {trap.n_ions}")
     if chain.n_ions == 1:
         return np.zeros(1)
-    scales = derive_scales(species, trap, qsq_constant)
+    scales = derive_scales(species, trap)
     two_p = 2 * species.multipole.pair_exponent
     sums = pair_sum_exact_all(chain, two_p)
-    pref = vibrational_prefactor(species, trap, qsq_constant)
+    pref = vibrational_prefactor(species, trap)
     try:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             rates = pref * sums / scales.d0 ** two_p
@@ -157,13 +155,12 @@ class ClosedFormRate:
 
 
 def closed_form_rate(n_ions: int, species: IonSpecies, trap: TrapConfig,
-                     model: ContinuumModel = ContinuumModel.DUBIN_FLUID,
-                     qsq_constant: float = 1.0) -> ClosedFormRate:
+                     model: ContinuumModel = ContinuumModel.DUBIN_FLUID) -> ClosedFormRate:
     """Aggregate vibrational rate from the continuum chain totals."""
     if n_ions < 2:
         raise ValidationError("n_ions", "closed form needs N >= 2")
-    scales = derive_scales(species, trap, qsq_constant)
-    pref = vibrational_prefactor(species, trap, qsq_constant)
+    scales = derive_scales(species, trap)
+    pref = vibrational_prefactor(species, trap)
     two_p = 2 * species.multipole.pair_exponent
     s0_m = min_spacing(n_ions, model) * scales.d0
     try:
@@ -198,7 +195,6 @@ def combined_window(tau_rad: float, tau_vib: float) -> float:
 
 def build_report(species: IonSpecies, trap: TrapConfig, mode: DecoherenceMode,
                  model: ContinuumModel = ContinuumModel.DUBIN_FLUID,
-                 qsq_constant: float = 1.0,
                  chain: IonChain | None = None) -> DecoherenceReport:
     """Assemble per-ion rates (or the closed form), tau_rad, and t_d.
 
@@ -211,12 +207,12 @@ def build_report(species: IonSpecies, trap: TrapConfig, mode: DecoherenceMode,
     if mode is DecoherenceMode.DISCRETE_SUM:
         if chain is None:
             chain = solve_equilibrium(n)
-        rates = per_ion_rates(chain, species, trap, qsq_constant)
+        rates = per_ion_rates(chain, species, trap)
         tau_vib = aggregate_tau_vib(rates)
         with np.errstate(divide="ignore", over="ignore"):
             per_tau = 1.0 / rates  # inf where the rate vanishes (N = 1)
     elif mode is DecoherenceMode.CONTINUUM_CLOSED_FORM:
-        tau_vib = 1.0 / closed_form_rate(n, species, trap, model, qsq_constant).full
+        tau_vib = 1.0 / closed_form_rate(n, species, trap, model).full
         per_tau = None
     else:
         raise ValidationError("mode", f"unknown mode {mode!r}")
@@ -227,7 +223,7 @@ def build_report(species: IonSpecies, trap: TrapConfig, mode: DecoherenceMode,
     tau_rad = radiative_time(species, n)
     t_d = combined_window(tau_rad, tau_vib)
     ratio = "inf" if math.isinf(tau_vib) else f"{tau_vib / species.tau_s:.6g}"
-    notes = (f"{qsq_convention_stamp(species, qsq_constant)}; "
+    notes = (f"{qsq_convention_stamp(species)}; "
              f"tau_vib = {ratio} tau_s")
     return DecoherenceReport(mode=mode, n_ions=n, per_ion_tau=per_tau,
                              tau_vib=tau_vib, tau_rad=tau_rad, t_d=t_d,

@@ -62,6 +62,9 @@ class IonSpecies:
         Spontaneous lifetime of the upper level, seconds.
     multipole : Multipole
         E1 or E2; selects the coupling exponent p = 3 or 4.
+    qsq_constant : float
+        Constant c of the lifetime convention Q^2 = c hbar/(tau_s k0^(2p-3))
+        for the squared multipole moment (default 1).
     """
 
     name: str
@@ -70,19 +73,22 @@ class IonSpecies:
     omega0: float
     tau_s: float
     multipole: Multipole
+    qsq_constant: float = 1.0
 
     def __post_init__(self):
         _require_positive("mass", self.mass)
         _require_positive("charge", self.charge)
         _require_positive("omega0", self.omega0)
         _require_positive("tau_s", self.tau_s)
+        _require_positive("qsq_constant", self.qsq_constant)
         if not isinstance(self.multipole, Multipole):
             raise ValidationError("multipole", f"expected Multipole, got {self.multipole!r}")
 
     @classmethod
     def from_lab_units(cls, name: str, mass_amu: float, charge_e: float,
                        f0_hz: float, tau_s_s: float,
-                       multipole: Multipole) -> "IonSpecies":
+                       multipole: Multipole,
+                       qsq_constant: float = 1.0) -> "IonSpecies":
         """Build from laboratory units: amu, elementary charges, and hertz.
 
         Frequencies are quoted as ordinary frequencies (omega/2pi), matching
@@ -99,6 +105,7 @@ class IonSpecies:
             omega0=2.0 * math.pi * f0_hz,
             tau_s=tau_s_s,
             multipole=multipole,
+            qsq_constant=qsq_constant,
         )
 
 
@@ -148,24 +155,22 @@ class DerivedScales:
     q_sq: float
 
 
-def derive_scales(species: IonSpecies, trap: TrapConfig,
-                  qsq_constant: float = 1.0) -> DerivedScales:
+def derive_scales(species: IonSpecies, trap: TrapConfig) -> DerivedScales:
     """Compute DerivedScales for a species in a trap.
 
     The squared multipole moment is tied to the spontaneous lifetime by
-    Q^2 = qsq_constant * hbar / (tau_s * k0^(2p-3)), i.e. hbar/(tau_s k0^5)
-    for a quadrupole (p = 4) and hbar/(tau_s k0^3) for a dipole (p = 3).
-    The proportionality constant is an order-of-magnitude convention and
-    is surfaced as ``qsq_constant`` (default 1).  Inputs that put any of
-    the four scales outside the positive float range raise DomainError.
+    Q^2 = c * hbar / (tau_s * k0^(2p-3)), i.e. c hbar/(tau_s k0^5) for a
+    quadrupole (p = 4) and c hbar/(tau_s k0^3) for a dipole (p = 3).  The
+    proportionality constant c is an order-of-magnitude convention, the
+    species' ``qsq_constant`` (default 1).  Inputs that put any of the
+    four scales outside the positive float range raise DomainError.
     """
-    _require_positive("qsq_constant", qsq_constant)
     try:
         q2_coul = species.charge**2 / (4.0 * math.pi * CONSTANTS.epsilon0)
         d0 = (q2_coul / (species.mass * trap.omega_z**2)) ** (1.0 / 3.0)
         k0 = species.omega0 / CONSTANTS.c_light
         p = species.multipole.pair_exponent
-        q_sq = qsq_constant * CONSTANTS.hbar / (species.tau_s * k0 ** (2 * p - 3))
+        q_sq = species.qsq_constant * CONSTANTS.hbar / (species.tau_s * k0 ** (2 * p - 3))
         if all(0 < value < math.inf for value in (d0, k0, q2_coul, q_sq)):
             return DerivedScales(d0=d0, k0=k0, q2_coul=q2_coul, q_sq=q_sq)
     except (OverflowError, ZeroDivisionError):
@@ -181,9 +186,9 @@ def radiative_time(species: IonSpecies, n_ions: int) -> float:
     return 2.0 * species.tau_s / n_ions
 
 
-def qsq_convention_stamp(species: IonSpecies, qsq_constant: float = 1.0) -> str:
-    """Human-readable record of the Q^2 convention in force."""
+def qsq_convention_stamp(species: IonSpecies) -> str:
+    """Human-readable record of the species' Q^2 convention."""
     p = species.multipole.pair_exponent
     symbol = "Q^2" if species.multipole is Multipole.E2 else "D^2"
-    return (f"{symbol} = {qsq_constant:g} * hbar/(tau_s * k0^{2 * p - 3}) "
+    return (f"{symbol} = {species.qsq_constant:g} * hbar/(tau_s * k0^{2 * p - 3}) "
             f"({species.multipole.value} lifetime convention)")

@@ -148,11 +148,11 @@ def _solve_omega_z(n_ions, species, s0_target, model):
     shorter chain), so a sign-change bracket plus Brent's method
     (``_brentq``, an in-module port of scipy's ``brentq``) is certified;
     the bracket is [guess/2, 2 guess] around the guess from the scale
-    relation d0 = s0_target/s0_dim.  A target so large or small that
-    omega_z or the spacing leaves the float range raises DomainError.
+    relation d0 = s0_target/s0_dim.  A target or a charge so large or
+    small that q^2, omega_z or the spacing leaves the float range raises
+    DomainError.
     """
     s0_dim = min_spacing(n_ions, model)
-    q2 = species.charge**2 / (4.0 * math.pi * CONSTANTS.epsilon0)
 
     def gap(omega_z):
         d0 = (q2 / (species.mass * omega_z**2)) ** (1.0 / 3.0)
@@ -160,6 +160,7 @@ def _solve_omega_z(n_ions, species, s0_target, model):
 
     d0_needed = s0_target / s0_dim
     try:
+        q2 = species.charge**2 / (4.0 * math.pi * CONSTANTS.epsilon0)
         guess = math.sqrt(q2 / (species.mass * d0_needed**3))
         lo, hi = 0.5 * guess, 2.0 * guess
         if gap(lo) > 0 > gap(hi):
@@ -171,13 +172,14 @@ def _solve_omega_z(n_ions, species, s0_target, model):
 
 
 def scan(n_values, species: IonSpecies, trap: TrapConfig,
-         model: ContinuumModel = ContinuumModel.DUBIN_FLUID,
-         qsq_constant: float = 1.0, *, s0_target: float | None = None) -> ScalingSeries:
+         model: ContinuumModel = ContinuumModel.DUBIN_FLUID, *,
+         s0_target: float | None = None) -> ScalingSeries:
     """Walk N over n_values and evaluate the closed-form pipeline at each.
 
     s0_target None holds the trap voltages: every N sees trap.omega_z.  A
     finite positive s0_target (meters) holds the central spacing instead,
-    retuning omega_z per N.  trap.omega_t is held either way.
+    retuning omega_z per N.  trap.omega_t is held either way.  The Q^2
+    convention of every rate is the species' own qsq_constant.
     """
     if s0_target is not None:
         s0_target = float(s0_target)
@@ -200,11 +202,11 @@ def scan(n_values, species: IonSpecies, trap: TrapConfig,
         wz = (trap.omega_z if s0_target is None
               else _solve_omega_z(n, species, s0_target, model))
         trap_n = TrapConfig(omega_z=wz, omega_t=trap.omega_t, n_ions=n)
-        scales = derive_scales(species, trap_n, qsq_constant)
+        scales = derive_scales(species, trap_n)
         omega_z[k] = wz
         d0[k] = scales.d0
         s0[k] = min_spacing(n, model) * scales.d0
-        vib[k] = closed_form_rate(n, species, trap_n, model, qsq_constant).full
+        vib[k] = closed_form_rate(n, species, trap_n, model).full
         rad[k] = n / (2.0 * species.tau_s)
     return ScalingSeries(n_ions=ns, omega_z=omega_z, d0_m=d0, s0_m=s0,
                          rate_vib=vib, rate_rad=rad)

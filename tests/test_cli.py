@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import iondec
 from iondec.cli import BA_EXAMPLE, load_config, main, parse_config
 from iondec.continuum import ContinuumModel
+from iondec.decoherence import DecoherenceMode, build_report
 from iondec.errors import ValidationError
 from iondec.physmodel import Multipole
 
@@ -38,7 +39,7 @@ def test_preset_values():
     assert cfg.trap.omega_t == pytest.approx(2 * math.pi * 2e7, rel=1e-15)
     assert cfg.trap.n_ions == 1000
     assert cfg.model is ContinuumModel.DUBIN_FLUID
-    assert cfg.qsq_constant == 1.0
+    assert cfg.species.qsq_constant == 1.0
     assert cfg.chain_tol == 1e-12
     assert cfg.max_iter == 200
 
@@ -316,6 +317,49 @@ def test_float_range_refused_with_one_line(old, new, argv, capsys, tmp_path, rec
     assert not recwarn.list
 
 
+def test_qsq_constant_sets_the_species_convention(capsys, tmp_path):
+    path = tmp_path / "qsq.ini"
+    path.write_text(BA_EXAMPLE.replace("qsq_constant = 1.0", "qsq_constant = 7.5"))
+    _, default = run(capsys, ["scales"])
+    rc, scaled = run(capsys, ["scales", "--config", str(path)])
+    assert rc == 0
+    assert scaled[0] == "# Q^2 = 7.5 * hbar/(tau_s * k0^5) (E2 lifetime convention)"
+    assert float(scaled[5].split(",")[1]) == pytest.approx(
+        7.5 * float(default[5].split(",")[1]), rel=1e-14)
+
+    def tau_vib(lines):
+        return float(next(line for line in lines if line.startswith("# tau_vib = "))
+                     .removeprefix("# tau_vib = "))
+
+    _, default = run(capsys, ["decohere", "--mode", "closed"])
+    rc, scaled = run(capsys, ["decohere", "--mode", "closed", "--config", str(path)])
+    assert rc == 0
+    # printed with 12 significant digits, so equal to 1e-11 on the page
+    assert tau_vib(scaled) == pytest.approx(tau_vib(default) / 7.5, rel=1e-11)
+    assert scaled[-1].startswith("# Qsq_convention = Q^2 = 7.5 * hbar/(tau_s * k0^5)")
+    closed = DecoherenceMode.CONTINUUM_CLOSED_FORM
+    base, convention = (build_report(cfg.species, cfg.trap, closed).tau_vib
+                        for cfg in (load_config("ba_example"), load_config(str(path))))
+    assert convention == pytest.approx(base / 7.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scales"], ["equilibrium", "--n-ions", "3"], ["continuum", "--points", "5"],
+    ["sums", "--n-ions", "5"], ["adiabatic", "--theta-end", "10"],
+    ["decohere", "--n-ions", "5"], ["scaling", "--n-min", "10", "--n-max", "100"],
+], ids=lambda argv: argv[0])
+def test_bad_qsq_constant_refused_by_every_subcommand(argv, capsys, tmp_path, recwarn):
+    path = tmp_path / "qsq.ini"
+    path.write_text(BA_EXAMPLE.replace("qsq_constant = 1.0", "qsq_constant = 1e400"))
+    assert main(argv + ["--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "qsq_constant" in lines[0]
+    assert not recwarn.list
+
+
 def test_decohere_closed_output(capsys):
     rc, lines = run(capsys, ["decohere", "--mode", "closed"])
     assert rc == 0
@@ -571,7 +615,8 @@ def test_subcommand_loads_only_its_modules(argv, extra):
 
 # ------------------------------------------------------------ config fuzz
 
-FUZZ_KEYS = ("mass_amu", "charge_e", "f0_hz", "tau_s_s", "fz_hz", "ft_hz")
+FUZZ_KEYS = ("mass_amu", "charge_e", "f0_hz", "tau_s_s", "fz_hz", "ft_hz",
+             "qsq_constant")
 FUZZ_COMMANDS = [
     ["scales"],
     ["equilibrium", "--n-ions", "3"],
@@ -582,6 +627,8 @@ FUZZ_COMMANDS = [
     ["decohere", "--mode", "closed", "--n-ions", "5"],
     ["scaling", "--n-min", "10", "--n-max", "100"],
     ["scaling", "--policy", "fixed_spacing", "--n-min", "10", "--n-max", "100"],
+    ["scaling", "--policy", "fixed_spacing", "--s0-target", "5e-7", "--n-min", "10",
+     "--n-max", "100"],
 ]
 
 
@@ -602,6 +649,8 @@ def fuzz_config(tmp_path_factory):
 @example(edits={"fz_hz": 1e-50})
 # tau_vib is finite but tau_vib/tau_s overflows
 @example(edits={"fz_hz": 1e-50, "tau_s_s": 1e-10})
+# q^2 overflows in the fixed-spacing retuning under an explicit s0 target
+@example(edits={"charge_e": 1e200})
 def test_config_fuzz_exits_cleanly(fuzz_config, edits):
     """Any species and trap values from 1e-300 to 1e300 end in a documented
     exit code: a finite table and nothing on stderr, or one stderr line."""

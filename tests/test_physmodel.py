@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -47,6 +48,8 @@ def test_constants_spot_values():
     (dict(charge_e=-2.0), "charge_e"),
     (dict(f0_hz=0.0), "f0_hz"),
     (dict(tau_s_s=-5.0), "tau_s_s"),
+    (dict(qsq_constant=0.0), "qsq_constant"),
+    (dict(qsq_constant=math.inf), "qsq_constant"),
 ])
 def test_species_rejects_nonpositive(kwargs, field):
     base = dict(name="X", mass_amu=1.0, charge_e=1.0, f0_hz=1e14,
@@ -125,9 +128,10 @@ def test_e1_convention(ba, ba_e1, trap):
 
 
 def test_qsq_constant_multiplier(ba, trap):
-    assert derive_scales(ba, trap, qsq_constant=7.5).q_sq == pytest.approx(
+    scaled = replace(ba, qsq_constant=7.5)
+    assert derive_scales(scaled, trap).q_sq == pytest.approx(
         7.5 * BA_QSQ_E2, rel=1e-11)
-    stamp = qsq_convention_stamp(ba, qsq_constant=7.5)
+    stamp = qsq_convention_stamp(scaled)
     assert "7.5" in stamp and "k0^5" in stamp
 
 
