@@ -157,17 +157,11 @@ def _warn_regime(drive, omega0):
 
 @dataclass(frozen=True)
 class SpinTrajectory:
-    """Amplitudes u±(theta) on a decimated grid of theta = w0*t."""
+    """Amplitudes u±(theta) at the stored points theta = w0*t of one run."""
 
-    omega0: float
     theta: np.ndarray
     u_plus: np.ndarray
     u_minus: np.ndarray
-
-    @property
-    def times(self):
-        """Stored instants in seconds."""
-        return self.theta / self.omega0
 
     def norms(self):
         return np.abs(self.u_plus) ** 2 + np.abs(self.u_minus) ** 2
@@ -256,8 +250,8 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None, *,
 
     if n_steps == 0:
         theta = np.zeros(1)
-        return SpinTrajectory(omega0=omega0, theta=theta,
-                              u_plus=u0[:1] * np.ones(1), u_minus=u0[1:] * np.ones(1))
+        return SpinTrajectory(theta=theta, u_plus=u0[:1] * np.ones(1),
+                              u_minus=u0[1:] * np.ones(1))
     dtheta = theta_end / n_steps
     if store_every is None:
         store_every = max(1, -(-n_steps // _MAX_STORED))
@@ -288,7 +282,7 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None, *,
             up[out], um[out] = u[0], u[1]
             out += 1
 
-    traj = SpinTrajectory(omega0=omega0, theta=theta, u_plus=up, u_minus=um)
+    traj = SpinTrajectory(theta=theta, u_plus=up, u_minus=um)
     drift = traj.norm_drift
     if not drift <= max_norm_drift:
         raise AccuracyError(

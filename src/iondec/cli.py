@@ -7,7 +7,11 @@ the ion count or multipole order.  All numeric output is printed with
 byte-identical files at a fixed BLAS thread count (the equilibrium
 solve's linear algebra can round differently with the number of
 OpenBLAS threads, moving the last printed digit).  Exit codes: 0 ok,
-1 bad config/validation, 2 numerical failure, 3 output I/O failure.
+1 bad config/validation (a missing, unreadable or non-UTF-8 config
+file included), 2 numerical failure, 3 output I/O failure.  A refused
+call writes one ``error:`` or ``numerical failure:`` line to stderr and
+nothing to stdout; a call that succeeds writes each warning its command
+raised as one ``warning:`` line on stderr, after the output.
 
 Every call is a fresh process, so this module loads at import only what
 parsing a config needs (errors, physmodel, continuum, and numpy through
@@ -23,6 +27,7 @@ import argparse
 import configparser
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -185,6 +190,11 @@ def load_config(path_or_preset: str) -> RunConfig:
         raise ValidationError(
             "config", f"{path_or_preset!r} is neither a readable file nor one of "
             f"the presets {sorted(PRESETS)}") from None
+    except OSError as exc:
+        raise ValidationError("config", f"{path_or_preset!r} cannot be read: "
+                              f"{exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ValidationError("config", f"{path_or_preset!r} is not UTF-8 text") from None
     return parse_config(text)
 
 
@@ -297,7 +307,7 @@ def _cmd_decohere(cfg, args):
 
     mode = DecoherenceMode[_MODES[args.mode]]
     chain = None
-    if mode is DecoherenceMode.DISCRETE_SUM and cfg.trap.n_ions > 1:
+    if mode is DecoherenceMode.DISCRETE_SUM:
         chain = solve_equilibrium(cfg.trap.n_ions, tol=cfg.chain_tol,
                                   max_iter=cfg.max_iter)
     report = build_report(cfg.species, cfg.trap, mode, cfg.model, chain=chain)
@@ -308,7 +318,7 @@ def _cmd_decohere(cfg, args):
         f"# tau_vib = {_fmt(report.tau_vib)}",
         f"# tau_rad = {_fmt(report.tau_rad)}",
         f"# t_d = {_fmt(report.t_d)}",
-        f"# mode = {report.mode.value}",
+        f"# mode = {mode.value}",
         f"# Qsq_convention = {report.notes}",
     ]
     return lines
@@ -424,8 +434,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
-        lines = _COMMANDS[args.command](cfg, args)
+        with warnings.catch_warnings(record=True) as caught:
+            lines = _COMMANDS[args.command](cfg, args)
         _write_output(args.out, lines)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
     except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,14 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import IonChain, solve_equilibrium
+from .chain import IonChain
 from .continuum import ContinuumModel, min_spacing
 from .errors import DomainError, ValidationError
 from .physmodel import (CONSTANTS, IonSpecies, TrapConfig, derive_scales,
                         qsq_convention_stamp, radiative_time)
 from .sums import chain_total_asymptotic, pair_sum_exact_all, zeta
-
-FIDELITY_WINDOW = 0.4
 
 
 class DecoherenceMode(enum.Enum):
@@ -110,15 +108,11 @@ def aggregate_tau_vib(per_ion: np.ndarray | list) -> float:
 class FidelityCurve:
     """Exact product fidelity next to its Gaussian approximation.
 
-    within_window marks times t <= 0.4 * min tau_i, where the product
-    form stays positive and the quartic correction is small; outside
-    the window both columns are still computed, just flagged.
+    Row k of each column is the value at the caller's k-th time.
     """
 
-    times: np.ndarray
     product: np.ndarray
     gaussian: np.ndarray
-    within_window: np.ndarray
 
 
 def fidelity_curve(per_ion: np.ndarray | list, times: np.ndarray | list) -> FidelityCurve:
@@ -129,15 +123,12 @@ def fidelity_curve(per_ion: np.ndarray | list, times: np.ndarray | list) -> Fide
         raise ValidationError("times", "must be finite and >= 0 (NaN and inf "
                               "are refused)")
     tau_vib = aggregate_tau_vib(rates)
-    max_rate = float(np.max(rates))
-    window = FIDELITY_WINDOW / max_rate if max_rate > 0 else math.inf
     product = np.prod(np.cos(np.outer(t, rates)) ** 2, axis=1)
     if math.isinf(tau_vib):
         gaussian = np.ones_like(t)
     else:
         gaussian = np.exp(-(t / tau_vib) ** 2)
-    return FidelityCurve(times=t, product=product, gaussian=gaussian,
-                         within_window=t <= window)
+    return FidelityCurve(product=product, gaussian=gaussian)
 
 
 @dataclass(frozen=True)
@@ -177,10 +168,9 @@ def closed_form_rate(n_ions: int, species: IonSpecies, trap: TrapConfig,
 
 @dataclass(frozen=True)
 class DecoherenceReport:
-    """Every timescale of the N-ion computer, in seconds."""
+    """Every timescale of the N-ion computer, in seconds (per_ion_tau is
+    None on the closed-form route, which has no per-ion times)."""
 
-    mode: DecoherenceMode
-    n_ions: int
     per_ion_tau: np.ndarray | None
     tau_vib: float
     tau_rad: float
@@ -198,15 +188,17 @@ def build_report(species: IonSpecies, trap: TrapConfig, mode: DecoherenceMode,
                  chain: IonChain | None = None) -> DecoherenceReport:
     """Assemble per-ion rates (or the closed form), tau_rad, and t_d.
 
-    A pre-solved chain may be supplied to skip the equilibrium solve in
-    DISCRETE_SUM mode; it must match trap.n_ions.  For N >= 2 every
-    reported time is finite: a rate so small that its reciprocal, or
-    tau_vib/tau_s, leaves the float range is refused with DomainError.
+    DISCRETE_SUM reports on the chain the caller solved, which must match
+    trap.n_ions; without one it raises ValidationError.  The closed form
+    needs no chain.  For N >= 2 every reported time is finite: a rate so
+    small that its reciprocal, or tau_vib/tau_s, leaves the float range
+    is refused with DomainError.
     """
     n = trap.n_ions
     if mode is DecoherenceMode.DISCRETE_SUM:
         if chain is None:
-            chain = solve_equilibrium(n)
+            raise ValidationError("chain", "DISCRETE_SUM needs the solved "
+                                  "equilibrium chain")
         rates = per_ion_rates(chain, species, trap)
         tau_vib = aggregate_tau_vib(rates)
         with np.errstate(divide="ignore", over="ignore"):
@@ -225,6 +217,5 @@ def build_report(species: IonSpecies, trap: TrapConfig, mode: DecoherenceMode,
     ratio = "inf" if math.isinf(tau_vib) else f"{tau_vib / species.tau_s:.6g}"
     notes = (f"{qsq_convention_stamp(species)}; "
              f"tau_vib = {ratio} tau_s")
-    return DecoherenceReport(mode=mode, n_ions=n, per_ion_tau=per_tau,
-                             tau_vib=tau_vib, tau_rad=tau_rad, t_d=t_d,
-                             notes=notes)
+    return DecoherenceReport(per_ion_tau=per_tau, tau_vib=tau_vib,
+                             tau_rad=tau_rad, t_d=t_d, notes=notes)

@@ -121,8 +121,6 @@ class ContinuumSites:
     profile value s0/(1 - z^2/L^2).  All in d0 units.
     """
 
-    n_ions: int
-    model: ContinuumModel
     sites: np.ndarray
     spacings: np.ndarray
 
@@ -140,7 +138,7 @@ def continuum_sites(n_ions: int, model: ContinuumModel) -> ContinuumSites:
     s0 = min_spacing(n_ions, model)
     z = invert_cubic_count(np.arange(n_ions) - (n_ions - 1) / 2.0, L, s0)
     s = s0 / (1.0 - (z / L) ** 2)
-    return ContinuumSites(n_ions=n_ions, model=model, sites=z, spacings=s)
+    return ContinuumSites(sites=z, spacings=s)
 
 
 def chain_total_exact(chain_or_profile, n: int) -> float:

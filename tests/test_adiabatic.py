@@ -57,7 +57,7 @@ def test_adiabatic_theorem_bound(eps):
     within 3 eps/w0 of cos Phi at every stored instant."""
     drive = demo_drive(eps=eps)
     traj = integrate_tls(W0, drive, EQUAL, 1e4 / W0)
-    phi = adiabatic_phase(drive, W0, 1.0) * traj.times
+    phi = adiabatic_phase(drive, W0, 1.0) * (traj.theta / W0)
     dev = np.max(np.abs(overlap_fidelity(traj) - np.cos(phi)))
     assert dev <= 3 * eps
     assert dev > 0
@@ -106,11 +106,6 @@ def test_storage_is_decimated():
     assert traj.theta[-1] == pytest.approx(1e4, rel=1e-12)
     dense = integrate_tls(W0, demo_drive(), EQUAL, 5.0, store_every=1)
     assert np.allclose(np.diff(dense.theta), DEFAULT_DTHETA, rtol=1e-9)
-
-
-def test_times_property():
-    traj = integrate_tls(2.0, DriveField.constant(0.0, 0.0), EQUAL, 3.0)
-    assert np.allclose(traj.times * 2.0, traj.theta, rtol=1e-15)
 
 
 def test_step_and_state_validation():
@@ -286,7 +281,7 @@ def test_trajectory_fields_consistent():
                                             abs=1e-15)
     # the certificate is derived from the amplitudes, never given
     with pytest.raises(TypeError):
-        SpinTrajectory(omega0=W0, theta=traj.theta, u_plus=traj.u_plus,
+        SpinTrajectory(theta=traj.theta, u_plus=traj.u_plus,
                        u_minus=traj.u_minus, norm_drift=math.nan)
 
 

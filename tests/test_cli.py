@@ -455,6 +455,50 @@ def test_exit_missing_config(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _refused_with_one_line(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config: ")
+    return lines[0]
+
+
+def test_exit_config_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(BA_EXAMPLE.replace("Ba+", "Ba\xff").encode("latin-1"))
+    line = _refused_with_one_line(capsys, ["scales", "--config", str(path)])
+    assert line.endswith("is not UTF-8 text")
+
+
+def test_exit_config_unreadable(capsys, tmp_path):
+    """A directory stands in for an unreadable file: run as root, a file
+    without read permission would still be read."""
+    line = _refused_with_one_line(capsys, ["scales", "--config", str(tmp_path)])
+    assert str(tmp_path) in line and line.endswith("Is a directory")
+
+
+def test_warnings_printed_one_line_each_after_the_output(capsys):
+    rc = main(["adiabatic", "--eps-ratio", "0.2", "--rot-ratio", "0.3"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out.startswith("# eps/omega0 = 0.2, rot/omega0 = 0.3, ")
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("warning: drive amplitude is 0.2 ")
+    assert lines[1].startswith("warning: drive rotation rate is 0.3 ")
+
+
+def test_refused_call_drops_its_warnings(capsys):
+    rc = main(["adiabatic", "--eps-ratio", "3", "--theta-end", "100"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: norm drifted")
+
+
 def test_exit_bad_exponent(capsys):
     assert main(["sums", "--exponent", "1", "--n-ions", "5"]) == 1
     capsys.readouterr()
@@ -672,3 +716,72 @@ def test_config_fuzz_exits_cleanly(fuzz_config, edits):
                 assert err.getvalue() == "", argv
                 assert not re.search(r"\b(nan|inf)\b", out.getvalue(), re.I), argv
     assert [str(w.message) for w in caught] == []
+
+
+# -------------------------------------------------------------- argv fuzz
+
+def _option(name, values):
+    """Leave the option out, or pass it as --name=value, so a value with a
+    leading '-' (-inf, -1e-06) is never taken for an option."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+def _command(name, **options):
+    """argv for one subcommand with any subset of its options drawn."""
+    options = {"n-ions": _N_IONS, "multipole": st.sampled_from(["E1", "E2"]),
+               **options}
+    return st.tuples(*(_option(key, values) for key, values in options.items())).map(
+        lambda parts: [name] + [arg for part in parts for arg in part])
+
+
+# A chain solve at 400 < N <= 10^4 takes seconds to minutes, so the ion
+# count stays small or lands just past MAX_IONS and far beyond it.
+_N_IONS = st.one_of(st.integers(-3, 400), st.sampled_from([10**4 + 1, 10**30]))
+_EDGES = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e300])
+_RATIO = st.one_of(_EDGES, st.floats(-0.2, 0.2))
+FUZZ_ARGV = st.one_of(
+    _command("scales"),
+    _command("equilibrium"),
+    _command("continuum",
+             points=st.one_of(st.integers(-2, 300), st.just(10**6 + 1))),
+    _command("sums", exponent=st.one_of(st.integers(-2, 64), st.just(10**20))),
+    _command("adiabatic", **{"theta-end": st.one_of(_EDGES, st.floats(0.0, 2e3)),
+                             "eps-ratio": _RATIO, "rot-ratio": _RATIO}),
+    _command("decohere", mode=st.sampled_from(["discrete", "closed"])),
+    _command("scaling", policy=st.sampled_from(["fixed_voltage", "fixed_spacing"]),
+             **{"n-min": st.integers(-2, 10**5), "n-max": st.integers(-2, 10**5),
+                "s0-target": st.one_of(
+                    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1e-6,
+                                     1e-300, 1e300]),
+                    st.floats(1e-7, 1e-5))}),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(argv=FUZZ_ARGV)
+# the far corners of the drawn ranges, where the derandomized draws seldom go
+@example(argv=["sums", "--n-ions=400", "--exponent=64"])
+@example(argv=["decohere", "--n-ions=400", "--mode=discrete", "--multipole=E1"])
+@example(argv=["adiabatic", "--theta-end=2000.0", "--eps-ratio=0.2",
+               "--rot-ratio=-0.2"])
+@example(argv=["adiabatic", "--theta-end=1e-300", "--rot-ratio=1e300"])
+@example(argv=["scaling", "--policy=fixed_spacing", "--n-min=2", "--n-max=100000",
+               "--s0-target=1e-05"])
+@example(argv=["scaling", "--n-min=2", "--n-max=100000", "--multipole=E1"])
+@example(argv=["continuum", f"--n-ions={10**30}", "--points=300"])
+def test_argv_fuzz_exits_cleanly(argv):
+    """Any argv that argparse accepts ends in a documented exit code: a
+    table without NaN and only warning lines on stderr, or one stderr line
+    and nothing on stdout.  inf is a legitimate single-ion time."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2), argv
+    lines = err.getvalue().splitlines()
+    if rc:
+        assert out.getvalue() == "", argv
+        assert len(lines) == 1, argv
+        assert lines[0].startswith(("error: ", "numerical failure: ")), argv
+    else:
+        assert all(line.startswith("warning: ") for line in lines), argv
+        assert not re.search(r"\bnan\b", out.getvalue(), re.I), argv

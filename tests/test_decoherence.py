@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from iondec.continuum import ContinuumModel
-from iondec.decoherence import (FIDELITY_WINDOW, DecoherenceMode,
-                                aggregate_tau_vib, build_report,
-                                closed_form_rate, combined_window,
-                                fidelity_curve, per_ion_rates,
-                                vibrational_prefactor)
+from iondec.decoherence import (DecoherenceMode, aggregate_tau_vib,
+                                build_report, closed_form_rate,
+                                combined_window, fidelity_curve,
+                                per_ion_rates, vibrational_prefactor)
 from iondec.errors import DomainError, ValidationError
 from iondec.physmodel import CONSTANTS, TrapConfig, derive_scales, radiative_time
 from iondec.sums import chain_total_asymptotic, pair_sum_exact, zeta
@@ -131,7 +130,6 @@ def test_fidelity_at_zero_time():
     fc = fidelity_curve([0.4, 0.9], [0.0])
     assert fc.product[0] == 1.0
     assert fc.gaussian[0] == 1.0
-    assert fc.within_window[0]
 
 
 def test_fidelity_single_ion_quarter_phase():
@@ -147,27 +145,18 @@ def test_fidelity_product_below_gaussian():
     quarter-period window."""
     rng = np.random.default_rng(7)
     rates = rng.uniform(0.2, 1.0, size=100)
-    times = np.linspace(0.0, FIDELITY_WINDOW / rates.max(), 200)
+    times = np.linspace(0.0, 0.4 / rates.max(), 200)
     fc = fidelity_curve(rates, times)
     diff = np.max(np.abs(fc.product - fc.gaussian))
     assert diff <= 1e-2
     assert diff == pytest.approx(0.0013518846387267913, rel=1e-9)
     assert np.all(fc.product[1:] < fc.gaussian[1:])
-    assert np.all(fc.within_window)
-
-
-def test_fidelity_window_flags():
-    rates = [2.0, 0.5]
-    window = FIDELITY_WINDOW / 2.0
-    fc = fidelity_curve(rates, [0.0, 0.5 * window, window, 2.0 * window])
-    assert fc.within_window.tolist() == [True, True, True, False]
 
 
 def test_fidelity_zero_rates():
     fc = fidelity_curve([0.0], [0.0, 5.0, 50.0])
     assert np.all(fc.product == 1.0)
     assert np.all(fc.gaussian == 1.0)
-    assert np.all(fc.within_window)
 
 
 def test_fidelity_validation():
@@ -254,8 +243,6 @@ def test_combined_window_identities():
 def test_report_discrete(ba, trap1000, chains):
     rep = build_report(ba, trap1000, DecoherenceMode.DISCRETE_SUM,
                        chain=chains(1000))
-    assert rep.mode is DecoherenceMode.DISCRETE_SUM
-    assert rep.n_ions == 1000
     assert rep.tau_rad == pytest.approx(0.1, rel=1e-15)
     assert rep.tau_rad == radiative_time(ba, 1000)
     assert rep.tau_vib == pytest.approx(TAU_VIB_1000, rel=1e-9)
@@ -274,8 +261,9 @@ def test_report_closed(ba, trap1000):
     assert rep.t_d == combined_window(rep.tau_rad, rep.tau_vib)
 
 
-def test_report_single_ion(ba):
-    rep = build_report(ba, trap_for(1), DecoherenceMode.DISCRETE_SUM)
+def test_report_single_ion(ba, chains):
+    rep = build_report(ba, trap_for(1), DecoherenceMode.DISCRETE_SUM,
+                       chain=chains(1))
     assert math.isinf(rep.tau_vib)
     assert rep.tau_rad == pytest.approx(100.0, rel=1e-15)
     assert rep.t_d == pytest.approx(rep.tau_rad, rel=1e-15)
@@ -286,6 +274,13 @@ def test_report_single_ion(ba):
 def test_report_single_ion_checks_the_chain(ba, chains):
     with pytest.raises(ValidationError):
         build_report(ba, trap_for(1), DecoherenceMode.DISCRETE_SUM, chain=chains(3))
+
+
+def test_report_discrete_needs_a_chain(ba, trap1000):
+    """The discrete report reads the caller's solved chain; it never solves one."""
+    with pytest.raises(ValidationError) as info:
+        build_report(ba, trap1000, DecoherenceMode.DISCRETE_SUM)
+    assert info.value.field == "chain"
 
 
 def test_report_mode_validation(ba, trap1000):
