@@ -14,23 +14,27 @@ nothing to stdout; a call that succeeds writes each warning its command
 raised as one ``warning:`` line on stderr, after the output.
 
 Every call is a fresh process, so this module loads at import only what
-parsing a config needs (errors, physmodel, continuum, and numpy through
-continuum).  Each subcommand imports the modules it runs when it runs:
-``scales`` and ``continuum`` nothing more; ``equilibrium`` chain; ``sums``
-chain and sums; ``adiabatic`` adiabatic alone; ``decohere`` decoherence,
-which brings chain and sums; ``scaling`` scaling, which brings
-decoherence.  No subcommand loads scipy or numpy.ma.
+parsing a config needs: errors, physmodel and continuum, and not numpy.
+Each subcommand first makes the refusals that its flags and config decide,
+then imports the modules it runs: ``scales`` nothing more; ``continuum``
+numpy alone; ``equilibrium`` chain; ``sums`` chain and sums; ``adiabatic``
+adiabatic alone; ``decohere`` decoherence, which brings chain and sums;
+``scaling`` scaling, which brings decoherence.  Each of these but
+``scales`` brings numpy.  So ``scales`` and the calls refused on their
+argv or config alone load no numpy: a bad config or ion count, ``sums
+--exponent`` below 2, ``continuum`` with N < 2 or ``--points`` out of
+range, an ``adiabatic`` ratio flag out of range, and ``--s0-target`` with
+``--policy fixed_voltage``.  No subcommand loads scipy or numpy.ma.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .continuum import ContinuumModel, chain_length, min_spacing, spacing_profile
 from .errors import AccuracyError, DomainError, SolverError, ValidationError
@@ -199,7 +203,7 @@ def load_config(path_or_preset: str) -> RunConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     return "%.12g" % float(value)
 
@@ -248,6 +252,8 @@ def _cmd_continuum(cfg, args):
     for model in ContinuumModel:
         header.append(f"# {model.value}: L = {_fmt(chain_length(n, model))} d0, "
                       f"s0 = {_fmt(min_spacing(n, model))} d0")
+    import numpy as np
+
     x = np.linspace(-0.99, 0.99, args.points)
     s_nn = spacing_profile(x, n, ContinuumModel.NEAREST_NEIGHBOR)
     s_du = spacing_profile(x, n, ContinuumModel.DUBIN_FLUID)
@@ -257,12 +263,12 @@ def _cmd_continuum(cfg, args):
 
 
 def _cmd_sums(cfg, args):
-    from .chain import local_spacings, solve_equilibrium
-    from .sums import pair_sum_approx, pair_sum_exact_all
-
     n_exp = args.exponent
     if n_exp < 2:
         raise ValidationError("exponent", f"need an integer >= 2, got {n_exp}")
+    from .chain import local_spacings, solve_equilibrium
+    from .sums import pair_sum_approx, pair_sum_exact_all
+
     chain = solve_equilibrium(cfg.trap.n_ions, tol=cfg.chain_tol,
                               max_iter=cfg.max_iter)
     exact = pair_sum_exact_all(chain, n_exp)
@@ -278,11 +284,27 @@ def _cmd_sums(cfg, args):
 
 
 def _cmd_adiabatic(cfg, args):
+    # The flags are in units of omega0.  integrate_tls and DriveField check
+    # the SI values too, but would name their own parameters and print SI
+    # numbers, so the flag the user typed is checked here first.
+    omega0 = cfg.species.omega0
+    amplitude, rotation = args.eps_ratio * omega0, args.rot_ratio * omega0
+    t_end = args.theta_end / omega0
+    for flag, ratio, si_value, least in (
+            ("--eps-ratio", args.eps_ratio, amplitude, 0.0),
+            ("--rot-ratio", args.rot_ratio, rotation, -math.inf),
+            ("--theta-end", args.theta_end, t_end, 0.0)):
+        if not (math.isfinite(ratio) and ratio >= least):
+            bound = " and >= 0" if least == 0 else ""
+            raise ValidationError(flag, f"must be finite{bound}, got {_fmt(ratio)}")
+        if not math.isfinite(si_value):
+            raise ValidationError(flag, f"{_fmt(ratio)} leaves the float range in "
+                                  f"SI units (omega0 = {_fmt(omega0)} rad/s)")
+    import numpy as np
+
     from .adiabatic import DriveField, adiabatic_phase, integrate_tls, overlap_fidelity
 
-    omega0 = cfg.species.omega0
-    drive = DriveField.circular(args.eps_ratio * omega0, args.rot_ratio * omega0)
-    t_end = args.theta_end / omega0
+    drive = DriveField.circular(amplitude, rotation)
     initial = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
     traj = integrate_tls(omega0, drive, initial, t_end)
     overlap = overlap_fidelity(traj)
@@ -328,13 +350,13 @@ _POLICIES = ("fixed_voltage", "fixed_spacing")
 
 
 def _cmd_scaling(cfg, args):
-    from .scaling import (LOG_POWERS, REFERENCE_EXPONENTS, default_n_grid,
-                          fit_exponent, scan)
-
     target = args.s0_target
     if args.policy == "fixed_voltage" and target is not None:
         raise ValidationError("s0_target", "--s0-target applies to --policy "
                               "fixed_spacing only")
+    from .scaling import (LOG_POWERS, REFERENCE_EXPONENTS, default_n_grid,
+                          fit_exponent, scan)
+
     grid = default_n_grid(args.n_min, args.n_max)
     if args.policy == "fixed_spacing" and target is None:
         scales = derive_scales(cfg.species, cfg.trap)

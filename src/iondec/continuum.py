@@ -19,13 +19,16 @@ invert_cubic_count inverts the cumulative count n(z) = (z - z^3/3L^2)/s0
 of this profile in closed form.  It is the one site inversion of the
 package: sums.continuum_sites places ion sites with it, and the
 equilibrium solver starts from those sites for N >= 10.
+
+Only spacing_profile and invert_cubic_count take arrays; they import numpy
+when called, so the scalar functions (and the CLI calls that use only them)
+never load it.
 """
 from __future__ import annotations
 
 import enum
 import math
-
-import numpy as np
+import numbers
 
 from .errors import DomainError, ValidationError
 
@@ -41,7 +44,7 @@ class ContinuumModel(enum.Enum):
 
 def chain_length(n_ions: int, model: ContinuumModel) -> float:
     """Half-length L of the chain in units of d0."""
-    if not isinstance(n_ions, (int, np.integer)) or n_ions < 2:
+    if not isinstance(n_ions, numbers.Integral) or n_ions < 2:
         raise ValidationError("n_ions", f"continuum models need N >= 2, got {n_ions!r}")
     if model is ContinuumModel.NEAREST_NEIGHBOR:
         return (math.pi**2 * n_ions / 2.0) ** (1.0 / 3.0)
@@ -64,6 +67,8 @@ def spacing_profile(z_over_L, n_ions: int, model: ContinuumModel):
     The profile is a bulk result; within ~5% of the edge it should not
     be taken quantitatively.
     """
+    import numpy as np
+
     x = np.asarray(z_over_L, dtype=float)
     if np.any(np.abs(x) >= 1.0):
         raise DomainError("spacing profile requires |z/L| < 1 (density vanishes at the edge)")
@@ -80,6 +85,8 @@ def invert_cubic_count(counts, length: float, s0: float):
     with |3 s0 n/(2 L)| > 1 lies beyond what the density holds up to the
     edge and raises DomainError.
     """
+    import numpy as np
+
     arg = 3.0 * s0 * counts / (2.0 * length)
     if np.any(np.abs(arg) > 1.0):
         raise DomainError("cumulative count exceeds what the density holds on "

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import iondec
-from iondec.cli import BA_EXAMPLE, load_config, main, parse_config
+from iondec.cli import BA_EXAMPLE, _fmt, load_config, main, parse_config
 from iondec.continuum import ContinuumModel
 from iondec.decoherence import DecoherenceMode, build_report
 from iondec.errors import ValidationError
@@ -437,6 +437,26 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert path.read_text().splitlines() == lines
 
 
+FMT_CASES = [
+    (np.int64(10**15 + 1), "1000000000000001"),
+    (np.int32(-7), "-7"),
+    (np.uint8(255), "255"),
+    (10**15 + 1, "1000000000000001"),
+    (True, "1"),
+    (np.float64(1e15 + 1), "1e+15"),
+    (np.float64(0.1), "0.1"),
+    (np.bool_(True), "1"),
+]
+
+
+@pytest.mark.parametrize("value, text", FMT_CASES,
+                         ids=[repr(v) for v, _ in FMT_CASES])
+def test_fmt_prints_integers_whole_and_the_rest_at_12_digits(value, text):
+    """Python and numpy integers (bool too) print every digit; np.float64
+    and np.bool_ go through %.12g."""
+    assert _fmt(value) == text
+
+
 def test_float_format_is_idempotent(capsys):
     """%.12g output re-parsed and re-formatted reproduces itself, so
     downstream tools can round-trip the CSV without diff noise."""
@@ -523,6 +543,38 @@ def test_exit_unwritable_output(capsys, tmp_path):
     assert "i/o error" in capsys.readouterr().err
 
 
+ADIABATIC_FLAG_REFUSALS = [
+    ("--theta-end=-1", "--theta-end: must be finite and >= 0, got -1"),
+    ("--theta-end=nan", "--theta-end: must be finite and >= 0, got nan"),
+    ("--eps-ratio=-1", "--eps-ratio: must be finite and >= 0, got -1"),
+    ("--eps-ratio=inf", "--eps-ratio: must be finite and >= 0, got inf"),
+    ("--eps-ratio=1e300", "--eps-ratio: 1e+300 leaves the float range in SI "
+                          "units (omega0 = 1.06814150222e+15 rad/s)"),
+    ("--rot-ratio=-inf", "--rot-ratio: must be finite, got -inf"),
+    ("--rot-ratio=1e300", "--rot-ratio: 1e+300 leaves the float range in SI "
+                          "units (omega0 = 1.06814150222e+15 rad/s)"),
+]
+
+
+@pytest.mark.parametrize("flag, message", ADIABATIC_FLAG_REFUSALS,
+                         ids=[flag for flag, _ in ADIABATIC_FLAG_REFUSALS])
+def test_adiabatic_refusal_names_the_flag_and_its_value(flag, message, capsys):
+    assert main(["adiabatic", flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_adiabatic_theta_end_beyond_the_float_range_in_seconds(capsys, tmp_path):
+    path = tmp_path / "slow.ini"
+    path.write_text(BA_EXAMPLE.replace("f0_hz = 1.7e14", "f0_hz = 1e-10"))
+    assert main(["adiabatic", "--config", str(path), "--theta-end=1e300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --theta-end: 1e+300 leaves the float range in "
+                            "SI units (omega0 = 6.28318530718e-10 rad/s)\n")
+
+
 REFUSED_CASES = [
     ["adiabatic", "--eps-ratio", "nan"],
     ["adiabatic", "--eps-ratio", "inf"],
@@ -602,13 +654,15 @@ def test_argparse_usage_errors():
 
 # ---------------------------------------------------------- module loads
 
-def _imported(*args):
-    """Every module a fresh ``python -X importtime args`` imports."""
+def _imported(*args, rc=0):
+    """Every module a fresh ``python -X importtime args`` imports; the call
+    must exit with ``rc``."""
     src = str(Path(iondec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True)
+    assert proc.returncode == rc, proc.stderr[-500:]
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
 
@@ -630,8 +684,9 @@ def test_import_iondec_loads_no_submodule():
         iondec.no_such_name
 
 
-# The iondec modules each subcommand loads beyond the package, errors,
-# physmodel and continuum (what parsing a config needs).
+# What parsing a config needs; it loads no numpy.
+BASE_MODULES = {"iondec", "iondec.errors", "iondec.physmodel", "iondec.continuum"}
+# The iondec modules each subcommand loads beyond BASE_MODULES.
 SUBCOMMAND_MODULES = [
     (["scales"], set()),
     (["continuum", "--points", "5"], set()),
@@ -651,10 +706,34 @@ SUBCOMMAND_MODULES = [
                          ids=[" ".join(argv) for argv, _ in SUBCOMMAND_MODULES])
 def test_subcommand_loads_only_its_modules(argv, extra):
     loaded = _imported("-m", "iondec.cli", *argv)
-    base = {"iondec", "iondec.errors", "iondec.physmodel", "iondec.continuum"}
     assert {m for m in loaded if m.split(".")[0] == "iondec"} == \
-        base | {f"iondec.{m}" for m in extra}
+        BASE_MODULES | {f"iondec.{m}" for m in extra}
     assert _unwanted(loaded) == []
+
+
+# Calls that compute no array, with their exit codes: scales, and refusals
+# that the argv or the config decide before a subcommand imports its modules.
+NUMPY_FREE_CALLS = [
+    (["scales"], 0),
+    (["scales", "--multipole", "E1"], 0),
+    (["scales", "--n-ions", "0"], 1),
+    (["scales", "--config", "no-such.ini"], 1),
+    (["sums", "--exponent", "1"], 1),
+    (["continuum", "--n-ions", "1"], 1),
+    (["continuum", "--points", "0"], 1),
+    (["adiabatic", "--theta-end", "-5"], 1),
+    (["adiabatic", "--eps-ratio", "-0.01"], 1),
+    (["adiabatic", "--rot-ratio=1e300"], 1),
+    (["scaling", "--policy", "fixed_voltage", "--s0-target", "1e-6"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, rc", NUMPY_FREE_CALLS,
+                         ids=[" ".join(argv) for argv, _ in NUMPY_FREE_CALLS])
+def test_call_without_arrays_loads_no_numpy(argv, rc):
+    loaded = _imported("-m", "iondec.cli", *argv, rc=rc)
+    assert sorted(m for m in loaded if m.split(".")[0] == "numpy") == []
+    assert {m for m in loaded if m.split(".")[0] == "iondec"} == BASE_MODULES
 
 
 # ------------------------------------------------------------ config fuzz
@@ -703,7 +782,6 @@ def test_config_fuzz_exits_cleanly(fuzz_config, edits):
         text = re.sub(rf"^{key} = .*$", f"{key} = {value!r}", text, flags=re.M)
     fuzz_config.write_text(text)
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
         for argv in FUZZ_COMMANDS:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

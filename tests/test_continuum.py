@@ -52,7 +52,15 @@ def test_length_monotone_in_n():
         assert np.all(np.diff(lengths) > 0)
 
 
-@pytest.mark.parametrize("bad", [1, 0, -5])
+@pytest.mark.parametrize("n", [np.int64(1000), np.int32(1000), np.uint16(1000)],
+                         ids=lambda n: type(n).__name__)
+def test_numpy_integer_ion_counts_accepted(n):
+    for model in (NN, DU):
+        assert chain_length(n, model) == chain_length(1000, model)
+
+
+@pytest.mark.parametrize("bad", [1, 0, -5, True, False, 1000.0, np.float64(1000.0),
+                                 np.bool_(True), "1000"])
 def test_model_needs_two_ions(bad):
     with pytest.raises(ValidationError):
         chain_length(bad, DU)
