@@ -31,7 +31,7 @@ _EXPORTS = {
                   "TrapConfig", "derive_scales", "radiative_time"),
     "scaling": ("ScalingSeries", "fit_exponent", "scan"),
     "sums": ("chain_total_asymptotic", "chain_total_exact", "continuum_sites",
-             "pair_sum_approx", "pair_sum_exact", "zeta"),
+             "pair_sum_approx", "zeta"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

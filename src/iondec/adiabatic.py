@@ -46,11 +46,9 @@ MAX_DTHETA = 0.1
 DEFAULT_NORM_BUDGET = 1e-6
 _MAX_STORED = 4000
 # Longest window, in RK4 steps.  A chunk's operators take ~420 B of numpy
-# temporaries per step, and at the default decimation a chunk is at most
-# MAX_STEPS / _MAX_STORED = 1e6 steps (~0.42 GB); an explicit store_every
-# is held to the same chunk length.
+# temporaries per step, and decimated to _MAX_STORED points a chunk is at
+# most MAX_STEPS / _MAX_STORED = 1e6 steps (~0.42 GB).
 MAX_STEPS = 4_000_000_000
-_MAX_CHUNK = MAX_STEPS // _MAX_STORED
 # RK4 steps whose operators one _chunk_operator call builds at once.  A
 # 1024-step call peaks at ~0.45 MB of numpy temporaries (4096: ~1.8 MB) and
 # takes ~0.45 ms, of which numpy's fixed per-call cost (~50 us) is a tenth.
@@ -190,9 +188,13 @@ def suggested_step(omega0, drive, t_end, norm_budget=1e-9):
     return min(DEFAULT_DTHETA, dtheta) / omega0
 
 
-def integrate_tls(omega0, drive, initial, t_end, dt=None, *,
-                  max_norm_drift=DEFAULT_NORM_BUDGET, store_every=None):
+def integrate_tls(omega0, drive, initial, t_end, dt=None):
     """Integrate the two-level amplitudes from 0 to t_end.
+
+    The trajectory keeps the start and at most 4000 further points,
+    evenly decimated.  A run whose norm drifts by more than
+    DEFAULT_NORM_BUDGET = 1e-6 at a stored point is aborted with
+    AccuracyError.
 
     Parameters
     ----------
@@ -207,11 +209,6 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None, *,
         Fixed step in seconds; default 0.05/omega0, and at most 0.1/omega0
         so the fast phase stays resolved.  The step is shrunk slightly so
         an integer number of steps lands exactly on t_end.
-    max_norm_drift : float
-        Abort threshold on | |u+|^2 + |u-|^2 - 1 | at stored times.
-    store_every : int, optional
-        Keep every k-th step; default decimates to at most ~4000 points.
-        At most 1e6 steps per stored point.
 
     A window of more than MAX_STEPS = 4e9 steps (theta_end = 2e8 at the
     default step) is refused with ValidationError before anything is
@@ -235,17 +232,12 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None, *,
         raise ValidationError(
             "dt", f"step {dt * omega0:.4g}/omega0 does not resolve the fast phase "
             f"(need <= {MAX_DTHETA}/omega0)")
-    if store_every is not None and not store_every >= 1:
-        raise ValidationError("store_every", f"must be >= 1, got {store_every!r}")
     theta_end = omega0 * t_end
     if not theta_end <= MAX_STEPS * (omega0 * dt):
         raise ValidationError(
             "t_end", f"the window needs more than MAX_STEPS = {MAX_STEPS:.0e} "
             f"steps of {omega0 * dt:.3g}/omega0")
     n_steps = max(1, math.ceil(theta_end / (omega0 * dt) - 1e-9)) if theta_end > 0 else 0
-    if store_every is not None and min(store_every, n_steps) > _MAX_CHUNK:
-        raise ValidationError("store_every", f"chunks longer than {_MAX_CHUNK:.0e} "
-                              f"steps are refused, got {store_every!r}")
     _warn_regime(drive, omega0)
 
     if n_steps == 0:
@@ -253,19 +245,17 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None, *,
         return SpinTrajectory(theta=theta, u_plus=u0[:1] * np.ones(1),
                               u_minus=u0[1:] * np.ones(1))
     dtheta = theta_end / n_steps
-    if store_every is None:
-        store_every = max(1, -(-n_steps // _MAX_STORED))
-    store_every = int(store_every)
+    stride = max(1, -(-n_steps // _MAX_STORED))
 
-    # Chunk j covers steps [starts[j], starts[j] + store_every); the last one
-    # is shorter when store_every does not divide n_steps.
-    starts = np.arange(0, n_steps, store_every)
-    whole = starts[:n_steps // store_every]
-    per_batch = max(1, _BATCH_STEPS // store_every)
-    batches = [(whole[lo:lo + per_batch], store_every)
+    # Chunk j covers steps [starts[j], starts[j] + stride); the last one
+    # is shorter when stride does not divide n_steps.
+    starts = np.arange(0, n_steps, stride)
+    whole = starts[:n_steps // stride]
+    per_batch = max(1, _BATCH_STEPS // stride)
+    batches = [(whole[lo:lo + per_batch], stride)
                for lo in range(0, whole.size, per_batch)]
-    if n_steps % store_every:
-        batches.append((starts[whole.size:], n_steps % store_every))
+    if n_steps % stride:
+        batches.append((starts[whole.size:], n_steps % stride))
 
     n_stored = starts.size + 1
     theta = np.empty(n_stored)
@@ -284,9 +274,9 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None, *,
 
     traj = SpinTrajectory(theta=theta, u_plus=up, u_minus=um)
     drift = traj.norm_drift
-    if not drift <= max_norm_drift:
+    if not drift <= DEFAULT_NORM_BUDGET:
         raise AccuracyError(
-            f"norm drifted by {drift:.3e} (budget {max_norm_drift:.1e}); "
+            f"norm drifted by {drift:.3e} (budget {DEFAULT_NORM_BUDGET:.1e}); "
             "reduce the step")
     return traj
 

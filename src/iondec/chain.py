@@ -4,11 +4,14 @@ Positions are dimensionless, u_i = z_i/d0, and satisfy the force balance
 
     u_i = sum_{j<i} (u_i - u_j)^-2  -  sum_{j>i} (u_j - u_i)^-2.
 
-The solver is a damped Newton iteration on this system.  Positions are
-kept in 80-bit extended precision: the Jacobian diagonal grows like
-s0^-3 (~5e4 at N = 1000), so plain double-precision position rounding
-alone would floor the force residual near 1e-11, above the 1e-12
-certificate this module promises.
+The solver is a damped Newton iteration on this system.  Positions and
+forces are kept in the working precision _WIDE, numpy's longdouble: the
+Jacobian diagonal grows like s0^-3 (~5e4 at N = 1000), so plain
+double-precision position rounding alone would floor the force residual
+near 1e-11, above the 1e-12 certificate this module promises.  The
+certificate is sized for x87's 64-bit significand (63 stored mantissa
+bits); where longdouble is plain float64, a solve from N ~ 200 up
+stalls, and the SolverError says so.
 
 All O(N^2) pairwise work (the force, the Jacobian and the lattice sums
 of ``sums``) goes through one kernel, ``_pair_rows``.  Each pairwise
@@ -42,6 +45,9 @@ MAX_IONS = 10_000
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
 
+# working precision of positions and forces; see the module docstring
+_WIDE = np.longdouble
+
 # row-block size for O(N^2) pairwise work, keeps peak memory ~tens of MB
 _BLOCK = 4_000_000
 # rows per strip of a mirrored diagonal tile
@@ -53,7 +59,8 @@ class IonChain:
     """N ions at ordered dimensionless positions; everything else is derived.
 
     ``positions`` must be a non-empty 1-D array of finite, strictly
-    increasing values; the chain keeps a read-only longdouble copy.
+    increasing values; the chain keeps a read-only copy in the working
+    precision _WIDE.
     Finiteness is checked before the ordering, so an infinity is refused
     without the NaN its difference would produce.  Equality is identity,
     as an array has no single truth value to compare by.
@@ -64,7 +71,7 @@ class IonChain:
     _pair_sums: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        pos = np.array(self.positions, dtype=np.longdouble)
+        pos = np.array(self.positions, dtype=_WIDE)
         if pos.ndim != 1 or pos.size == 0:
             raise ValidationError("positions", "expected a non-empty 1-D array")
         if not np.all(np.isfinite(pos)):
@@ -141,7 +148,7 @@ def _stiffness(d):
 
 def _force(u: np.ndarray) -> np.ndarray:
     """F_i = u_i - sum_j sign(u_i - u_j)/(u_i - u_j)^2, in blocks."""
-    return np.asarray(u, dtype=np.longdouble) - _row_sums(u, _coulomb, odd=True)
+    return np.asarray(u, dtype=_WIDE) - _row_sums(u, _coulomb, odd=True)
 
 
 def _jacobian(u: np.ndarray) -> np.ndarray:
@@ -152,14 +159,14 @@ def _jacobian(u: np.ndarray) -> np.ndarray:
 
 
 def _initial_guess(n: int) -> np.ndarray:
-    centered = np.arange(n, dtype=np.longdouble) - (n - 1) / 2.0
+    centered = np.arange(n, dtype=_WIDE) - (n - 1) / 2.0
     if n < 10:
         return 1.3 * centered
     # the fluid model's sites: with s0 = 4L/3N the inverse's argument is
     # 2m/N, so |m| <= (N-1)/2 keeps every index inside the cubic's range
     L = chain_length(n, ContinuumModel.DUBIN_FLUID)
     s0 = min_spacing(n, ContinuumModel.DUBIN_FLUID)
-    return invert_cubic_count(centered.astype(float), L, s0).astype(np.longdouble)
+    return invert_cubic_count(centered.astype(float), L, s0).astype(_WIDE)
 
 
 def solve_equilibrium(n_ions: int, tol: float = DEFAULT_TOL,
@@ -188,7 +195,7 @@ def solve_equilibrium(n_ions: int, tol: float = DEFAULT_TOL,
             # res is max|F| at exactly these positions: fill the cache with it
             chain.__dict__["residual"] = res
             return chain
-        step = np.linalg.solve(_jacobian(u), f.astype(float)).astype(np.longdouble)
+        step = np.linalg.solve(_jacobian(u), f.astype(float)).astype(_WIDE)
         lam = 1.0
         while lam >= 1e-8:
             trial = u - lam * step
@@ -199,7 +206,12 @@ def solve_equilibrium(n_ions: int, tol: float = DEFAULT_TOL,
                     break
             lam *= 0.5
         else:
-            raise SolverError("equilibrium line search stalled", best)
+            message = "equilibrium line search stalled"
+            nmant = np.finfo(_WIDE).nmant
+            if nmant < 63:
+                message += (f"; the working precision has {nmant} mantissa bits, "
+                            "and the certificate is sized for x87's 63")
+            raise SolverError(message, best)
     raise SolverError(f"no convergence in {max_iter} Newton iterations", best)
 
 

@@ -23,8 +23,9 @@ adiabatic alone; ``decohere`` decoherence, which brings chain and sums;
 ``scales`` brings numpy.  So ``scales`` and the calls refused on their
 argv or config alone load no numpy: a bad config or ion count, ``sums
 --exponent`` below 2, ``continuum`` with N < 2 or ``--points`` out of
-range, an ``adiabatic`` ratio flag out of range, and ``--s0-target`` with
-``--policy fixed_voltage``.  No subcommand loads scipy or numpy.ma.
+range, an ``adiabatic`` ratio flag out of range or a non-finite or negative
+``--theta-end``, and ``--s0-target`` with ``--policy fixed_voltage``.  No
+subcommand loads scipy or numpy.ma.
 """
 from __future__ import annotations
 
@@ -302,8 +303,13 @@ def _cmd_adiabatic(cfg, args):
                                   f"SI units (omega0 = {_fmt(omega0)} rad/s)")
     import numpy as np
 
-    from .adiabatic import DriveField, adiabatic_phase, integrate_tls, overlap_fidelity
+    from .adiabatic import (DEFAULT_DTHETA, MAX_STEPS, DriveField, adiabatic_phase,
+                            integrate_tls, overlap_fidelity)
 
+    if args.theta_end > MAX_STEPS * DEFAULT_DTHETA:
+        raise ValidationError("--theta-end", f"{_fmt(args.theta_end)} needs more than "
+                              f"MAX_STEPS = {MAX_STEPS:.0e} steps of "
+                              f"{DEFAULT_DTHETA}/omega0")
     drive = DriveField.circular(amplitude, rotation)
     initial = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
     traj = integrate_tls(omega0, drive, initial, t_end)

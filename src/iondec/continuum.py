@@ -60,7 +60,7 @@ def min_spacing(n_ions: int, model: ContinuumModel) -> float:
 
 
 def spacing_profile(z_over_L, n_ions: int, model: ContinuumModel):
-    """Local spacing s(z)/d0 at fractional position z/L in (-1, 1).
+    """Local spacing s(z)/d0 at fractional positions z/L in (-1, 1), as an array.
 
     Both models share the shape s(z) = s0/(1 - z^2/L^2); the density
     vanishes at |z| = L, so positions at or beyond the edge are rejected.
@@ -72,9 +72,7 @@ def spacing_profile(z_over_L, n_ions: int, model: ContinuumModel):
     x = np.asarray(z_over_L, dtype=float)
     if np.any(np.abs(x) >= 1.0):
         raise DomainError("spacing profile requires |z/L| < 1 (density vanishes at the edge)")
-    s0 = min_spacing(n_ions, model)
-    out = s0 / (1.0 - x**2)
-    return float(out) if np.isscalar(z_over_L) else out
+    return min_spacing(n_ions, model) / (1.0 - x**2)
 
 
 def invert_cubic_count(counts, length: float, s0: float):

@@ -7,13 +7,14 @@ sqrt(4 pi/(4n+7)).  Everything here stays in dimensionless d0 units;
 dimensional prefactors belong to the decoherence module (s0^-16 in
 meters would underflow/overflow long before physics entered).
 
-Both exact pair sums evaluate |d|^-n with _inverse_power: one
-extended-precision reciprocal, then square-and-multiply on the integer
-n, so no term goes through libm powl.  Each term's relative error is at
-most 2n * 2^-64, below half a float64 ulp for n < 512; the float64 sums
-may differ from a powl evaluation in their last bit.
+The exact pair sums of every ion (pair_sum_exact_all) evaluate |d|^-n
+with _inverse_power: one extended-precision reciprocal, then
+square-and-multiply on the integer n, so no term goes through libm powl.
+Each term's relative error is at most 2n * 2^-64, below half a float64
+ulp for n < 512; the float64 sums may differ from a powl evaluation in
+their last bit.
 
-pair_sum_exact_all runs on the chain module's mirrored pairwise kernel:
+They run on the chain module's mirrored pairwise kernel:
 |u_i - u_j|^-n is symmetric, so each pair's power is evaluated once
 rather than twice, with the same bits as a direct evaluation (|d| is
 exact under negation, and every row is still summed over its full
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import IonChain, _row_sums, local_spacings
+from .chain import IonChain, _row_sums
 from .continuum import (ContinuumModel, chain_length, invert_cubic_count,
                          min_spacing)
 from .errors import DomainError, ValidationError
@@ -49,22 +50,6 @@ def zeta(n: int) -> float:
     head = float(np.sum(j ** -float(n)))
     tail = 0.5 * (_ZETA_JMAX ** (1.0 - n) + (_ZETA_JMAX + 1.0) ** (1.0 - n)) / (n - 1.0)
     return head + tail
-
-
-def pair_sum_exact(chain: IonChain, i: int, n: int) -> float:
-    """Brute-force S_n(i) = sum_{j != i} |u_i - u_j|^-n in d0 units."""
-    _check_exponent(n)
-    if chain.n_ions < 2:
-        raise ValidationError("n_ions", "pair sums need N >= 2")
-    if not 0 <= i < chain.n_ions:
-        raise IndexError(f"ion index {i} out of range for N = {chain.n_ions}")
-    d = chain.positions - chain.positions[i]
-    d[i] = np.inf
-    with np.errstate(over="ignore"):
-        s = float(np.sum(_inverse_power(d, n)))
-    if not np.isfinite(s):
-        raise DomainError(f"S_{n} overflows a float on this chain")
-    return s
 
 
 def pair_sum_exact_all(chain: IonChain, n: int) -> np.ndarray:
@@ -141,26 +126,17 @@ def continuum_sites(n_ions: int, model: ContinuumModel) -> ContinuumSites:
     return ContinuumSites(sites=z, spacings=s)
 
 
-def chain_total_exact(chain_or_profile, n: int) -> float:
-    """T_n = sum_i s_i^-n over ion sites, in d0 units.
+def chain_total_exact(sites: ContinuumSites, n: int) -> float:
+    """T_n = sum_i s_i^-n over predicted ion sites, in d0 units.
 
-    For an IonChain, s_i is the discrete local spacing (edge ions use
-    their single gap).  For ContinuumSites, s_i is the model spacing at
-    the predicted sites — the form whose integral approximation is
-    chain_total_asymptotic.
+    s_i is the model spacing at each site: the form whose integral
+    approximation is chain_total_asymptotic.
     """
     _check_exponent(n)
-    if isinstance(chain_or_profile, IonChain):
-        if chain_or_profile.n_ions < 2:
-            raise ValidationError("n_ions", "chain totals need N >= 2")
-        s = local_spacings(chain_or_profile)
-    elif isinstance(chain_or_profile, ContinuumSites):
-        s = chain_or_profile.spacings
-    else:
+    if not isinstance(sites, ContinuumSites):
         raise ValidationError(
-            "chain_or_profile",
-            f"expected IonChain or ContinuumSites, got {type(chain_or_profile).__name__}")
-    return float(np.sum(s ** -float(n)))
+            "sites", f"expected ContinuumSites, got {type(sites).__name__}")
+    return float(np.sum(sites.spacings ** -float(n)))
 
 
 def chain_total_asymptotic(n_ions: int, n: int, model: ContinuumModel) -> float:

@@ -20,6 +20,16 @@ def demo_drive(eps=0.01, rot=1e-3):
     return DriveField.circular(eps * W0, rot * W0)
 
 
+def keep_every(monkeypatch, t_end, stride):
+    """Cap adiabatic._MAX_STORED so a default-step window of t_end / W0
+    stores every stride-th step, the last chunk taking what is left."""
+    n_steps = math.ceil(t_end * W0 / DEFAULT_DTHETA - 1e-9)
+    cap = -(-n_steps // stride)
+    assert -(-n_steps // cap) == stride
+    monkeypatch.setattr(adiabatic, "_MAX_STORED", cap)
+    return n_steps
+
+
 def test_no_drive_keeps_state():
     traj = integrate_tls(W0, DriveField.constant(0.0, 0.0), EQUAL, 50.0)
     assert np.allclose(traj.u_plus, EQUAL[0], atol=1e-15)
@@ -91,12 +101,14 @@ def test_halving_step_converged():
     assert delta <= 1e-6
 
 
-def test_accuracy_abort_on_tight_budget():
+def test_accuracy_abort_on_tight_budget(monkeypatch):
     t_end = (math.pi / 2) * 1e4 / W0
+    monkeypatch.setattr(adiabatic, "DEFAULT_NORM_BUDGET", 1e-10)
     with pytest.raises(AccuracyError):
-        integrate_tls(W0, demo_drive(), EQUAL, t_end, max_norm_drift=1e-10)
+        integrate_tls(W0, demo_drive(), EQUAL, t_end)
+    monkeypatch.setattr(adiabatic, "DEFAULT_NORM_BUDGET", math.nan)
     with pytest.raises(AccuracyError):  # a NaN budget certifies nothing
-        integrate_tls(W0, demo_drive(), EQUAL, 1.0, max_norm_drift=math.nan)
+        integrate_tls(W0, demo_drive(), EQUAL, 1.0)
 
 
 def test_storage_is_decimated():
@@ -104,7 +116,7 @@ def test_storage_is_decimated():
     assert 1000 <= traj.theta.size <= 4100
     assert traj.theta[0] == 0.0
     assert traj.theta[-1] == pytest.approx(1e4, rel=1e-12)
-    dense = integrate_tls(W0, demo_drive(), EQUAL, 5.0, store_every=1)
+    dense = integrate_tls(W0, demo_drive(), EQUAL, 5.0)  # 100 steps, all kept
     assert np.allclose(np.diff(dense.theta), DEFAULT_DTHETA, rtol=1e-9)
 
 
@@ -128,9 +140,6 @@ def test_step_and_state_validation():
             integrate_tls(W0, demo_drive(), EQUAL, 1.0, dt=bad)
     with pytest.raises(ValidationError, match="initial"):
         integrate_tls(W0, demo_drive(), (math.nan, 0.0), 1.0)
-    for bad in (0, -3):
-        with pytest.raises(ValidationError, match="store_every"):
-            integrate_tls(W0, demo_drive(), EQUAL, 1.0, store_every=bad)
     # the boundary step itself is allowed
     integrate_tls(W0, demo_drive(), EQUAL, 1.0, dt=0.1 / W0)
 
@@ -142,14 +151,10 @@ def test_windows_beyond_max_steps_refused(monkeypatch, recwarn):
         with pytest.raises(ValidationError, match="MAX_STEPS"):
             integrate_tls(W0, demo_drive(), EQUAL, theta_end / W0)
     monkeypatch.setattr(adiabatic, "MAX_STEPS", 1000)
-    monkeypatch.setattr(adiabatic, "_MAX_CHUNK", 10)
     at_cap = integrate_tls(W0, demo_drive(), EQUAL, 50.0 / W0)  # 1000 steps
     assert at_cap.theta.size == 1001
     with pytest.raises(ValidationError, match="MAX_STEPS"):
         integrate_tls(W0, demo_drive(), EQUAL, 50.1 / W0)
-    integrate_tls(W0, demo_drive(), EQUAL, 50.0 / W0, store_every=10)
-    with pytest.raises(ValidationError, match="store_every"):
-        integrate_tls(W0, demo_drive(), EQUAL, 50.0 / W0, store_every=11)
     assert not recwarn.list
 
 
@@ -290,7 +295,8 @@ _SAMPLED = np.linspace(0.0, 600.0, 13)
 # Final amplitudes and norm drift of windows that exercise every way the
 # steps split into stored chunks, recorded from the one-chunk-at-a-time
 # stepper.  Exact equality: regrouping the operator products must not move
-# a single bit.
+# a single bit.  The fourth field is the stored-point stride, reached by
+# capping _MAX_STORED (None: the default decimation).
 PINNED = [
     ("circular", DriveField.circular(0.01, 1e-3), 500.0, None,
      complex(0.720219765332157, -0.03546502880220957),
@@ -314,28 +320,32 @@ PINNED = [
 ]
 
 
-@pytest.mark.parametrize("name, drive, t_end, store_every, up, um, drift", PINNED,
+@pytest.mark.parametrize("name, drive, t_end, stride, up, um, drift", PINNED,
                          ids=[case[0] for case in PINNED])
-def test_output_is_bit_identical_to_pinned(name, drive, t_end, store_every,
-                                           up, um, drift):
-    traj = integrate_tls(W0, drive, EQUAL, t_end, store_every=store_every)
+def test_output_is_bit_identical_to_pinned(name, drive, t_end, stride,
+                                           up, um, drift, monkeypatch):
+    if stride is not None:
+        keep_every(monkeypatch, t_end, stride)
+    traj = integrate_tls(W0, drive, EQUAL, t_end)
     assert traj.u_plus[-1] == up
     assert traj.u_minus[-1] == um
     assert traj.norm_drift == drift
 
 
-@pytest.mark.parametrize("store_every", [1, 7, 1500])
+@pytest.mark.parametrize("stride", [1, 7, 1500])
 @pytest.mark.parametrize("case", [0, 2], ids=["circular", "sampled"])
-def test_batched_chunks_match_one_chunk_per_call(case, store_every):
-    """Reference: the stored-point loop building one chunk operator per call."""
-    drive, t_end = PINNED[case][1], 123.456
-    traj = integrate_tls(W0, drive, EQUAL, t_end, store_every=store_every)
-    n_steps = math.ceil(t_end / DEFAULT_DTHETA - 1e-9)
+def test_batched_chunks_match_one_chunk_per_call(case, stride, monkeypatch):
+    """Reference: the stored-point loop building one chunk operator per call.
+
+    2999 steps: strides 7 and 1500 each leave a shorter last chunk."""
+    drive, t_end = PINNED[case][1], 149.93
+    n_steps = keep_every(monkeypatch, t_end, stride)
+    traj = integrate_tls(W0, drive, EQUAL, t_end)
     dtheta = t_end / n_steps
     u = np.array(EQUAL, dtype=complex)
     stored = [u]
-    for pos in range(0, n_steps, store_every):
-        m = min(store_every, n_steps - pos)
+    for pos in range(0, n_steps, stride):
+        m = min(stride, n_steps - pos)
         u = _chunk_operator(drive, W0, np.array([pos * dtheta]), dtheta, m)[0] @ u
         stored.append(u)
     stored = np.array(stored)

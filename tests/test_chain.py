@@ -124,6 +124,19 @@ def test_solver_reports_best_residual():
     assert err.value.residual > 0
 
 
+def test_double_working_precision_stalls_and_says_so(monkeypatch):
+    """Where longdouble is plain float64 (Windows, macOS arm64), small chains
+    still certify, and a stalled solve names the precision it worked in."""
+    monkeypatch.setattr(chain_module, "_WIDE", np.float64)
+    small = solve_equilibrium(50)
+    assert small.positions.dtype == np.float64
+    assert small.residual <= 1e-12
+    with pytest.raises(SolverError, match="has 52 mantissa bits") as err:
+        solve_equilibrium(300)
+    assert "line search stalled" in str(err.value)
+    assert 1e-12 < err.value.residual < 1e-10
+
+
 @pytest.mark.parametrize("bad", [0, -3, 10_001])
 def test_solver_input_validation(bad):
     with pytest.raises(ValidationError):

@@ -546,6 +546,8 @@ def test_exit_unwritable_output(capsys, tmp_path):
 ADIABATIC_FLAG_REFUSALS = [
     ("--theta-end=-1", "--theta-end: must be finite and >= 0, got -1"),
     ("--theta-end=nan", "--theta-end: must be finite and >= 0, got nan"),
+    ("--theta-end=3e8", "--theta-end: 300000000 needs more than MAX_STEPS = "
+                        "4e+09 steps of 0.05/omega0"),
     ("--eps-ratio=-1", "--eps-ratio: must be finite and >= 0, got -1"),
     ("--eps-ratio=inf", "--eps-ratio: must be finite and >= 0, got inf"),
     ("--eps-ratio=1e300", "--eps-ratio: 1e+300 leaves the float range in SI "
@@ -563,6 +565,19 @@ def test_adiabatic_refusal_names_the_flag_and_its_value(flag, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_adiabatic_theta_end_limit_is_read_from_the_integrator(capsys, monkeypatch):
+    """The flag's MAX_STEPS check uses the integrator's own limit and step."""
+    from iondec import adiabatic
+    monkeypatch.setattr(adiabatic, "MAX_STEPS", 1000)
+    assert main(["adiabatic", "--theta-end=50"]) == 0
+    assert capsys.readouterr().out.count("\n") == 2 + 1001
+    assert main(["adiabatic", "--theta-end=50.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --theta-end: 50.1 needs more than MAX_STEPS = "
+                            "1e+03 steps of 0.05/omega0\n")
 
 
 def test_adiabatic_theta_end_beyond_the_float_range_in_seconds(capsys, tmp_path):

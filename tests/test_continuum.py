@@ -71,8 +71,8 @@ def test_model_needs_two_ions(bad):
 def test_profile_center_and_shape():
     n = 200
     s0 = min_spacing(n, DU)
-    assert spacing_profile(0.0, n, DU) == pytest.approx(s0, rel=1e-14)
-    assert spacing_profile(0.5, n, DU) == pytest.approx(4 * s0 / 3, rel=1e-14)
+    assert spacing_profile(np.array([0.0, 0.5]), n, DU) == pytest.approx(
+        [s0, 4 * s0 / 3], rel=1e-14)
     x = np.linspace(-0.95, 0.95, 191)
     prof = spacing_profile(x, n, DU)
     assert np.allclose(prof, prof[::-1], rtol=1e-13)       # even in z

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iondec import sums as sums_module
-from iondec.chain import IonChain
+from iondec.chain import IonChain, local_spacings
 from iondec.continuum import ContinuumModel, chain_length, min_spacing
 from iondec.errors import DomainError, ValidationError
-from iondec.sums import (chain_total_asymptotic, chain_total_exact,
-                         continuum_sites, pair_sum_approx, pair_sum_exact,
+from iondec.sums import (ContinuumSites, chain_total_asymptotic,
+                         chain_total_exact, continuum_sites, pair_sum_approx,
                          pair_sum_exact_all, zeta)
 
 DU = ContinuumModel.DUBIN_FLUID
@@ -50,26 +50,34 @@ def test_zeta_monotone_decreasing(n):
     assert zeta(n) > 1.0
 
 
+def _direct_row_sum(chain, i, n):
+    """S_n(i) as sum_j |u_i - u_j| ** -n in longdouble (libm powl): a
+    reference for one row that does not go through _inverse_power."""
+    d = np.delete(chain.positions, i) - chain.positions[i]
+    return float(np.sum(np.abs(d) ** -n))
+
+
 def test_pair_sum_two_ions(chains):
     # gap is 2^(1/3), so S_8 = (2^(1/3))^-8 = 2^(-8/3)
-    assert pair_sum_exact(chains(2), 0, 8) == pytest.approx(2.0 ** (-8.0 / 3.0),
-                                                            rel=1e-10)
-    assert pair_sum_exact(chains(2), 0, 8) == pytest.approx(0.157490, abs=1e-6)
+    s8 = pair_sum_exact_all(chains(2), 8)
+    assert s8[0] == pytest.approx(2.0 ** (-8.0 / 3.0), rel=1e-10)
+    assert s8[0] == pytest.approx(0.157490, abs=1e-6)
 
 
 def test_pair_sum_three_ions_center(chains):
     u = float(chains(3).positions[2])
     expected = 2.0 * u**-8
-    assert pair_sum_exact(chains(3), 1, 8) == pytest.approx(expected, rel=1e-12)
-    assert pair_sum_exact(chains(3), 1, 8) == pytest.approx(1.103074, abs=1e-5)
+    s8 = pair_sum_exact_all(chains(3), 8)
+    assert s8[1] == pytest.approx(expected, rel=1e-12)
+    assert s8[1] == pytest.approx(1.103074, abs=1e-5)
 
 
 def test_pair_sum_uniform_midpoint_matches_zeta():
     """A long unit-spaced chain looks infinite from the middle."""
     u = np.arange(10_000, dtype=float)
     chain = IonChain(u - u.mean())
-    assert pair_sum_exact(chain, 5000, 8) == pytest.approx(2.0 * zeta(8),
-                                                           abs=1e-6)
+    assert _direct_row_sum(chain, 5000, 8) == pytest.approx(2.0 * zeta(8),
+                                                            abs=1e-6)
 
 
 def test_pair_sum_approx_values():
@@ -88,7 +96,7 @@ def test_pair_sum_approx_power_scaling(s, n):
 def test_center_shortcut_agreement(chains):
     chain = chains(101)
     s = 0.5 * float(chain.positions[51] - chain.positions[49])
-    exact = pair_sum_exact(chain, 50, 8)
+    exact = _direct_row_sum(chain, 50, 8)
     assert pair_sum_approx(s, 8) == pytest.approx(exact, rel=0.02)
 
 
@@ -98,7 +106,7 @@ def test_shortcut_error_decreases_with_n(chains):
         chain = chains(n)
         mid = n // 2
         s = 0.5 * float(chain.positions[mid + 1] - chain.positions[mid - 1])
-        exact = pair_sum_exact(chain, mid, 8)
+        exact = _direct_row_sum(chain, mid, 8)
         rel = abs(pair_sum_approx(s, 8) - exact) / exact
         assert rel == pytest.approx(SHORTCUT_ERRORS[n], rel=0.05)
         errors.append(rel)
@@ -116,13 +124,6 @@ def test_pair_sum_maximal_at_center(n_ions, chains):
     sums = pair_sum_exact_all(chains(n_ions), 8)
     mid = (n_ions - 1) / 2.0
     assert abs(int(np.argmax(sums)) - mid) <= 0.5
-
-
-def test_pair_sum_all_matches_single(chains):
-    chain = chains(11)
-    sums = pair_sum_exact_all(chain, 6)
-    for i in range(11):
-        assert sums[i] == pytest.approx(pair_sum_exact(chain, i, 6), rel=1e-13)
 
 
 def _exact(x):
@@ -228,11 +229,9 @@ def test_sums_beyond_the_float_range_are_refused(recwarn):
     chain = IonChain([-0.5, 0.0, 0.5])
     with pytest.raises(DomainError):
         pair_sum_exact_all(chain, 5000)
+    with pytest.raises(DomainError):
+        pair_sum_exact_all(chain, 20000)  # overflows the extended range too
     assert chain._pair_sums == {}
-    with pytest.raises(DomainError):
-        pair_sum_exact(chain, 1, 5000)
-    with pytest.raises(DomainError):
-        pair_sum_exact(chain, 1, 20000)  # overflows the extended range too
     with pytest.raises(DomainError):
         pair_sum_approx(0.5, 5000)  # s^n underflows to zero
     with pytest.raises(DomainError):
@@ -241,25 +240,25 @@ def test_sums_beyond_the_float_range_are_refused(recwarn):
 
 
 def test_pair_sum_validation(chains):
-    with pytest.raises(IndexError):
-        pair_sum_exact(chains(3), 5, 8)
     with pytest.raises(DomainError):
-        pair_sum_exact(chains(3), 0, 1)
+        pair_sum_exact_all(chains(3), 1)
     with pytest.raises(ValidationError):
         pair_sum_approx(-1.0, 8)
 
 
 def test_chain_total_uniform_gap():
     u = np.arange(40, dtype=float)
-    chain = IonChain(u - u.mean())
-    assert chain_total_exact(chain, 8) == pytest.approx(40.0, rel=1e-12)
+    sites = ContinuumSites(sites=u - u.mean(), spacings=np.full(40, 2.0))
+    assert chain_total_exact(sites, 8) == pytest.approx(40.0 / 256.0, rel=1e-12)
 
 
 def test_chain_total_three_ions(chains):
+    """A solved chain's total sums its local spacings; the edge ions use
+    their single gap, so all three terms are equal."""
     gap = float(chains(3).positions[2])
-    assert chain_total_exact(chains(3), 16) == pytest.approx(3.0 * gap**-16,
-                                                             rel=1e-12)
-    assert chain_total_exact(chains(3), 16) == pytest.approx(0.91266, rel=2e-4)
+    total = np.sum(local_spacings(chains(3)) ** -16.0)
+    assert total == pytest.approx(3.0 * gap**-16, rel=1e-12)
+    assert total == pytest.approx(0.91266, rel=2e-4)
 
 
 def test_asymptotic_factors():
@@ -311,8 +310,8 @@ DISCRETE_RATIOS = {
 
 @pytest.mark.parametrize("n_exp,n_ions", sorted(DISCRETE_RATIOS))
 def test_discrete_totals_vs_asymptotic(n_exp, n_ions, chains):
-    ratio = (chain_total_exact(chains(n_ions), n_exp)
-             / chain_total_asymptotic(n_ions, n_exp, DU))
+    total = float(np.sum(local_spacings(chains(n_ions)) ** -float(n_exp)))
+    ratio = total / chain_total_asymptotic(n_ions, n_exp, DU)
     assert ratio == pytest.approx(DISCRETE_RATIOS[(n_exp, n_ions)], abs=5e-3)
     if n_exp <= 8:
         assert 0.85 < ratio < 1.15
@@ -321,7 +320,6 @@ def test_discrete_totals_vs_asymptotic(n_exp, n_ions, chains):
 def test_edge_spacing_contribution_negligible(chains):
     """Edge ions use their single gap; for n >= 6 they contribute under
     1e-3 of the total, so the convention cannot matter."""
-    from iondec.chain import local_spacings
     for n_ions in (50, 200):
         s = local_spacings(chains(n_ions))
         for n_exp in (6, 16):
@@ -330,9 +328,12 @@ def test_edge_spacing_contribution_negligible(chains):
             assert edges / total < 1e-3
 
 
-def test_chain_total_rejects_other_types():
-    with pytest.raises(ValidationError):
-        chain_total_exact([1.0, 2.0], 8)
+def test_chain_total_rejects_other_types(chains):
+    """Only predicted sites are summed; a solved chain's total is the sum
+    of its local spacings."""
+    for other in ([1.0, 2.0], chains(3)):
+        with pytest.raises(ValidationError):
+            chain_total_exact(other, 8)
 
 
 @settings(max_examples=30)
