@@ -35,21 +35,41 @@ from .continuum import (ContinuumModel, chain_length, invert_cubic_count,
 from .errors import DomainError, ValidationError
 
 _ZETA_JMAX = 1_000_000
+_ZETA_LEAF = 1 << 15  # terms per array: 256 KB of float64
 
 
 @functools.lru_cache(maxsize=None)
 def zeta(n: int) -> float:
-    """Riemann zeta(n) for integer n >= 2, |error| <= 1e-12.
+    """Riemann zeta(n) for integer n >= 2, relative error <= 4e-16.
 
     Direct summation of j^-n up to j = 1e6 plus the midpoint of the
-    two integral tail bounds; the bracket half-width is ~1e6^-n.
+    two integral tail bounds; the bracket half-width is ~1e6^-n.  The
+    bound is tested against mpmath for n = 2...64.
     """
     if not isinstance(n, int) or n < 2:
         raise DomainError(f"zeta is summed for integer n >= 2 only, got {n!r}")
-    j = np.arange(1, _ZETA_JMAX + 1, dtype=float)
-    head = float(np.sum(j ** -float(n)))
+    head = float(_pairwise_power_sum(1, _ZETA_JMAX + 1, -float(n)))
     tail = 0.5 * (_ZETA_JMAX ** (1.0 - n) + (_ZETA_JMAX + 1.0) ** (1.0 - n)) / (n - 1.0)
     return head + tail
+
+
+def _pairwise_power_sum(lo: int, hi: int, exponent: float) -> np.float64:
+    """sum of j**exponent over j = lo...hi-1, never holding over _ZETA_LEAF terms.
+
+    np.sum of a contiguous float64 array of m > 128 terms adds the sums
+    of its first h = m//2 - (m//2) % 8 terms and of the rest, each split
+    the same way, so splitting here as numpy does and summing the leaves
+    with np.sum gives the bits of one np.sum over all the terms
+    (tests/test_sums.py::test_zeta_bits_match_one_array_sum).
+    """
+    m = hi - lo
+    if m <= _ZETA_LEAF:
+        j = np.arange(lo, hi, dtype=float)
+        return np.sum(np.power(j, exponent, out=j))
+    h = m // 2
+    h -= h % 8
+    return (_pairwise_power_sum(lo, lo + h, exponent)
+            + _pairwise_power_sum(lo + h, hi, exponent))
 
 
 def pair_sum_exact_all(chain: IonChain, n: int) -> np.ndarray:

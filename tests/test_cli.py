@@ -669,14 +669,19 @@ def test_argparse_usage_errors():
 
 # ---------------------------------------------------------- module loads
 
-def _imported(*args, rc=0):
-    """Every module a fresh ``python -X importtime args`` imports; the call
-    must exit with ``rc``."""
+def _python(*args):
+    """A fresh ``python args`` that imports this checkout's iondec."""
     src = str(Path(iondec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True)
+
+
+def _imported(*args, rc=0):
+    """Every module a fresh ``python -X importtime args`` imports; the call
+    must exit with ``rc``."""
+    proc = _python("-X", "importtime", *args)
     assert proc.returncode == rc, proc.stderr[-500:]
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
@@ -749,6 +754,16 @@ def test_call_without_arrays_loads_no_numpy(argv, rc):
     loaded = _imported("-m", "iondec.cli", *argv, rc=rc)
     assert sorted(m for m in loaded if m.split(".")[0] == "numpy") == []
     assert {m for m in loaded if m.split(".")[0] == "iondec"} == BASE_MODULES
+
+
+@pytest.mark.parametrize("argv, rc", [(["scales"], 0),
+                                      (["equilibrium", "--n-ions", "0"], 1)])
+def test_python_m_iondec_is_the_cli(argv, rc):
+    package, module = _python("-m", "iondec", *argv), _python("-m", "iondec.cli", *argv)
+    assert package.returncode == module.returncode == rc
+    assert package.stdout == module.stdout
+    assert package.stderr == module.stderr
+    assert bool(package.stdout) == (rc == 0)
 
 
 # ------------------------------------------------------------ config fuzz
