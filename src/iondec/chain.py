@@ -40,8 +40,8 @@ import numpy as np
 from .continuum import (ContinuumModel, chain_length, invert_cubic_count,
                          min_spacing)
 from .errors import SolverError, ValidationError
+from .physmodel import MAX_IONS, check_ion_count  # MAX_IONS: re-exported
 
-MAX_IONS = 10_000
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
 
@@ -177,8 +177,7 @@ def solve_equilibrium(n_ions: int, tol: float = DEFAULT_TOL,
     ion ordering.  Initialized from the continuum cubic-count inverse
     for N >= 10 and from a uniform lattice below that.
     """
-    if not isinstance(n_ions, (int, np.integer)) or not 1 <= n_ions <= MAX_IONS:
-        raise ValidationError("n_ions", f"need an integer in [1, {MAX_IONS}], got {n_ions!r}")
+    check_ion_count(n_ions)
     if not isinstance(tol, (int, float, np.integer, np.floating)) or not 0 < tol < math.inf:
         raise ValidationError("tol", f"need a finite tolerance > 0, got {tol!r}")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:

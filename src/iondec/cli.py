@@ -16,16 +16,18 @@ raised as one ``warning:`` line on stderr, after the output.
 Every call is a fresh process, so this module loads at import only what
 parsing a config needs: errors, physmodel and continuum, and not numpy.
 Each subcommand first makes the refusals that its flags and config decide,
-then imports the modules it runs: ``scales`` nothing more; ``continuum``
-numpy alone; ``equilibrium`` chain; ``sums`` chain and sums; ``adiabatic``
-adiabatic alone; ``decohere`` decoherence, which brings chain and sums;
-``scaling`` scaling, which brings decoherence.  Each of these but
-``scales`` brings numpy.  So ``scales`` and the calls refused on their
-argv or config alone load no numpy: a bad config or ion count, ``sums
---exponent`` below 2, ``continuum`` with N < 2 or ``--points`` out of
-range, an ``adiabatic`` ratio flag out of range or a non-finite or negative
-``--theta-end``, and ``--s0-target`` with ``--policy fixed_voltage``.  No
-subcommand loads scipy or numpy.ma.
+then imports the modules it runs: ``scales`` and ``continuum`` nothing
+more; ``equilibrium`` chain; ``sums`` sums and chain; ``adiabatic``
+adiabatic; ``decohere`` decoherence and sums, and chain for ``--mode
+discrete``; ``scaling`` scaling, decoherence and sums.  Only chain,
+adiabatic and the array functions of the others load numpy, and only
+once a call gets past its scalar checks.  So ``scales``, ``continuum``,
+``decohere --mode closed`` and every refusal that an argv, a config or a
+scalar check decides load no numpy: a bad config, an ion count outside
+[1, MAX_IONS] (or below 2 where a command needs pairs), a bad ``--exponent``,
+``--points``, ``adiabatic`` ratio flag, ``--theta-end`` below the step
+limit, ``--n-min``/``--n-max`` range or ``--s0-target``.  No subcommand
+loads scipy or numpy.ma.
 """
 from __future__ import annotations
 
@@ -37,10 +39,10 @@ import sys
 import warnings
 from dataclasses import dataclass, replace
 
-from .continuum import ContinuumModel, chain_length, min_spacing, spacing_profile
+from .continuum import ContinuumModel, _profile, chain_length, min_spacing
 from .errors import AccuracyError, DomainError, SolverError, ValidationError
-from .physmodel import (IonSpecies, Multipole, TrapConfig, derive_scales,
-                        qsq_convention_stamp, radiative_time)
+from .physmodel import (IonSpecies, Multipole, TrapConfig, check_ion_count,
+                        derive_scales, qsq_convention_stamp, radiative_time)
 
 BA_EXAMPLE = """\
 [species]
@@ -66,8 +68,8 @@ max_iter = 200
 PRESETS = {"ba_example": BA_EXAMPLE}
 
 # Largest continuum --points, checked before anything is allocated.  At the
-# cap a call holds about 230 MB at its peak (the three profiles and the CSV
-# rows) and takes about 6.5 s on a 2-core x86-64 host.
+# cap a call holds about 230 MB at its peak (the grid, the two profiles and
+# the CSV rows, as Python lists) and takes about 2 s on a 2-core x86-64 host.
 MAX_POINTS = 10**6
 
 _SECTIONS = {
@@ -209,38 +211,46 @@ def _fmt(value) -> str:
     return "%.12g" % float(value)
 
 
-def _row(*values) -> str:
-    return ",".join(_fmt(v) if not isinstance(v, str) else v for v in values)
+def _table(fmt, *columns) -> list:
+    """One CSV line ``fmt % row`` per row of the columns, which are ranges or
+    Python lists (an array's ``.tolist()``): %d for integers, %.12g for
+    floats, the strings _fmt gives each value."""
+    return [fmt % row for row in zip(*columns)]
 
 
 def _cmd_scales(cfg, args):
     scales = derive_scales(cfg.species, cfg.trap)
     two_p = 2 * cfg.species.multipole.pair_exponent
-    qsq_unit = f"J*m^{two_p - 3}"
-    return [
-        f"# {qsq_convention_stamp(cfg.species)}",
-        "quantity,value,unit",
-        _row("d0", scales.d0, "m"),
-        _row("k0", scales.k0, "1/m"),
-        _row("q2_coul", scales.q2_coul, "J*m"),
-        _row("q_sq", scales.q_sq, qsq_unit),
-        _row("tau_rad", radiative_time(cfg.species, cfg.trap.n_ions), "s"),
-    ]
+    rows = [("d0", scales.d0, "m"),
+            ("k0", scales.k0, "1/m"),
+            ("q2_coul", scales.q2_coul, "J*m"),
+            ("q_sq", scales.q_sq, f"J*m^{two_p - 3}"),
+            ("tau_rad", radiative_time(cfg.species, cfg.trap.n_ions), "s")]
+    return [f"# {qsq_convention_stamp(cfg.species)}",
+            "quantity,value,unit"] + ["%s,%.12g,%s" % row for row in rows]
+
+
+def _solve(cfg):
+    """The config's equilibrium chain; an ion count out of range is refused
+    before the chain module (and numpy) loads."""
+    check_ion_count(cfg.trap.n_ions)
+    from .chain import solve_equilibrium
+
+    return solve_equilibrium(cfg.trap.n_ions, tol=cfg.chain_tol,
+                             max_iter=cfg.max_iter)
 
 
 def _cmd_equilibrium(cfg, args):
-    from .chain import local_spacings, solve_equilibrium
+    chain = _solve(cfg)
+    from .chain import local_spacings
 
-    chain = solve_equilibrium(cfg.trap.n_ions, tol=cfg.chain_tol,
-                              max_iter=cfg.max_iter)
     d0 = derive_scales(cfg.species, cfg.trap).d0
-    spacings = local_spacings(chain)
+    u = chain.positions.astype(float)
     lines = [f"# N = {chain.n_ions}, residual = {_fmt(chain.residual)}, "
              f"d0_m = {_fmt(d0)}",
              "index,u_dimensionless,z_meters,local_spacing_dimensionless"]
-    u = chain.positions.astype(float)
-    lines += [_row(i, u[i], u[i] * d0, spacings[i]) for i in range(chain.n_ions)]
-    return lines
+    return lines + _table("%d,%.12g,%.12g,%.12g", range(chain.n_ions), u.tolist(),
+                          (u * d0).tolist(), local_spacings(chain).tolist())
 
 
 def _cmd_continuum(cfg, args):
@@ -253,35 +263,47 @@ def _cmd_continuum(cfg, args):
     for model in ContinuumModel:
         header.append(f"# {model.value}: L = {_fmt(chain_length(n, model))} d0, "
                       f"s0 = {_fmt(min_spacing(n, model))} d0")
-    import numpy as np
+    s0_nn = min_spacing(n, ContinuumModel.NEAREST_NEIGHBOR)
+    s0_du = min_spacing(n, ContinuumModel.DUBIN_FLUID)
+    x = _profile_grid(args.points)
+    return header + ["z_over_L,s_over_d0_nn,s_over_d0_dubin"] + _table(
+        "%.12g,%.12g,%.12g", x, [_profile(s0_nn, z) for z in x],
+        [_profile(s0_du, z) for z in x])
 
-    x = np.linspace(-0.99, 0.99, args.points)
-    s_nn = spacing_profile(x, n, ContinuumModel.NEAREST_NEIGHBOR)
-    s_du = spacing_profile(x, n, ContinuumModel.DUBIN_FLUID)
-    lines = header + ["z_over_L,s_over_d0_nn,s_over_d0_dubin"]
-    lines += [_row(x[i], s_nn[i], s_du[i]) for i in range(x.size)]
-    return lines
+
+def _profile_grid(points: int) -> list:
+    """np.linspace(-0.99, 0.99, points) in Python floats, with its bits:
+    i * step + start, and the last point set to the end."""
+    start, end = -0.99, 0.99
+    if points == 1:
+        return [start]
+    step = (end - start) / (points - 1)
+    x = [i * step + start for i in range(points)]
+    x[-1] = end
+    return x
 
 
 def _cmd_sums(cfg, args):
     n_exp = args.exponent
     if n_exp < 2:
         raise ValidationError("exponent", f"need an integer >= 2, got {n_exp}")
-    from .chain import local_spacings, solve_equilibrium
-    from .sums import pair_sum_approx, pair_sum_exact_all
+    from .sums import check_pair_count, pair_sum_approx, pair_sum_exact_all
 
-    chain = solve_equilibrium(cfg.trap.n_ions, tol=cfg.chain_tol,
-                              max_iter=cfg.max_iter)
+    check_pair_count(cfg.trap.n_ions)
+    chain = _solve(cfg)
+    import numpy as np
+
+    from .chain import local_spacings
+
     exact = pair_sum_exact_all(chain, n_exp)
-    spacings = local_spacings(chain)
-    u = chain.positions.astype(float)
+    approx = np.array([pair_sum_approx(s, n_exp)
+                       for s in local_spacings(chain).tolist()])
+    rel = (approx - exact) / exact
     lines = [f"# N = {chain.n_ions}, n = {n_exp}",
              "i,u_i,S_n_exact,S_n_approx,rel_err"]
-    for i in range(chain.n_ions):
-        approx = pair_sum_approx(float(spacings[i]), n_exp)
-        rel = (approx - exact[i]) / exact[i]
-        lines.append(_row(i, u[i], exact[i], approx, rel))
-    return lines
+    return lines + _table("%d,%.12g,%.12g,%.12g,%.12g", range(chain.n_ions),
+                          chain.positions.astype(float).tolist(), exact.tolist(),
+                          approx.tolist(), rel.tolist())
 
 
 def _cmd_adiabatic(cfg, args):
@@ -319,10 +341,9 @@ def _cmd_adiabatic(cfg, args):
     lines = [f"# eps/omega0 = {_fmt(args.eps_ratio)}, rot/omega0 = "
              f"{_fmt(args.rot_ratio)}, norm_drift = {_fmt(traj.norm_drift)}",
              "omega0_t,re_overlap,cos_phi,abs_error"]
-    for k in range(traj.theta.size):
-        lines.append(_row(traj.theta[k], overlap[k], cos_phi[k],
-                          abs(overlap[k] - cos_phi[k])))
-    return lines
+    return lines + _table("%.12g,%.12g,%.12g,%.12g", traj.theta.tolist(),
+                          overlap.tolist(), cos_phi.tolist(),
+                          np.abs(overlap - cos_phi).tolist())
 
 
 # --mode value -> DecoherenceMode member name
@@ -330,18 +351,15 @@ _MODES = {"discrete": "DISCRETE_SUM", "closed": "CONTINUUM_CLOSED_FORM"}
 
 
 def _cmd_decohere(cfg, args):
-    from .chain import solve_equilibrium
     from .decoherence import DecoherenceMode, build_report
 
     mode = DecoherenceMode[_MODES[args.mode]]
-    chain = None
-    if mode is DecoherenceMode.DISCRETE_SUM:
-        chain = solve_equilibrium(cfg.trap.n_ions, tol=cfg.chain_tol,
-                                  max_iter=cfg.max_iter)
+    chain = _solve(cfg) if mode is DecoherenceMode.DISCRETE_SUM else None
     report = build_report(cfg.species, cfg.trap, mode, cfg.model, chain=chain)
     lines = ["i,tau_i_seconds"]
     if report.per_ion_tau is not None:
-        lines += [_row(i, tau) for i, tau in enumerate(report.per_ion_tau)]
+        lines += _table("%d,%.12g", range(report.per_ion_tau.size),
+                        report.per_ion_tau.tolist())
     lines += [
         f"# tau_vib = {_fmt(report.tau_vib)}",
         f"# tau_rad = {_fmt(report.tau_rad)}",
@@ -360,20 +378,23 @@ def _cmd_scaling(cfg, args):
     if args.policy == "fixed_voltage" and target is not None:
         raise ValidationError("s0_target", "--s0-target applies to --policy "
                               "fixed_spacing only")
-    from .scaling import (LOG_POWERS, REFERENCE_EXPONENTS, default_n_grid,
-                          fit_exponent, scan)
+    from .scaling import (LOG_POWERS, REFERENCE_EXPONENTS, check_n_range,
+                          check_s0_target, default_n_grid, fit_exponent, scan)
 
+    # default_n_grid's checks, then scan's, made before the grid loads numpy
+    if target is not None:
+        check_n_range(args.n_min, args.n_max)
+        check_s0_target(target)
     grid = default_n_grid(args.n_min, args.n_max)
     if args.policy == "fixed_spacing" and target is None:
         scales = derive_scales(cfg.species, cfg.trap)
         target = min_spacing(cfg.trap.n_ions, cfg.model) * scales.d0
     series = scan(grid, cfg.species, cfg.trap, cfg.model, s0_target=target)
     lines = ["N,omega_z_hz,d0_m,s0_m,rate_vib_hz,rate_rad_hz"]
-    two_pi = 2.0 * math.pi
-    for k in range(series.n_ions.size):
-        lines.append(_row(int(series.n_ions[k]), series.omega_z[k] / two_pi,
-                          series.d0_m[k], series.s0_m[k], series.rate_vib[k],
-                          series.rate_rad[k]))
+    lines += _table("%d,%.12g,%.12g,%.12g,%.12g,%.12g", series.n_ions.tolist(),
+                    (series.omega_z / (2.0 * math.pi)).tolist(), series.d0_m.tolist(),
+                    series.s0_m.tolist(), series.rate_vib.tolist(),
+                    series.rate_rad.tolist())
     raw = fit_exponent(series)
     lines.append(f"# fit: slope = {_fmt(raw.slope)}, width = {_fmt(raw.width)}, "
                  "log_power = none")

@@ -21,8 +21,8 @@ package: sums.continuum_sites places ion sites with it, and the
 equilibrium solver starts from those sites for N >= 10.
 
 Only spacing_profile and invert_cubic_count take arrays; they import numpy
-when called, so the scalar functions (and the CLI calls that use only them)
-never load it.
+when called, so the scalar functions (and the CLI calls that use only them,
+``continuum`` among them, through _profile) never load it.
 """
 from __future__ import annotations
 
@@ -72,7 +72,14 @@ def spacing_profile(z_over_L, n_ions: int, model: ContinuumModel):
     x = np.asarray(z_over_L, dtype=float)
     if np.any(np.abs(x) >= 1.0):
         raise DomainError("spacing profile requires |z/L| < 1 (density vanishes at the edge)")
-    return min_spacing(n_ions, model) / (1.0 - x**2)
+    return _profile(min_spacing(n_ions, model), x)
+
+
+def _profile(s0, x):
+    """s0/(1 - x^2) at a float or an array x = z/L: the one formula of the
+    profile, so the CLI's float rows get spacing_profile's bits (numpy
+    evaluates x**2 as x * x)."""
+    return s0 / (1.0 - x * x)
 
 
 def invert_cubic_count(counts, length: float, s0: float):

@@ -9,7 +9,9 @@ transverse motion gives the per-ion dephasing rate
 and the chain dephases with tau_vib^-2 = sum_i tau_i^-2.  Radiative
 decay contributes tau_rad = 2 tau_s / N, and the computational window
 adds the two as rates.  The closed-form route replaces the per-ion sum
-by its continuum evaluation 2 zeta(2p) sqrt(T_4p).
+by its continuum evaluation 2 zeta(2p) sqrt(T_4p).  It is scalar
+arithmetic: only the functions that take or return arrays import numpy,
+when called, so closed_form_rate and the closed-form report load none.
 """
 from __future__ import annotations
 
@@ -17,15 +19,18 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .chain import IonChain
 from .continuum import ContinuumModel, min_spacing
 from .errors import DomainError, ValidationError
 from .physmodel import (CONSTANTS, IonSpecies, TrapConfig, derive_scales,
                         qsq_convention_stamp, radiative_time)
 from .sums import chain_total_asymptotic, pair_sum_exact_all, zeta
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .chain import IonChain
 
 
 class DecoherenceMode(enum.Enum):
@@ -64,6 +69,8 @@ def per_ion_rates(chain: IonChain, species: IonSpecies, trap: TrapConfig) -> np.
         raise ValidationError(
             "chain", f"chain has {chain.n_ions} ions but the trap is configured "
             f"for {trap.n_ions}")
+    import numpy as np
+
     if chain.n_ions == 1:
         return np.zeros(1)
     scales = derive_scales(species, trap)
@@ -88,6 +95,8 @@ def aggregate_tau_vib(per_ion: np.ndarray | list) -> float:
     ~1e-154 or above ~1e154) is taken again on rates scaled by their
     maximum; every other input keeps the direct sum's bits.
     """
+    import numpy as np
+
     rates = np.asarray(per_ion, dtype=float)
     if rates.size == 0:
         raise ValidationError("per_ion", "need at least one rate")
@@ -117,6 +126,8 @@ class FidelityCurve:
 
 def fidelity_curve(per_ion: np.ndarray | list, times: np.ndarray | list) -> FidelityCurve:
     """prod_i cos^2(t/tau_i) and exp(-t^2/tau_vib^2) at each time."""
+    import numpy as np
+
     rates = np.asarray(per_ion, dtype=float)
     t = np.asarray(times, dtype=float)
     if not np.all((t >= 0) & (t < math.inf)):
@@ -199,17 +210,19 @@ def build_report(species: IonSpecies, trap: TrapConfig, mode: DecoherenceMode,
         if chain is None:
             raise ValidationError("chain", "DISCRETE_SUM needs the solved "
                                   "equilibrium chain")
+        import numpy as np
+
         rates = per_ion_rates(chain, species, trap)
         tau_vib = aggregate_tau_vib(rates)
         with np.errstate(divide="ignore", over="ignore"):
             per_tau = 1.0 / rates  # inf where the rate vanishes (N = 1)
+        per_tau_finite = bool(np.all(per_tau < math.inf))
     elif mode is DecoherenceMode.CONTINUUM_CLOSED_FORM:
         tau_vib = 1.0 / closed_form_rate(n, species, trap, model).full
-        per_tau = None
+        per_tau, per_tau_finite = None, True
     else:
         raise ValidationError("mode", f"unknown mode {mode!r}")
-    if n > 1 and not (tau_vib / species.tau_s < math.inf
-                      and (per_tau is None or np.all(per_tau < math.inf))):
+    if n > 1 and not (tau_vib / species.tau_s < math.inf and per_tau_finite):
         raise DomainError(f"N = {n}: a vibrational time or tau_vib/tau_s is "
                           "outside the float range")
     tau_rad = radiative_time(species, n)

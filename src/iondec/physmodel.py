@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
@@ -26,6 +27,16 @@ class PhysicalConstants:
 
 
 CONSTANTS = PhysicalConstants()
+
+#: Largest ion count the equilibrium solver (chain.solve_equilibrium) takes.
+MAX_IONS = 10_000
+
+
+def check_ion_count(n_ions: int) -> None:
+    """Refuse an ion count that is not an integer (Python or numpy) in
+    [1, MAX_IONS], without loading numpy."""
+    if not isinstance(n_ions, numbers.Integral) or not 1 <= n_ions <= MAX_IONS:
+        raise ValidationError("n_ions", f"need an integer in [1, {MAX_IONS}], got {n_ions!r}")
 
 
 class Multipole(enum.Enum):

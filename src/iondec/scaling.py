@@ -8,18 +8,23 @@ voltages, a spacing in meters holds that spacing.  Both scans push
 every N through the closed-form rate pipeline and fit effective log-log
 exponents afterwards — quoted asymptotic exponents are carried as
 reference metadata only, never substituted for the computation.
+
+The N-range and target checks (check_n_range, check_s0_target) load no
+numpy; each array function imports it when called, after its checks.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .continuum import C0_DUBIN, ContinuumModel, min_spacing
 from .decoherence import closed_form_rate
 from .errors import DomainError, SolverError, ValidationError
 from .physmodel import CONSTANTS, IonSpecies, TrapConfig, derive_scales
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Quoted large-N exponents, for comparison against fitted values: the
 # fixed-voltage rates grow as N^(35/6) (ln c0 N)^(-8/3) for E2 and
@@ -61,6 +66,8 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     for an integer array.  np.unique itself first asks numpy.ma whether its
     input is masked, and importing numpy.ma costs more than a whole CLI
     scaling call's own work."""
+    import numpy as np
+
     ordered = np.sort(values, axis=None)
     keep = np.empty(ordered.shape, dtype=bool)
     keep[:1] = True
@@ -74,14 +81,30 @@ def default_n_grid(n_min: int, n_max: int) -> np.ndarray:
     n_max is capped at 2**53, the largest N that every float in the
     pipeline still holds exactly.
     """
+    check_n_range(n_min, n_max)
+    import numpy as np
+
+    count = max(2, int(round(POINTS_PER_DECADE * math.log10(n_max / n_min))) + 1)
+    grid = _distinct(np.rint(np.geomspace(n_min, n_max, count)).astype(int))
+    return grid[grid >= 2]
+
+
+def check_n_range(n_min: int, n_max: int) -> None:
+    """Refuse the N range of default_n_grid unless 2 <= n_min < n_max <= 2**53."""
     if not (2 <= n_min < n_max):
         raise ValidationError("n_min", f"need 2 <= n_min < n_max, got "
                               f"({n_min!r}, {n_max!r})")
     if n_max > 2**53:
         raise ValidationError("n_max", f"need n_max <= 2**53, got {n_max!r}")
-    count = max(2, int(round(POINTS_PER_DECADE * math.log10(n_max / n_min))) + 1)
-    grid = _distinct(np.rint(np.geomspace(n_min, n_max, count)).astype(int))
-    return grid[grid >= 2]
+
+
+def check_s0_target(s0_target: float) -> float:
+    """s0_target as a float, if it is a finite positive held spacing."""
+    s0_target = float(s0_target)
+    if not 0 < s0_target < math.inf:
+        raise ValidationError("s0_target", "fixed-spacing scan needs a finite "
+                              f"positive target, got {s0_target!r}")
+    return s0_target
 
 
 def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
@@ -182,10 +205,9 @@ def scan(n_values, species: IonSpecies, trap: TrapConfig,
     convention of every rate is the species' own qsq_constant.
     """
     if s0_target is not None:
-        s0_target = float(s0_target)
-        if not 0 < s0_target < math.inf:
-            raise ValidationError("s0_target", "fixed-spacing scan needs a finite "
-                                  f"positive target, got {s0_target!r}")
+        s0_target = check_s0_target(s0_target)
+    import numpy as np
+
     ns = _distinct(np.asarray(n_values, dtype=int))
     if ns.size < 2:
         raise ValidationError("n_values", "need at least two distinct N")
@@ -218,6 +240,8 @@ def fit_exponent(series: ScalingSeries, log_power: float | None = None) -> Expon
     log_power = c divides out a (ln c0 N)^c factor before fitting, so a
     rate following N^a (ln c0 N)^c comes back with slope exactly a.
     """
+    import numpy as np
+
     n = series.n_ions.astype(float)
     if n.size < 4:
         raise ValidationError("series", "need at least 4 rows to fit")

@@ -21,64 +21,79 @@ exact under negation, and every row is still summed over its full
 length in the same order).  An IonChain is immutable, so the sums are
 memoized on the chain per exponent; callers get a copy and may modify
 it freely.
+
+zeta is a table of recorded bits, the same on every host.  The array
+functions import numpy (and the chain kernel) when called, after their
+argument checks, so zeta, pair_sum_approx and chain_total_asymptotic, and
+the closed-form rates built on them, load neither.
 """
 from __future__ import annotations
 
-import functools
+import math
+import numbers
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .chain import IonChain, _row_sums
 from .continuum import (ContinuumModel, chain_length, invert_cubic_count,
                          min_spacing)
 from .errors import DomainError, ValidationError
 
-_ZETA_JMAX = 1_000_000
-_ZETA_LEAF = 1 << 15  # terms per array: 256 KB of float64
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .chain import IonChain
+
+# zeta(n) for n = 2...52, recorded as float.hex: the bits that
+#     float(np.sum(np.arange(1, 10**6 + 1, dtype=float) ** -float(n))) + tail,
+#     tail = 0.5 * (1e6 ** (1 - n) + (1e6 + 1) ** (1 - n)) / (n - 1),
+# returns with numpy 2.4.6 on an x86-64 host with AVX-512 (numpy's SVML
+# float64 power); tests/test_sums.py::test_zeta_bits_match_one_array_sum
+# recomputes them.  From n = 53 on that sum is exactly 1.0.
+_ZETA = tuple(map(float.fromhex, (
+    "0x1.a51a6625307d3p+0", "0x1.33ba004f00620p+0", "0x1.151322ac7d848p+0",
+    "0x1.097418eca7ccep+0", "0x1.0470984c09243p+0", "0x1.02232da14cf3ap+0",
+    "0x1.010b36af86396p+0", "0x1.00839f3d816b7p+0", "0x1.00412e33a5bb9p+0",
+    "0x1.0020631be48b2p+0", "0x1.001020a5b2cd3p+0", "0x1.00080ac9d08bcp+0",
+    "0x1.00040392bcad4p+0", "0x1.0002012f797e3p+0", "0x1.00010064cdeb2p+0",
+    "0x1.00008021839b4p+0", "0x1.0000400b2654ep+0", "0x1.00002003b611fp+0",
+    "0x1.000010013c595p+0", "0x1.00000800695d6p+0", "0x1.000004002319bp+0",
+    "0x1.000002000bb1ep+0", "0x1.0000010003e5ap+0", "0x1.00000080014c7p+0",
+    "0x1.00000040006edp+0", "0x1.000000200024fp+0", "0x1.00000010000c5p+0",
+    "0x1.0000000800042p+0", "0x1.0000000400016p+0", "0x1.0000000200007p+0",
+    "0x1.0000000100002p+0", "0x1.0000000080001p+0", "0x1.0000000040000p+0",
+    "0x1.0000000020000p+0", "0x1.0000000010000p+0", "0x1.0000000008000p+0",
+    "0x1.0000000004000p+0", "0x1.0000000002000p+0", "0x1.0000000001000p+0",
+    "0x1.0000000000800p+0", "0x1.0000000000400p+0", "0x1.0000000000200p+0",
+    "0x1.0000000000100p+0", "0x1.0000000000080p+0", "0x1.0000000000040p+0",
+    "0x1.0000000000020p+0", "0x1.0000000000010p+0", "0x1.0000000000008p+0",
+    "0x1.0000000000004p+0", "0x1.0000000000002p+0", "0x1.0000000000001p+0",
+)))
 
 
-@functools.lru_cache(maxsize=None)
 def zeta(n: int) -> float:
     """Riemann zeta(n) for integer n >= 2, relative error <= 4e-16.
 
-    Direct summation of j^-n up to j = 1e6 plus the midpoint of the
-    two integral tail bounds; the bracket half-width is ~1e6^-n.  The
-    bound is tested against mpmath for n = 2...64.
+    A lookup in _ZETA, the recorded bits of a direct summation of j^-n up
+    to j = 1e6 plus the midpoint of the two integral tail bounds, so every
+    host returns the same bits.  The bound is tested against mpmath for
+    n = 2...64.
     """
-    if not isinstance(n, int) or n < 2:
+    if not isinstance(n, numbers.Integral) or n < 2:
         raise DomainError(f"zeta is summed for integer n >= 2 only, got {n!r}")
-    head = float(_pairwise_power_sum(1, _ZETA_JMAX + 1, -float(n)))
-    tail = 0.5 * (_ZETA_JMAX ** (1.0 - n) + (_ZETA_JMAX + 1.0) ** (1.0 - n)) / (n - 1.0)
-    return head + tail
-
-
-def _pairwise_power_sum(lo: int, hi: int, exponent: float) -> np.float64:
-    """sum of j**exponent over j = lo...hi-1, never holding over _ZETA_LEAF terms.
-
-    np.sum of a contiguous float64 array of m > 128 terms adds the sums
-    of its first h = m//2 - (m//2) % 8 terms and of the rest, each split
-    the same way, so splitting here as numpy does and summing the leaves
-    with np.sum gives the bits of one np.sum over all the terms
-    (tests/test_sums.py::test_zeta_bits_match_one_array_sum).
-    """
-    m = hi - lo
-    if m <= _ZETA_LEAF:
-        j = np.arange(lo, hi, dtype=float)
-        return np.sum(np.power(j, exponent, out=j))
-    h = m // 2
-    h -= h % 8
-    return (_pairwise_power_sum(lo, lo + h, exponent)
-            + _pairwise_power_sum(lo + h, hi, exponent))
+    n = int(n)
+    return _ZETA[n - 2] if n - 2 < len(_ZETA) else 1.0
 
 
 def pair_sum_exact_all(chain: IonChain, n: int) -> np.ndarray:
     """S_n(i) for every ion in one mirrored pass, memoized on the chain."""
-    _check_exponent(n)
-    if chain.n_ions < 2:
-        raise ValidationError("n_ions", "pair sums need N >= 2")
+    n = _check_exponent(n)
+    check_pair_count(chain.n_ions)
     sums = chain._pair_sums.get(n)
     if sums is None:
+        import numpy as np
+
+        from .chain import _row_sums
+
         with np.errstate(over="ignore"):
             sums = _row_sums(chain.positions, lambda d: _inverse_power(d, n),
                              odd=False).astype(float)
@@ -95,6 +110,8 @@ def _inverse_power(d: np.ndarray, n: int) -> np.ndarray:
     of n; only an n that is not a power of two needs a second buffer, for
     the base.  +-inf gives 0.
     """
+    import numpy as np
+
     np.abs(d, out=d)
     np.reciprocal(d, out=d)
     bits = bin(n)[3:]
@@ -108,7 +125,7 @@ def _inverse_power(d: np.ndarray, n: int) -> np.ndarray:
 
 def pair_sum_approx(s_local: float, n: int) -> float:
     """Zeta shortcut 2 zeta(n)/s^n for a locally uniform chain."""
-    _check_exponent(n)
+    n = _check_exponent(n)
     if not s_local > 0:
         raise ValidationError("s_local", f"spacing must be positive, got {s_local!r}")
     try:
@@ -141,6 +158,8 @@ def continuum_sites(n_ions: int, model: ContinuumModel) -> ContinuumSites:
     """
     L = chain_length(n_ions, model)
     s0 = min_spacing(n_ions, model)
+    import numpy as np
+
     z = invert_cubic_count(np.arange(n_ions) - (n_ions - 1) / 2.0, L, s0)
     s = s0 / (1.0 - (z / L) ** 2)
     return ContinuumSites(sites=z, spacings=s)
@@ -152,10 +171,12 @@ def chain_total_exact(sites: ContinuumSites, n: int) -> float:
     s_i is the model spacing at each site: the form whose integral
     approximation is chain_total_asymptotic.
     """
-    _check_exponent(n)
+    n = _check_exponent(n)
     if not isinstance(sites, ContinuumSites):
         raise ValidationError(
             "sites", f"expected ContinuumSites, got {type(sites).__name__}")
+    import numpy as np
+
     return float(np.sum(sites.spacings ** -float(n)))
 
 
@@ -165,10 +186,18 @@ def chain_total_asymptotic(n_ions: int, n: int, model: ContinuumModel) -> float:
     L and s0 are the model's half-length and central spacing at N ions.
     """
     length, s0 = chain_length(n_ions, model), min_spacing(n_ions, model)
-    _check_exponent(n)
-    return (length / s0 ** (n + 1.0)) * float(np.sqrt(4.0 * np.pi / (4.0 * n + 7.0)))
+    n = _check_exponent(n)
+    return (length / s0 ** (n + 1.0)) * math.sqrt(4.0 * math.pi / (4.0 * n + 7.0))
 
 
-def _check_exponent(n: int) -> None:
-    if not isinstance(n, int) or n < 2:
+def check_pair_count(n_ions: int) -> None:
+    """Refuse a chain too short to have pair sums (N < 2)."""
+    if n_ions < 2:
+        raise ValidationError("n_ions", "pair sums need N >= 2")
+
+
+def _check_exponent(n: int) -> int:
+    """n as an int, if it is an integer (Python or numpy) >= 2."""
+    if not isinstance(n, numbers.Integral) or n < 2:
         raise DomainError(f"lattice sums need integer n >= 2, got {n!r}")
+    return int(n)

@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import iondec
-from iondec.cli import BA_EXAMPLE, _fmt, load_config, main, parse_config
+from iondec.cli import (BA_EXAMPLE, _fmt, _profile_grid, _table, load_config, main,
+                        parse_config)
 from iondec.continuum import ContinuumModel
 from iondec.decoherence import DecoherenceMode, build_report
 from iondec.errors import ValidationError
@@ -457,6 +458,30 @@ def test_fmt_prints_integers_whole_and_the_rest_at_12_digits(value, text):
     assert _fmt(value) == text
 
 
+def _old_row(*values):
+    """The CSV row format of the subcommand tables before _table: _fmt on
+    every value that is not a string."""
+    return ",".join(_fmt(v) if not isinstance(v, str) else v for v in values)
+
+
+def test_table_rows_equal_the_old_row_format():
+    """One %-format per row over .tolist() columns prints what _fmt printed
+    per numpy value, for Python and numpy integers and every float class."""
+    floats = np.array([math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e300, 0.1,
+                       1e15 + 1, 5e-324, -123456.7890123456])
+    ints = np.array([0, 7, -3, 10**15 + 1, 2**62, -(2**63), 1, 2, 3, 4])
+    rows = _table("%d,%.12g,%d,%.12g", range(floats.size), floats.tolist(),
+                  ints.tolist(), floats[::-1].tolist())
+    assert rows == [_old_row(i, f, k, g) for i, f, k, g in
+                    zip(range(floats.size), floats, ints, floats[::-1])]
+    assert rows[3] == "3,-0,1000000000000001,0.1"
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 101, 301, 10**5])
+def test_profile_grid_is_linspace_bit_for_bit(points):
+    assert _profile_grid(points) == np.linspace(-0.99, 0.99, points).tolist()
+
+
 def test_float_format_is_idempotent(capsys):
     """%.12g output re-parsed and re-formatted reproduces itself, so
     downstream tools can round-trip the CSV without diff noise."""
@@ -714,11 +739,10 @@ SUBCOMMAND_MODULES = [
     (["sums", "--n-ions", "5"], {"chain", "sums"}),
     (["adiabatic", "--theta-end", "10"], {"adiabatic"}),
     (["decohere", "--n-ions", "5"], {"chain", "sums", "decoherence"}),
-    (["decohere", "--mode", "closed"], {"chain", "sums", "decoherence"}),
-    (["scaling", "--n-min", "10", "--n-max", "100"],
-     {"chain", "sums", "decoherence", "scaling"}),
+    (["decohere", "--mode", "closed"], {"sums", "decoherence"}),
+    (["scaling", "--n-min", "10", "--n-max", "100"], {"sums", "decoherence", "scaling"}),
     (["scaling", "--policy", "fixed_spacing", "--n-min", "10", "--n-max", "100"],
-     {"chain", "sums", "decoherence", "scaling"}),
+     {"sums", "decoherence", "scaling"}),
 ]
 
 
@@ -731,29 +755,49 @@ def test_subcommand_loads_only_its_modules(argv, extra):
     assert _unwanted(loaded) == []
 
 
-# Calls that compute no array, with their exit codes: scales, and refusals
-# that the argv or the config decide before a subcommand imports its modules.
+_CLOSED = {"sums", "decoherence"}
+_SCALING = {"sums", "decoherence", "scaling"}
+# Calls that compute no array, with their exit codes and the iondec modules
+# they load beyond BASE_MODULES: scales, continuum, decohere --mode closed,
+# and refusals that the argv, the config or a scalar check decide before any
+# array is built (every bad input of the cli_presets benchmark among them).
 NUMPY_FREE_CALLS = [
-    (["scales"], 0),
-    (["scales", "--multipole", "E1"], 0),
-    (["scales", "--n-ions", "0"], 1),
-    (["scales", "--config", "no-such.ini"], 1),
-    (["sums", "--exponent", "1"], 1),
-    (["continuum", "--n-ions", "1"], 1),
-    (["continuum", "--points", "0"], 1),
-    (["adiabatic", "--theta-end", "-5"], 1),
-    (["adiabatic", "--eps-ratio", "-0.01"], 1),
-    (["adiabatic", "--rot-ratio=1e300"], 1),
-    (["scaling", "--policy", "fixed_voltage", "--s0-target", "1e-6"], 1),
+    (["scales"], 0, set()),
+    (["scales", "--multipole", "E1"], 0, set()),
+    (["continuum"], 0, set()),
+    (["continuum", "--points", "301", "--n-ions", "10000"], 0, set()),
+    (["decohere", "--mode", "closed"], 0, _CLOSED),
+    (["decohere", "--mode", "closed", "--multipole", "E1"], 0, _CLOSED),
+    (["decohere", "--mode", "closed", "--n-ions", "10000"], 0, _CLOSED),
+    (["scales", "--n-ions", "0"], 1, set()),
+    (["scales", "--n-ions", "-3"], 1, set()),
+    (["scales", "--config", "no-such.ini"], 1, set()),
+    (["scales", "--config", "no-such-config.ini"], 1, set()),
+    (["equilibrium", "--n-ions", "0"], 1, set()),
+    (["equilibrium", "--n-ions", "20000"], 1, set()),
+    (["sums", "--exponent", "1"], 1, set()),
+    (["sums", "--n-ions", "50", "--exponent", "1"], 1, set()),
+    (["sums", "--n-ions", "1"], 1, {"sums"}),
+    (["continuum", "--n-ions", "1"], 1, set()),
+    (["continuum", "--points", "0"], 1, set()),
+    (["adiabatic", "--theta-end", "-5"], 1, set()),
+    (["adiabatic", "--eps-ratio", "-0.01"], 1, set()),
+    (["adiabatic", "--rot-ratio=1e300"], 1, set()),
+    (["decohere", "--mode", "closed", "--n-ions", "1"], 1, _CLOSED),
+    (["scaling", "--policy", "fixed_voltage", "--s0-target", "1e-6"], 1, set()),
+    (["scaling", "--n-min", "1", "--n-max", "10"], 1, _SCALING),
+    (["scaling", "--n-min", "100", "--n-max", "50"], 1, _SCALING),
+    (["scaling", "--policy", "fixed_spacing", "--s0-target=-1e-6"], 1, _SCALING),
 ]
 
 
-@pytest.mark.parametrize("argv, rc", NUMPY_FREE_CALLS,
-                         ids=[" ".join(argv) for argv, _ in NUMPY_FREE_CALLS])
-def test_call_without_arrays_loads_no_numpy(argv, rc):
+@pytest.mark.parametrize("argv, rc, extra", NUMPY_FREE_CALLS,
+                         ids=[" ".join(argv) for argv, _, _ in NUMPY_FREE_CALLS])
+def test_call_without_arrays_loads_no_numpy(argv, rc, extra):
     loaded = _imported("-m", "iondec.cli", *argv, rc=rc)
     assert sorted(m for m in loaded if m.split(".")[0] == "numpy") == []
-    assert {m for m in loaded if m.split(".")[0] == "iondec"} == BASE_MODULES
+    assert {m for m in loaded if m.split(".")[0] == "iondec"} == \
+        BASE_MODULES | {f"iondec.{m}" for m in extra}
 
 
 @pytest.mark.parametrize("argv, rc", [(["scales"], 0),

@@ -1,11 +1,11 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iondec import chain as chain_module
 from iondec import sums as sums_module
 from iondec.chain import IonChain, local_spacings
 from iondec.continuum import ContinuumModel, chain_length, min_spacing
@@ -38,32 +38,17 @@ def test_zeta_against_independent_implementation():
 
 
 def test_zeta_bits_match_one_array_sum():
-    """The streamed pairwise tree gives the bits of one np.sum over all
-    10^6 terms, the form zeta had when it held them in one array.
+    """zeta's table holds the bits of one np.sum over the 10^6 terms plus
+    the tail midpoint, and 1.0 where that sum rounds to 1.0 (n >= 53).
 
-    zeta's terms fall so fast that most trees round alike, so the tree is
-    also checked on slowly varying terms, where a split that numpy does
-    not make changes the last bits."""
-    jmax = sums_module._ZETA_JMAX
+    numpy's float64 power differs between hosts (the AVX-512 kernel and
+    libm round some terms differently), so a host without AVX-512 may
+    compute other bits here; the table was recorded on one with it."""
+    jmax = 10**6
     j = np.arange(1, jmax + 1, dtype=float)
-    for n in range(2, 65):
+    for n in range(2, 81):
         tail = 0.5 * (jmax ** (1.0 - n) + (jmax + 1.0) ** (1.0 - n)) / (n - 1.0)
         assert zeta(n) == float(np.sum(j ** -float(n))) + tail, n
-    for lo, count in [(1, jmax), (12345, 65_539), (7, 100_003), (1, 262_147)]:
-        terms = np.arange(lo, lo + count, dtype=float)
-        for exponent in (-1.0, -0.5, -0.25, 0.5):
-            assert (sums_module._pairwise_power_sum(lo, lo + count, exponent)
-                    == np.sum(np.power(terms, exponent))), (lo, count, exponent)
-
-
-def test_zeta_holds_no_large_array():
-    tracemalloc.start()
-    try:
-        zeta.__wrapped__(7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
 
 
 def test_zeta_tends_to_one():
@@ -71,10 +56,26 @@ def test_zeta_tends_to_one():
     assert zeta(64) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("bad", [1, 0, -2, 2.5])
+@pytest.mark.parametrize("bad", [1, 0, -2, 2.5, np.int64(1), np.float64(4.0)])
 def test_zeta_domain(bad):
     with pytest.raises(DomainError):
         zeta(bad)
+
+
+@pytest.mark.parametrize("n", [np.int64(4), np.int32(8), np.uint8(16)])
+def test_numpy_integer_exponents_accepted(n):
+    """Exponents, like ion counts, may be numpy integers: same values as
+    the Python int, and the pair-sum memo is keyed by the int."""
+    k = int(n)
+    assert zeta(n) == zeta(k) and type(zeta(n)) is float
+    assert pair_sum_approx(1.3, n) == pair_sum_approx(1.3, k)
+    assert (chain_total_asymptotic(100, n, DU)
+            == chain_total_asymptotic(100, k, DU))
+    sites = continuum_sites(50, DU)
+    assert chain_total_exact(sites, n) == chain_total_exact(sites, k)
+    chain = _fresh_chain(12)
+    assert np.array_equal(pair_sum_exact_all(chain, n), pair_sum_exact_all(chain, k))
+    assert list(chain._pair_sums) == [k] and type(next(iter(chain._pair_sums))) is int
 
 
 @given(st.integers(min_value=2, max_value=45))
@@ -203,13 +204,13 @@ def test_pair_sums_within_one_ulp_of_powl(n, chains):
 def _counting_kernel(monkeypatch):
     """Log each call pair_sum_exact_all makes into the pairwise kernel."""
     calls = []
-    real = sums_module._row_sums
+    real = chain_module._row_sums
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sums_module, "_row_sums", counted)
+    monkeypatch.setattr(chain_module, "_row_sums", counted)
     return calls
 
 
