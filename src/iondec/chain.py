@@ -15,12 +15,13 @@ stalls, and the SolverError says so.
 
 All O(N^2) pairwise work (the force, the Jacobian and the lattice sums
 of ``sums``) goes through one kernel, ``_pair_rows``.  Each pairwise
-matrix is symmetric or antisymmetric, so the kernel evaluates the upper
-triangle of each diagonal row-block tile and mirrors it.  The mirrored
-values are the bits a direct evaluation gives: IEEE subtraction is
-sign-symmetric (u_j - u_i == -(u_i - u_j) exactly), and |d|, d^2 and
-sign(d) are exact under negation.  Rows keep their full length, so row
-sums reduce in the same order as before.
+entry is a function of the distance |u_i - u_j|, and the kernel alone
+knows the pair geometry: it evaluates the upper triangle of each
+diagonal row-block tile, mirrors it, and gives the force its sign.  The
+mirrored values are the bits a direct evaluation gives: IEEE subtraction
+is sign-symmetric (u_j - u_i == -(u_i - u_j) exactly), and |d| and
+negation are exact.  Rows keep their full length, so row sums reduce in
+the same order as before.
 
 An ``IonChain`` is its positions, frozen and read-only; the ion count,
 the residual certificate and the pair sums are pure functions of them.
@@ -100,29 +101,34 @@ class IonChain:
 
 
 def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int) -> np.ndarray:
-    """Rows [lo, hi) of M[i, j] = entry(u_i - u_j), entry(inf) on the diagonal.
+    """Rows [lo, hi) of M[i, j] = entry(|u_i - u_j|), entry(inf) on the
+    diagonal, times sign(u_i - u_j) off it when ``odd`` (M[i, j] = -M[j, i]).
 
-    The diagonal tile [lo, hi)^2 is evaluated in row strips, on and above
-    the diagonal only.  Each strip is evaluated at the negated differences,
-    so its transpose fills the rows below it as is, and the strip's own
-    rows are those values, negated when ``odd`` (M[i, j] = -M[j, i]).
-    Columns left of the tile are evaluated directly.  Every row keeps its
-    full length, so row sums reduce in the same order as over a directly
-    evaluated matrix.
+    ``u`` must be strictly increasing, so ``entry`` sees distances d > 0
+    only.  The diagonal tile [lo, hi)^2 is evaluated in row strips, on and
+    above the diagonal only, at u_j - u_i, so a strip's transpose fills the
+    rows below it as is.  Columns left of the tile are evaluated directly.
+    Every row keeps its full length, so row sums reduce in the same order
+    as over a directly evaluated matrix.
     """
     rows = None
     for a in range(lo, hi, _STRIP):
         b = min(a + _STRIP, hi)
-        # flipped strip: flip[k, c] = entry(u_(a+c) - u_(a+k)) = M[a+c, a+k],
-        # so the rows below the strip are its plain transpose
+        # flip[k, c] = entry(u_(a+c) - u_(a+k)) = |M[a+c, a+k]|: the
+        # differences are distances except in the strip's own square
         d = u[None, a:] - u[a:b, None]
-        d[np.arange(b - a), np.arange(b - a)] = -np.inf
+        square = d[:, :b - a]
+        np.abs(square, out=square)
+        square[np.arange(b - a), np.arange(b - a)] = np.inf
         flip = entry(d)
         if rows is None:
             rows = np.empty((hi - lo, u.size), dtype=flip.dtype)
         rows[b - lo:, a:b] = flip[:, b - a:hi - a].T
         if odd:
             np.negative(flip, out=rows[a - lo:b - lo, a:])
+            # M[i, j] >= 0 on and below the diagonal, where u_i >= u_j
+            square = rows[a - lo:b - lo, a:b]
+            np.abs(square, out=square, where=np.tri(b - a, dtype=bool))
         else:
             rows[a - lo:b - lo, a:] = flip
         if lo > 0:
@@ -139,11 +145,11 @@ def _row_sums(u: np.ndarray, entry, odd: bool) -> np.ndarray:
 
 
 def _coulomb(d):
-    return np.sign(d) / d**2
+    return 1.0 / d**2
 
 
 def _stiffness(d):
-    return -2.0 / np.abs(d.astype(float)) ** 3
+    return -2.0 / d.astype(float) ** 3
 
 
 def _force(u: np.ndarray) -> np.ndarray:
@@ -153,7 +159,7 @@ def _force(u: np.ndarray) -> np.ndarray:
 
 def _jacobian(u: np.ndarray) -> np.ndarray:
     jac = _pair_rows(u, _stiffness, False, 0, u.size)
-    np.fill_diagonal(jac, 0.0)
+    # the kernel's diagonal is -2/inf = -0, which the row sum ignores
     np.fill_diagonal(jac, 1.0 - jac.sum(axis=1))
     return jac
 

@@ -11,7 +11,9 @@ OpenBLAS threads, moving the last printed digit).  Exit codes: 0 ok,
 file included), 2 numerical failure, 3 output I/O failure.  A refused
 call writes one ``error:`` or ``numerical failure:`` line to stderr and
 nothing to stdout; a call that succeeds writes each warning its command
-raised as one ``warning:`` line on stderr, after the output.
+raised as one ``warning:`` line on stderr, after the output.  Each
+subcommand makes every refusal and computes every array before the first
+byte, then its CSV rows are formatted and written as they are produced.
 
 Every call is a fresh process, so this module loads at import only what
 parsing a config needs: errors, physmodel and continuum, and not numpy.
@@ -33,6 +35,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
+import itertools
 import math
 import numbers
 import sys
@@ -67,9 +71,9 @@ max_iter = 200
 
 PRESETS = {"ba_example": BA_EXAMPLE}
 
-# Largest continuum --points, checked before anything is allocated.  At the
-# cap a call holds about 230 MB at its peak (the grid, the two profiles and
-# the CSV rows, as Python lists) and takes about 2 s on a 2-core x86-64 host.
+# Largest continuum --points, checked before anything is allocated.  Rows are
+# written as they are produced, so a call at the cap peaks at about 17 MB, the
+# interpreter's own, and takes about 2 s on a 2-core x86-64 host.
 MAX_POINTS = 10**6
 
 _SECTIONS = {
@@ -211,11 +215,11 @@ def _fmt(value) -> str:
     return "%.12g" % float(value)
 
 
-def _table(fmt, *columns) -> list:
+def _table(fmt, *columns):
     """One CSV line ``fmt % row`` per row of the columns, which are ranges or
-    Python lists (an array's ``.tolist()``): %d for integers, %.12g for
-    floats, the strings _fmt gives each value."""
-    return [fmt % row for row in zip(*columns)]
+    Python lists (an array's ``.tolist()``), formatted as it is read: %d for
+    integers, %.12g for floats, the strings _fmt gives each value."""
+    return (fmt % row for row in zip(*columns))
 
 
 def _cmd_scales(cfg, args):
@@ -249,8 +253,9 @@ def _cmd_equilibrium(cfg, args):
     lines = [f"# N = {chain.n_ions}, residual = {_fmt(chain.residual)}, "
              f"d0_m = {_fmt(d0)}",
              "index,u_dimensionless,z_meters,local_spacing_dimensionless"]
-    return lines + _table("%d,%.12g,%.12g,%.12g", range(chain.n_ions), u.tolist(),
-                          (u * d0).tolist(), local_spacings(chain).tolist())
+    return itertools.chain(lines, _table(
+        "%d,%.12g,%.12g,%.12g", range(chain.n_ions), u.tolist(),
+        (u * d0).tolist(), local_spacings(chain).tolist()))
 
 
 def _cmd_continuum(cfg, args):
@@ -263,24 +268,25 @@ def _cmd_continuum(cfg, args):
     for model in ContinuumModel:
         header.append(f"# {model.value}: L = {_fmt(chain_length(n, model))} d0, "
                       f"s0 = {_fmt(min_spacing(n, model))} d0")
+    header.append("z_over_L,s_over_d0_nn,s_over_d0_dubin")
     s0_nn = min_spacing(n, ContinuumModel.NEAREST_NEIGHBOR)
     s0_du = min_spacing(n, ContinuumModel.DUBIN_FLUID)
-    x = _profile_grid(args.points)
-    return header + ["z_over_L,s_over_d0_nn,s_over_d0_dubin"] + _table(
-        "%.12g,%.12g,%.12g", x, [_profile(s0_nn, z) for z in x],
-        [_profile(s0_du, z) for z in x])
+    rows = ("%.12g,%.12g,%.12g" % (z, _profile(s0_nn, z), _profile(s0_du, z))
+            for z in _profile_grid(args.points))
+    return itertools.chain(header, rows)
 
 
-def _profile_grid(points: int) -> list:
-    """np.linspace(-0.99, 0.99, points) in Python floats, with its bits:
-    i * step + start, and the last point set to the end."""
+def _profile_grid(points: int):
+    """np.linspace(-0.99, 0.99, points) in Python floats, one at a time, with
+    its bits: i * step + start, and the last point set to the end."""
     start, end = -0.99, 0.99
     if points == 1:
-        return [start]
+        yield start
+        return
     step = (end - start) / (points - 1)
-    x = [i * step + start for i in range(points)]
-    x[-1] = end
-    return x
+    for i in range(points - 1):
+        yield i * step + start
+    yield end
 
 
 def _cmd_sums(cfg, args):
@@ -301,9 +307,10 @@ def _cmd_sums(cfg, args):
     rel = (approx - exact) / exact
     lines = [f"# N = {chain.n_ions}, n = {n_exp}",
              "i,u_i,S_n_exact,S_n_approx,rel_err"]
-    return lines + _table("%d,%.12g,%.12g,%.12g,%.12g", range(chain.n_ions),
-                          chain.positions.astype(float).tolist(), exact.tolist(),
-                          approx.tolist(), rel.tolist())
+    return itertools.chain(lines, _table(
+        "%d,%.12g,%.12g,%.12g,%.12g", range(chain.n_ions),
+        chain.positions.astype(float).tolist(), exact.tolist(), approx.tolist(),
+        rel.tolist()))
 
 
 def _cmd_adiabatic(cfg, args):
@@ -341,9 +348,9 @@ def _cmd_adiabatic(cfg, args):
     lines = [f"# eps/omega0 = {_fmt(args.eps_ratio)}, rot/omega0 = "
              f"{_fmt(args.rot_ratio)}, norm_drift = {_fmt(traj.norm_drift)}",
              "omega0_t,re_overlap,cos_phi,abs_error"]
-    return lines + _table("%.12g,%.12g,%.12g,%.12g", traj.theta.tolist(),
-                          overlap.tolist(), cos_phi.tolist(),
-                          np.abs(overlap - cos_phi).tolist())
+    return itertools.chain(lines, _table(
+        "%.12g,%.12g,%.12g,%.12g", traj.theta.tolist(), overlap.tolist(),
+        cos_phi.tolist(), np.abs(overlap - cos_phi).tolist()))
 
 
 # --mode value -> DecoherenceMode member name
@@ -356,18 +363,16 @@ def _cmd_decohere(cfg, args):
     mode = DecoherenceMode[_MODES[args.mode]]
     chain = _solve(cfg) if mode is DecoherenceMode.DISCRETE_SUM else None
     report = build_report(cfg.species, cfg.trap, mode, cfg.model, chain=chain)
-    lines = ["i,tau_i_seconds"]
-    if report.per_ion_tau is not None:
-        lines += _table("%d,%.12g", range(report.per_ion_tau.size),
-                        report.per_ion_tau.tolist())
-    lines += [
+    tau = [] if report.per_ion_tau is None else report.per_ion_tau.tolist()
+    footer = [
         f"# tau_vib = {_fmt(report.tau_vib)}",
         f"# tau_rad = {_fmt(report.tau_rad)}",
         f"# t_d = {_fmt(report.t_d)}",
         f"# mode = {mode.value}",
         f"# Qsq_convention = {report.notes}",
     ]
-    return lines
+    return itertools.chain(["i,tau_i_seconds"],
+                           _table("%d,%.12g", range(len(tau)), tau), footer)
 
 
 _POLICIES = ("fixed_voltage", "fixed_spacing")
@@ -390,21 +395,19 @@ def _cmd_scaling(cfg, args):
         scales = derive_scales(cfg.species, cfg.trap)
         target = min_spacing(cfg.trap.n_ions, cfg.model) * scales.d0
     series = scan(grid, cfg.species, cfg.trap, cfg.model, s0_target=target)
-    lines = ["N,omega_z_hz,d0_m,s0_m,rate_vib_hz,rate_rad_hz"]
-    lines += _table("%d,%.12g,%.12g,%.12g,%.12g,%.12g", series.n_ions.tolist(),
-                    (series.omega_z / (2.0 * math.pi)).tolist(), series.d0_m.tolist(),
-                    series.s0_m.tolist(), series.rate_vib.tolist(),
-                    series.rate_rad.tolist())
     raw = fit_exponent(series)
-    lines.append(f"# fit: slope = {_fmt(raw.slope)}, width = {_fmt(raw.width)}, "
-                 "log_power = none")
+    fits = [f"# fit: slope = {_fmt(raw.slope)}, width = {_fmt(raw.width)}, "
+            "log_power = none"]
     key = f"fixed_voltage_{cfg.species.multipole.name.lower()}"
     if args.policy == "fixed_voltage" and key in LOG_POWERS:
         corr = fit_exponent(series, log_power=LOG_POWERS[key])
-        lines.append(f"# fit: slope = {_fmt(corr.slope)}, width = "
-                     f"{_fmt(corr.width)}, log_power = {_fmt(LOG_POWERS[key])}")
-        lines.append(f"# reference: {key} = {_fmt(REFERENCE_EXPONENTS[key])}")
-    return lines
+        fits.append(f"# fit: slope = {_fmt(corr.slope)}, width = "
+                    f"{_fmt(corr.width)}, log_power = {_fmt(LOG_POWERS[key])}")
+        fits.append(f"# reference: {key} = {_fmt(REFERENCE_EXPONENTS[key])}")
+    return itertools.chain(["N,omega_z_hz,d0_m,s0_m,rate_vib_hz,rate_rad_hz"], _table(
+        "%d,%.12g,%.12g,%.12g,%.12g,%.12g", series.n_ions.tolist(),
+        (series.omega_z / (2.0 * math.pi)).tolist(), series.d0_m.tolist(),
+        series.s0_m.tolist(), series.rate_vib.tolist(), series.rate_rad.tolist()), fits)
 
 
 _COMMANDS = {
@@ -471,12 +474,12 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 
 def _write_output(path, lines):
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    """Write the lines, each LF-ended, to the path or stdout as they come."""
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="\n")) as handle:
+        lines = iter(lines)
+        while block := list(itertools.islice(lines, 4096)):
+            handle.write("\n".join(block) + "\n")
 
 
 def main(argv=None) -> int:
@@ -484,8 +487,9 @@ def main(argv=None) -> int:
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         with warnings.catch_warnings(record=True) as caught:
-            lines = _COMMANDS[args.command](cfg, args)
-        _write_output(args.out, lines)
+            # each command makes its refusals and computes its arrays before
+            # it returns; its lines are formatted as they are written
+            _write_output(args.out, _COMMANDS[args.command](cfg, args))
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
     except (ValidationError, DomainError) as exc:

@@ -61,20 +61,6 @@ class ScalingSeries:
     rate_rad: np.ndarray
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct entries of values, flattened: np.unique's result
-    for an integer array.  np.unique itself first asks numpy.ma whether its
-    input is masked, and importing numpy.ma costs more than a whole CLI
-    scaling call's own work."""
-    import numpy as np
-
-    ordered = np.sort(values, axis=None)
-    keep = np.empty(ordered.shape, dtype=bool)
-    keep[:1] = True
-    keep[1:] = ordered[1:] != ordered[:-1]
-    return ordered[keep]
-
-
 def default_n_grid(n_min: int, n_max: int) -> np.ndarray:
     """Logarithmic N grid at 16 points per decade, deduplicated integers.
 
@@ -85,8 +71,10 @@ def default_n_grid(n_min: int, n_max: int) -> np.ndarray:
     import numpy as np
 
     count = max(2, int(round(POINTS_PER_DECADE * math.log10(n_max / n_min))) + 1)
-    grid = _distinct(np.rint(np.geomspace(n_min, n_max, count)).astype(int))
-    return grid[grid >= 2]
+    grid = np.rint(np.geomspace(n_min, n_max, count)).astype(int)
+    # deduplicated in Python: np.unique would load numpy.ma, which costs more
+    # than a whole CLI scaling call's own work
+    return np.array(sorted(set(grid.tolist())), dtype=int)
 
 
 def check_n_range(n_min: int, n_max: int) -> None:
@@ -208,7 +196,8 @@ def scan(n_values, species: IonSpecies, trap: TrapConfig,
         s0_target = check_s0_target(s0_target)
     import numpy as np
 
-    ns = _distinct(np.asarray(n_values, dtype=int))
+    ns = np.array(sorted(set(np.asarray(n_values, dtype=int).ravel().tolist())),
+                  dtype=int)
     if ns.size < 2:
         raise ValidationError("n_values", "need at least two distinct N")
     if np.any(ns < 2):

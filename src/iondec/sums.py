@@ -14,13 +14,13 @@ Each term's relative error is at most 2n * 2^-64, below half a float64
 ulp for n < 512; the float64 sums may differ from a powl evaluation in
 their last bit.
 
-They run on the chain module's mirrored pairwise kernel:
-|u_i - u_j|^-n is symmetric, so each pair's power is evaluated once
-rather than twice, with the same bits as a direct evaluation (|d| is
-exact under negation, and every row is still summed over its full
-length in the same order).  An IonChain is immutable, so the sums are
-memoized on the chain per exponent; callers get a copy and may modify
-it freely.
+They run on the chain module's mirrored pairwise kernel, which hands
+_inverse_power distances |u_i - u_j| > 0: the matrix is symmetric, so
+each pair's power is evaluated once rather than twice, with the same
+bits as a direct evaluation (|d| is exact under negation, and every row
+is still summed over its full length in the same order).  An IonChain
+is immutable, so the sums are memoized on the chain per exponent;
+callers get a copy and may modify it freely.
 
 zeta is a table of recorded bits, the same on every host.  The array
 functions import numpy (and the chain kernel) when called, after their
@@ -104,15 +104,14 @@ def pair_sum_exact_all(chain: IonChain, n: int) -> np.ndarray:
 
 
 def _inverse_power(d: np.ndarray, n: int) -> np.ndarray:
-    """|d|^-n for integer n >= 1, computed in d's own buffer and returned.
+    """d^-n for integer n >= 1, computed in d's own buffer and returned.
 
     One reciprocal, then left-to-right square-and-multiply over the bits
     of n; only an n that is not a power of two needs a second buffer, for
-    the base.  +-inf gives 0.
+    the base.  d holds distances d > 0, and +inf gives 0.
     """
     import numpy as np
 
-    np.abs(d, out=d)
     np.reciprocal(d, out=d)
     bits = bin(n)[3:]
     base = d.copy() if "1" in bits else None

@@ -293,7 +293,7 @@ def _jacobian_full(u):
 def _pair_sums_full(u, n):
     d = u[:, None] - u[None, :]
     np.fill_diagonal(d, np.inf)
-    return _inverse_power(d, n).sum(axis=1).astype(float)
+    return _inverse_power(np.abs(d), n).sum(axis=1).astype(float)
 
 
 def _fixed_positions(n):
@@ -329,3 +329,30 @@ def test_mirrored_kernel_is_bit_identical_across_row_blocks(rows_per_block, monk
     monkeypatch.setattr(chain_module, "_BLOCK", rows_per_block * n)
     assert chain_module._STRIP < 45 < n
     _assert_kernels_match_full(n)
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 1, 45])
+@pytest.mark.parametrize("n", [2, 3, 33, 65, 129])
+def test_pair_entries_see_only_positive_distances(n, rows_per_block, monkeypatch):
+    """The kernel alone knows pair geometry: every entry it calls, for the
+    force, the Jacobian and the pair sums, gets distances d > 0 (+inf on
+    the diagonal), in one row block or several."""
+    if rows_per_block is not None:
+        monkeypatch.setattr(chain_module, "_BLOCK", rows_per_block * n)
+    pair_rows, seen = chain_module._pair_rows, []
+
+    def checked_pair_rows(u, entry, odd, lo, hi):
+        def checked_entry(d):
+            seen.append(d.size)
+            assert np.all(d > 0)
+            return entry(d)
+        return pair_rows(u, checked_entry, odd, lo, hi)
+
+    monkeypatch.setattr(chain_module, "_pair_rows", checked_pair_rows)
+    chain = _fixed_positions(n)
+    _force(chain.positions)
+    _jacobian(chain.positions)
+    for p in (2, 3, 8):
+        pair_sum_exact_all(chain, p)
+    # every pair (and each diagonal) went through an entry in each of the 5 passes
+    assert sum(seen) >= 5 * n * (n + 1) // 2

@@ -14,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import iondec
-from iondec.cli import (BA_EXAMPLE, _fmt, _profile_grid, _table, load_config, main,
-                        parse_config)
+from iondec.cli import (BA_EXAMPLE, MAX_POINTS, _fmt, _profile_grid, _table,
+                        load_config, main, parse_config)
 from iondec.continuum import ContinuumModel
 from iondec.decoherence import DecoherenceMode, build_report
 from iondec.errors import ValidationError
@@ -470,8 +470,8 @@ def test_table_rows_equal_the_old_row_format():
     floats = np.array([math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e300, 0.1,
                        1e15 + 1, 5e-324, -123456.7890123456])
     ints = np.array([0, 7, -3, 10**15 + 1, 2**62, -(2**63), 1, 2, 3, 4])
-    rows = _table("%d,%.12g,%d,%.12g", range(floats.size), floats.tolist(),
-                  ints.tolist(), floats[::-1].tolist())
+    rows = list(_table("%d,%.12g,%d,%.12g", range(floats.size), floats.tolist(),
+                       ints.tolist(), floats[::-1].tolist()))
     assert rows == [_old_row(i, f, k, g) for i, f, k, g in
                     zip(range(floats.size), floats, ints, floats[::-1])]
     assert rows[3] == "3,-0,1000000000000001,0.1"
@@ -479,7 +479,7 @@ def test_table_rows_equal_the_old_row_format():
 
 @pytest.mark.parametrize("points", [1, 2, 3, 101, 301, 10**5])
 def test_profile_grid_is_linspace_bit_for_bit(points):
-    assert _profile_grid(points) == np.linspace(-0.99, 0.99, points).tolist()
+    assert list(_profile_grid(points)) == np.linspace(-0.99, 0.99, points).tolist()
 
 
 def test_float_format_is_idempotent(capsys):
@@ -694,12 +694,16 @@ def test_argparse_usage_errors():
 
 # ---------------------------------------------------------- module loads
 
+def _child_env():
+    """The environment of a fresh python that imports this checkout's iondec."""
+    src = str(Path(iondec.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _python(*args):
     """A fresh ``python args`` that imports this checkout's iondec."""
-    src = str(Path(iondec.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env,
+    return subprocess.run([sys.executable, *args], env=_child_env(),
                           capture_output=True, text=True)
 
 
@@ -808,6 +812,40 @@ def test_python_m_iondec_is_the_cli(argv, rc):
     assert package.stdout == module.stdout
     assert package.stderr == module.stderr
     assert bool(package.stdout) == (rc == 0)
+
+
+# Runs the argv after it and prints that child's peak RSS in KiB on stderr.
+# Linux carries a process's peak RSS into the child it forks, so the CLI is
+# started from this small python rather than from the test process.
+_PEAK_RSS = """\
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(usage.ru_maxrss, file=sys.stderr)
+sys.exit(proc.returncode)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_continuum_at_max_points_streams_its_rows():
+    """At MAX_POINTS the rows are formatted and written as they are produced,
+    so the CLI's peak RSS stays near the interpreter's own, far below the
+    size of its 47 MB of output."""
+    proc = subprocess.Popen([sys.executable, "-c", _PEAK_RSS, sys.executable, "-m",
+                             "iondec", "continuum", "--points", str(MAX_POINTS)],
+                            env=_child_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    newlines, tail = 0, b""
+    with proc.stdout, proc.stderr:
+        for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+            newlines += chunk.count(b"\n")
+            tail = (tail + chunk)[-200:]
+        peak_kib = int(proc.stderr.read())
+    assert proc.wait() == 0
+    assert newlines == MAX_POINTS + 3
+    assert tail.splitlines()[-1].startswith(b"0.99,")
+    assert peak_kib < 64 * 1024
 
 
 # ------------------------------------------------------------ config fuzz

@@ -170,18 +170,18 @@ def _exact(x):
 
 @pytest.mark.parametrize("n", [2, 3, 6, 8, 16, 100])
 def test_inverse_power_accuracy(n):
-    """Each term within 2n * 2^-64 of |d|^-n, taken at 40 digits; +-inf gives 0."""
+    """Each term within 2n * 2^-64 of d^-n, taken at 40 digits, for the
+    distances d > 0 the pairwise kernel passes; +inf gives 0."""
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(n)
     d = np.longdouble(10.0) ** rng.uniform(-3.0, 3.0, 400).astype(np.longdouble)
-    d *= rng.choice([-1, 1], d.size)
-    d = np.append(d, [np.inf, -np.inf])
+    d = np.append(d, np.inf)
     got = sums_module._inverse_power(d.copy(), n)
     assert got.dtype == np.longdouble
-    assert np.array_equal(got[-2:], [0.0, 0.0])
+    assert got[-1] == 0.0
     with mpmath.workdps(40):
-        worst = max(abs(_exact(g) / _exact(abs(x)) ** -n - 1)
-                    for x, g in zip(d[:-2], got[:-2]))
+        worst = max(abs(_exact(g) / _exact(x) ** -n - 1)
+                    for x, g in zip(d[:-1], got[:-1]))
     assert worst <= 2 * n * mpmath.mpf(2) ** -64
 
 
