@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "chain": ("IonChain", "local_spacings", "solve_equilibrium"),
-    "continuum": ("ContinuumModel", "chain_length", "min_spacing", "spacing_profile"),
+    "continuum": ("ContinuumModel", "chain_length", "min_spacing"),
     "decoherence": ("ClosedFormRate", "DecoherenceMode", "DecoherenceReport",
                     "aggregate_tau_vib", "build_report", "closed_form_rate",
                     "fidelity_curve", "per_ion_rates"),

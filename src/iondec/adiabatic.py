@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, ValidationError
+from .errors import AccuracyError, DomainError, ValidationError, check_positive
 
 DEFAULT_DTHETA = 0.05
 MAX_DTHETA = 0.1
@@ -214,8 +214,7 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None):
     default step) is refused with ValidationError before anything is
     allocated.
     """
-    if not 0 < omega0 < math.inf:
-        raise ValidationError("omega0", f"must be finite and positive, got {omega0!r}")
+    check_positive("omega0", omega0)
     if not 0 <= t_end < math.inf:
         raise ValidationError("t_end", f"must be finite and >= 0, got {t_end!r}")
     u0 = np.asarray(initial, dtype=complex)
@@ -224,10 +223,7 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None):
     norm0 = float(np.abs(u0[0])**2 + np.abs(u0[1])**2)
     if not abs(norm0 - 1.0) <= 1e-9:
         raise ValidationError("initial", f"state must be normalized, |u|^2 = {norm0!r}")
-    if dt is None:
-        dt = DEFAULT_DTHETA / omega0
-    if not 0 < dt < math.inf:
-        raise ValidationError("dt", f"must be finite and positive, got {dt!r}")
+    dt = DEFAULT_DTHETA / omega0 if dt is None else check_positive("dt", dt)
     if dt * omega0 > MAX_DTHETA * (1 + 1e-12):
         raise ValidationError(
             "dt", f"step {dt * omega0:.4g}/omega0 does not resolve the fast phase "

@@ -40,11 +40,8 @@ import numpy as np
 
 from .continuum import (ContinuumModel, chain_length, invert_cubic_count,
                          min_spacing)
-from .errors import SolverError, ValidationError
-from .physmodel import MAX_IONS, check_ion_count  # MAX_IONS: re-exported
-
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 200
+from .errors import SolverError, ValidationError, check_integer, check_positive
+from .physmodel import DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_IONS  # re-exported
 
 # working precision of positions and forces; see the module docstring
 _WIDE = np.longdouble
@@ -183,13 +180,11 @@ def solve_equilibrium(n_ions: int, tol: float = DEFAULT_TOL,
     ion ordering.  Initialized from the continuum cubic-count inverse
     for N >= 10 and from a uniform lattice below that.
     """
-    check_ion_count(n_ions)
-    if not isinstance(tol, (int, float, np.integer, np.floating)) or not 0 < tol < math.inf:
-        raise ValidationError("tol", f"need a finite tolerance > 0, got {tol!r}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise ValidationError("max_iter", f"need an integer >= 1, got {max_iter!r}")
+    n_ions = check_integer("n_ions", n_ions, 1, MAX_IONS)
+    check_positive("tol", tol)
+    max_iter = check_integer("max_iter", max_iter, 1)
 
-    u = _initial_guess(int(n_ions))
+    u = _initial_guess(n_ions)
     f = _force(u)
     best = float(np.max(np.abs(f)))
     for _ in range(max_iter):
@@ -223,8 +218,7 @@ def solve_equilibrium(n_ions: int, tol: float = DEFAULT_TOL,
 def local_spacings(chain: IonChain) -> np.ndarray:
     """Local spacing of every ion: the mean of its two gaps, or the single
     gap of an edge ion."""
-    if chain.n_ions < 2:
-        raise ValidationError("n_ions", "local spacing needs N >= 2")
+    check_integer("n_ions", chain.n_ions, 2)
     gaps = np.diff(chain.positions.astype(float))
     out = np.empty(chain.n_ions)
     out[0], out[-1] = gaps[0], gaps[-1]

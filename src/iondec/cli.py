@@ -1,12 +1,16 @@
 """Command-line interface: INI config in, deterministic CSV out.
 
 Physics parameters live in a sectioned key = value file ([species],
-[trap], [model]); command flags select what to compute and may override
-the ion count or multipole order.  All numeric output is printed with
-12 significant digits and LF line endings so identical configs produce
-byte-identical files at a fixed BLAS thread count (the equilibrium
-solve's linear algebra can round differently with the number of
-OpenBLAS threads, moving the last printed digit).  Exit codes: 0 ok,
+[trap], [model]); command flags select what to compute, and a subcommand
+that reads the ion count or the multipole order takes a flag that
+overrides it: ``--n-ions`` every subcommand but ``adiabatic``,
+``--multipole`` only ``scales``, ``decohere`` and ``scaling``.  All
+numeric output is printed with 12 significant digits and LF line endings
+so identical configs produce byte-identical files at a fixed BLAS thread
+count (the equilibrium solve's linear algebra can round differently with
+the number of OpenBLAS threads, moving the last printed digit).  Each
+count and positive real is checked by errors.check_integer or
+errors.check_positive, the library's own two rules.  Exit codes: 0 ok,
 1 bad config/validation (a missing, unreadable or non-UTF-8 config
 file included), 2 numerical failure, 3 output I/O failure.  A refused
 call writes one ``error:`` or ``numerical failure:`` line to stderr and
@@ -44,9 +48,11 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .continuum import ContinuumModel, _profile, chain_length, min_spacing
-from .errors import AccuracyError, DomainError, SolverError, ValidationError
-from .physmodel import (IonSpecies, Multipole, TrapConfig, check_ion_count,
-                        derive_scales, qsq_convention_stamp, radiative_time)
+from .errors import (AccuracyError, DomainError, SolverError, ValidationError,
+                     check_integer, check_positive)
+from .physmodel import (DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_IONS, IonSpecies,
+                        Multipole, TrapConfig, derive_scales, qsq_convention_stamp,
+                        radiative_time)
 
 BA_EXAMPLE = """\
 [species]
@@ -100,20 +106,6 @@ def _number(section, key, raw):
         raise ValidationError(key, f"[{section}] {key} is not a number: {raw!r}") from None
 
 
-def _positive(section, key, raw):
-    value = _number(section, key, raw)
-    if not value > 0:
-        raise ValidationError(key, f"[{section}] {key} must be positive, got {raw}")
-    return value
-
-
-def _finite_positive(section, key, raw):
-    value = _positive(section, key, raw)
-    if not math.isfinite(value):
-        raise ValidationError(key, f"[{section}] {key} must be finite, got {raw}")
-    return value
-
-
 def parse_config(text: str) -> RunConfig:
     """Validate sectioned key = value text into a RunConfig."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -149,14 +141,15 @@ def parse_config(text: str) -> RunConfig:
     multipole_raw = sp["multipole"].strip().upper()
     if multipole_raw not in ("E1", "E2"):
         raise ValidationError("multipole", f"expected E1 or E2, got {sp['multipole']!r}")
+    # IonSpecies and TrapConfig check that each number is positive and finite
     species = IonSpecies.from_lab_units(
         name=sp["name"].strip(),
-        mass_amu=_positive("species", "mass_amu", sp["mass_amu"]),
-        charge_e=_positive("species", "charge_e", sp["charge_e"]),
-        f0_hz=_positive("species", "f0_hz", sp["f0_hz"]),
-        tau_s_s=_positive("species", "tau_s_s", sp["tau_s_s"]),
+        mass_amu=_number("species", "mass_amu", sp["mass_amu"]),
+        charge_e=_number("species", "charge_e", sp["charge_e"]),
+        f0_hz=_number("species", "f0_hz", sp["f0_hz"]),
+        tau_s_s=_number("species", "tau_s_s", sp["tau_s_s"]),
         multipole=Multipole[multipole_raw],
-        qsq_constant=_positive("model", "qsq_constant", mo.get("qsq_constant", "1")))
+        qsq_constant=_number("model", "qsq_constant", mo.get("qsq_constant", "1")))
 
     tr = parser["trap"]
     n_raw = tr["n_ions"].strip()
@@ -165,12 +158,12 @@ def parse_config(text: str) -> RunConfig:
     except ValueError:
         raise ValidationError("n_ions", f"[trap] n_ions is not an integer: {n_raw!r}") from None
     trap = TrapConfig.from_lab_units(
-        fz_hz=_positive("trap", "fz_hz", tr["fz_hz"]),
-        ft_hz=_positive("trap", "ft_hz", tr["ft_hz"]),
+        fz_hz=_number("trap", "fz_hz", tr["fz_hz"]),
+        ft_hz=_number("trap", "ft_hz", tr["ft_hz"]),
         n_ions=n_ions)
 
     model = ContinuumModel.DUBIN_FLUID
-    chain_tol, max_iter = 1e-12, 200
+    chain_tol, max_iter = DEFAULT_TOL, DEFAULT_MAX_ITER
     if "continuum" in mo:
         kind = mo["continuum"].strip().lower()
         try:
@@ -180,13 +173,12 @@ def parse_config(text: str) -> RunConfig:
                 "continuum", f"expected one of "
                 f"{[m.value for m in ContinuumModel]}, got {kind!r}") from None
     if "chain_tol" in mo:
-        chain_tol = _finite_positive("model", "chain_tol", mo["chain_tol"])
+        chain_tol = check_positive("chain_tol",
+                                   _number("model", "chain_tol", mo["chain_tol"]))
     if "max_iter" in mo:
-        value = _finite_positive("model", "max_iter", mo["max_iter"])
-        if value != int(value):
-            raise ValidationError("max_iter", "[model] max_iter must be an "
-                                  f"integer, got {mo['max_iter']}")
-        max_iter = int(value)
+        value = _number("model", "max_iter", mo["max_iter"])
+        # a whole number written as a float ("2e2") is that integer
+        max_iter = check_integer("max_iter", int(value) if value.is_integer() else value, 1)
     return RunConfig(species=species, trap=trap, model=model,
                      chain_tol=chain_tol, max_iter=max_iter)
 
@@ -237,7 +229,7 @@ def _cmd_scales(cfg, args):
 def _solve(cfg):
     """The config's equilibrium chain; an ion count out of range is refused
     before the chain module (and numpy) loads."""
-    check_ion_count(cfg.trap.n_ions)
+    check_integer("n_ions", cfg.trap.n_ions, 1, MAX_IONS)
     from .chain import solve_equilibrium
 
     return solve_equilibrium(cfg.trap.n_ions, tol=cfg.chain_tol,
@@ -259,10 +251,7 @@ def _cmd_equilibrium(cfg, args):
 
 
 def _cmd_continuum(cfg, args):
-    if args.points < 1:
-        raise ValidationError("points", f"must be >= 1, got {args.points}")
-    if args.points > MAX_POINTS:
-        raise ValidationError("points", f"must be <= {MAX_POINTS}, got {args.points}")
+    check_integer("points", args.points, 1, MAX_POINTS)
     n = cfg.trap.n_ions
     header = []
     for model in ContinuumModel:
@@ -290,16 +279,13 @@ def _profile_grid(points: int):
 
 
 def _cmd_sums(cfg, args):
-    n_exp = args.exponent
-    if n_exp < 2:
-        raise ValidationError("exponent", f"need an integer >= 2, got {n_exp}")
-    from .sums import check_pair_count, pair_sum_approx, pair_sum_exact_all
-
-    check_pair_count(cfg.trap.n_ions)
+    n_exp = check_integer("exponent", args.exponent, 2)
+    check_integer("n_ions", cfg.trap.n_ions, 2)
     chain = _solve(cfg)
     import numpy as np
 
     from .chain import local_spacings
+    from .sums import pair_sum_approx, pair_sum_exact_all
 
     exact = pair_sum_exact_all(chain, n_exp)
     approx = np.array([pair_sum_approx(s, n_exp)
@@ -384,12 +370,12 @@ def _cmd_scaling(cfg, args):
         raise ValidationError("s0_target", "--s0-target applies to --policy "
                               "fixed_spacing only")
     from .scaling import (LOG_POWERS, REFERENCE_EXPONENTS, check_n_range,
-                          check_s0_target, default_n_grid, fit_exponent, scan)
+                          default_n_grid, fit_exponent, scan)
 
     # default_n_grid's checks, then scan's, made before the grid loads numpy
     if target is not None:
         check_n_range(args.n_min, args.n_max)
-        check_s0_target(target)
+        check_positive("s0_target", target)
     grid = default_n_grid(args.n_min, args.n_max)
     if args.policy == "fixed_spacing" and target is None:
         scales = derive_scales(cfg.species, cfg.trap)
@@ -428,33 +414,34 @@ def _build_parser():
                     "lattice sums, adiabatic dynamics, and decoherence windows.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, summary, n_ions=True, multipole=False):
+        """A subcommand with --config and --out, and the override flags of
+        the config values it reads."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", default="ba_example",
                        help="config file path or preset name (default: ba_example)")
         p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-        p.add_argument("--n-ions", type=int, default=None,
-                       help="override [trap] n_ions")
-        p.add_argument("--multipole", choices=("E1", "E2"), default=None,
-                       help="override [species] multipole")
+        if n_ions:
+            p.add_argument("--n-ions", type=int, default=None,
+                           help="override [trap] n_ions")
+        if multipole:
+            p.add_argument("--multipole", choices=("E1", "E2"), default=None,
+                           help="override [species] multipole")
+        return p
 
-    common(sub.add_parser("scales", help="derived trap scales and conventions"))
-    common(sub.add_parser("equilibrium", help="solved ion positions"))
-    p = sub.add_parser("continuum", help="continuum spacing profiles")
-    common(p)
+    command("scales", "derived trap scales and conventions", multipole=True)
+    command("equilibrium", "solved ion positions")
+    p = command("continuum", "continuum spacing profiles")
     p.add_argument("--points", type=int, default=101, help="profile sample count")
-    p = sub.add_parser("sums", help="per-ion lattice sums, exact vs shortcut")
-    common(p)
+    p = command("sums", "per-ion lattice sums, exact vs shortcut")
     p.add_argument("--exponent", type=int, default=8, help="sum exponent n")
-    p = sub.add_parser("adiabatic", help="driven two-level overlap vs cos(Phi)")
-    common(p)
+    p = command("adiabatic", "driven two-level overlap vs cos(Phi)", n_ions=False)
     p.add_argument("--eps-ratio", type=float, default=0.01, help="drive amplitude/omega0")
     p.add_argument("--rot-ratio", type=float, default=1e-3, help="drive rotation/omega0")
     p.add_argument("--theta-end", type=float, default=1e4, help="omega0 * t_end")
-    p = sub.add_parser("decohere", help="per-ion rates and decoherence window")
-    common(p)
+    p = command("decohere", "per-ion rates and decoherence window", multipole=True)
     p.add_argument("--mode", choices=sorted(_MODES), default="discrete")
-    p = sub.add_parser("scaling", help="rate scaling with ion number")
-    common(p)
+    p = command("scaling", "rate scaling with ion number", multipole=True)
     p.add_argument("--policy", choices=_POLICIES, default="fixed_voltage")
     p.add_argument("--n-min", type=int, default=1000)
     p.add_argument("--n-max", type=int, default=10000)
@@ -465,9 +452,11 @@ def _build_parser():
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.n_ions is not None:
+    """cfg with the --n-ions and --multipole values given, where the
+    subcommand takes those flags."""
+    if getattr(args, "n_ions", None) is not None:
         cfg = replace(cfg, trap=replace(cfg.trap, n_ions=args.n_ions))
-    if args.multipole is not None:
+    if getattr(args, "multipole", None) is not None:
         cfg = replace(cfg, species=replace(cfg.species,
                                            multipole=Multipole[args.multipole]))
     return cfg

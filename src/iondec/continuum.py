@@ -20,17 +20,16 @@ of this profile in closed form.  It is the one site inversion of the
 package: sums.continuum_sites places ion sites with it, and the
 equilibrium solver starts from those sites for N >= 10.
 
-Only spacing_profile and invert_cubic_count take arrays; they import numpy
-when called, so the scalar functions (and the CLI calls that use only them,
-``continuum`` among them, through _profile) never load it.
+Only invert_cubic_count takes arrays; it imports numpy when called, so the
+scalar functions (and the CLI calls that use only them, ``continuum``
+among them, through _profile) never load it.
 """
 from __future__ import annotations
 
 import enum
 import math
-import numbers
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, check_integer
 
 EULER_GAMMA = 0.5772156649015329
 #: discreteness constant of the fluid model, 6 e^(gamma - 13/5) ~= 0.794
@@ -43,42 +42,30 @@ class ContinuumModel(enum.Enum):
 
 
 def chain_length(n_ions: int, model: ContinuumModel) -> float:
-    """Half-length L of the chain in units of d0."""
-    if not isinstance(n_ions, numbers.Integral) or n_ions < 2:
-        raise ValidationError("n_ions", f"continuum models need N >= 2, got {n_ions!r}")
+    """Half-length L of the chain in units of d0, for N >= 2 ions."""
+    n_ions = check_integer("n_ions", n_ions, 2)
     if model is ContinuumModel.NEAREST_NEIGHBOR:
         return (math.pi**2 * n_ions / 2.0) ** (1.0 / 3.0)
     return (3.0 * n_ions * math.log(C0_DUBIN * n_ions)) ** (1.0 / 3.0)
 
 
 def min_spacing(n_ions: int, model: ContinuumModel) -> float:
-    """Central (minimum) ion spacing s0 in units of d0."""
+    """Central (minimum) ion spacing s0 in units of d0, for N >= 2 ions."""
+    n_ions = check_integer("n_ions", n_ions, 2)
     L = chain_length(n_ions, model)
     if model is ContinuumModel.NEAREST_NEIGHBOR:
         return 2.0 * math.pi**2 / L**2
     return 4.0 * L / (3.0 * n_ions)
 
 
-def spacing_profile(z_over_L, n_ions: int, model: ContinuumModel):
-    """Local spacing s(z)/d0 at fractional positions z/L in (-1, 1), as an array.
-
-    Both models share the shape s(z) = s0/(1 - z^2/L^2); the density
-    vanishes at |z| = L, so positions at or beyond the edge are rejected.
-    The profile is a bulk result; within ~5% of the edge it should not
-    be taken quantitatively.
-    """
-    import numpy as np
-
-    x = np.asarray(z_over_L, dtype=float)
-    if np.any(np.abs(x) >= 1.0):
-        raise DomainError("spacing profile requires |z/L| < 1 (density vanishes at the edge)")
-    return _profile(min_spacing(n_ions, model), x)
-
-
 def _profile(s0, x):
-    """s0/(1 - x^2) at a float or an array x = z/L: the one formula of the
-    profile, so the CLI's float rows get spacing_profile's bits (numpy
-    evaluates x**2 as x * x)."""
+    """Local spacing s(z)/d0 = s0/(1 - x^2) at x = z/L in (-1, 1), a float or
+    an array, for either model's central spacing s0.
+
+    The density vanishes at |z| = L, so the profile is a bulk result:
+    within ~5% of the edge it should not be taken quantitatively.  x * x
+    is how numpy evaluates x**2, so float and array rows round alike.
+    """
     return s0 / (1.0 - x * x)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .continuum import ContinuumModel, min_spacing
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_integer
 from .physmodel import (CONSTANTS, IonSpecies, TrapConfig, derive_scales,
                         qsq_convention_stamp, radiative_time)
 from .sums import chain_total_asymptotic, pair_sum_exact_all, zeta
@@ -158,9 +158,8 @@ class ClosedFormRate:
 
 def closed_form_rate(n_ions: int, species: IonSpecies, trap: TrapConfig,
                      model: ContinuumModel = ContinuumModel.DUBIN_FLUID) -> ClosedFormRate:
-    """Aggregate vibrational rate from the continuum chain totals."""
-    if n_ions < 2:
-        raise ValidationError("n_ions", "closed form needs N >= 2")
+    """Aggregate vibrational rate from the continuum chain totals, N >= 2."""
+    n_ions = check_integer("n_ions", n_ions, 2)
     scales = derive_scales(species, trap)
     pref = vibrational_prefactor(species, trap)
     two_p = 2 * species.multipole.pair_exponent

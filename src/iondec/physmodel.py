@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_integer, check_positive
 
 
 @dataclass(frozen=True)
@@ -28,15 +27,12 @@ class PhysicalConstants:
 
 CONSTANTS = PhysicalConstants()
 
-#: Largest ion count the equilibrium solver (chain.solve_equilibrium) takes.
+#: Largest ion count of chain.solve_equilibrium, and its default max-norm
+#: force residual and Newton iteration limit.  chain re-exports all three;
+#: they live here so that the CLI reads them without loading numpy.
 MAX_IONS = 10_000
-
-
-def check_ion_count(n_ions: int) -> None:
-    """Refuse an ion count that is not an integer (Python or numpy) in
-    [1, MAX_IONS], without loading numpy."""
-    if not isinstance(n_ions, numbers.Integral) or not 1 <= n_ions <= MAX_IONS:
-        raise ValidationError("n_ions", f"need an integer in [1, {MAX_IONS}], got {n_ions!r}")
+DEFAULT_TOL = 1e-12
+DEFAULT_MAX_ITER = 200
 
 
 class Multipole(enum.Enum):
@@ -48,11 +44,6 @@ class Multipole(enum.Enum):
     @property
     def pair_exponent(self) -> int:
         return 3 if self is Multipole.E1 else 4
-
-
-def _require_positive(field: str, value: float) -> None:
-    if not value > 0 or not math.isfinite(value):
-        raise ValidationError(field, f"must be a positive finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -87,11 +78,11 @@ class IonSpecies:
     qsq_constant: float = 1.0
 
     def __post_init__(self):
-        _require_positive("mass", self.mass)
-        _require_positive("charge", self.charge)
-        _require_positive("omega0", self.omega0)
-        _require_positive("tau_s", self.tau_s)
-        _require_positive("qsq_constant", self.qsq_constant)
+        check_positive("mass", self.mass)
+        check_positive("charge", self.charge)
+        check_positive("omega0", self.omega0)
+        check_positive("tau_s", self.tau_s)
+        check_positive("qsq_constant", self.qsq_constant)
         if not isinstance(self.multipole, Multipole):
             raise ValidationError("multipole", f"expected Multipole, got {self.multipole!r}")
 
@@ -105,10 +96,10 @@ class IonSpecies:
         Frequencies are quoted as ordinary frequencies (omega/2pi), matching
         the usual \"omega_z/2pi = 100 kHz\" style of lab reporting.
         """
-        _require_positive("mass_amu", mass_amu)
-        _require_positive("charge_e", charge_e)
-        _require_positive("f0_hz", f0_hz)
-        _require_positive("tau_s_s", tau_s_s)
+        check_positive("mass_amu", mass_amu)
+        check_positive("charge_e", charge_e)
+        check_positive("f0_hz", f0_hz)
+        check_positive("tau_s_s", tau_s_s)
         return cls(
             name=name,
             mass=mass_amu * CONSTANTS.atomic_mass,
@@ -122,28 +113,28 @@ class IonSpecies:
 
 @dataclass(frozen=True)
 class TrapConfig:
-    """Axial/transverse secular frequencies (rad/s) and the ion count."""
+    """Axial/transverse secular frequencies (rad/s) and the ion count, an
+    integer >= 1 kept as a Python int."""
 
     omega_z: float
     omega_t: float
     n_ions: int
 
     def __post_init__(self):
-        _require_positive("omega_z", self.omega_z)
-        _require_positive("omega_t", self.omega_t)
+        check_positive("omega_z", self.omega_z)
+        check_positive("omega_t", self.omega_t)
         if not self.omega_t > self.omega_z:
             raise ValidationError(
                 "omega_t",
                 f"omega_t must exceed omega_z, the linear-chain bound at "
                 f"N = 2; longer chains need a stiffer transverse trap "
                 f"(got {self.omega_t} <= {self.omega_z})")
-        if not isinstance(self.n_ions, int) or self.n_ions < 1:
-            raise ValidationError("n_ions", f"must be an integer >= 1, got {self.n_ions!r}")
+        object.__setattr__(self, "n_ions", check_integer("n_ions", self.n_ions, 1))
 
     @classmethod
     def from_lab_units(cls, fz_hz: float, ft_hz: float, n_ions: int) -> "TrapConfig":
-        _require_positive("fz_hz", fz_hz)
-        _require_positive("ft_hz", ft_hz)
+        check_positive("fz_hz", fz_hz)
+        check_positive("ft_hz", ft_hz)
         return cls(omega_z=2.0 * math.pi * fz_hz,
                    omega_t=2.0 * math.pi * ft_hz,
                    n_ions=n_ions)
@@ -192,9 +183,7 @@ def derive_scales(species: IonSpecies, trap: TrapConfig) -> DerivedScales:
 
 def radiative_time(species: IonSpecies, n_ions: int) -> float:
     """Radiative decoherence window of an N-ion register: 2 tau_s / N."""
-    if not isinstance(n_ions, int) or n_ions < 1:
-        raise ValidationError("n_ions", f"must be an integer >= 1, got {n_ions!r}")
-    return 2.0 * species.tau_s / n_ions
+    return 2.0 * species.tau_s / check_integer("n_ions", n_ions, 1)
 
 
 def qsq_convention_stamp(species: IonSpecies) -> str:

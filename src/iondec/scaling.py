@@ -9,8 +9,8 @@ every N through the closed-form rate pipeline and fit effective log-log
 exponents afterwards — quoted asymptotic exponents are carried as
 reference metadata only, never substituted for the computation.
 
-The N-range and target checks (check_n_range, check_s0_target) load no
-numpy; each array function imports it when called, after its checks.
+Every check here (check_n_range among them) loads no numpy; each array
+function imports it when called, after its checks.
 """
 from __future__ import annotations
 
@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING
 
 from .continuum import C0_DUBIN, ContinuumModel, min_spacing
 from .decoherence import closed_form_rate
-from .errors import DomainError, SolverError, ValidationError
+from .errors import (DomainError, SolverError, ValidationError, check_integer,
+                     check_positive)
 from .physmodel import CONSTANTS, IonSpecies, TrapConfig, derive_scales
 
 if TYPE_CHECKING:
@@ -67,7 +68,7 @@ def default_n_grid(n_min: int, n_max: int) -> np.ndarray:
     n_max is capped at 2**53, the largest N that every float in the
     pipeline still holds exactly.
     """
-    check_n_range(n_min, n_max)
+    n_min, n_max = check_n_range(n_min, n_max)
     import numpy as np
 
     count = max(2, int(round(POINTS_PER_DECADE * math.log10(n_max / n_min))) + 1)
@@ -77,22 +78,11 @@ def default_n_grid(n_min: int, n_max: int) -> np.ndarray:
     return np.array(sorted(set(grid.tolist())), dtype=int)
 
 
-def check_n_range(n_min: int, n_max: int) -> None:
-    """Refuse the N range of default_n_grid unless 2 <= n_min < n_max <= 2**53."""
-    if not (2 <= n_min < n_max):
-        raise ValidationError("n_min", f"need 2 <= n_min < n_max, got "
-                              f"({n_min!r}, {n_max!r})")
-    if n_max > 2**53:
-        raise ValidationError("n_max", f"need n_max <= 2**53, got {n_max!r}")
-
-
-def check_s0_target(s0_target: float) -> float:
-    """s0_target as a float, if it is a finite positive held spacing."""
-    s0_target = float(s0_target)
-    if not 0 < s0_target < math.inf:
-        raise ValidationError("s0_target", "fixed-spacing scan needs a finite "
-                              f"positive target, got {s0_target!r}")
-    return s0_target
+def check_n_range(n_min: int, n_max: int) -> tuple[int, int]:
+    """(n_min, n_max) as ints, if they are integers with
+    2 <= n_min < n_max <= 2**53: the N range of default_n_grid."""
+    n_max = check_integer("n_max", n_max, 3, 2**53)
+    return check_integer("n_min", n_min, 2, n_max - 1), n_max
 
 
 def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
@@ -187,29 +177,28 @@ def scan(n_values, species: IonSpecies, trap: TrapConfig,
          s0_target: float | None = None) -> ScalingSeries:
     """Walk N over n_values and evaluate the closed-form pipeline at each.
 
+    n_values holds at least two distinct integers (Python or numpy) from 2
+    to 2**53; a float, bool or string count is refused, never truncated.
     s0_target None holds the trap voltages: every N sees trap.omega_z.  A
     finite positive s0_target (meters) holds the central spacing instead,
     retuning omega_z per N.  trap.omega_t is held either way.  The Q^2
     convention of every rate is the species' own qsq_constant.
     """
     if s0_target is not None:
-        s0_target = check_s0_target(s0_target)
+        s0_target = float(check_positive("s0_target", s0_target))
     import numpy as np
 
-    ns = np.array(sorted(set(np.asarray(n_values, dtype=int).ravel().tolist())),
-                  dtype=int)
+    ns = np.array(sorted({check_integer("n_values", n, 2, 2**53)
+                          for n in np.ravel(n_values).tolist()}), dtype=int)
     if ns.size < 2:
         raise ValidationError("n_values", "need at least two distinct N")
-    if np.any(ns < 2):
-        raise ValidationError("n_values", "every N must be >= 2")
 
     omega_z = np.empty(ns.size)
     d0 = np.empty(ns.size)
     s0 = np.empty(ns.size)
     vib = np.empty(ns.size)
     rad = np.empty(ns.size)
-    for k, n in enumerate(ns):
-        n = int(n)
+    for k, n in enumerate(ns.tolist()):
         wz = (trap.omega_z if s0_target is None
               else _solve_omega_z(n, species, s0_target, model))
         trap_n = TrapConfig(omega_z=wz, omega_t=trap.omega_t, n_ions=n)

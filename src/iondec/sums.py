@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 from .continuum import (ContinuumModel, chain_length, invert_cubic_count,
                          min_spacing)
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_integer, check_positive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,16 +78,14 @@ def zeta(n: int) -> float:
     host returns the same bits.  The bound is tested against mpmath for
     n = 2...64.
     """
-    if not isinstance(n, numbers.Integral) or n < 2:
-        raise DomainError(f"zeta is summed for integer n >= 2 only, got {n!r}")
-    n = int(n)
+    n = _check_exponent(n)
     return _ZETA[n - 2] if n - 2 < len(_ZETA) else 1.0
 
 
 def pair_sum_exact_all(chain: IonChain, n: int) -> np.ndarray:
     """S_n(i) for every ion in one mirrored pass, memoized on the chain."""
     n = _check_exponent(n)
-    check_pair_count(chain.n_ions)
+    check_integer("n_ions", chain.n_ions, 2)
     sums = chain._pair_sums.get(n)
     if sums is None:
         import numpy as np
@@ -125,8 +123,7 @@ def _inverse_power(d: np.ndarray, n: int) -> np.ndarray:
 def pair_sum_approx(s_local: float, n: int) -> float:
     """Zeta shortcut 2 zeta(n)/s^n for a locally uniform chain."""
     n = _check_exponent(n)
-    if not s_local > 0:
-        raise ValidationError("s_local", f"spacing must be positive, got {s_local!r}")
+    check_positive("s_local", s_local)
     try:
         return 2.0 * zeta(n) / s_local ** float(n)
     except (OverflowError, ZeroDivisionError):
@@ -187,12 +184,6 @@ def chain_total_asymptotic(n_ions: int, n: int, model: ContinuumModel) -> float:
     length, s0 = chain_length(n_ions, model), min_spacing(n_ions, model)
     n = _check_exponent(n)
     return (length / s0 ** (n + 1.0)) * math.sqrt(4.0 * math.pi / (4.0 * n + 7.0))
-
-
-def check_pair_count(n_ions: int) -> None:
-    """Refuse a chain too short to have pair sums (N < 2)."""
-    if n_ions < 2:
-        raise ValidationError("n_ions", "pair sums need N >= 2")
 
 
 def _check_exponent(n: int) -> int:

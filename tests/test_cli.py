@@ -19,7 +19,7 @@ from iondec.cli import (BA_EXAMPLE, MAX_POINTS, _fmt, _profile_grid, _table,
 from iondec.continuum import ContinuumModel
 from iondec.decoherence import DecoherenceMode, build_report
 from iondec.errors import ValidationError
-from iondec.physmodel import Multipole
+from iondec.physmodel import DEFAULT_MAX_ITER, DEFAULT_TOL, Multipole
 
 
 def run(capsys, argv):
@@ -49,7 +49,7 @@ def test_model_section_is_optional():
     trimmed = BA_EXAMPLE.split("[model]")[0]
     cfg = parse_config(trimmed)
     assert cfg.model is ContinuumModel.DUBIN_FLUID
-    assert cfg.max_iter == 200
+    assert (cfg.chain_tol, cfg.max_iter) == (DEFAULT_TOL, DEFAULT_MAX_ITER)
 
 
 def test_empty_config_lists_required_sections():
@@ -690,6 +690,10 @@ def test_argparse_usage_errors():
         main(["frobnicate"])
     with pytest.raises(SystemExit):
         main(["decohere", "--mode", "sideways"])
+    # a subcommand takes only the override flags of values it reads
+    for argv in (["sums", "--multipole", "E1"], ["adiabatic", "--n-ions", "5"]):
+        with pytest.raises(SystemExit):
+            main(argv)
 
 
 # ---------------------------------------------------------- module loads
@@ -781,7 +785,7 @@ NUMPY_FREE_CALLS = [
     (["equilibrium", "--n-ions", "20000"], 1, set()),
     (["sums", "--exponent", "1"], 1, set()),
     (["sums", "--n-ions", "50", "--exponent", "1"], 1, set()),
-    (["sums", "--n-ions", "1"], 1, {"sums"}),
+    (["sums", "--n-ions", "1"], 1, set()),
     (["continuum", "--n-ions", "1"], 1, set()),
     (["continuum", "--points", "0"], 1, set()),
     (["adiabatic", "--theta-end", "-5"], 1, set()),
@@ -916,10 +920,10 @@ def _option(name, values):
     return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
 
 
-def _command(name, **options):
-    """argv for one subcommand with any subset of its options drawn."""
-    options = {"n-ions": _N_IONS, "multipole": st.sampled_from(["E1", "E2"]),
-               **options}
+def _command(name, overrides, **options):
+    """argv for one subcommand with any subset of its options drawn, the
+    config-override flags among them that it takes (names in _OVERRIDES)."""
+    options = {**{key: _OVERRIDES[key] for key in overrides}, **options}
     return st.tuples(*(_option(key, values) for key, values in options.items())).map(
         lambda parts: [name] + [arg for part in parts for arg in part])
 
@@ -929,16 +933,19 @@ def _command(name, **options):
 _N_IONS = st.one_of(st.integers(-3, 400), st.sampled_from([10**4 + 1, 10**30]))
 _EDGES = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e300])
 _RATIO = st.one_of(_EDGES, st.floats(-0.2, 0.2))
+_OVERRIDES = {"n-ions": _N_IONS, "multipole": st.sampled_from(["E1", "E2"])}
+_BOTH = ("n-ions", "multipole")
 FUZZ_ARGV = st.one_of(
-    _command("scales"),
-    _command("equilibrium"),
-    _command("continuum",
+    _command("scales", _BOTH),
+    _command("equilibrium", ("n-ions",)),
+    _command("continuum", ("n-ions",),
              points=st.one_of(st.integers(-2, 300), st.just(10**6 + 1))),
-    _command("sums", exponent=st.one_of(st.integers(-2, 64), st.just(10**20))),
-    _command("adiabatic", **{"theta-end": st.one_of(_EDGES, st.floats(0.0, 2e3)),
-                             "eps-ratio": _RATIO, "rot-ratio": _RATIO}),
-    _command("decohere", mode=st.sampled_from(["discrete", "closed"])),
-    _command("scaling", policy=st.sampled_from(["fixed_voltage", "fixed_spacing"]),
+    _command("sums", ("n-ions",),
+             exponent=st.one_of(st.integers(-2, 64), st.just(10**20))),
+    _command("adiabatic", (), **{"theta-end": st.one_of(_EDGES, st.floats(0.0, 2e3)),
+                                 "eps-ratio": _RATIO, "rot-ratio": _RATIO}),
+    _command("decohere", _BOTH, mode=st.sampled_from(["discrete", "closed"])),
+    _command("scaling", _BOTH, policy=st.sampled_from(["fixed_voltage", "fixed_spacing"]),
              **{"n-min": st.integers(-2, 10**5), "n-max": st.integers(-2, 10**5),
                 "s0-target": st.one_of(
                     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1e-6,

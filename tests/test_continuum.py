@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from iondec.continuum import (C0_DUBIN, ContinuumModel, chain_length,
-                              invert_cubic_count, min_spacing, spacing_profile)
+from iondec.continuum import (C0_DUBIN, ContinuumModel, _profile, chain_length,
+                              invert_cubic_count, min_spacing)
 from iondec.errors import DomainError, ValidationError
 from iondec.sums import continuum_sites
 
@@ -71,18 +71,12 @@ def test_model_needs_two_ions(bad):
 def test_profile_center_and_shape():
     n = 200
     s0 = min_spacing(n, DU)
-    assert spacing_profile(np.array([0.0, 0.5]), n, DU) == pytest.approx(
+    assert _profile(s0, np.array([0.0, 0.5])) == pytest.approx(
         [s0, 4 * s0 / 3], rel=1e-14)
     x = np.linspace(-0.95, 0.95, 191)
-    prof = spacing_profile(x, n, DU)
+    prof = _profile(s0, x)
     assert np.allclose(prof, prof[::-1], rtol=1e-13)       # even in z
     assert np.argmin(prof) == 95                           # minimal at center
-
-
-@pytest.mark.parametrize("edge", [1.0, -1.0, 1.3])
-def test_profile_rejects_edge(edge):
-    with pytest.raises(DomainError):
-        spacing_profile(edge, 100, DU)
 
 
 def test_profile_vs_discrete_mid_gap(chains):
@@ -91,7 +85,7 @@ def test_profile_vs_discrete_mid_gap(chains):
     u = chains(100).positions.astype(float)
     gap = u[50] - u[49]
     mid = 0.5 * (u[50] + u[49])
-    prof = spacing_profile(mid / chain_length(100, DU), 100, DU)
+    prof = _profile(min_spacing(100, DU), mid / chain_length(100, DU))
     assert prof == pytest.approx(gap, rel=0.10)
     assert abs(prof / gap - 1.0) == pytest.approx(0.029, abs=0.01)
 
