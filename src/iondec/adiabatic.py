@@ -30,6 +30,13 @@ _BATCH_STEPS steps per numpy call), each chunk paired exactly as if it
 were built alone, so the output is bit-identical to building one chunk per
 call, and short windows do not pay numpy's per-call overhead once per
 stored point.
+
+Each run allocates one work area, sized for its largest batch, and every
+chunk call writes all of its intermediates there.  A call's ~0.4 MB of
+fresh temporaries would grow the heap past glibc's trim threshold, which
+stays at 128 KiB once the mmap threshold is fixed (as the benchmark fixes
+it); the heap would then be trimmed at every free and the temporaries
+page-faulted back in at the next call, ~60 faults per call.
 """
 from __future__ import annotations
 
@@ -39,19 +46,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, ValidationError, check_positive
+from .errors import (AccuracyError, DomainError, ValidationError, check_nonnegative,
+                     check_positive)
 
 DEFAULT_DTHETA = 0.05
 MAX_DTHETA = 0.1
 DEFAULT_NORM_BUDGET = 1e-6
 _MAX_STORED = 4000
-# Longest window, in RK4 steps.  A chunk's operators take ~420 B of numpy
-# temporaries per step, and decimated to _MAX_STORED points a chunk is at
-# most MAX_STEPS / _MAX_STORED = 1e6 steps (~0.42 GB).
+# Longest window, in RK4 steps.  A chunk's operators take a work area of
+# 288 B per step plus 32 B per chunk (_work_size), and decimated to
+# _MAX_STORED points a chunk is at most MAX_STEPS / _MAX_STORED = 1e6 steps
+# (~0.29 GB).
 MAX_STEPS = 4_000_000_000
-# RK4 steps whose operators one _chunk_operator call builds at once.  A
-# 1024-step call peaks at ~0.45 MB of numpy temporaries (4096: ~1.8 MB) and
-# takes ~0.45 ms, of which numpy's fixed per-call cost (~50 us) is a tenth.
+# RK4 steps whose operators one _chunk_operator call builds at once: enough
+# that numpy's fixed per-call cost (~50 us) is a small share of a call.  A
+# 1024-step batch takes a ~0.3 MB work area, allocated once per run and
+# reused by every call (fresh temporaries of that size were page-faulted
+# back in at every call; see the module docstring).
 _BATCH_STEPS = 1024
 # Empirical norm-drift model for this stepper: drift ~ C * theta * (eps/w0)^2
 # * dtheta^4.  Measured C is ~9e-5; the value below carries a ~10x margin.
@@ -86,8 +97,7 @@ class DriveField:
     @classmethod
     def circular(cls, amplitude, rotation):
         """f(t) = amplitude * (cos(rotation*t), sin(rotation*t))."""
-        if not 0 <= amplitude < math.inf:
-            raise ValidationError("amplitude", f"must be finite and >= 0, got {amplitude!r}")
+        check_nonnegative("amplitude", amplitude)
         _require_finite("rotation", rotation)
         return cls(kind="circular", amplitude=float(amplitude), rotation=float(rotation))
 
@@ -116,13 +126,25 @@ class DriveField:
     def components(self, t):
         """(f_x, f_y) at time t (scalar or array), angular-frequency units."""
         t = np.asarray(t, dtype=float)
+        fx, fy = np.empty_like(t), np.empty_like(t)
+        self._components_into(t, fx, fy)
+        return fx[()], fy[()]  # scalars for a scalar t
+
+    def _components_into(self, t, fx, fy):
+        """Write f_x(t) into fx and f_y(t) into fy, float arrays of t's
+        shape; fy may be t itself, which is then overwritten."""
         if self.kind == "circular":
-            return (self.amplitude * np.cos(self.rotation * t),
-                    self.amplitude * np.sin(self.rotation * t))
-        if self.kind == "constant":
-            return (np.full_like(t, self.fx), np.full_like(t, self.fy))
-        return (np.interp(t, self.times, self.fx_samples),
-                np.interp(t, self.times, self.fy_samples))
+            np.multiply(self.rotation, t, out=fy)
+            np.cos(fy, out=fx)
+            np.multiply(self.amplitude, fx, out=fx)
+            np.sin(fy, out=fy)
+            np.multiply(self.amplitude, fy, out=fy)
+        elif self.kind == "constant":
+            fx.fill(self.fx)
+            fy.fill(self.fy)
+        else:
+            fx[...] = np.interp(t, self.times, self.fx_samples)
+            fy[...] = np.interp(t, self.times, self.fy_samples)
 
     def magnitude(self, t):
         fx, fy = self.components(t)
@@ -215,8 +237,7 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None):
     allocated.
     """
     check_positive("omega0", omega0)
-    if not 0 <= t_end < math.inf:
-        raise ValidationError("t_end", f"must be finite and >= 0, got {t_end!r}")
+    check_nonnegative("t_end", t_end)
     u0 = np.asarray(initial, dtype=complex)
     if u0.shape != (2,):
         raise ValidationError("initial", "expected a (u_plus, u_minus) pair")
@@ -260,10 +281,12 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None):
     theta[0], up[0], um[0] = 0.0, u0[0], u0[1]
     theta[1:] = np.append(starts[1:], n_steps) * dtheta
 
+    # the first batch is the largest, in chunks and in steps
+    work = np.empty(_work_size(batches[0][0].size, stride), dtype=complex)
     u = u0.copy()
     out = 1
     for batch_starts, m in batches:
-        for op in _chunk_operator(drive, omega0, batch_starts * dtheta, dtheta, m):
+        for op in _chunk_operator(drive, omega0, batch_starts * dtheta, dtheta, m, work):
             u = op @ u
             up[out], um[out] = u[0], u[1]
             out += 1
@@ -277,13 +300,36 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None):
     return traj
 
 
-def _coupling(drive, omega0, theta):
-    """g(theta) = e^{i theta} f_-(theta/w0)/w0, for an array of theta."""
-    fx, fy = drive.components(theta / omega0)
-    return np.exp(1j * theta) * (fx - 1j * fy) / omega0
+def _coupling(drive, omega0, theta, out=None):
+    """g(theta) = e^{i theta} f_-(theta/w0)/w0, for an array of theta.
+
+    With out = (g, e, f, fx), three complex arrays and a float array of
+    theta's shape, g is built in g, the others are scratch (fx may share
+    g's memory), and theta is overwritten.  Without, theta is left as it
+    is and the four are allocated.
+    """
+    if out is None:
+        theta = np.array(theta, dtype=float)
+        out = (*(np.empty(theta.shape, complex) for _ in range(3)), np.empty(theta.shape))
+    g, e, f, fx = out
+    np.multiply(1j, theta, out=e)
+    np.exp(e, out=e)
+    t = np.divide(theta, omega0, out=theta)
+    drive._components_into(t, fx, t)
+    np.multiply(1j, t, out=f)
+    np.subtract(fx, f, out=f)
+    np.multiply(e, f, out=g)
+    return np.divide(g, omega0, out=g)
 
 
-def _chunk_operator(drive, omega0, theta0, dtheta, m):
+def _work_size(B, m):
+    """Complex elements of the work area _chunk_operator needs for B chunks
+    of m steps: 18 per step and 2 per chunk, so 288 B per step plus 32 B per
+    chunk, at most 320 B per step."""
+    return 18 * B * m + 2 * B
+
+
+def _chunk_operator(drive, omega0, theta0, dtheta, m, work=None):
     """Products of m consecutive RK4 one-step operators, one per chunk start.
 
     theta0 is a vector of B chunk starts; the result is a (B, 2, 2) stack.
@@ -302,35 +348,93 @@ def _chunk_operator(drive, omega0, theta0, dtheta, m):
     Within each chunk the A_k then combine by pairwise matrix products
     along the step axis, on stacked matmul: a general 2x2 product written
     elementwise would not round as BLAS does.
+
+    Every intermediate is written into ``work``, a flat complex array of at
+    least _work_size(B, m) elements, by ufuncs with the operands of the
+    plain expressions in their order, so the bits are those of freshly
+    allocated temporaries.  The result is a view into ``work`` that the
+    next call on the same work area overwrites.  Without ``work``, one is
+    allocated for this call.
     """
     h = 0.5 * dtheta
     theta0 = np.asarray(theta0, dtype=float)[:, None]
-    g = _coupling(drive, omega0, theta0 + np.arange(2 * m + 1) * h)
-    b = -1j * g
-    c = -1j * np.conj(g)
+    B, half_steps = theta0.shape[0], 2 * m + 1
+    n, gl = B * m, B * half_steps
+    if work is None:
+        work = np.empty(_work_size(B, m), dtype=complex)
+    reals = work.view(float)
+
+    def cplx(at, *shape):
+        return work[at:at + math.prod(shape)].reshape(shape)
+
+    def real(at, *shape):
+        return reals[2 * at:2 * at + math.prod(shape)].reshape(shape)
+
+    # [b | c | ops | stage]: the stage area first holds the coupling's
+    # scratch, then ten (B, m) stage arrays, then the reduction's odd levels
+    b, c = cplx(0, B, half_steps), cplx(gl, B, half_steps)
+    ops = cplx(2 * gl, B, m, 2, 2)
+    stage = 2 * gl + 4 * n
+    grid = real(stage + gl, B, half_steps)
+    np.add(theta0, np.arange(half_steps) * h, out=grid)
+    g = _coupling(drive, omega0, grid, (b, cplx(stage, B, half_steps), c,
+                                        real(0, B, half_steps)))
+    np.conjugate(g, out=c)
+    np.multiply(-1j, c, out=c)
+    np.multiply(-1j, g, out=b)
     b1, b2, b3 = b[:, 0:2 * m:2], b[:, 1::2], b[:, 2::2]
     c1, c2, c3 = c[:, 0:2 * m:2], c[:, 1::2], c[:, 2::2]
 
-    k2 = (b2 * (h * c1), b2, c2, c2 * (h * b1))
-    x = (1 + h * k2[0], h * k2[1], h * k2[2], 1 + h * k2[3])
-    k3 = (b2 * x[2], b2 * x[3], c2 * x[0], c2 * x[1])
-    x = (1 + dtheta * k3[0], dtheta * k3[1], dtheta * k3[2], 1 + dtheta * k3[3])
-    k4 = (b3 * x[2], b3 * x[3], c3 * x[0], c3 * x[1])
+    # No product of two arrays is written over one of its operands: numpy
+    # rounds a one-element complex product in place otherwise than into
+    # fresh memory.
+    k20, k23, k30, k31, k32, k33, x0, x1, x2, x3 = (
+        cplx(stage + i * n, B, m) for i in range(10))
+    # k2 = (b2 (h c1), b2, c2, c2 (h b1))
+    np.multiply(b2, np.multiply(h, c1, out=x0), out=k20)
+    np.multiply(c2, np.multiply(h, b1, out=x1), out=k23)
+    # x = I + h k2
+    np.add(1, np.multiply(h, k20, out=x0), out=x0)
+    np.multiply(h, b2, out=x1)
+    np.multiply(h, c2, out=x2)
+    np.add(1, np.multiply(h, k23, out=x3), out=x3)
+    # k3 = (b2 x2, b2 x3, c2 x0, c2 x1)
+    np.multiply(b2, x2, out=k30)
+    np.multiply(b2, x3, out=k31)
+    np.multiply(c2, x0, out=k32)
+    np.multiply(c2, x1, out=k33)
+    # x = I + dtheta k3
+    np.add(1, np.multiply(dtheta, k30, out=x0), out=x0)
+    np.multiply(dtheta, k31, out=x1)
+    np.multiply(dtheta, k32, out=x2)
+    np.add(1, np.multiply(dtheta, k33, out=x3), out=x3)
 
+    # A = one + s (k1 + 2 k2 + 2 k3 + k4), with k4 = (b3 x2, b3 x3, c3 x0,
+    # c3 x1) formed in the spent k3 entry; acc is a free stage array
     s = dtheta / 6.0
-    ops = np.empty(g.shape[:1] + (m, 2, 2), dtype=complex)
-    ops[..., 0, 0] = 1 + s * (2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    ops[..., 0, 1] = 0 + s * (b1 + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    ops[..., 1, 0] = 0 + s * (c1 + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    ops[..., 1, 1] = 1 + s * (2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+    for one, k1, k2, k3, m3, x, acc, entry in (
+            (1, None, k20, k30, b3, x2, k20, ops[..., 0, 0]),
+            (0, b1, b2, k31, b3, x3, x2, ops[..., 0, 1]),
+            (0, c1, c2, k32, c3, x0, x2, ops[..., 1, 0]),
+            (1, None, k23, k33, c3, x1, k23, ops[..., 1, 1])):
+        np.multiply(2.0, k2, out=acc)
+        if k1 is not None:
+            np.add(k1, acc, out=acc)
+        np.add(acc, np.multiply(2.0, k3, out=k3), out=acc)
+        np.add(acc, np.multiply(m3, x, out=k3), out=acc)
+        np.add(one, np.multiply(s, acc, out=acc), out=entry)
 
-    while ops.shape[1] > 1:
-        n = ops.shape[1]
-        half = ops[:, 1::2] @ ops[:, 0:n - 1:2]
-        if n % 2:
-            half = np.concatenate([half, ops[:, -1:]], axis=1)
-        ops = half
-    return ops[:, 0]
+    # pairwise reduction, alternating between ops and the stage area; an
+    # odd level's last operator passes through
+    src, dst = ops, cplx(stage, B, m - m // 2, 2, 2)
+    while m > 1:
+        half = m // 2
+        np.matmul(src[:, 1:m:2], src[:, 0:m - 1:2], out=dst[:, :half])
+        if m % 2:
+            dst[:, half] = src[:, m - 1]
+        m -= half
+        src, dst = dst, src
+    return src[:, 0]
 
 
 def adiabatic_phase(drive, omega0, t):
@@ -342,8 +446,7 @@ def adiabatic_phase(drive, omega0, t):
     (|f|^2 overflows, or the product with t does) is refused with
     DomainError.
     """
-    if not t >= 0:
-        raise ValidationError("t", f"must be >= 0, got {t!r}")
+    check_nonnegative("t", t)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             if drive.kind == "circular":

@@ -107,13 +107,19 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int) -> np.ndarray:
     rows below it as is.  Columns left of the tile are evaluated directly.
     Every row keeps its full length, so row sums reduce in the same order
     as over a directly evaluated matrix.
+
+    Each strip's differences are formed in one contiguous scratch buffer,
+    allocated once per call, and ``entry`` may work in that buffer and
+    return it: the kernel copies what it needs before the next strip.
     """
     rows = None
+    scratch = np.empty(min(_STRIP, hi - lo) * max(u.size - lo, lo), dtype=u.dtype)
     for a in range(lo, hi, _STRIP):
         b = min(a + _STRIP, hi)
         # flip[k, c] = entry(u_(a+c) - u_(a+k)) = |M[a+c, a+k]|: the
         # differences are distances except in the strip's own square
-        d = u[None, a:] - u[a:b, None]
+        d = np.subtract(u[None, a:], u[a:b, None],
+                        out=scratch[:(b - a) * (u.size - a)].reshape(b - a, u.size - a))
         square = d[:, :b - a]
         np.abs(square, out=square)
         square[np.arange(b - a), np.arange(b - a)] = np.inf
@@ -129,7 +135,9 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int) -> np.ndarray:
         else:
             rows[a - lo:b - lo, a:] = flip
         if lo > 0:
-            rows[a - lo:b - lo, :lo] = entry(u[a:b, None] - u[None, :lo])
+            left = np.subtract(u[a:b, None], u[None, :lo],
+                               out=scratch[:(b - a) * lo].reshape(b - a, lo))
+            rows[a - lo:b - lo, :lo] = entry(left)
     return rows
 
 
@@ -142,11 +150,16 @@ def _row_sums(u: np.ndarray, entry, odd: bool) -> np.ndarray:
 
 
 def _coulomb(d):
-    return 1.0 / d**2
+    """1/d^2, in d's own buffer."""
+    np.square(d, out=d)
+    return np.divide(1.0, d, out=d)
 
 
 def _stiffness(d):
-    return -2.0 / d.astype(float) ** 3
+    """-2/d^3 in float64, in one new buffer."""
+    x = d.astype(float)
+    np.power(x, 3, out=x)
+    return np.divide(-2.0, x, out=x)
 
 
 def _force(u: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
-"""Exception types shared across the library, and the two input rules.
+"""Exception types shared across the library, and the three input rules.
 
 The CLI maps these onto distinct exit codes, so user input problems
 (ValidationError, DomainError) stay distinguishable from numerical
 failures (SolverError, AccuracyError).
 
-check_integer and check_positive own the two input rules, "a count is an
-integer in a range" and "a parameter is a positive finite real".  Every
+check_integer, check_positive and check_nonnegative own the three input
+rules, "a count is an integer in a range", "a parameter is a positive
+finite real" and "a parameter is a non-negative finite real".  Every
 module imports this one, and it loads no numpy, so a check made here costs
 no import.
 """
@@ -49,11 +50,24 @@ def check_integer(field: str, value, least: int, most: int | None = None) -> int
     return int(value)
 
 
+def _is_finite_real(value) -> bool:
+    """A real number (Python or numpy, not a bool) within the float range;
+    an int too large for a float counts as infinite."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
 def check_positive(field: str, value) -> float:
-    """value as given, if it is a real number (Python or numpy, not a bool)
-    that is finite and > 0; ValidationError naming field if not.  An int
-    too large for a float counts as infinite."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not 0 < value <= sys.float_info.max):
+    """value as given, if it is a finite real > 0; ValidationError naming
+    field if not."""
+    if not (_is_finite_real(value) and value > 0):
         raise ValidationError(field, f"must be a positive finite number, got {value!r}")
+    return value
+
+
+def check_nonnegative(field: str, value) -> float:
+    """value as given, if it is a finite real >= 0; ValidationError naming
+    field if not."""
+    if not (_is_finite_real(value) and value >= 0):
+        raise ValidationError(field, f"must be a non-negative finite number, got {value!r}")
     return value

@@ -1,4 +1,10 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,6 +411,47 @@ def test_chunk_operator_bits_match_stacked_matmul(drive, B, m):
     want = _stacked_chunk_operator(drive, W0, theta0, dtheta, m)
     assert got.shape == (B, 2, 2)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="counts page faults under glibc's allocator")
+def test_window_does_not_fault_its_temporaries_back_in():
+    """With glibc's mmap threshold fixed, as the benchmark fixes it, the
+    trim threshold stays at 128 KiB, so temporaries that grow the heap by
+    more are handed back at every free and faulted in again at the next
+    chunk call.  One work area per run touches its pages once: a 4e5-step
+    window took ~28,000 minor faults with per-call temporaries, ~130 with
+    the work area."""
+    code = textwrap.dedent("""
+        import resource
+        from iondec.adiabatic import DriveField, integrate_tls
+        drive = DriveField.circular(0.005, 1e-3)
+        integrate_tls(1.0, drive, (2**-0.5, 2**-0.5), 50.0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        integrate_tls(1.0, drive, (2**-0.5, 2**-0.5), 2e4)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    src = os.path.dirname(os.path.dirname(adiabatic.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="1048576", PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert int(run.stdout) < 2000
+
+
+def test_one_chunk_window_stays_under_the_step_budget(monkeypatch):
+    """MAX_STEPS is sized for chunk memory of at most ~420 B per step (a
+    1e6-step chunk in ~0.42 GB).  One chunk of 20000 steps peaks at ~320 B
+    per step: the 288 B work area and the index row of the half-step grid
+    (~416 B per step with fresh temporaries)."""
+    monkeypatch.setattr(adiabatic, "_MAX_STORED", 1)
+    tracemalloc.start()
+    try:
+        integrate_tls(W0, demo_drive(), EQUAL, 20000 * DEFAULT_DTHETA / W0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 360 * 20000
 
 
 def exact_amplitudes(drive, omega0, initial, theta):

@@ -1,8 +1,9 @@
-"""The input contract of every entry point that takes a count or a positive
-real: ion counts are integers (Python or numpy, never a bool, float or
-string), and a numpy integer gives exactly the Python int's result;
-positive reals are real numbers, never a bool or a string, and finite as
-a float.  Each refusal is a ValidationError naming the parameter.
+"""The input contract of every entry point that takes a count, a positive
+real or a non-negative real: ion counts are integers (Python or numpy,
+never a bool, float or string), and a numpy integer gives exactly the
+Python int's result; positive and non-negative reals are real numbers,
+never a bool or a string, and finite as a float.  Each refusal is a
+ValidationError naming the parameter.
 
 Rows that existing tests already cover (chain_length's and min_spacing's
 bad counts, solve_equilibrium's string tolerance) are not repeated here.
@@ -12,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from iondec.adiabatic import DriveField, integrate_tls
+from iondec.adiabatic import DriveField, adiabatic_phase, integrate_tls
 from iondec.chain import solve_equilibrium
 from iondec.continuum import ContinuumModel, chain_length, min_spacing
 from iondec.decoherence import closed_form_rate
@@ -91,3 +92,29 @@ def test_positive_real_that_is_not_a_finite_real_is_refused(name, label):
     with pytest.raises(ValidationError) as err:
         call(BAD_REALS[label])
     assert err.value.field == field
+
+
+# entry point -> (field, a call passing the value as that non-negative real)
+NONNEGATIVE = {
+    "integrate_tls(t_end)": ("t_end", lambda x: integrate_tls(W0, DRIVE, EQUAL, x)),
+    "DriveField.circular": ("amplitude", lambda x: DriveField.circular(x, 1.0)),
+    "adiabatic_phase": ("t", lambda x: adiabatic_phase(DRIVE, W0, x)),
+}
+BAD_NONNEGATIVE = {**BAD_REALS, "-1e-300": -1e-300, "nan": math.nan, "inf": math.inf}
+
+
+@pytest.mark.parametrize("label", BAD_NONNEGATIVE)
+@pytest.mark.parametrize("name", NONNEGATIVE)
+def test_nonnegative_real_that_is_not_a_finite_real_is_refused(name, label):
+    field, call = NONNEGATIVE[name]
+    with pytest.raises(ValidationError) as err:
+        call(BAD_NONNEGATIVE[label])
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("name", NONNEGATIVE)
+def test_nonnegative_real_takes_zero_and_numpy_reals(name):
+    call = NONNEGATIVE[name][1]
+    call(0)
+    # str, not repr: numpy 2 writes a float64 result as np.float64(...)
+    assert str(call(np.float64(1e-3))) == str(call(1e-3))
