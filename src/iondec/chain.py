@@ -23,6 +23,18 @@ is sign-symmetric (u_j - u_i == -(u_i - u_j) exactly), and |d| and
 negation are exact.  Rows keep their full length, so row sums reduce in
 the same order as before.
 
+A solve allocates one work area (_work_area) and hands it to every force
+and Jacobian call of its Newton loop and line search.  The area holds
+N^2 float64 words, the size of the Jacobian, plus the kernel's two strip
+buffers; the force never runs while the Jacobian is in use, so it reads
+the same words as _WIDE, in row blocks of ⌊N/2⌋ rows.  A one-block _WIDE area (16 N^2 bytes) would raise the solve's
+peak, as np.linalg.solve makes its own 8 N^2-byte LU copy of the Jacobian
+on top of the area.  Fresh row blocks and strip temporaries would grow the
+heap past glibc's trim threshold, which stays at 128 KiB once the mmap
+threshold is fixed (as the benchmark fixes it), and be page-faulted back
+in at every call; the faults left in a solve are that LU copy's, which
+numpy allocates inside np.linalg.solve.
+
 An ``IonChain`` is its positions, frozen and read-only; the ion count,
 the residual certificate and the pair sums are pure functions of them.
 The residual is evaluated on first read and cached (``solve_equilibrium``
@@ -97,7 +109,24 @@ class IonChain:
         return math.inf if math.isnan(res) else res
 
 
-def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int) -> np.ndarray:
+def _work_area(n: int) -> tuple:
+    """One solve's work area for its _force and _jacobian calls, in one
+    allocation: (rows, strips).
+
+    ``rows`` is 8 N^2 bytes, the N x N float64 Jacobian (at least one _WIDE
+    value, for N = 1); the force reads it as _WIDE rows, in blocks of as
+    many rows as fit.  ``strips`` is two _WIDE buffers of _STRIP rows of N,
+    the scratch of _pair_rows.
+    """
+    wide = np.dtype(_WIDE).itemsize
+    # whole _WIDE values, so that strips starts aligned
+    rows = -(-max(8 * n * n, wide) // wide) * wide
+    area = np.empty(rows + 2 * _STRIP * n * wide, dtype=np.uint8)
+    return area[:rows], area[rows:].view(_WIDE).reshape(2, _STRIP * n)
+
+
+def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int,
+               work: tuple | None = None) -> np.ndarray:
     """Rows [lo, hi) of M[i, j] = entry(|u_i - u_j|), entry(inf) on the
     diagonal, times sign(u_i - u_j) off it when ``odd`` (M[i, j] = -M[j, i]).
 
@@ -108,67 +137,96 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int) -> np.ndarray:
     Every row keeps its full length, so row sums reduce in the same order
     as over a directly evaluated matrix.
 
-    Each strip's differences are formed in one contiguous scratch buffer,
-    allocated once per call, and ``entry`` may work in that buffer and
-    return it: the kernel copies what it needs before the next strip.
+    Each strip's differences d are formed in one of two contiguous scratch
+    buffers, and ``entry(d, spare)`` may work in d and return it: the
+    kernel copies what it needs before the next strip.  ``spare``, the
+    other buffer, flat and at least d.size values of u's dtype, is the
+    entry's to use.  With ``work``, a _work_area of u.size ions, the
+    buffers and the rows are in it and the result is a view into it;
+    without, they are allocated for this call.  Both operands of a strip's
+    differences are spelled out in full and the odd rows negated in place:
+    a broadcast operand, or rows written through a strided view, would make
+    numpy allocate an iterator buffer, ~0.24 MB per strip at N = 1500.
     """
+    n = u.size
+    if work is None:
+        strips = np.empty((2, min(_STRIP, hi - lo) * max(n - lo, lo)), dtype=u.dtype)
+    else:
+        strips = work[1]
+
+    def differences(first, second, shape):
+        """first - second, both broadcast to ``shape``, in strips[0]."""
+        diff, other = (strip[:math.prod(shape)].reshape(shape) for strip in strips)
+        diff[...] = first
+        other[...] = second
+        return np.subtract(diff, other, out=diff)
+
     rows = None
-    scratch = np.empty(min(_STRIP, hi - lo) * max(u.size - lo, lo), dtype=u.dtype)
     for a in range(lo, hi, _STRIP):
         b = min(a + _STRIP, hi)
         # flip[k, c] = entry(u_(a+c) - u_(a+k)) = |M[a+c, a+k]|: the
         # differences are distances except in the strip's own square
-        d = np.subtract(u[None, a:], u[a:b, None],
-                        out=scratch[:(b - a) * (u.size - a)].reshape(b - a, u.size - a))
+        d = differences(u[None, a:], u[a:b, None], (b - a, n - a))
         square = d[:, :b - a]
         np.abs(square, out=square)
         square[np.arange(b - a), np.arange(b - a)] = np.inf
-        flip = entry(d)
+        flip = entry(d, strips[1])
         if rows is None:
-            rows = np.empty((hi - lo, u.size), dtype=flip.dtype)
+            shape = (hi - lo, n)
+            rows = (np.empty(shape, dtype=flip.dtype) if work is None else
+                    work[0][:math.prod(shape) * flip.itemsize].view(flip.dtype).reshape(shape))
         rows[b - lo:, a:b] = flip[:, b - a:hi - a].T
         if odd:
-            np.negative(flip, out=rows[a - lo:b - lo, a:])
+            np.negative(flip, out=flip)
+            rows[a - lo:b - lo, a:] = flip
             # M[i, j] >= 0 on and below the diagonal, where u_i >= u_j
             square = rows[a - lo:b - lo, a:b]
             np.abs(square, out=square, where=np.tri(b - a, dtype=bool))
         else:
             rows[a - lo:b - lo, a:] = flip
         if lo > 0:
-            left = np.subtract(u[a:b, None], u[None, :lo],
-                               out=scratch[:(b - a) * lo].reshape(b - a, lo))
-            rows[a - lo:b - lo, :lo] = entry(left)
+            left = differences(u[a:b, None], u[None, :lo], (b - a, lo))
+            rows[a - lo:b - lo, :lo] = entry(left, strips[1])
     return rows
 
 
-def _row_sums(u: np.ndarray, entry, odd: bool) -> np.ndarray:
-    """sum_j M[i, j] for every row of the _pair_rows matrix, in row blocks."""
+def _row_sums(u: np.ndarray, entry, odd: bool, work: tuple | None = None) -> np.ndarray:
+    """sum_j M[i, j] for every row of the _pair_rows matrix, in row blocks
+    of _BLOCK // N rows, or fewer when that many do not fit ``work``."""
     n = u.size
     block = max(1, _BLOCK // n)
-    return np.concatenate([_pair_rows(u, entry, odd, lo, min(lo + block, n)).sum(axis=1)
+    if work is not None:
+        block = min(block, work[0].size // (n * work[1].itemsize))
+    return np.concatenate([_pair_rows(u, entry, odd, lo, min(lo + block, n), work).sum(axis=1)
                            for lo in range(0, n, block)])
 
 
-def _coulomb(d):
+def _coulomb(d, spare):
     """1/d^2, in d's own buffer."""
     np.square(d, out=d)
     return np.divide(1.0, d, out=d)
 
 
-def _stiffness(d):
-    """-2/d^3 in float64, in one new buffer."""
-    x = d.astype(float)
+def _stiffness(d, spare):
+    """-2/d^3 in float64, in the bytes of ``spare``."""
+    x = spare.view(float)[:d.size].reshape(d.shape)
+    x[...] = d
     np.power(x, 3, out=x)
     return np.divide(-2.0, x, out=x)
 
 
-def _force(u: np.ndarray) -> np.ndarray:
-    """F_i = u_i - sum_j sign(u_i - u_j)/(u_i - u_j)^2, in blocks."""
-    return np.asarray(u, dtype=_WIDE) - _row_sums(u, _coulomb, odd=True)
+def _force(u: np.ndarray, work: tuple | None = None) -> np.ndarray:
+    """F_i = u_i - sum_j sign(u_i - u_j)/(u_i - u_j)^2, in blocks, in
+    ``work`` (a _work_area) when given."""
+    return np.asarray(u, dtype=_WIDE) - _row_sums(u, _coulomb, odd=True, work=work)
 
 
-def _jacobian(u: np.ndarray) -> np.ndarray:
-    jac = _pair_rows(u, _stiffness, False, 0, u.size)
+def _jacobian(u: np.ndarray, work: tuple | None = None) -> np.ndarray:
+    """dF_i/du_j as float64, a view into ``work`` (a _work_area, allocated
+    here when not given) that the next call on it overwrites."""
+    if work is None:
+        work = _work_area(u.size)
+    jac = _pair_rows(u, _stiffness, False, 0, u.size, work)
     # the kernel's diagonal is -2/inf = -0, which the row sum ignores
     np.fill_diagonal(jac, 1.0 - jac.sum(axis=1))
     return jac
@@ -198,7 +256,8 @@ def solve_equilibrium(n_ions: int, tol: float = DEFAULT_TOL,
     max_iter = check_integer("max_iter", max_iter, 1)
 
     u = _initial_guess(n_ions)
-    f = _force(u)
+    work = _work_area(n_ions)
+    f = _force(u, work)
     best = float(np.max(np.abs(f)))
     for _ in range(max_iter):
         res = float(np.max(np.abs(f)))
@@ -208,12 +267,12 @@ def solve_equilibrium(n_ions: int, tol: float = DEFAULT_TOL,
             # res is max|F| at exactly these positions: fill the cache with it
             chain.__dict__["residual"] = res
             return chain
-        step = np.linalg.solve(_jacobian(u), f.astype(float)).astype(_WIDE)
+        step = np.linalg.solve(_jacobian(u, work), f.astype(float)).astype(_WIDE)
         lam = 1.0
         while lam >= 1e-8:
             trial = u - lam * step
             if np.all(np.diff(trial) > 0):
-                f_trial = _force(trial)
+                f_trial = _force(trial, work)
                 if np.max(np.abs(f_trial)) < max(res * (1.0 - 0.25 * lam), 0.5 * tol):
                     u, f = trial, f_trial
                     break

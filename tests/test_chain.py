@@ -1,10 +1,16 @@
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from iondec import chain as chain_module
-from iondec.chain import (IonChain, _force, _jacobian, local_spacings,
+from iondec.chain import (IonChain, _force, _jacobian, _work_area, local_spacings,
                           solve_equilibrium)
 from iondec.continuum import ContinuumModel, min_spacing
 from iondec.errors import SolverError, ValidationError
@@ -217,9 +223,9 @@ def _counting_force(monkeypatch):
     calls = []
     real = chain_module._force
 
-    def counted(u):
+    def counted(u, *work):
         calls.append(u.size)
-        return real(u)
+        return real(u, *work)
 
     monkeypatch.setattr(chain_module, "_force", counted)
     return calls
@@ -341,12 +347,12 @@ def test_pair_entries_see_only_positive_distances(n, rows_per_block, monkeypatch
         monkeypatch.setattr(chain_module, "_BLOCK", rows_per_block * n)
     pair_rows, seen = chain_module._pair_rows, []
 
-    def checked_pair_rows(u, entry, odd, lo, hi):
-        def checked_entry(d):
+    def checked_pair_rows(u, entry, odd, lo, hi, *work):
+        def checked_entry(d, spare):
             seen.append(d.size)
             assert np.all(d > 0)
-            return entry(d)
-        return pair_rows(u, checked_entry, odd, lo, hi)
+            return entry(d, spare)
+        return pair_rows(u, checked_entry, odd, lo, hi, *work)
 
     monkeypatch.setattr(chain_module, "_pair_rows", checked_pair_rows)
     chain = _fixed_positions(n)
@@ -356,3 +362,90 @@ def test_pair_entries_see_only_positive_distances(n, rows_per_block, monkeypatch
         pair_sum_exact_all(chain, p)
     # every pair (and each diagonal) went through an entry in each of the 5 passes
     assert sum(seen) >= 5 * n * (n + 1) // 2
+
+
+# ------------------------------------------------------- solve work area
+
+
+def _value_bytes(a):
+    """The bytes that hold a's values: x87's 80-bit format leaves 6 bytes
+    of padding per element, which hold whatever the memory held before."""
+    a = np.ascontiguousarray(a)
+    width = 10 if np.finfo(a.dtype).nmant == 63 else a.itemsize
+    return a.view(np.uint8).reshape(-1, a.itemsize)[:, :width].tobytes()
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 1, 45])
+@pytest.mark.parametrize("n", [2, 3, 33, 65, 129])
+def test_reused_work_area_keeps_the_bits(n, rows_per_block, monkeypatch):
+    """A force and a Jacobian written into an area that already holds the
+    other kernel's values, at other positions, equal fresh calls bit for
+    bit (signed zeros included)."""
+    if rows_per_block is not None:
+        monkeypatch.setattr(chain_module, "_BLOCK", rows_per_block * n)
+    u1 = _fixed_positions(n).positions
+    u2 = u1 * np.longdouble(0.9) + np.longdouble(0.1)
+    work = _work_area(n)
+    for u in (u1, u2):
+        force = _force(u, work)
+        assert force.dtype == np.longdouble
+        assert _value_bytes(force) == _value_bytes(_force(u))
+        jac = _jacobian(u, work)
+        assert jac.dtype == np.float64
+        assert _value_bytes(jac) == _value_bytes(_jacobian(u))
+
+
+def test_solve_stays_within_its_memory_budget():
+    """A solve holds one work area of N^2 float64 words, and the force
+    runs in row blocks inside it; a force block of all N longdouble rows
+    (16 N^2 bytes) would take the peak to ~2.3 x 8 N^2."""
+    n = 484
+    solve_equilibrium(n)
+    tracemalloc.start()
+    try:
+        solve_equilibrium(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * 8 * n * n
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="counts page faults under glibc's allocator")
+def test_solve_does_not_fault_its_kernel_temporaries_back_in():
+    """With glibc's mmap threshold fixed, as the benchmark fixes it, the
+    trim threshold stays at 128 KiB, so a kernel's temporaries that grow
+    the heap by more are handed back at every free and faulted in again
+    at the next call.  Row blocks and strip buffers in one work area per
+    solve touch their pages once per solve: a solve
+    at N = 484 took 13,000-15,700 minor faults with fresh arrays per call
+    and takes ~2,900 with the area, most of them in the LU copy of
+    np.linalg.solve; a force call at N = 1500 took ~1,400 and takes ~0
+    with a warm area."""
+    code = textwrap.dedent("""
+        import resource
+        from iondec.chain import _force, _initial_guess, _work_area, solve_equilibrium
+
+        def faults():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+        solve_equilibrium(484)
+        before = faults()
+        solve_equilibrium(484)
+        solve = faults() - before
+        u, work = _initial_guess(1500), _work_area(1500)
+        _force(u, work)
+        _force(u, work)
+        before = faults()
+        _force(u, work)
+        print(solve, faults() - before)
+    """)
+    src = os.path.dirname(os.path.dirname(chain_module.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="1048576", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    solve, force = map(int, run.stdout.split())
+    assert solve < 6000
+    assert force < 100

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iondec.continuum import ContinuumModel
 from iondec.decoherence import (DecoherenceMode, aggregate_tau_vib,
@@ -9,7 +12,8 @@ from iondec.decoherence import (DecoherenceMode, aggregate_tau_vib,
                                 combined_window, fidelity_curve,
                                 per_ion_rates, vibrational_prefactor)
 from iondec.errors import DomainError, ValidationError
-from iondec.physmodel import CONSTANTS, TrapConfig, derive_scales, radiative_time
+from iondec.physmodel import (CONSTANTS, Multipole, TrapConfig, derive_scales,
+                              radiative_time)
 from iondec.sums import chain_total_asymptotic, pair_sum_exact_all, zeta
 
 DU = ContinuumModel.DUBIN_FLUID
@@ -296,3 +300,51 @@ def test_vibrational_dephasing_is_subdominant(ba, trap1000, chains):
     tau_rad = radiative_time(ba, 1000)
     assert tau_vib / tau_rad > 1e4
     assert tau_vib / tau_rad == pytest.approx(2.7676e10, rel=1e-4)
+
+
+# ------------------------------------------------ SI covariance of the rates
+# Every rate is one monomial in the seven SI inputs times a function of N:
+#     c q2^(1-2p/3) m^(2p/3-1) w_z^(4p/3) / (w_t w0^(2p-2) tau_s),
+# with q2 = q^2/(4 pi eps0), c = qsq_constant and 2p = 6 (E1) or 8 (E2).
+
+LOG_FACTOR = st.floats(min_value=-2.0, max_value=2.0)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(logs=st.tuples(*[LOG_FACTOR] * 7), multipole=st.sampled_from(list(Multipole)))
+def test_rates_follow_one_si_monomial(logs, multipole, ba, chains):
+    """Rescaling mass, charge, omega0, tau_s, qsq_constant, omega_z and
+    omega_t by factors up to e^2 rescales the closed-form and per-ion rates
+    by the monomial above, and build_report's times accordingly."""
+    n = 10
+    chain, trap = chains(n), trap_for(n)
+    species = dataclasses.replace(ba, multipole=multipole)
+    f_m, f_q, f_w0, f_tau, f_c, f_z, f_t = map(math.exp, logs)
+    scaled_species = dataclasses.replace(
+        species, mass=species.mass * f_m, charge=species.charge * f_q,
+        omega0=species.omega0 * f_w0, tau_s=species.tau_s * f_tau,
+        qsq_constant=species.qsq_constant * f_c)
+    scaled_trap = TrapConfig(omega_z=trap.omega_z * f_z, omega_t=trap.omega_t * f_t,
+                             n_ions=n)
+    p = multipole.pair_exponent
+    rate_factor = (f_c * (f_q * f_q) ** (1 - 2 * p / 3) * f_m ** (2 * p / 3 - 1)
+                   * f_z ** (4 * p / 3) / (f_t * f_w0 ** (2 * p - 2) * f_tau))
+
+    def rescaled(value, factor):
+        return pytest.approx(np.asarray(value) * factor, rel=1e-13, abs=0.0)
+
+    closed = closed_form_rate(n, species, trap)
+    scaled_closed = closed_form_rate(n, scaled_species, scaled_trap)
+    assert scaled_closed.full == rescaled(closed.full, rate_factor)
+    assert scaled_closed.bare == rescaled(closed.bare, rate_factor)
+    assert per_ion_rates(chain, scaled_species, scaled_trap) == rescaled(
+        per_ion_rates(chain, species, trap), rate_factor)
+    for mode in DecoherenceMode:
+        report = build_report(species, trap, mode, chain=chain)
+        scaled = build_report(scaled_species, scaled_trap, mode, chain=chain)
+        tau_vib, tau_rad = report.tau_vib / rate_factor, report.tau_rad * f_tau
+        assert scaled.tau_vib == rescaled(report.tau_vib, 1 / rate_factor)
+        assert scaled.tau_rad == rescaled(report.tau_rad, f_tau)
+        assert scaled.t_d == rescaled(combined_window(tau_rad, tau_vib), 1.0)
+        if mode is DecoherenceMode.DISCRETE_SUM:
+            assert scaled.per_ion_tau == rescaled(report.per_ion_tau, 1 / rate_factor)
