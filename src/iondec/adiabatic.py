@@ -32,11 +32,13 @@ call, and short windows do not pay numpy's per-call overhead once per
 stored point.
 
 Each run allocates one work area, sized for its largest batch, and every
-chunk call writes all of its intermediates there.  A call's ~0.4 MB of
-fresh temporaries would grow the heap past glibc's trim threshold, which
-stays at 128 KiB once the mmap threshold is fixed (as the benchmark fixes
-it); the heap would then be trimmed at every free and the temporaries
-page-faulted back in at the next call, ~60 faults per call.
+chunk call writes all of its intermediates there: _chunk_operator and
+_coupling take their scratch from the caller and allocate none of their
+own.  A call's ~0.4 MB of fresh temporaries would grow the heap past
+glibc's trim threshold, which stays at 128 KiB once the mmap threshold is
+fixed (as the benchmark fixes it); the heap would then be trimmed at every
+free and the temporaries page-faulted back in at the next call, ~60
+faults per call.
 """
 from __future__ import annotations
 
@@ -46,8 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AccuracyError, DomainError, ValidationError, check_nonnegative,
-                     check_positive)
+from .errors import (AccuracyError, DomainError, ValidationError, check_finite,
+                     check_nonnegative, check_positive)
 
 DEFAULT_DTHETA = 0.05
 MAX_DTHETA = 0.1
@@ -60,20 +62,10 @@ _MAX_STORED = 4000
 MAX_STEPS = 4_000_000_000
 # RK4 steps whose operators one _chunk_operator call builds at once: enough
 # that numpy's fixed per-call cost (~50 us) is a small share of a call.  A
-# 1024-step batch takes a ~0.3 MB work area, allocated once per run and
-# reused by every call (fresh temporaries of that size were page-faulted
-# back in at every call; see the module docstring).
+# 1024-step batch takes a ~0.3 MB work area (see the module docstring).
 _BATCH_STEPS = 1024
-# Empirical norm-drift model for this stepper: drift ~ C * theta * (eps/w0)^2
-# * dtheta^4.  Measured C is ~9e-5; the value below carries a ~10x margin.
-_DRIFT_COEFF = 1e-3
 
 _REGIME_LIMIT = 0.1
-
-
-def _require_finite(name, value):
-    if not math.isfinite(value):
-        raise ValidationError(name, f"must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -98,13 +90,13 @@ class DriveField:
     def circular(cls, amplitude, rotation):
         """f(t) = amplitude * (cos(rotation*t), sin(rotation*t))."""
         check_nonnegative("amplitude", amplitude)
-        _require_finite("rotation", rotation)
+        check_finite("rotation", rotation)
         return cls(kind="circular", amplitude=float(amplitude), rotation=float(rotation))
 
     @classmethod
     def constant(cls, fx, fy):
-        _require_finite("fx", fx)
-        _require_finite("fy", fy)
+        check_finite("fx", fx)
+        check_finite("fy", fy)
         return cls(kind="constant", fx=float(fx), fy=float(fy))
 
     @classmethod
@@ -197,19 +189,6 @@ class SpinTrajectory:
         return float(np.max(np.abs(norms - norms[0])))
 
 
-def suggested_step(omega0, drive, t_end, norm_budget=1e-9):
-    """A fixed step (seconds) keeping predicted norm drift under budget.
-
-    Uses the empirical drift model above; capped at the default step.
-    """
-    theta_end = omega0 * t_end
-    eps_ratio = drive.regime_ratios(omega0)[0]
-    if theta_end <= 0 or eps_ratio <= 0:
-        return DEFAULT_DTHETA / omega0
-    dtheta = (norm_budget / (_DRIFT_COEFF * theta_end * eps_ratio**2)) ** 0.25
-    return min(DEFAULT_DTHETA, dtheta) / omega0
-
-
 def integrate_tls(omega0, drive, initial, t_end, dt=None):
     """Integrate the two-level amplitudes from 0 to t_end.
 
@@ -300,17 +279,14 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None):
     return traj
 
 
-def _coupling(drive, omega0, theta, out=None):
-    """g(theta) = e^{i theta} f_-(theta/w0)/w0, for an array of theta.
+def _coupling(drive, omega0, theta, out):
+    """g(theta) = e^{i theta} f_-(theta/w0)/w0, for a float array theta,
+    which is overwritten.
 
-    With out = (g, e, f, fx), three complex arrays and a float array of
-    theta's shape, g is built in g, the others are scratch (fx may share
-    g's memory), and theta is overwritten.  Without, theta is left as it
-    is and the four are allocated.
+    out = (g, e, f, fx) are three complex arrays and a float array of
+    theta's shape: g is built in g, and the others are scratch (fx may
+    share g's memory).
     """
-    if out is None:
-        theta = np.array(theta, dtype=float)
-        out = (*(np.empty(theta.shape, complex) for _ in range(3)), np.empty(theta.shape))
     g, e, f, fx = out
     np.multiply(1j, theta, out=e)
     np.exp(e, out=e)
@@ -329,7 +305,7 @@ def _work_size(B, m):
     return 18 * B * m + 2 * B
 
 
-def _chunk_operator(drive, omega0, theta0, dtheta, m, work=None):
+def _chunk_operator(drive, omega0, theta0, dtheta, m, work):
     """Products of m consecutive RK4 one-step operators, one per chunk start.
 
     theta0 is a vector of B chunk starts; the result is a (B, 2, 2) stack.
@@ -353,15 +329,12 @@ def _chunk_operator(drive, omega0, theta0, dtheta, m, work=None):
     least _work_size(B, m) elements, by ufuncs with the operands of the
     plain expressions in their order, so the bits are those of freshly
     allocated temporaries.  The result is a view into ``work`` that the
-    next call on the same work area overwrites.  Without ``work``, one is
-    allocated for this call.
+    next call on the same work area overwrites.
     """
     h = 0.5 * dtheta
     theta0 = np.asarray(theta0, dtype=float)[:, None]
     B, half_steps = theta0.shape[0], 2 * m + 1
     n, gl = B * m, B * half_steps
-    if work is None:
-        work = np.empty(_work_size(B, m), dtype=complex)
     reals = work.view(float)
 
     def cplx(at, *shape):

@@ -23,17 +23,21 @@ is sign-symmetric (u_j - u_i == -(u_i - u_j) exactly), and |d| and
 negation are exact.  Rows keep their full length, so row sums reduce in
 the same order as before.
 
-A solve allocates one work area (_work_area) and hands it to every force
-and Jacobian call of its Newton loop and line search.  The area holds
-N^2 float64 words, the size of the Jacobian, plus the kernel's two strip
-buffers; the force never runs while the Jacobian is in use, so it reads
-the same words as _WIDE, in row blocks of ⌊N/2⌋ rows.  A one-block _WIDE area (16 N^2 bytes) would raise the solve's
-peak, as np.linalg.solve makes its own 8 N^2-byte LU copy of the Jacobian
-on top of the area.  Fresh row blocks and strip temporaries would grow the
-heap past glibc's trim threshold, which stays at 128 KiB once the mmap
-threshold is fixed (as the benchmark fixes it), and be page-faulted back
-in at every call; the faults left in a solve are that LU copy's, which
-numpy allocates inside np.linalg.solve.
+Every pass writes its rows and strips into a work area (_work_area) its
+caller allocates, and the kernel allocates nothing of that size itself:
+fresh row blocks and strip temporaries would grow the heap past glibc's
+trim threshold, which stays at 128 KiB once the mmap threshold is fixed
+(as the benchmark fixes it), and be page-faulted back in at every call.
+A solve allocates one area (_solve_area) and hands it to every force and
+Jacobian call of its Newton loop and line search.  It holds as many _WIDE
+rows as hold the N x N float64 Jacobian, ⌈8N/itemsize⌉ (⌈N/2⌉ under
+x87); the force never runs while the Jacobian is in use, so it reads the
+same words as _WIDE, in blocks of that many rows.  A larger area would
+raise the solve's peak, as np.linalg.solve makes its own 8 N^2-byte LU
+copy of the Jacobian on top of it; the faults left in a solve are that
+copy's, which numpy allocates inside np.linalg.solve.  A lone pass (a
+residual, a pair sum) allocates an area of _BLOCK // N rows, at most N
+(_pass_area).
 
 An ``IonChain`` is its positions, frozen and read-only; the ion count,
 the residual certificate and the pair sums are pure functions of them.
@@ -58,7 +62,7 @@ from .physmodel import DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_IONS  # re-exported
 # working precision of positions and forces; see the module docstring
 _WIDE = np.longdouble
 
-# row-block size for O(N^2) pairwise work, keeps peak memory ~tens of MB
+# pairwise entries per row block of a lone pass (_pass_area)
 _BLOCK = 4_000_000
 # rows per strip of a mirrored diagonal tile
 _STRIP = 32
@@ -105,30 +109,40 @@ class IonChain:
         NaN, although an ion pulled infinitely both ways gets a NaN force.
         """
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            res = float(np.max(np.abs(_force(self.positions))))
+            res = float(np.max(np.abs(_force(self.positions, _pass_area(self.n_ions)))))
         return math.inf if math.isnan(res) else res
 
 
-def _work_area(n: int) -> tuple:
-    """One solve's work area for its _force and _jacobian calls, in one
+def _work_area(n: int, rows: int) -> tuple:
+    """A work area of ``rows`` pairwise rows of n ions, in one _WIDE
     allocation: (rows, strips).
 
-    ``rows`` is 8 N^2 bytes, the N x N float64 Jacobian (at least one _WIDE
-    value, for N = 1); the force reads it as _WIDE rows, in blocks of as
-    many rows as fit.  ``strips`` is two _WIDE buffers of _STRIP rows of N,
-    the scratch of _pair_rows.
+    ``rows`` is a (rows, n) _WIDE array: the row blocks of _row_sums, or
+    the float64 Jacobian read from its words.  ``strips`` is two _WIDE
+    buffers of _STRIP rows of n, the scratch of _pair_rows.
     """
-    wide = np.dtype(_WIDE).itemsize
-    # whole _WIDE values, so that strips starts aligned
-    rows = -(-max(8 * n * n, wide) // wide) * wide
-    area = np.empty(rows + 2 * _STRIP * n * wide, dtype=np.uint8)
-    return area[:rows], area[rows:].view(_WIDE).reshape(2, _STRIP * n)
+    area = np.empty((rows + 2 * _STRIP) * n, dtype=_WIDE)
+    return area[:rows * n].reshape(rows, n), area[rows * n:].reshape(2, _STRIP * n)
+
+
+def _solve_area(n: int) -> tuple:
+    """The work area of one solve over n ions: as many _WIDE rows as hold
+    the n x n float64 Jacobian."""
+    return _work_area(n, -(-8 * n // np.dtype(_WIDE).itemsize))
+
+
+def _pass_area(n: int) -> tuple:
+    """The work area of one lone pass over n ions: _BLOCK // n rows, at
+    most n, so peak memory stays ~tens of MB."""
+    return _work_area(n, min(n, max(1, _BLOCK // n)))
 
 
 def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int,
-               work: tuple | None = None) -> np.ndarray:
+               work: tuple) -> np.ndarray:
     """Rows [lo, hi) of M[i, j] = entry(|u_i - u_j|), entry(inf) on the
-    diagonal, times sign(u_i - u_j) off it when ``odd`` (M[i, j] = -M[j, i]).
+    diagonal, times sign(u_i - u_j) off it when ``odd`` (M[i, j] = -M[j, i]),
+    as a view into ``work``, a _work_area of u.size ions, that the next
+    call on it overwrites.
 
     ``u`` must be strictly increasing, so ``entry`` sees distances d > 0
     only.  The diagonal tile [lo, hi)^2 is evaluated in row strips, on and
@@ -137,22 +151,16 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int,
     Every row keeps its full length, so row sums reduce in the same order
     as over a directly evaluated matrix.
 
-    Each strip's differences d are formed in one of two contiguous scratch
+    Each strip's differences d are formed in one of the area's two strip
     buffers, and ``entry(d, spare)`` may work in d and return it: the
     kernel copies what it needs before the next strip.  ``spare``, the
     other buffer, flat and at least d.size values of u's dtype, is the
-    entry's to use.  With ``work``, a _work_area of u.size ions, the
-    buffers and the rows are in it and the result is a view into it;
-    without, they are allocated for this call.  Both operands of a strip's
-    differences are spelled out in full and the odd rows negated in place:
-    a broadcast operand, or rows written through a strided view, would make
-    numpy allocate an iterator buffer, ~0.24 MB per strip at N = 1500.
+    entry's to use.  Both operands of a strip's differences are spelled
+    out in full and the odd rows negated in place: a broadcast operand, or
+    rows written through a strided view, would make numpy allocate an
+    iterator buffer, ~0.24 MB per strip at N = 1500.
     """
-    n = u.size
-    if work is None:
-        strips = np.empty((2, min(_STRIP, hi - lo) * max(n - lo, lo)), dtype=u.dtype)
-    else:
-        strips = work[1]
+    n, strips = u.size, work[1]
 
     def differences(first, second, shape):
         """first - second, both broadcast to ``shape``, in strips[0]."""
@@ -173,8 +181,7 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int,
         flip = entry(d, strips[1])
         if rows is None:
             shape = (hi - lo, n)
-            rows = (np.empty(shape, dtype=flip.dtype) if work is None else
-                    work[0][:math.prod(shape) * flip.itemsize].view(flip.dtype).reshape(shape))
+            rows = work[0].reshape(-1).view(flip.dtype)[:math.prod(shape)].reshape(shape)
         rows[b - lo:, a:b] = flip[:, b - a:hi - a].T
         if odd:
             np.negative(flip, out=flip)
@@ -190,13 +197,10 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int,
     return rows
 
 
-def _row_sums(u: np.ndarray, entry, odd: bool, work: tuple | None = None) -> np.ndarray:
-    """sum_j M[i, j] for every row of the _pair_rows matrix, in row blocks
-    of _BLOCK // N rows, or fewer when that many do not fit ``work``."""
-    n = u.size
-    block = max(1, _BLOCK // n)
-    if work is not None:
-        block = min(block, work[0].size // (n * work[1].itemsize))
+def _row_sums(u: np.ndarray, entry, odd: bool, work: tuple) -> np.ndarray:
+    """sum_j M[i, j] for every row of the _pair_rows matrix, in blocks of
+    as many rows as ``work`` (a _work_area) holds."""
+    n, block = u.size, work[0].shape[0]
     return np.concatenate([_pair_rows(u, entry, odd, lo, min(lo + block, n), work).sum(axis=1)
                            for lo in range(0, n, block)])
 
@@ -215,17 +219,15 @@ def _stiffness(d, spare):
     return np.divide(-2.0, x, out=x)
 
 
-def _force(u: np.ndarray, work: tuple | None = None) -> np.ndarray:
-    """F_i = u_i - sum_j sign(u_i - u_j)/(u_i - u_j)^2, in blocks, in
-    ``work`` (a _work_area) when given."""
+def _force(u: np.ndarray, work: tuple) -> np.ndarray:
+    """F_i = u_i - sum_j sign(u_i - u_j)/(u_i - u_j)^2, in row blocks in
+    ``work`` (a _work_area)."""
     return np.asarray(u, dtype=_WIDE) - _row_sums(u, _coulomb, odd=True, work=work)
 
 
-def _jacobian(u: np.ndarray, work: tuple | None = None) -> np.ndarray:
-    """dF_i/du_j as float64, a view into ``work`` (a _work_area, allocated
-    here when not given) that the next call on it overwrites."""
-    if work is None:
-        work = _work_area(u.size)
+def _jacobian(u: np.ndarray, work: tuple) -> np.ndarray:
+    """dF_i/du_j as float64, a view into ``work`` (a _work_area of at
+    least 8N bytes per row) that the next call on it overwrites."""
     jac = _pair_rows(u, _stiffness, False, 0, u.size, work)
     # the kernel's diagonal is -2/inf = -0, which the row sum ignores
     np.fill_diagonal(jac, 1.0 - jac.sum(axis=1))
@@ -256,7 +258,7 @@ def solve_equilibrium(n_ions: int, tol: float = DEFAULT_TOL,
     max_iter = check_integer("max_iter", max_iter, 1)
 
     u = _initial_guess(n_ions)
-    work = _work_area(n_ions)
+    work = _solve_area(n_ions)
     f = _force(u, work)
     best = float(np.max(np.abs(f)))
     for _ in range(max_iter):

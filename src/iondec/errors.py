@@ -1,12 +1,13 @@
-"""Exception types shared across the library, and the three input rules.
+"""Exception types shared across the library, and the four input rules.
 
 The CLI maps these onto distinct exit codes, so user input problems
 (ValidationError, DomainError) stay distinguishable from numerical
 failures (SolverError, AccuracyError).
 
-check_integer, check_positive and check_nonnegative own the three input
-rules, "a count is an integer in a range", "a parameter is a positive
-finite real" and "a parameter is a non-negative finite real".  Every
+check_integer, check_positive, check_nonnegative and check_finite own the
+four input rules, "a count is an integer in a range", "a parameter is a
+positive finite real", "a parameter is a non-negative finite real" and
+"a parameter is a finite real".  Every
 module imports this one, and it loads no numpy, so a check made here costs
 no import.
 """
@@ -70,4 +71,12 @@ def check_nonnegative(field: str, value) -> float:
     field if not."""
     if not (_is_finite_real(value) and value >= 0):
         raise ValidationError(field, f"must be a non-negative finite number, got {value!r}")
+    return value
+
+
+def check_finite(field: str, value) -> float:
+    """value as given, if it is a finite real; ValidationError naming field
+    if not."""
+    if not _is_finite_real(value):
+        raise ValidationError(field, f"must be a finite number, got {value!r}")
     return value

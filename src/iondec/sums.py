@@ -90,24 +90,24 @@ def pair_sum_exact_all(chain: IonChain, n: int) -> np.ndarray:
     if sums is None:
         import numpy as np
 
-        from .chain import _row_sums
+        from .chain import _pass_area, _row_sums
 
         with np.errstate(over="ignore"):
             sums = _row_sums(chain.positions, lambda d, spare: _inverse_power(d, n, spare),
-                             odd=False).astype(float)
+                             odd=False, work=_pass_area(chain.n_ions)).astype(float)
         if not np.all(np.isfinite(sums)):
             raise DomainError(f"S_{n} overflows a float on this chain")
         chain._pair_sums[n] = sums
     return sums.copy()
 
 
-def _inverse_power(d: np.ndarray, n: int, spare: np.ndarray | None = None) -> np.ndarray:
+def _inverse_power(d: np.ndarray, n: int, spare: np.ndarray) -> np.ndarray:
     """d^-n for integer n >= 1, computed in d's own buffer and returned.
 
     One reciprocal, then left-to-right square-and-multiply over the bits
     of n; only an n that is not a power of two needs a second buffer, for
-    the base: the start of ``spare`` (flat, of d's dtype) when given, else
-    a copy.  d holds distances d > 0, and +inf gives 0.
+    the base: the start of ``spare``, flat, of d's dtype and at least
+    d.size long.  d holds distances d > 0, and +inf gives 0.
     """
     import numpy as np
 
@@ -115,7 +115,7 @@ def _inverse_power(d: np.ndarray, n: int, spare: np.ndarray | None = None) -> np
     bits = bin(n)[3:]
     base = None
     if "1" in bits:
-        base = np.empty_like(d) if spare is None else spare[:d.size].reshape(d.shape)
+        base = spare[:d.size].reshape(d.shape)
         base[...] = d
     for bit in bits:
         np.multiply(d, d, out=d)

@@ -15,10 +15,6 @@ import iondec
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "iondec"
 
-# Named in the design as the step suggester for long integration windows,
-# but deliberately not exported; callers pass its result as integrate_tls's dt.
-ALLOWED = {"suggested_step"}
-
 
 def _public_definitions(tree):
     return [node for node in tree.body
@@ -47,7 +43,7 @@ def test_every_public_name_has_a_caller_in_the_package():
     trees, used = _parse_sources()
     orphans = [f"{module}:{node.name}"
                for module, tree in trees.items() for node in _public_definitions(tree)
-               if node.name not in iondec.__all__ and node.name not in ALLOWED
+               if node.name not in iondec.__all__
                # uses inside the definition itself (recursion, methods) do not count
                and used[node.name] - _references(node)[node.name] == 0]
     assert orphans == []

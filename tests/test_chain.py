@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from iondec import chain as chain_module
-from iondec.chain import (IonChain, _force, _jacobian, _work_area, local_spacings,
-                          solve_equilibrium)
+from iondec.chain import (IonChain, _force, _jacobian, _pass_area, _row_sums, _solve_area,
+                          _work_area, local_spacings, solve_equilibrium)
 from iondec.continuum import ContinuumModel, min_spacing
 from iondec.errors import SolverError, ValidationError
 from iondec.sums import _inverse_power, pair_sum_exact_all
@@ -299,7 +299,8 @@ def _jacobian_full(u):
 def _pair_sums_full(u, n):
     d = u[:, None] - u[None, :]
     np.fill_diagonal(d, np.inf)
-    return _inverse_power(np.abs(d), n).sum(axis=1).astype(float)
+    d = np.abs(d)
+    return _inverse_power(d, n, np.empty_like(d)).sum(axis=1).astype(float)
 
 
 def _fixed_positions(n):
@@ -309,17 +310,28 @@ def _fixed_positions(n):
     return IonChain(np.cumsum(gaps.astype(np.longdouble)) - 0.4 * n)
 
 
-def _assert_kernels_match_full(n):
+def _pair_sums(u, n, work):
+    """pair_sum_exact_all's pass, in row blocks of the rows ``work`` holds."""
+    return _row_sums(u, lambda d, spare: _inverse_power(d, n, spare), False,
+                     work).astype(float)
+
+
+def _assert_kernels_match_full(n, rows=None):
+    """The force and the pair sums in row blocks of ``rows`` rows (a lone
+    pass's block when None), and the Jacobian in a solve's area."""
     chain = _fixed_positions(n)
     u = chain.positions
-    force = _force(u)
+    work = _pass_area(n) if rows is None else _work_area(n, rows)
+    force = _force(u, work)
     ref = _force_full(u)
     assert force.dtype == ref.dtype
     assert np.array_equal(force, ref)
     assert np.array_equal(np.signbit(force), np.signbit(ref))
-    assert np.array_equal(_jacobian(u), _jacobian_full(u))
+    assert np.array_equal(_jacobian(u, _solve_area(n)), _jacobian_full(u))
     for p in (2, 6, 8, 16):
-        assert np.array_equal(pair_sum_exact_all(chain, p), _pair_sums_full(u, p))
+        ref = _pair_sums_full(u, p)
+        assert np.array_equal(pair_sum_exact_all(chain, p), ref)
+        assert np.array_equal(_pair_sums(u, p, work), ref)
 
 
 @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 129, 500])
@@ -328,13 +340,12 @@ def test_mirrored_kernel_is_bit_identical_to_full_matrix(n):
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 45])
-def test_mirrored_kernel_is_bit_identical_across_row_blocks(rows_per_block, monkeypatch):
+def test_mirrored_kernel_is_bit_identical_across_row_blocks(rows_per_block):
     """Several row blocks: off-tile columns evaluated directly, and (45
     rows) a strip boundary in the middle of each block."""
     n = 129
-    monkeypatch.setattr(chain_module, "_BLOCK", rows_per_block * n)
     assert chain_module._STRIP < 45 < n
-    _assert_kernels_match_full(n)
+    _assert_kernels_match_full(n, rows_per_block)
 
 
 @pytest.mark.parametrize("rows_per_block", [None, 1, 45])
@@ -343,23 +354,26 @@ def test_pair_entries_see_only_positive_distances(n, rows_per_block, monkeypatch
     """The kernel alone knows pair geometry: every entry it calls, for the
     force, the Jacobian and the pair sums, gets distances d > 0 (+inf on
     the diagonal), in one row block or several."""
-    if rows_per_block is not None:
-        monkeypatch.setattr(chain_module, "_BLOCK", rows_per_block * n)
     pair_rows, seen = chain_module._pair_rows, []
 
-    def checked_pair_rows(u, entry, odd, lo, hi, *work):
+    def checked_pair_rows(u, entry, odd, lo, hi, work):
         def checked_entry(d, spare):
             seen.append(d.size)
             assert np.all(d > 0)
             return entry(d, spare)
-        return pair_rows(u, checked_entry, odd, lo, hi, *work)
+        return pair_rows(u, checked_entry, odd, lo, hi, work)
 
     monkeypatch.setattr(chain_module, "_pair_rows", checked_pair_rows)
     chain = _fixed_positions(n)
-    _force(chain.positions)
-    _jacobian(chain.positions)
+    u = chain.positions
+    work = _pass_area(n) if rows_per_block is None else _work_area(n, rows_per_block)
+    _force(u, work)
+    _jacobian(u, _solve_area(n))
     for p in (2, 3, 8):
-        pair_sum_exact_all(chain, p)
+        if rows_per_block is None:
+            pair_sum_exact_all(chain, p)
+        else:
+            _pair_sums(u, p, work)
     # every pair (and each diagonal) went through an entry in each of the 5 passes
     assert sum(seen) >= 5 * n * (n + 1) // 2
 
@@ -377,22 +391,50 @@ def _value_bytes(a):
 
 @pytest.mark.parametrize("rows_per_block", [None, 1, 45])
 @pytest.mark.parametrize("n", [2, 3, 33, 65, 129])
-def test_reused_work_area_keeps_the_bits(n, rows_per_block, monkeypatch):
-    """A force and a Jacobian written into an area that already holds the
-    other kernel's values, at other positions, equal fresh calls bit for
-    bit (signed zeros included)."""
-    if rows_per_block is not None:
-        monkeypatch.setattr(chain_module, "_BLOCK", rows_per_block * n)
+def test_reused_work_area_keeps_the_bits(n, rows_per_block):
+    """A force and a Jacobian written into an area that already holds an
+    earlier call's values at other positions (in a solve's area, the other
+    kernel's) equal calls on fresh areas bit for bit (signed zeros
+    included).  The force runs in a solve's area (None) or in an area of
+    1 or 45 rows."""
     u1 = _fixed_positions(n).positions
     u2 = u1 * np.longdouble(0.9) + np.longdouble(0.1)
-    work = _work_area(n)
+    work = _solve_area(n)
+    force_work = work if rows_per_block is None else _work_area(n, rows_per_block)
     for u in (u1, u2):
-        force = _force(u, work)
+        force = _force(u, force_work)
         assert force.dtype == np.longdouble
-        assert _value_bytes(force) == _value_bytes(_force(u))
+        assert _value_bytes(force) == _value_bytes(_force(u, _pass_area(n)))
         jac = _jacobian(u, work)
         assert jac.dtype == np.float64
-        assert _value_bytes(jac) == _value_bytes(_jacobian(u))
+        assert _value_bytes(jac) == _value_bytes(_jacobian(u, _solve_area(n)))
+
+
+def _traced_peak(call):
+    """Peak bytes traced while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernels_write_into_the_area_they_are_handed():
+    """With a warm area, the row blocks and the Jacobian are views into it,
+    and a call allocates less than 96 KiB, below glibc's 128 KiB trim
+    threshold.  Measured at N = 500: _force 41 KB (its N-vector result and
+    row sums), _jacobian 34 KB, against a 2 MB Jacobian.  The force is the
+    one fresh array: the solve holds it across the next Jacobian call."""
+    n = 500
+    u = _fixed_positions(n).positions
+    work = _solve_area(n)
+    rows = chain_module._pair_rows(u, chain_module._coulomb, True, 0, len(work[0]), work)
+    assert np.shares_memory(rows, work[0])
+    assert np.shares_memory(_jacobian(u, work), work[0])
+    assert not np.shares_memory(_force(u, work), work[0])
+    for kernel in (_force, _jacobian):
+        assert _traced_peak(lambda: kernel(u, work)) < 96 * 1024
 
 
 def test_solve_stays_within_its_memory_budget():
@@ -424,7 +466,7 @@ def test_solve_does_not_fault_its_kernel_temporaries_back_in():
     with a warm area."""
     code = textwrap.dedent("""
         import resource
-        from iondec.chain import _force, _initial_guess, _work_area, solve_equilibrium
+        from iondec.chain import _force, _initial_guess, _solve_area, solve_equilibrium
 
         def faults():
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -433,7 +475,7 @@ def test_solve_does_not_fault_its_kernel_temporaries_back_in():
         before = faults()
         solve_equilibrium(484)
         solve = faults() - before
-        u, work = _initial_guess(1500), _work_area(1500)
+        u, work = _initial_guess(1500), _solve_area(1500)
         _force(u, work)
         _force(u, work)
         before = faults()

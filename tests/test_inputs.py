@@ -1,8 +1,8 @@
 """The input contract of every entry point that takes a count, a positive
-real or a non-negative real: ion counts are integers (Python or numpy,
+real, a non-negative real or a finite real: ion counts are integers (Python or numpy,
 never a bool, float or string), and a numpy integer gives exactly the
-Python int's result; positive and non-negative reals are real numbers,
-never a bool or a string, and finite as a float.  Each refusal is a
+Python int's result; positive, non-negative and plain finite reals are
+real numbers, never a bool or a string, and finite as a float.  Each refusal is a
 ValidationError naming the parameter.
 
 Rows that existing tests already cover (chain_length's and min_spacing's
@@ -118,3 +118,29 @@ def test_nonnegative_real_takes_zero_and_numpy_reals(name):
     call(0)
     # str, not repr: numpy 2 writes a float64 result as np.float64(...)
     assert str(call(np.float64(1e-3))) == str(call(1e-3))
+
+
+# entry point -> (field, a call passing the value as that finite real)
+FINITE = {
+    "DriveField.circular(rotation)": ("rotation", lambda x: DriveField.circular(0.1, x)),
+    "DriveField.constant(fx)": ("fx", lambda x: DriveField.constant(x, 0.0)),
+    "DriveField.constant(fy)": ("fy", lambda x: DriveField.constant(0.0, x)),
+}
+BAD_FINITE = {**BAD_REALS, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+@pytest.mark.parametrize("label", BAD_FINITE)
+@pytest.mark.parametrize("name", FINITE)
+def test_finite_real_that_is_not_a_finite_real_is_refused(name, label):
+    field, call = FINITE[name]
+    with pytest.raises(ValidationError) as err:
+        call(BAD_FINITE[label])
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_finite_real_takes_negatives_zero_and_numpy_reals(name):
+    call = FINITE[name][1]
+    call(0)
+    call(-1e300)
+    assert repr(call(np.float64(-1e-3))) == repr(call(-1e-3))

@@ -176,7 +176,7 @@ def test_inverse_power_accuracy(n):
     rng = np.random.default_rng(n)
     d = np.longdouble(10.0) ** rng.uniform(-3.0, 3.0, 400).astype(np.longdouble)
     d = np.append(d, np.inf)
-    got = sums_module._inverse_power(d.copy(), n)
+    got = sums_module._inverse_power(d.copy(), n, np.empty_like(d))
     assert got.dtype == np.longdouble
     assert got[-1] == 0.0
     with mpmath.workdps(40):
