@@ -26,9 +26,9 @@ reduction stays on stacked matrix products: there the products of general
 round differently in the last bits.
 
 The operators are built for many stored chunks at once (about
-_BATCH_STEPS steps per numpy call), each chunk paired exactly as if it
-were built alone, so the output is bit-identical to building one chunk per
-call, and short windows do not pay numpy's per-call overhead once per
+_BATCH_STEPS = 2048 steps per numpy call), each chunk paired exactly as if
+it were built alone, so the output is bit-identical to building one chunk
+per call, and short windows do not pay numpy's per-call overhead once per
 stored point.
 
 Each run allocates one work area, sized for its largest batch, and every
@@ -39,6 +39,13 @@ glibc's trim threshold, which stays at 128 KiB once the mmap threshold is
 fixed (as the benchmark fixes it); the heap would then be trimmed at every
 free and the temporaries page-faulted back in at the next call, ~60
 faults per call.
+
+The run also lays its area out once for each batch shape (B chunks of m
+steps) it meets, at most three: the full batch, a shorter last full batch
+and the leftover chunk.  A _ChunkLayout holds every view a chunk call
+reads or writes, and the half-step offsets of its grid, so the call only
+issues its ufunc and matmul calls; slicing the area afresh cost ~40 views
+and an arange per call.
 """
 from __future__ import annotations
 
@@ -56,14 +63,16 @@ MAX_DTHETA = 0.1
 DEFAULT_NORM_BUDGET = 1e-6
 _MAX_STORED = 4000
 # Longest window, in RK4 steps.  A chunk's operators take a work area of
-# 288 B per step plus 32 B per chunk (_work_size), and decimated to
-# _MAX_STORED points a chunk is at most MAX_STEPS / _MAX_STORED = 1e6 steps
-# (~0.29 GB).
+# 288 B per step plus 32 B per chunk (_work_size) and a layout whose
+# half-step offsets take 16 B per step, and decimated to _MAX_STORED points
+# a chunk is at most MAX_STEPS / _MAX_STORED = 1e6 steps (~0.3 GB).
 MAX_STEPS = 4_000_000_000
 # RK4 steps whose operators one _chunk_operator call builds at once: enough
-# that numpy's fixed per-call cost (~50 us) is a small share of a call.  A
-# 1024-step batch takes a ~0.3 MB work area (see the module docstring).
-_BATCH_STEPS = 1024
+# that a call's fixed cost (~45 numpy calls on a laid-out area, ~80-130 us)
+# is a small share of it.  A 2048-step batch takes a ~0.6 MB work area (see
+# the module docstring), below the benchmark's 1 MiB mmap threshold; 4096
+# steps were no faster.
+_BATCH_STEPS = 2048
 
 _REGIME_LIMIT = 0.1
 
@@ -101,16 +110,14 @@ class DriveField:
 
     @classmethod
     def sampled(cls, times, fx, fy):
-        t = np.asarray(times, dtype=float)
-        x = np.asarray(fx, dtype=float)
-        y = np.asarray(fy, dtype=float)
+        t = _samples("times", times)
+        x = _samples("fx", fx)
+        y = _samples("fy", fy)
         if t.ndim != 1 or t.size < 2:
             raise ValidationError("times", "need at least two samples")
-        if x.shape != t.shape or y.shape != t.shape:
-            raise ValidationError("fx", "sample arrays must match the time grid")
-        for name, values in (("times", t), ("fx", x), ("fy", y)):
-            if not np.all(np.isfinite(values)):
-                raise ValidationError(name, "samples must be finite")
+        for name, values in (("fx", x), ("fy", y)):
+            if values.shape != t.shape:
+                raise ValidationError(name, "sample arrays must match the time grid")
         if np.any(np.diff(t) <= 0):
             raise ValidationError("times", "must be strictly increasing")
         return cls(kind="sampled", times=t, fx_samples=x, fy_samples=y)
@@ -152,6 +159,25 @@ class DriveField:
         angle = np.unwrap(np.arctan2(self.fy_samples, self.fx_samples))
         rates = np.abs(np.diff(angle) / np.diff(self.times))
         return eps, float(np.max(rates)) / omega0
+
+
+def _samples(name, values):
+    """values as a float array, if it is an array of integer or float dtype
+    with finite entries, or a sequence of finite reals (check_finite's rule:
+    no bool, no string, no int beyond the float range); ValidationError
+    naming name if not."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iuf":
+            raise ValidationError(name, f"samples must be real numbers, got dtype {values.dtype}")
+        samples = values.astype(float)
+    else:
+        try:
+            samples = np.array([check_finite(name, v) for v in values], dtype=float)
+        except TypeError:
+            raise ValidationError(name, f"need a sequence of samples, got {values!r}") from None
+    if not np.all(np.isfinite(samples)):
+        raise ValidationError(name, "samples must be finite")
+    return samples
 
 
 def _warn_regime(drive, omega0):
@@ -243,15 +269,17 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None):
     dtheta = theta_end / n_steps
     stride = max(1, -(-n_steps // _MAX_STORED))
 
-    # Chunk j covers steps [starts[j], starts[j] + stride); the last one
-    # is shorter when stride does not divide n_steps.
+    # Chunk j covers steps [starts[j], starts[j] + stride), from phase
+    # starts[j] * dtheta; the last one is shorter when stride does not
+    # divide n_steps.
     starts = np.arange(0, n_steps, stride)
-    whole = starts[:n_steps // stride]
+    chunk_theta = starts * dtheta
+    whole = chunk_theta[:n_steps // stride]
     per_batch = max(1, _BATCH_STEPS // stride)
     batches = [(whole[lo:lo + per_batch], stride)
                for lo in range(0, whole.size, per_batch)]
     if n_steps % stride:
-        batches.append((starts[whole.size:], n_steps % stride))
+        batches.append((chunk_theta[whole.size:], n_steps % stride))
 
     n_stored = starts.size + 1
     theta = np.empty(n_stored)
@@ -260,12 +288,16 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None):
     theta[0], up[0], um[0] = 0.0, u0[0], u0[1]
     theta[1:] = np.append(starts[1:], n_steps) * dtheta
 
-    # the first batch is the largest, in chunks and in steps
+    # the first batch is the largest, in chunks and in steps; the batches
+    # of one shape run together, so each shape is laid out once
     work = np.empty(_work_size(batches[0][0].size, stride), dtype=complex)
+    layout = None
     u = u0.copy()
     out = 1
-    for batch_starts, m in batches:
-        for op in _chunk_operator(drive, omega0, batch_starts * dtheta, dtheta, m, work):
+    for theta0, m in batches:
+        if layout is None or layout.shape != (theta0.size, m):
+            layout = _ChunkLayout(work, theta0.size, m, dtheta)
+        for op in _chunk_operator(drive, omega0, theta0, layout):
             u = op @ u
             up[out], um[out] = u[0], u[1]
             out += 1
@@ -305,13 +337,76 @@ def _work_size(B, m):
     return 18 * B * m + 2 * B
 
 
-def _chunk_operator(drive, omega0, theta0, dtheta, m, work):
+class _ChunkLayout:
+    """Every view of a work area that _chunk_operator reads or writes for
+    B chunks of m steps of dtheta, and the half-step offsets of its grid.
+
+    integrate_tls lays its area out once for each (B, m) it meets, so a
+    chunk call only issues its ufunc and matmul calls.  The area is
+    [b | c | ops | stage], b and c holding the couplings on B rows of
+    2m + 1 half steps; the stage area first holds the coupling's scratch,
+    then ten (B, m) stage arrays, then the reduction's odd levels.
+    """
+
+    def __init__(self, work, B, m, dtheta):
+        half_steps = 2 * m + 1
+        n, gl = B * m, B * half_steps
+        reals = work.view(float)
+
+        def cplx(at, *shape):
+            return work[at:at + math.prod(shape)].reshape(shape)
+
+        def real(at, *shape):
+            return reals[2 * at:2 * at + math.prod(shape)].reshape(shape)
+
+        self.shape = (B, m)
+        self.dtheta, self.h, self.s = dtheta, 0.5 * dtheta, dtheta / 6.0
+        # j * (dtheta/2) is bitwise k * dtheta at j = 2k
+        self.offsets = np.arange(half_steps) * self.h
+        b, c = cplx(0, B, half_steps), cplx(gl, B, half_steps)
+        ops = cplx(2 * gl, B, m, 2, 2)
+        stage = 2 * gl + 4 * n
+        self.b, self.c = b, c
+        self.grid = real(stage + gl, B, half_steps)
+        self.coupling = (b, cplx(stage, B, half_steps), c, real(0, B, half_steps))
+        # b and c at theta_k, theta_k + dtheta/2 and theta_k + dtheta
+        b1, b2, b3 = b[:, 0:2 * m:2], b[:, 1::2], b[:, 2::2]
+        c1, c2, c3 = c[:, 0:2 * m:2], c[:, 1::2], c[:, 2::2]
+        self.m12 = (b1, b2, c1, c2)
+        self.stages = tuple(cplx(stage + i * n, B, m) for i in range(10))
+
+        # A = one + s (k1 + 2 k2 + 2 k3 + k4), entry by entry, with
+        # k4 = (b3 x2, b3 x3, c3 x0, c3 x1) formed in the spent k3 entry;
+        # acc is a free stage array
+        k20, k23, k30, k31, k32, k33, x0, x1, x2, x3 = self.stages
+        self.entries = (
+            (1, None, k20, k30, b3, x2, k20, ops[..., 0, 0]),
+            (0, b1, b2, k31, b3, x3, x2, ops[..., 0, 1]),
+            (0, c1, c2, k32, c3, x0, x2, ops[..., 1, 0]),
+            (1, None, k23, k33, c3, x1, k23, ops[..., 1, 1]))
+
+        # pairwise reduction, alternating between ops and the stage area;
+        # an odd level's last operator passes through
+        levels = []
+        src, dst = ops, cplx(stage, B, m - m // 2, 2, 2)
+        while m > 1:
+            half = m // 2
+            tail = (dst[:, half], src[:, m - 1]) if m % 2 else None
+            levels.append((src[:, 1:m:2], src[:, 0:m - 1:2], dst[:, :half], tail))
+            m -= half
+            src, dst = dst, src
+        self.levels = tuple(levels)
+        self.result = src[:, 0]
+
+
+def _chunk_operator(drive, omega0, theta0, layout):
     """Products of m consecutive RK4 one-step operators, one per chunk start.
 
-    theta0 is a vector of B chunk starts; the result is a (B, 2, 2) stack.
-    Each step is u_{k+1} = A_k u_k with A_k assembled from the coupling at
-    theta_k, theta_k + dtheta/2 and theta_k + dtheta, all read off one grid
-    of 2m + 1 half steps (j * (dtheta/2) is bitwise k * dtheta at j = 2k).
+    theta0 is a vector of B chunk starts and layout a _ChunkLayout of
+    shape (B, m); the result is a (B, 2, 2) stack.  Each step is
+    u_{k+1} = A_k u_k with A_k assembled from the coupling at theta_k,
+    theta_k + dtheta/2 and theta_k + dtheta, all read off one grid of
+    2m + 1 half steps.
 
     With M_i = [[0, b_i], [c_i, 0]], b = -i g, c = -i g*, the stages are
     k1 = M_1, k2 = M_2 (I + dtheta/2 k1), k3 = M_2 (I + dtheta/2 k2) and
@@ -325,44 +420,24 @@ def _chunk_operator(drive, omega0, theta0, dtheta, m, work):
     along the step axis, on stacked matmul: a general 2x2 product written
     elementwise would not round as BLAS does.
 
-    Every intermediate is written into ``work``, a flat complex array of at
-    least _work_size(B, m) elements, by ufuncs with the operands of the
-    plain expressions in their order, so the bits are those of freshly
-    allocated temporaries.  The result is a view into ``work`` that the
-    next call on the same work area overwrites.
+    Every intermediate is written into the layout's views of the work
+    area, by ufuncs with the operands of the plain expressions in their
+    order, so the bits are those of freshly allocated temporaries.  The
+    result is a view into the area that the next call overwrites.
     """
-    h = 0.5 * dtheta
-    theta0 = np.asarray(theta0, dtype=float)[:, None]
-    B, half_steps = theta0.shape[0], 2 * m + 1
-    n, gl = B * m, B * half_steps
-    reals = work.view(float)
-
-    def cplx(at, *shape):
-        return work[at:at + math.prod(shape)].reshape(shape)
-
-    def real(at, *shape):
-        return reals[2 * at:2 * at + math.prod(shape)].reshape(shape)
-
-    # [b | c | ops | stage]: the stage area first holds the coupling's
-    # scratch, then ten (B, m) stage arrays, then the reduction's odd levels
-    b, c = cplx(0, B, half_steps), cplx(gl, B, half_steps)
-    ops = cplx(2 * gl, B, m, 2, 2)
-    stage = 2 * gl + 4 * n
-    grid = real(stage + gl, B, half_steps)
-    np.add(theta0, np.arange(half_steps) * h, out=grid)
-    g = _coupling(drive, omega0, grid, (b, cplx(stage, B, half_steps), c,
-                                        real(0, B, half_steps)))
+    h, dtheta, s = layout.h, layout.dtheta, layout.s
+    b, c = layout.b, layout.c
+    np.add(np.asarray(theta0, dtype=float)[:, None], layout.offsets, out=layout.grid)
+    g = _coupling(drive, omega0, layout.grid, layout.coupling)
     np.conjugate(g, out=c)
     np.multiply(-1j, c, out=c)
     np.multiply(-1j, g, out=b)
-    b1, b2, b3 = b[:, 0:2 * m:2], b[:, 1::2], b[:, 2::2]
-    c1, c2, c3 = c[:, 0:2 * m:2], c[:, 1::2], c[:, 2::2]
+    b1, b2, c1, c2 = layout.m12
 
     # No product of two arrays is written over one of its operands: numpy
     # rounds a one-element complex product in place otherwise than into
     # fresh memory.
-    k20, k23, k30, k31, k32, k33, x0, x1, x2, x3 = (
-        cplx(stage + i * n, B, m) for i in range(10))
+    k20, k23, k30, k31, k32, k33, x0, x1, x2, x3 = layout.stages
     # k2 = (b2 (h c1), b2, c2, c2 (h b1))
     np.multiply(b2, np.multiply(h, c1, out=x0), out=k20)
     np.multiply(c2, np.multiply(h, b1, out=x1), out=k23)
@@ -382,14 +457,8 @@ def _chunk_operator(drive, omega0, theta0, dtheta, m, work):
     np.multiply(dtheta, k32, out=x2)
     np.add(1, np.multiply(dtheta, k33, out=x3), out=x3)
 
-    # A = one + s (k1 + 2 k2 + 2 k3 + k4), with k4 = (b3 x2, b3 x3, c3 x0,
-    # c3 x1) formed in the spent k3 entry; acc is a free stage array
-    s = dtheta / 6.0
-    for one, k1, k2, k3, m3, x, acc, entry in (
-            (1, None, k20, k30, b3, x2, k20, ops[..., 0, 0]),
-            (0, b1, b2, k31, b3, x3, x2, ops[..., 0, 1]),
-            (0, c1, c2, k32, c3, x0, x2, ops[..., 1, 0]),
-            (1, None, k23, k33, c3, x1, k23, ops[..., 1, 1])):
+    # A, entry by entry (see _ChunkLayout)
+    for one, k1, k2, k3, m3, x, acc, entry in layout.entries:
         np.multiply(2.0, k2, out=acc)
         if k1 is not None:
             np.add(k1, acc, out=acc)
@@ -397,17 +466,13 @@ def _chunk_operator(drive, omega0, theta0, dtheta, m, work):
         np.add(acc, np.multiply(m3, x, out=k3), out=acc)
         np.add(one, np.multiply(s, acc, out=acc), out=entry)
 
-    # pairwise reduction, alternating between ops and the stage area; an
-    # odd level's last operator passes through
-    src, dst = ops, cplx(stage, B, m - m // 2, 2, 2)
-    while m > 1:
-        half = m // 2
-        np.matmul(src[:, 1:m:2], src[:, 0:m - 1:2], out=dst[:, :half])
-        if m % 2:
-            dst[:, half] = src[:, m - 1]
-        m -= half
-        src, dst = dst, src
-    return src[:, 0]
+    # pairwise reduction; tail = (dst, src) passes an odd level's last
+    # operator through
+    for later, earlier, out, tail in layout.levels:
+        np.matmul(later, earlier, out=out)
+        if tail is not None:
+            np.copyto(*tail)
+    return layout.result
 
 
 def adiabatic_phase(drive, omega0, t):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from iondec import adiabatic
 from iondec.adiabatic import (DEFAULT_DTHETA, DriveField, SpinTrajectory,
                               adiabatic_phase, integrate_tls, overlap_fidelity)
-from iondec.adiabatic import _chunk_operator, _coupling, _work_size
+from iondec.adiabatic import _ChunkLayout, _chunk_operator, _coupling, _work_size
 from iondec.errors import AccuracyError, DomainError, ValidationError
 
 W0 = 1.0
@@ -344,12 +344,17 @@ def test_batched_chunks_match_one_chunk_per_call(case, stride, monkeypatch):
     stored = [u]
     for pos in range(0, n_steps, stride):
         m = min(stride, n_steps - pos)
-        work = np.empty(_work_size(1, m), dtype=complex)
-        u = _chunk_operator(drive, W0, np.array([pos * dtheta]), dtheta, m, work)[0] @ u
+        layout = _layout(1, m, dtheta)
+        u = _chunk_operator(drive, W0, np.array([pos * dtheta]), layout)[0] @ u
         stored.append(u)
     stored = np.array(stored)
     assert np.array_equal(traj.u_plus, stored[:, 0])
     assert np.array_equal(traj.u_minus, stored[:, 1])
+
+
+def _layout(B, m, dtheta):
+    """A _ChunkLayout of a fresh work area for B chunks of m steps."""
+    return _ChunkLayout(np.empty(_work_size(B, m), dtype=complex), B, m, dtheta)
 
 
 def _stacked_chunk_operator(drive, omega0, theta0, dtheta, m):
@@ -398,6 +403,25 @@ BIT_DRIVES = {
 }
 
 
+@pytest.mark.parametrize("stride", [1, 7, 1500])
+@pytest.mark.parametrize("drive", list(BIT_DRIVES.values()), ids=list(BIT_DRIVES))
+def test_batch_size_moves_no_bit(drive, stride, monkeypatch):
+    """theta and u± keep every int64 word at any _BATCH_STEPS.  The
+    2999-step window leaves a shorter last full batch at 1024 and 2048
+    steps (stride 1: 951 chunks after whole batches; stride 7: 136), a
+    3-step leftover chunk at stride 7 and a 1499-step one at stride 1500."""
+    t_end = 149.93
+    keep_every(monkeypatch, t_end, stride)
+    words = []
+    for batch in (1, 7, 1024, 2048):
+        monkeypatch.setattr(adiabatic, "_BATCH_STEPS", batch)
+        traj = integrate_tls(W0, drive, EQUAL, t_end)
+        words.append(np.concatenate([traj.theta, traj.u_plus.view(float),
+                                     traj.u_minus.view(float)]).view(np.int64))
+    for other in words[1:]:
+        assert np.array_equal(other, words[0])
+
+
 @pytest.mark.parametrize("B, m", [(1, 1), (1, 7), (3, 333), (205, 5), (1, 1024)])
 @pytest.mark.parametrize("drive", list(BIT_DRIVES.values()), ids=list(BIT_DRIVES))
 def test_chunk_operator_bits_match_stacked_matmul(drive, B, m):
@@ -405,32 +429,37 @@ def test_chunk_operator_bits_match_stacked_matmul(drive, B, m):
     a signed zero (equal under ==) counts as a difference."""
     dtheta = 123.456 / 2470
     theta0 = np.arange(B) * (m * dtheta)
-    got = _chunk_operator(drive, W0, theta0, dtheta, m,
-                          np.empty(_work_size(B, m), dtype=complex))
+    got = _chunk_operator(drive, W0, theta0, _layout(B, m, dtheta))
     want = _stacked_chunk_operator(drive, W0, theta0, dtheta, m)
     assert got.shape == (B, 2, 2)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("B, m", [(1, 1024), (205, 5), (1024, 1)])
+@pytest.mark.parametrize("B, m", [(1, 1), (1, 1024), (205, 5), (1024, 1),
+                                  (1, 2048), (409, 5), (2048, 1)])
 def test_chunk_operator_writes_into_the_area_it_is_handed(B, m):
-    """With a warm area of a 1024-step batch (~0.3 MB) the operators are a
-    view into it, and a call allocates less than 96 KiB, below glibc's
-    128 KiB trim threshold; measured: 39-52 KB, nearly all of it in
-    forming the half-step grid."""
+    """With its area laid out (a 2048-step batch takes ~0.6 MB) the
+    operators are a view into it, and a warm call builds no view of the
+    area and no half-step row.  What it still allocates is numpy's cast
+    buffer where _coupling multiplies the float phases into complex arrays,
+    16 B per half-step grid point, plus ~1.3 KB of scalars and headers;
+    measured: 1264 B at (1, 1), 99520 B at (2048, 1).  The bound leaves no
+    room for slicing the area in the call (~3.7 KB of views) or for
+    rebuilding the half-step row (16 B per half step)."""
     dtheta = 0.05
     theta0 = np.arange(B) * (m * dtheta)
     work = np.empty(_work_size(B, m), dtype=complex)
+    layout = _ChunkLayout(work, B, m, dtheta)
     drive = demo_drive()
-    ops = _chunk_operator(drive, W0, theta0, dtheta, m, work)
+    ops = _chunk_operator(drive, W0, theta0, layout)
     assert np.shares_memory(ops, work)
     tracemalloc.start()
     try:
-        _chunk_operator(drive, W0, theta0, dtheta, m, work)
+        _chunk_operator(drive, W0, theta0, layout)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 96 * 1024
+    assert peak <= 16 * B * (2 * m + 1) + 2048
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

@@ -184,28 +184,49 @@ SUMS_SHA256 = {
 }
 
 
+def _stdout_sha256(argvs, threads):
+    """SHA-256 of the stdout of each ``iondec argv`` (each must exit 0), run
+    in a fresh python at the given BLAS thread count."""
+    env = dict(_child_env(), OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+    code = ("import contextlib, hashlib, io\n"
+            "from iondec.cli import main\n"
+            "for argv in " + repr([list(argv) for argv in argvs]) + ":\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert main(argv) == 0\n"
+            "    print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.split()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sums_bytes_pinned(threads):
     """`sums` stdout keeps its bytes, at one and at two BLAS threads (a
     chain of N <= 60 solves to the same bits at either count)."""
-    src = str(Path(iondec.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import contextlib, hashlib, io\n"
-            "from iondec.cli import main\n"
-            "for n, p in " + repr(list(SUMS_SHA256)) + ":\n"
-            "    out = io.StringIO()\n"
-            "    with contextlib.redirect_stdout(out):\n"
-            "        assert main(['sums', '--n-ions', str(n), '--exponent', str(p)]) == 0\n"
-            "    print(n, p, hashlib.sha256(out.getvalue().encode()).hexdigest())\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    got = {}
-    for line in out.splitlines():
-        n, p, digest = line.split()
-        got[int(n), int(p)] = digest
-    assert got == SUMS_SHA256
+    argvs = [("sums", "--n-ions", str(n), "--exponent", str(p)) for n, p in SUMS_SHA256]
+    assert _stdout_sha256(argvs, threads) == list(SUMS_SHA256.values())
+
+
+# SHA-256 of `iondec adiabatic --theta-end t --eps-ratio e --rot-ratio r`
+# stdout on the preset at one BLAS thread, recorded while the RK4 chunk
+# operators were built 1024 steps per call and their work area sliced afresh
+# in every call
+ADIABATIC_SHA256 = {
+    ("1e3", "0.01", "1e-3"): "014633d341fd7125c26d1439d855374d7e6f24962651f4c4313c33cb7f28576c",
+    ("1e3", "0.02", "3e-3"): "ba515576ae27a99d7b740f75660e31ea2dc9c7ce3a18b8f6aac255597676f0ad",
+    ("3e3", "0.01", "1e-3"): "14d89a1aa53ca691a90c7ae21bff05ca65737a2c70a14b249aae6c9dc212b40e",
+    ("3e3", "0.02", "3e-3"): "589b56256be13f566a3aa0f7cc2df8333f2ef0dd38eb41e447949dc5a14b58b0",
+}
+
+
+def test_adiabatic_bytes_pinned():
+    """`adiabatic` stdout keeps its bytes however the RK4 steps are batched
+    and however the chunk kernel's work area is laid out."""
+    argvs = [("adiabatic", "--theta-end", t, "--eps-ratio", e, "--rot-ratio", r)
+             for t, e, r in ADIABATIC_SHA256]
+    assert _stdout_sha256(argvs, 1) == list(ADIABATIC_SHA256.values())
 
 
 def test_adiabatic_output(capsys):

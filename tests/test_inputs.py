@@ -2,8 +2,9 @@
 real, a non-negative real or a finite real: ion counts are integers (Python or numpy,
 never a bool, float or string), and a numpy integer gives exactly the
 Python int's result; positive, non-negative and plain finite reals are
-real numbers, never a bool or a string, and finite as a float.  Each refusal is a
-ValidationError naming the parameter.
+real numbers, never a bool or a string, and finite as a float; the sample
+tables of a sampled drive hold finite reals by the same rule.  Each refusal
+is a ValidationError naming the parameter.
 
 Rows that existing tests already cover (chain_length's and min_spacing's
 bad counts, solve_equilibrium's string tolerance) are not repeated here.
@@ -144,3 +145,34 @@ def test_finite_real_takes_negatives_zero_and_numpy_reals(name):
     call(0)
     call(-1e300)
     assert repr(call(np.float64(-1e-3))) == repr(call(-1e-3))
+
+
+# DriveField.sampled's tables: label -> (the field refused, times, fx, fy)
+BAD_SAMPLES = {
+    "string times": ("times", ["a", "b"], [0.0, 0.0], [0.0, 0.0]),
+    "string array times": ("times", np.array(["0", "1"]), [0.0, 0.0], [0.0, 0.0]),
+    "10**400 times": ("times", [0, 10**400], [0.0, 0.0], [0.0, 0.0]),
+    "scalar times": ("times", 5.0, [0.0], [0.0]),
+    "bool fx": ("fx", [0.0, 1.0], [False, True], [0.0, 0.0]),
+    "10**400 fx": ("fx", [0.0, 1.0], [0, 10**400], [0.0, 0.0]),
+    "complex fx": ("fx", [0.0, 1.0], [0.0, 1j], [0.0, 0.0]),
+    "bool array fy": ("fy", [0.0, 1.0], [0.0, 0.0], np.array([False, True])),
+    "nan array fy": ("fy", [0.0, 1.0], [0.0, 0.0], np.array([0.0, math.nan])),
+    "short fy": ("fy", [0.0, 1.0], [0.0, 0.0], [0.0]),
+}
+
+
+@pytest.mark.parametrize("label", BAD_SAMPLES)
+def test_sampled_drive_refuses_tables_that_are_not_finite_reals(label):
+    field, times, fx, fy = BAD_SAMPLES[label]
+    with pytest.raises(ValidationError) as err:
+        DriveField.sampled(times, fx, fy)
+    assert err.value.field == field
+
+
+def test_sampled_drive_takes_numpy_and_python_numbers_alike():
+    want = DriveField.sampled([0.0, 2.0], [0.0, 1.0], [1.0, 2.0])
+    got = DriveField.sampled(np.array([0, 2]), (0, np.float64(1.0)), [1, 2.0])
+    for name in ("times", "fx_samples", "fy_samples"):
+        assert getattr(got, name).dtype == float
+        assert np.array_equal(getattr(got, name), getattr(want, name))
