@@ -29,15 +29,29 @@ fresh row blocks and strip temporaries would grow the heap past glibc's
 trim threshold, which stays at 128 KiB once the mmap threshold is fixed
 (as the benchmark fixes it), and be page-faulted back in at every call.
 A solve allocates one area (_solve_area) and hands it to every force and
-Jacobian call of its Newton loop and line search.  It holds as many _WIDE
-rows as hold the N x N float64 Jacobian, ⌈8N/itemsize⌉ (⌈N/2⌉ under
-x87); the force never runs while the Jacobian is in use, so it reads the
-same words as _WIDE, in blocks of that many rows.  A larger area would
-raise the solve's peak, as np.linalg.solve makes its own 8 N^2-byte LU
-copy of the Jacobian on top of it; the faults left in a solve are that
-copy's, which numpy allocates inside np.linalg.solve.  A lone pass (a
-residual, a pair sum) allocates an area of _BLOCK // N rows, at most N
+Jacobian call of its Newton loop and line search.  While N _WIDE rows
+fit in _ONE_BLOCK (1 MiB, N <= 256 under x87) it holds all of them, so
+the force runs in one block.  Above that it holds as many _WIDE rows as
+hold the N x N float64 Jacobian, ⌈8N/itemsize⌉ (⌈N/2⌉ under x87); the
+force never runs while the Jacobian is in use, so it reads the same
+words as _WIDE, in blocks of that many rows.  A larger area would raise
+the solve's peak, as np.linalg.solve makes its own 8 N^2-byte LU copy of
+the Jacobian on top of it; the faults left in a solve are that copy's,
+which numpy allocates inside np.linalg.solve.  A lone pass (a residual,
+a pair sum) allocates an area of _BLOCK // N rows, at most N
 (_pass_area).
+
+From _THREAD_MIN_IONS ions up, and with two CPUs usable, an area holds a
+second strip pair, and each pass hands every other strip to one worker
+thread that works in that pair; the caller runs the other strips and
+then joins the worker.  Strips write disjoint entries, so a threaded
+pass gives the serial pass's bits, and the row sums and the Jacobian's
+diagonal are formed after the join, over full rows.  Below the threshold
+a pass stays on the caller's thread, with one strip pair: there the GIL
+handoffs around each strip's numpy calls cost more than the second core
+saves (the constant's comment holds the sweep).  The dense LU of
+np.linalg.solve runs on as many BLAS threads as the caller's BLAS pool
+has, and its bits depend on that count; the CLI pins it to one.
 
 An ``IonChain`` is its positions, frozen and read-only; the ion count,
 the residual certificate and the pair sums are pure functions of them.
@@ -48,8 +62,11 @@ per exponent on the chain itself.
 """
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +83,18 @@ _WIDE = np.longdouble
 _BLOCK = 4_000_000
 # rows per strip of a mirrored diagonal tile
 _STRIP = 32
+# bytes of _WIDE rows up to which a solve's force runs in one row block
+# (_solve_area): all n rows up to n = 256 under x87
+_ONE_BLOCK = 1 << 20
+# ions from which a pairwise pass runs every other strip on a worker
+# thread when two CPUs are usable (_work_area, _pair_rows).  Below it the
+# GIL handoffs around each strip's small numpy calls cost more than the
+# second core saves.  Threaded over serial time of solve_equilibrium plus
+# one S_8 (2-core x86-64, one BLAS thread, in process, median of 11-52
+# alternating pairs):
+#   N       227   331   484   600   708   1036  1500
+#   ratio   1.26  1.11  1.09  0.99  0.88  0.82  0.88
+_THREAD_MIN_IONS = 700
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,28 +142,65 @@ class IonChain:
         return math.inf if math.isnan(res) else res
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS
+    reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _work_area(n: int, rows: int) -> tuple:
     """A work area of ``rows`` pairwise rows of n ions, in one _WIDE
     allocation: (rows, strips).
 
     ``rows`` is a (rows, n) _WIDE array: the row blocks of _row_sums, or
-    the float64 Jacobian read from its words.  ``strips`` is two _WIDE
-    buffers of _STRIP rows of n, the scratch of _pair_rows.
+    the float64 Jacobian read from its words.  ``strips`` holds the strip
+    pairs of _pair_rows, each two _WIDE buffers of _STRIP rows of n: one
+    pair, or, from _THREAD_MIN_IONS ions up with two CPUs usable, a second
+    pair for the worker thread, which then runs every other strip.
     """
-    area = np.empty((rows + 2 * _STRIP) * n, dtype=_WIDE)
-    return area[:rows * n].reshape(rows, n), area[rows * n:].reshape(2, _STRIP * n)
+    pairs = 2 if n >= _THREAD_MIN_IONS and _usable_cpus() > 1 else 1
+    area = np.empty((rows + 2 * pairs * _STRIP) * n, dtype=_WIDE)
+    return area[:rows * n].reshape(rows, n), area[rows * n:].reshape(pairs, 2, _STRIP * n)
 
 
 def _solve_area(n: int) -> tuple:
-    """The work area of one solve over n ions: as many _WIDE rows as hold
-    the n x n float64 Jacobian."""
-    return _work_area(n, -(-8 * n // np.dtype(_WIDE).itemsize))
+    """The work area of one solve over n ions: all n _WIDE rows while they
+    fit in _ONE_BLOCK bytes, else as many as hold the n x n float64
+    Jacobian."""
+    itemsize = np.dtype(_WIDE).itemsize
+    return _work_area(n, n if itemsize * n * n <= _ONE_BLOCK else -(-8 * n // itemsize))
 
 
 def _pass_area(n: int) -> tuple:
     """The work area of one lone pass over n ions: _BLOCK // n rows, at
     most n, so peak memory stays ~tens of MB."""
     return _work_area(n, min(n, max(1, _BLOCK // n)))
+
+
+def _in_two(there, here):
+    """here() on this thread while a worker thread runs there() in a copy
+    of this thread's context (numpy's errstate is a context variable);
+    here's result, once the worker is joined.  An exception of either is
+    raised after the join, this thread's first."""
+    failed = []
+
+    def worker():
+        try:
+            there()
+        except BaseException as exc:  # re-raised on the caller's thread
+            failed.append(exc)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(worker,))
+    thread.start()
+    try:
+        result = here()
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+    return result
 
 
 def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int,
@@ -151,7 +217,7 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int,
     Every row keeps its full length, so row sums reduce in the same order
     as over a directly evaluated matrix.
 
-    Each strip's differences d are formed in one of the area's two strip
+    Each strip's differences d are formed in one of its strip pair's two
     buffers, and ``entry(d, spare)`` may work in d and return it: the
     kernel copies what it needs before the next strip.  ``spare``, the
     other buffer, flat and at least d.size values of u's dtype, is the
@@ -159,42 +225,58 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int,
     out in full and the odd rows negated in place: a broadcast operand, or
     rows written through a strided view, would make numpy allocate an
     iterator buffer, ~0.24 MB per strip at N = 1500.
+
+    With a second strip pair in ``work`` (see _work_area), a worker thread
+    runs every other strip in that pair while this thread runs the rest.
+    A strip writes only its own rows from its diagonal on, the rows below
+    it in its own columns and its own rows left of the tile, so no two
+    strips write one entry, and each entry gets the bits a serial pass
+    gives it; entry(d, spare) must be safe to call from two threads at once.
     """
-    n, strips = u.size, work[1]
+    n, pairs = u.size, work[1]
 
-    def differences(first, second, shape):
-        """first - second, both broadcast to ``shape``, in strips[0]."""
-        diff, other = (strip[:math.prod(shape)].reshape(shape) for strip in strips)
-        diff[...] = first
-        other[...] = second
-        return np.subtract(diff, other, out=diff)
+    def run(starts, strips):
+        """The strips starting at ``starts``, in ``strips``, a strip pair;
+        the rows view (None for no strip)."""
 
-    rows = None
-    for a in range(lo, hi, _STRIP):
-        b = min(a + _STRIP, hi)
-        # flip[k, c] = entry(u_(a+c) - u_(a+k)) = |M[a+c, a+k]|: the
-        # differences are distances except in the strip's own square
-        d = differences(u[None, a:], u[a:b, None], (b - a, n - a))
-        square = d[:, :b - a]
-        np.abs(square, out=square)
-        square[np.arange(b - a), np.arange(b - a)] = np.inf
-        flip = entry(d, strips[1])
-        if rows is None:
-            shape = (hi - lo, n)
-            rows = work[0].reshape(-1).view(flip.dtype)[:math.prod(shape)].reshape(shape)
-        rows[b - lo:, a:b] = flip[:, b - a:hi - a].T
-        if odd:
-            np.negative(flip, out=flip)
-            rows[a - lo:b - lo, a:] = flip
-            # M[i, j] >= 0 on and below the diagonal, where u_i >= u_j
-            square = rows[a - lo:b - lo, a:b]
-            np.abs(square, out=square, where=np.tri(b - a, dtype=bool))
-        else:
-            rows[a - lo:b - lo, a:] = flip
-        if lo > 0:
-            left = differences(u[a:b, None], u[None, :lo], (b - a, lo))
-            rows[a - lo:b - lo, :lo] = entry(left, strips[1])
-    return rows
+        def differences(first, second, shape):
+            """first - second, both broadcast to ``shape``, in strips[0]."""
+            diff, other = (strip[:math.prod(shape)].reshape(shape) for strip in strips)
+            diff[...] = first
+            other[...] = second
+            return np.subtract(diff, other, out=diff)
+
+        rows = None
+        for a in starts:
+            b = min(a + _STRIP, hi)
+            # flip[k, c] = entry(u_(a+c) - u_(a+k)) = |M[a+c, a+k]|: the
+            # differences are distances except in the strip's own square
+            d = differences(u[None, a:], u[a:b, None], (b - a, n - a))
+            square = d[:, :b - a]
+            np.abs(square, out=square)
+            square[np.arange(b - a), np.arange(b - a)] = np.inf
+            flip = entry(d, strips[1])
+            if rows is None:
+                shape = (hi - lo, n)
+                rows = work[0].reshape(-1).view(flip.dtype)[:math.prod(shape)].reshape(shape)
+            rows[b - lo:, a:b] = flip[:, b - a:hi - a].T
+            if odd:
+                np.negative(flip, out=flip)
+                rows[a - lo:b - lo, a:] = flip
+                # M[i, j] >= 0 on and below the diagonal, where u_i >= u_j
+                square = rows[a - lo:b - lo, a:b]
+                np.abs(square, out=square, where=np.tri(b - a, dtype=bool))
+            else:
+                rows[a - lo:b - lo, a:] = flip
+            if lo > 0:
+                left = differences(u[a:b, None], u[None, :lo], (b - a, lo))
+                rows[a - lo:b - lo, :lo] = entry(left, strips[1])
+        return rows
+
+    if len(pairs) == 1 or hi - lo <= _STRIP:
+        return run(range(lo, hi, _STRIP), pairs[0])
+    return _in_two(lambda: run(range(lo + _STRIP, hi, 2 * _STRIP), pairs[1]),
+                   lambda: run(range(lo, hi, 2 * _STRIP), pairs[0]))
 
 
 def _row_sums(u: np.ndarray, entry, odd: bool, work: tuple) -> np.ndarray:

@@ -6,9 +6,11 @@ that reads the ion count or the multipole order takes a flag that
 overrides it: ``--n-ions`` every subcommand but ``adiabatic``,
 ``--multipole`` only ``scales``, ``decohere`` and ``scaling``.  All
 numeric output is printed with 12 significant digits and LF line endings
-so identical configs produce byte-identical files at a fixed BLAS thread
-count (the equilibrium solve's linear algebra can round differently with
-the number of OpenBLAS threads, moving the last printed digit).  Each
+so identical configs produce byte-identical files.  The equilibrium
+solve's linear algebra can round differently with the number of BLAS
+threads, moving the last printed digit, so ``main`` sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before
+numpy loads, unless the environment already names a count.  Each
 count and positive real is checked by errors.check_integer or
 errors.check_positive, the library's own two rules.  Exit codes: 0 ok,
 1 bad config/validation (a missing, unreadable or non-UTF-8 config
@@ -43,6 +45,7 @@ import contextlib
 import itertools
 import math
 import numbers
+import os
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -472,6 +475,10 @@ def _write_output(path, lines):
 
 
 def main(argv=None) -> int:
+    # one BLAS thread unless the caller names a count (module docstring);
+    # it takes effect only while numpy is not loaded, as in a CLI process
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     args = _build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)

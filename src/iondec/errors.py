@@ -13,8 +13,8 @@ no import.
 """
 from __future__ import annotations
 
+import math
 import numbers
-import sys
 
 
 class ValidationError(ValueError):
@@ -53,9 +53,15 @@ def check_integer(field: str, value, least: int, most: int | None = None) -> int
 
 def _is_finite_real(value) -> bool:
     """A real number (Python or numpy, not a bool) within the float range;
-    an int too large for a float counts as infinite."""
-    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and -sys.float_info.max <= value <= sys.float_info.max)
+    an int too large for a float counts as infinite.  math.isfinite reads
+    the value as a float, so a numpy scalar is never compared with a
+    float maximum cast to its own, narrower type."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def check_positive(field: str, value) -> float:

@@ -3,7 +3,10 @@ import platform
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -13,7 +16,7 @@ from iondec import chain as chain_module
 from iondec.chain import (IonChain, _force, _jacobian, _pass_area, _row_sums, _solve_area,
                           _work_area, local_spacings, solve_equilibrium)
 from iondec.continuum import ContinuumModel, min_spacing
-from iondec.errors import SolverError, ValidationError
+from iondec.errors import DomainError, SolverError, ValidationError
 from iondec.sums import _inverse_power, pair_sum_exact_all
 
 U2 = 0.25 ** (1.0 / 3.0)       # two-ion half-separation, u^3 = 1/4
@@ -390,7 +393,7 @@ def _value_bytes(a):
 
 
 @pytest.mark.parametrize("rows_per_block", [None, 1, 45])
-@pytest.mark.parametrize("n", [2, 3, 33, 65, 129])
+@pytest.mark.parametrize("n", [2, 3, 20, 33, 65, 129, 256, 257])
 def test_reused_work_area_keeps_the_bits(n, rows_per_block):
     """A force and a Jacobian written into an area that already holds an
     earlier call's values at other positions (in a solve's area, the other
@@ -408,6 +411,16 @@ def test_reused_work_area_keeps_the_bits(n, rows_per_block):
         jac = _jacobian(u, work)
         assert jac.dtype == np.float64
         assert _value_bytes(jac) == _value_bytes(_jacobian(u, _solve_area(n)))
+
+
+@pytest.mark.parametrize("n, rows", [(256, 256), (257, 129)])
+def test_small_solves_run_the_force_in_one_block(n, rows):
+    """A solve's area holds all N longdouble rows while they fit in 1 MiB
+    (N <= 256 at 16 bytes a value), so the force runs in one block: half
+    the entries and strip calls of two blocks.  Above that it holds the
+    rows that hold the N x N float64 Jacobian."""
+    itemsize = np.dtype(np.longdouble).itemsize
+    assert len(_solve_area(n)[0]) == (rows if itemsize == 16 else n)
 
 
 def _traced_peak(call):
@@ -491,3 +504,108 @@ def test_solve_does_not_fault_its_kernel_temporaries_back_in():
     solve, force = map(int, run.stdout.split())
     assert solve < 6000
     assert force < 100
+
+
+# -------------------------------------------------------- threaded passes
+
+
+def _threads(monkeypatch, threaded):
+    """Passes at every N run on two threads (threaded), or none do; either
+    way two CPUs are usable, whatever the host offers."""
+    monkeypatch.setattr(chain_module, "_THREAD_MIN_IONS", 0 if threaded else 10**9)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _all_kernel_bytes(n):
+    """The value bytes of the force (in a solve's area, a lone pass's and
+    a 45-row area, whose second block has lo > 0), the Jacobian and the
+    pair sums S_2, S_3 and S_8 of a fresh chain."""
+    chain = _fixed_positions(n)
+    u = chain.positions
+    out = [_value_bytes(_force(u, area)) for area in
+           (_solve_area(n), _pass_area(n), _work_area(n, 45))]
+    out.append(_value_bytes(_jacobian(u, _solve_area(n))))
+    out += [_value_bytes(pair_sum_exact_all(chain, p)) for p in (2, 3, 8)]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 31, 33, 64, 65, 150, 300])
+def test_threaded_pass_gives_the_serial_bits(n, monkeypatch):
+    """Odd and even strip counts, a block of one strip (no thread) and
+    blocks with lo > 0 give the serial pass's bytes on two threads, also
+    when the interpreter switches threads every microsecond."""
+    _threads(monkeypatch, False)
+    serial = _all_kernel_bytes(n)
+    _threads(monkeypatch, True)
+    in_two, calls = chain_module._in_two, []
+    monkeypatch.setattr(chain_module, "_in_two", lambda *run: calls.append(1) or in_two(*run))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _all_kernel_bytes(n)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert bool(calls) == (n > chain_module._STRIP)
+
+
+def test_pass_below_the_threshold_has_one_strip_pair(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    least = chain_module._THREAD_MIN_IONS
+    assert len(_pass_area(least - 1)[1]) == 1
+    assert len(_pass_area(least)[1]) == 2
+
+
+def test_pair_sum_overflowing_on_the_worker_is_a_domain_error(monkeypatch):
+    """The worker runs in a copy of the caller's context, so it keeps the
+    caller's np.errstate: ions 40 and 41 (strip 32-63, the worker's) 1e-300
+    apart overflow S_20 in extended precision without a RuntimeWarning."""
+    _threads(monkeypatch, True)
+    u = np.arange(65, dtype=np.longdouble) - 40
+    u[41] = np.longdouble("1e-300")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            pair_sum_exact_all(IonChain(u), 20)
+
+
+def test_entry_error_on_either_thread_is_raised_after_the_join(monkeypatch):
+    _threads(monkeypatch, True)
+    u = _fixed_positions(150).positions
+    main, done, running = threading.get_ident(), [], threading.active_count()
+
+    def worker_fails(d, spare):
+        if threading.get_ident() != main:
+            raise ValueError("worker")
+        return chain_module._coulomb(d, spare)
+
+    with pytest.raises(ValueError, match="worker"):
+        chain_module._pair_rows(u, worker_fails, True, 0, 150, _pass_area(150))
+    assert threading.active_count() == running
+
+    def caller_fails(d, spare):
+        if threading.get_ident() == main:
+            raise ValueError("caller")
+        time.sleep(0.02)
+        done.append(d.shape)
+        return chain_module._coulomb(d, spare)
+
+    with pytest.raises(ValueError, match="caller"):
+        chain_module._pair_rows(u, caller_fails, True, 0, 150, _pass_area(150))
+    # the worker ran its strips at rows 32 and 96 before the error surfaced
+    assert done == [(32, 118), (32, 54)]
+    assert threading.active_count() == running
+
+
+def test_one_usable_cpu_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a pass started a thread")
+
+    monkeypatch.setattr(chain_module, "_THREAD_MIN_IONS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(chain_module, "threading", types.SimpleNamespace(Thread=no_thread))
+    chain = _fixed_positions(150)
+    assert len(_solve_area(150)[1]) == 1
+    _force(chain.positions, _solve_area(150))
+    _jacobian(chain.positions, _solve_area(150))
+    pair_sum_exact_all(chain, 8)

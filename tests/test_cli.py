@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -207,6 +208,21 @@ def test_sums_bytes_pinned(threads):
     chain of N <= 60 solves to the same bits at either count)."""
     argvs = [("sums", "--n-ions", str(n), "--exponent", str(p)) for n, p in SUMS_SHA256]
     assert _stdout_sha256(argvs, threads) == list(SUMS_SHA256.values())
+
+
+def test_cli_runs_one_blas_thread_unless_the_environment_names_a_count():
+    """With no BLAS thread variable set, `sums` prints the bytes it prints
+    at one BLAS thread: the solve's LU rounds with the thread count, and an
+    unpinned N = 300 call on two cores differed at row 250 before the CLI
+    pinned its pool."""
+    pinned_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    argv = [sys.executable, "-m", "iondec", "sums", "--n-ions", "300", "--exponent", "2"]
+    unpinned = {k: v for k, v in _child_env().items() if k not in pinned_vars}
+    pinned = dict(unpinned, **dict.fromkeys(pinned_vars, "1"))
+    digests = [hashlib.sha256(subprocess.run(argv, env=env, capture_output=True,
+                                             check=True).stdout).hexdigest()
+               for env in (pinned, unpinned)]
+    assert digests[0] == digests[1]
 
 
 # SHA-256 of `iondec adiabatic --theta-end t --eps-ratio e --rot-ratio r`

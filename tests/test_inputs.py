@@ -10,6 +10,7 @@ Rows that existing tests already cover (chain_length's and min_spacing's
 bad counts, solve_equilibrium's string tolerance) are not repeated here.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from iondec.adiabatic import DriveField, adiabatic_phase, integrate_tls
 from iondec.chain import solve_equilibrium
 from iondec.continuum import ContinuumModel, chain_length, min_spacing
 from iondec.decoherence import closed_form_rate
-from iondec.errors import ValidationError
+from iondec.errors import (ValidationError, check_finite, check_integer,
+                           check_nonnegative, check_positive)
 from iondec.physmodel import IonSpecies, Multipole, TrapConfig, radiative_time
 from iondec.scaling import default_n_grid, scan
 
@@ -176,3 +178,42 @@ def test_sampled_drive_takes_numpy_and_python_numbers_alike():
     for name in ("times", "fx_samples", "fy_samples"):
         assert getattr(got, name).dtype == float
         assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+# numpy float scalars of every width: a float16 or float32 compared with
+# the float maximum would cast that maximum to its own type and overflow
+NUMPY_FLOATS = {"float16": np.float16(2.0), "float32": np.float32(2.0),
+                "float64": np.float64(2.0)}
+
+
+@pytest.mark.parametrize("rule", [check_positive, check_nonnegative, check_finite])
+@pytest.mark.parametrize("label", NUMPY_FLOATS)
+def test_real_rules_take_numpy_floats_of_every_width_without_a_warning(label, rule):
+    value = NUMPY_FLOATS[label]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rule("x", value) is value
+        with pytest.raises(ValidationError):
+            check_integer("n", value, 1)
+
+
+@pytest.mark.parametrize("rule", [check_positive, check_nonnegative, check_finite])
+def test_real_rules_refuse_an_int_beyond_the_float_range(rule):
+    with pytest.raises(ValidationError) as err:
+        rule("x", 10**400)
+    assert err.value.field == "x"
+
+
+def test_count_rule_bounds_an_int_beyond_the_float_range_as_an_int():
+    assert check_integer("n", 10**400, 1) == 10**400
+    with pytest.raises(ValidationError):
+        check_integer("n", 10**400, 1, 10)
+
+
+@pytest.mark.parametrize("label", NUMPY_FLOATS)
+def test_circular_drive_takes_numpy_floats_of_every_width(label):
+    value = NUMPY_FLOATS[label]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        drive = DriveField.circular(value, value)
+    assert repr(drive) == repr(DriveField.circular(2.0, 2.0))
