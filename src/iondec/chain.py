@@ -24,22 +24,23 @@ negation are exact.  Rows keep their full length, so row sums reduce in
 the same order as before.
 
 Every pass writes its rows and strips into a work area (_work_area) its
-caller allocates, and the kernel allocates nothing of that size itself:
-fresh row blocks and strip temporaries would grow the heap past glibc's
-trim threshold, which stays at 128 KiB once the mmap threshold is fixed
-(as the benchmark fixes it), and be page-faulted back in at every call.
-A solve allocates one area (_solve_area) and hands it to every force and
-Jacobian call of its Newton loop and line search.  While N _WIDE rows
-fit in _ONE_BLOCK (1 MiB, N <= 256 under x87) it holds all of them, so
-the force runs in one block.  Above that it holds as many _WIDE rows as
-hold the N x N float64 Jacobian, ⌈8N/itemsize⌉ (⌈N/2⌉ under x87); the
-force never runs while the Jacobian is in use, so it reads the same
-words as _WIDE, in blocks of that many rows.  A larger area would raise
-the solve's peak, as np.linalg.solve makes its own 8 N^2-byte LU copy of
-the Jacobian on top of it; the faults left in a solve are that copy's,
-which numpy allocates inside np.linalg.solve.  A lone pass (a residual,
-a pair sum) allocates an area of _BLOCK // N rows, at most N
-(_pass_area).
+caller allocates, and the kernel fills the block of rows it is handed and
+allocates nothing of that size itself: fresh row blocks and strip
+temporaries would grow the heap past glibc's trim threshold, which stays
+at 128 KiB once the mmap threshold is fixed (as the benchmark fixes it),
+and be page-faulted back in at every call.  A solve allocates one area
+(_solve_area) and hands it to every force and Jacobian call of its
+Newton loop and line search.  While N _WIDE rows fit in _ONE_BLOCK
+(1 MiB, N <= 256 under x87) it holds all of them, so the force runs in
+one block.  Above that it holds as many _WIDE rows as hold the N x N
+float64 Jacobian, ⌈8N/itemsize⌉ (⌈N/2⌉ under x87).  _jacobian alone
+reads the area's words as float64; the force never runs while the
+Jacobian is in use, so it reads the same words as _WIDE, in blocks of
+that many rows.  A larger area would raise the solve's peak, as
+np.linalg.solve makes its own 8 N^2-byte LU copy of the Jacobian on top
+of it; the faults left in a solve are that copy's, which numpy allocates
+inside np.linalg.solve.  A lone pass (a residual, a pair sum) allocates
+an area of _BLOCK // N rows, at most N (_pass_area).
 
 From _THREAD_MIN_IONS ions up, and with two CPUs usable, an area holds a
 second strip pair, and each pass hands every other strip to one worker
@@ -181,9 +182,9 @@ def _pass_area(n: int) -> tuple:
 
 def _in_two(there, here):
     """here() on this thread while a worker thread runs there() in a copy
-    of this thread's context (numpy's errstate is a context variable);
-    here's result, once the worker is joined.  An exception of either is
-    raised after the join, this thread's first."""
+    of this thread's context (numpy's errstate is a context variable), and
+    the worker joined.  An exception of either is raised after the join,
+    this thread's first."""
     failed = []
 
     def worker():
@@ -195,27 +196,27 @@ def _in_two(there, here):
     thread = threading.Thread(target=contextvars.copy_context().run, args=(worker,))
     thread.start()
     try:
-        result = here()
+        here()
     finally:
         thread.join()
     if failed:
         raise failed[0]
-    return result
 
 
-def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int,
-               work: tuple) -> np.ndarray:
-    """Rows [lo, hi) of M[i, j] = entry(|u_i - u_j|), entry(inf) on the
-    diagonal, times sign(u_i - u_j) off it when ``odd`` (M[i, j] = -M[j, i]),
-    as a view into ``work``, a _work_area of u.size ions, that the next
-    call on it overwrites.
+def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, rows: np.ndarray,
+               strips: np.ndarray) -> np.ndarray:
+    """Fill ``rows`` with rows [lo, lo + len(rows)) of M[i, j] =
+    entry(|u_i - u_j|), entry(inf) on the diagonal, times sign(u_i - u_j)
+    off it when ``odd`` (M[i, j] = -M[j, i]), and return it.  ``rows`` has
+    u.size columns and the dtype of entry's result; ``strips`` are the
+    strip pairs of a _work_area of u.size ions.
 
     ``u`` must be strictly increasing, so ``entry`` sees distances d > 0
-    only.  The diagonal tile [lo, hi)^2 is evaluated in row strips, on and
-    above the diagonal only, at u_j - u_i, so a strip's transpose fills the
-    rows below it as is.  Columns left of the tile are evaluated directly.
-    Every row keeps its full length, so row sums reduce in the same order
-    as over a directly evaluated matrix.
+    only.  The diagonal tile of the block is evaluated in row strips, on
+    and above the diagonal only, at u_j - u_i, so a strip's transpose fills
+    the rows below it as is.  Columns left of the tile are evaluated
+    directly.  Every row keeps its full length, so row sums reduce in the
+    same order as over a directly evaluated matrix.
 
     Each strip's differences d are formed in one of its strip pair's two
     buffers, and ``entry(d, spare)`` may work in d and return it: the
@@ -226,27 +227,25 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int,
     rows written through a strided view, would make numpy allocate an
     iterator buffer, ~0.24 MB per strip at N = 1500.
 
-    With a second strip pair in ``work`` (see _work_area), a worker thread
-    runs every other strip in that pair while this thread runs the rest.
-    A strip writes only its own rows from its diagonal on, the rows below
-    it in its own columns and its own rows left of the tile, so no two
-    strips write one entry, and each entry gets the bits a serial pass
+    With a second strip pair in ``strips`` (see _work_area), a worker
+    thread runs every other strip in that pair while this thread runs the
+    rest.  A strip writes only its own rows from its diagonal on, the rows
+    below it in its own columns and its own rows left of the tile, so no
+    two strips write one entry, and each entry gets the bits a serial pass
     gives it; entry(d, spare) must be safe to call from two threads at once.
     """
-    n, pairs = u.size, work[1]
+    n, hi = u.size, lo + len(rows)
 
-    def run(starts, strips):
-        """The strips starting at ``starts``, in ``strips``, a strip pair;
-        the rows view (None for no strip)."""
+    def run(starts, pair):
+        """The strips starting at ``starts``, in ``pair``, a strip pair."""
 
         def differences(first, second, shape):
-            """first - second, both broadcast to ``shape``, in strips[0]."""
-            diff, other = (strip[:math.prod(shape)].reshape(shape) for strip in strips)
+            """first - second, both broadcast to ``shape``, in pair[0]."""
+            diff, other = (strip[:math.prod(shape)].reshape(shape) for strip in pair)
             diff[...] = first
             other[...] = second
             return np.subtract(diff, other, out=diff)
 
-        rows = None
         for a in starts:
             b = min(a + _STRIP, hi)
             # flip[k, c] = entry(u_(a+c) - u_(a+k)) = |M[a+c, a+k]|: the
@@ -255,10 +254,7 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int,
             square = d[:, :b - a]
             np.abs(square, out=square)
             square[np.arange(b - a), np.arange(b - a)] = np.inf
-            flip = entry(d, strips[1])
-            if rows is None:
-                shape = (hi - lo, n)
-                rows = work[0].reshape(-1).view(flip.dtype)[:math.prod(shape)].reshape(shape)
+            flip = entry(d, pair[1])
             rows[b - lo:, a:b] = flip[:, b - a:hi - a].T
             if odd:
                 np.negative(flip, out=flip)
@@ -270,21 +266,22 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, hi: int,
                 rows[a - lo:b - lo, a:] = flip
             if lo > 0:
                 left = differences(u[a:b, None], u[None, :lo], (b - a, lo))
-                rows[a - lo:b - lo, :lo] = entry(left, strips[1])
-        return rows
+                rows[a - lo:b - lo, :lo] = entry(left, pair[1])
 
-    if len(pairs) == 1 or hi - lo <= _STRIP:
-        return run(range(lo, hi, _STRIP), pairs[0])
-    return _in_two(lambda: run(range(lo + _STRIP, hi, 2 * _STRIP), pairs[1]),
-                   lambda: run(range(lo, hi, 2 * _STRIP), pairs[0]))
+    if len(strips) == 1 or hi - lo <= _STRIP:
+        run(range(lo, hi, _STRIP), strips[0])
+    else:
+        _in_two(lambda: run(range(lo + _STRIP, hi, 2 * _STRIP), strips[1]),
+                lambda: run(range(lo, hi, 2 * _STRIP), strips[0]))
+    return rows
 
 
 def _row_sums(u: np.ndarray, entry, odd: bool, work: tuple) -> np.ndarray:
     """sum_j M[i, j] for every row of the _pair_rows matrix, in blocks of
     as many rows as ``work`` (a _work_area) holds."""
-    n, block = u.size, work[0].shape[0]
-    return np.concatenate([_pair_rows(u, entry, odd, lo, min(lo + block, n), work).sum(axis=1)
-                           for lo in range(0, n, block)])
+    n, (area, strips) = u.size, work
+    return np.concatenate([_pair_rows(u, entry, odd, lo, area[:n - lo], strips).sum(axis=1)
+                           for lo in range(0, n, len(area))])
 
 
 def _coulomb(d, spare):
@@ -308,9 +305,11 @@ def _force(u: np.ndarray, work: tuple) -> np.ndarray:
 
 
 def _jacobian(u: np.ndarray, work: tuple) -> np.ndarray:
-    """dF_i/du_j as float64, a view into ``work`` (a _work_area of at
-    least 8N bytes per row) that the next call on it overwrites."""
-    jac = _pair_rows(u, _stiffness, False, 0, u.size, work)
+    """dF_i/du_j as float64: the words of ``work``'s rows (at least 8 N^2
+    bytes) read as an (N, N) array, which the next call on them overwrites."""
+    n, (area, strips) = u.size, work
+    jac = area.reshape(-1).view(float)[:n * n].reshape(n, n)
+    _pair_rows(u, _stiffness, False, 0, jac, strips)
     # the kernel's diagonal is -2/inf = -0, which the row sum ignores
     np.fill_diagonal(jac, 1.0 - jac.sum(axis=1))
     return jac
@@ -342,7 +341,7 @@ def solve_equilibrium(n_ions: int, tol: float = DEFAULT_TOL,
     u = _initial_guess(n_ions)
     work = _solve_area(n_ions)
     f = _force(u, work)
-    best = float(np.max(np.abs(f)))
+    best = math.inf
     for _ in range(max_iter):
         res = float(np.max(np.abs(f)))
         best = min(best, res)

@@ -120,8 +120,10 @@ def parse_config(text: str) -> RunConfig:
     except configparser.ParsingError as exc:
         where = ", ".join(f"line {lineno}" for lineno, _ in exc.errors)
         raise ValidationError("config", f"parse error at {where}") from None
-    except configparser.Error as exc:
-        raise ValidationError("config", str(exc)) from None
+    except (configparser.DuplicateSectionError, configparser.DuplicateOptionError) as exc:
+        # str(exc) starts "While reading from '<string>' [line 13]: "
+        raise ValidationError("config", f"line {exc.lineno}: "
+                              f"{exc.message.partition(']: ')[2]}") from None
 
     for section in parser.sections():
         if section not in _SECTIONS:

@@ -34,7 +34,7 @@ import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .continuum import (ContinuumModel, chain_length, invert_cubic_count,
+from .continuum import (ContinuumModel, _profile, chain_length, invert_cubic_count,
                          min_spacing)
 from .errors import DomainError, ValidationError, check_integer, check_positive
 
@@ -161,8 +161,7 @@ def continuum_sites(n_ions: int, model: ContinuumModel) -> ContinuumSites:
     import numpy as np
 
     z = invert_cubic_count(np.arange(n_ions) - (n_ions - 1) / 2.0, L, s0)
-    s = s0 / (1.0 - (z / L) ** 2)
-    return ContinuumSites(sites=z, spacings=s)
+    return ContinuumSites(sites=z, spacings=_profile(s0, z / L))
 
 
 def chain_total_exact(sites: ContinuumSites, n: int) -> float:

@@ -146,10 +146,31 @@ def test_double_working_precision_stalls_and_says_so(monkeypatch):
     assert 1e-12 < err.value.residual < 1e-10
 
 
-@pytest.mark.parametrize("bad", [0, -3, 10_001])
+@pytest.mark.parametrize("bad", [0, -3, 10_001, chain_module.MAX_IONS + 1])
 def test_solver_input_validation(bad):
     with pytest.raises(ValidationError):
         solve_equilibrium(bad)
+
+
+def _fresh_python(code, **env):
+    """The stdout of ``python -c code`` in a fresh interpreter that imports
+    this checkout's iondec, with ``env`` added to the environment."""
+    src = os.path.dirname(os.path.dirname(chain_module.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, **env), check=True).stdout
+
+
+def test_solve_at_max_ions_certifies():
+    """The largest count the solver takes certifies, here and in a fresh
+    python at two BLAS threads, whose LU rounds otherwise: 6.1e-13 and
+    5.9e-13 on x86-64, where N ~ 3750 and up stall above 1e-12."""
+    n = chain_module.MAX_IONS
+    assert solve_equilibrium(n).residual <= chain_module.DEFAULT_TOL
+    residual = _fresh_python(
+        f"from iondec.chain import solve_equilibrium; print(solve_equilibrium({n}).residual)",
+        **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "2"))
+    assert float(residual) <= chain_module.DEFAULT_TOL
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, "1e-12", None])
@@ -359,12 +380,12 @@ def test_pair_entries_see_only_positive_distances(n, rows_per_block, monkeypatch
     the diagonal), in one row block or several."""
     pair_rows, seen = chain_module._pair_rows, []
 
-    def checked_pair_rows(u, entry, odd, lo, hi, work):
+    def checked_pair_rows(u, entry, odd, lo, rows, strips):
         def checked_entry(d, spare):
             seen.append(d.size)
             assert np.all(d > 0)
             return entry(d, spare)
-        return pair_rows(u, checked_entry, odd, lo, hi, work)
+        return pair_rows(u, checked_entry, odd, lo, rows, strips)
 
     monkeypatch.setattr(chain_module, "_pair_rows", checked_pair_rows)
     chain = _fixed_positions(n)
@@ -442,7 +463,7 @@ def test_kernels_write_into_the_area_they_are_handed():
     n = 500
     u = _fixed_positions(n).positions
     work = _solve_area(n)
-    rows = chain_module._pair_rows(u, chain_module._coulomb, True, 0, len(work[0]), work)
+    rows = chain_module._pair_rows(u, chain_module._coulomb, True, 0, *work)
     assert np.shares_memory(rows, work[0])
     assert np.shares_memory(_jacobian(u, work), work[0])
     assert not np.shares_memory(_force(u, work), work[0])
@@ -495,13 +516,8 @@ def test_solve_does_not_fault_its_kernel_temporaries_back_in():
         _force(u, work)
         print(solve, faults() - before)
     """)
-    src = os.path.dirname(os.path.dirname(chain_module.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="1048576", OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=path)
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    solve, force = map(int, run.stdout.split())
+    out = _fresh_python(code, MALLOC_MMAP_THRESHOLD_="1048576", OPENBLAS_NUM_THREADS="1")
+    solve, force = map(int, out.split())
     assert solve < 6000
     assert force < 100
 
@@ -580,7 +596,7 @@ def test_entry_error_on_either_thread_is_raised_after_the_join(monkeypatch):
         return chain_module._coulomb(d, spare)
 
     with pytest.raises(ValueError, match="worker"):
-        chain_module._pair_rows(u, worker_fails, True, 0, 150, _pass_area(150))
+        chain_module._pair_rows(u, worker_fails, True, 0, *_pass_area(150))
     assert threading.active_count() == running
 
     def caller_fails(d, spare):
@@ -591,10 +607,20 @@ def test_entry_error_on_either_thread_is_raised_after_the_join(monkeypatch):
         return chain_module._coulomb(d, spare)
 
     with pytest.raises(ValueError, match="caller"):
-        chain_module._pair_rows(u, caller_fails, True, 0, 150, _pass_area(150))
+        chain_module._pair_rows(u, caller_fails, True, 0, *_pass_area(150))
     # the worker ran its strips at rows 32 and 96 before the error surfaced
     assert done == [(32, 118), (32, 54)]
     assert threading.active_count() == running
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    """Without an affinity call (macOS, Windows) the machine's count is
+    taken, and one CPU where the OS reports none."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert chain_module._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert chain_module._usable_cpus() == 1
 
 
 def test_one_usable_cpu_starts_no_thread(monkeypatch):

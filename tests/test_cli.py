@@ -20,7 +20,7 @@ from iondec.cli import (BA_EXAMPLE, MAX_POINTS, _fmt, _profile_grid, _table,
 from iondec.continuum import ContinuumModel
 from iondec.decoherence import DecoherenceMode, build_report
 from iondec.errors import ValidationError
-from iondec.physmodel import DEFAULT_MAX_ITER, DEFAULT_TOL, Multipole
+from iondec.physmodel import DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_IONS, Multipole
 
 
 def run(capsys, argv):
@@ -561,6 +561,18 @@ def test_exit_config_unreadable(capsys, tmp_path):
     assert str(tmp_path) in line and line.endswith("Is a directory")
 
 
+@pytest.mark.parametrize("text, message", [
+    (BA_EXAMPLE.replace("n_ions = 1000\n", "n_ions = 1000\nn_ions = 7\n"),
+     "line 13: option 'n_ions' in section 'trap' already exists"),
+    (BA_EXAMPLE + "[trap]\n", "line 19: section 'trap' already exists"),
+], ids=["key", "section"])
+def test_exit_config_repeated_entry(text, message, capsys, tmp_path):
+    path = tmp_path / "repeated.ini"
+    path.write_text(text)
+    line = _refused_with_one_line(capsys, ["scales", "--config", str(path)])
+    assert line == "error: config: " + message
+
+
 def test_warnings_printed_one_line_each_after_the_output(capsys):
     rc = main(["adiabatic", "--eps-ratio", "0.2", "--rot-ratio", "0.3"])
     captured = capsys.readouterr()
@@ -676,6 +688,7 @@ REFUSED_CASES = [
     ["sums", "--n-ions", "5", "--exponent", "5000"],
     ["sums", "--n-ions", "3", "--exponent", "100000"],
     ["decohere", "--mode", "closed", "--n-ions", str(10**30)],
+    ["equilibrium", "--n-ions", str(MAX_IONS + 1)],
 ]
 
 
@@ -820,6 +833,7 @@ NUMPY_FREE_CALLS = [
     (["scales", "--config", "no-such-config.ini"], 1, set()),
     (["equilibrium", "--n-ions", "0"], 1, set()),
     (["equilibrium", "--n-ions", "20000"], 1, set()),
+    (["equilibrium", "--n-ions", str(MAX_IONS + 1)], 1, set()),
     (["sums", "--exponent", "1"], 1, set()),
     (["sums", "--n-ions", "50", "--exponent", "1"], 1, set()),
     (["sums", "--n-ions", "1"], 1, set()),
@@ -965,9 +979,9 @@ def _command(name, overrides, **options):
         lambda parts: [name] + [arg for part in parts for arg in part])
 
 
-# A chain solve at 400 < N <= 10^4 takes seconds to minutes, so the ion
-# count stays small or lands just past MAX_IONS and far beyond it.
-_N_IONS = st.one_of(st.integers(-3, 400), st.sampled_from([10**4 + 1, 10**30]))
+# A chain solve at 400 < N <= MAX_IONS takes seconds, so the ion count
+# stays small or lands just past MAX_IONS and far beyond it.
+_N_IONS = st.one_of(st.integers(-3, 400), st.sampled_from([MAX_IONS + 1, 10**30]))
 _EDGES = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e300])
 _RATIO = st.one_of(_EDGES, st.floats(-0.2, 0.2))
 _OVERRIDES = {"n-ions": _N_IONS, "multipole": st.sampled_from(["E1", "E2"])}

@@ -60,6 +60,13 @@ def test_species_rejects_nonpositive(kwargs, field):
     assert err.value.field == field
 
 
+def test_species_rejects_a_multipole_given_by_name(ba):
+    with pytest.raises(ValidationError) as err:
+        IonSpecies(name="X", mass=ba.mass, charge=ba.charge, omega0=ba.omega0,
+                   tau_s=ba.tau_s, multipole="E2")
+    assert err.value.field == "multipole"
+
+
 def test_trap_requires_transverse_stiffer():
     with pytest.raises(ValidationError):
         TrapConfig.from_lab_units(fz_hz=1e6, ft_hz=1e5, n_ions=2)

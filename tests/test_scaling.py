@@ -235,6 +235,17 @@ def test_brentq_port_matches_scipy_on_other_functions(xtol, rtol):
             assert _brentq(f, a, b, xtol, rtol) == brentq(f, a, b, xtol=xtol, rtol=rtol)
 
 
+@pytest.mark.parametrize("a, b", [(2.0, 5.0), (-1.0, 2.0)])
+def test_brentq_returns_an_endpoint_that_is_a_root(a, b):
+    """x^2 - 4 is 0 at the bracket's first end or at its second."""
+    def f(x):
+        return x * x - 4.0
+
+    assert _brentq(f, a, b, xtol=1e-12, rtol=1e-14) == 2.0
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    assert scipy_optimize.brentq(f, a, b, xtol=1e-12, rtol=1e-14) == 2.0
+
+
 def test_brentq_refuses_without_sign_change_or_convergence():
     with pytest.raises(SolverError, match="sign"):
         _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, rtol=1e-14)
