@@ -20,8 +20,15 @@ knows the pair geometry: it evaluates the upper triangle of each
 diagonal row-block tile, mirrors it, and gives the force its sign.  The
 mirrored values are the bits a direct evaluation gives: IEEE subtraction
 is sign-symmetric (u_j - u_i == -(u_i - u_j) exactly), and |d| and
-negation are exact.  Rows keep their full length, so row sums reduce in
-the same order as before.
+negation are exact; the kernel negates by flipping the sign bit in a byte
+view (_negate), which is all IEEE negation does, at a quarter to a fifth
+of the cost of numpy's x87 negation loop.  Rows keep their full length, so row sums
+reduce in the same order as before.  A pass in several row blocks mirrors
+across blocks too: before its strips write, each block after the first fills
+the columns of the block above it from the rows that block left in the
+work area, so a two-block pass (every solve's force from N = 257 under
+x87) evaluates each pair once, as a one-block pass does; only the
+columns left of the block above are evaluated directly.
 
 Every pass writes its rows and strips into a work area (_work_area) its
 caller allocates, and the kernel fills the block of rows it is handed and
@@ -40,17 +47,22 @@ that many rows.  A larger area would raise the solve's peak, as
 np.linalg.solve makes its own 8 N^2-byte LU copy of the Jacobian on top
 of it; the faults left in a solve are that copy's, which numpy allocates
 inside np.linalg.solve.  A lone pass (a residual, a pair sum) allocates
-an area of _BLOCK // N rows, at most N (_pass_area).
+an area of _BLOCK // N rows, at most N (_pass_area): one block up to
+N = 2000.  In the solve's smaller area a lone S_8 was faster at N = 331,
+but its fastest runs were slower at N = 600 (7.0-7.3 instead of 6.0-6.3
+ms) in two sets of alternating pairs.
 
 From _THREAD_MIN_IONS ions up, and with two CPUs usable, an area holds a
-second strip pair, and each pass hands every other strip to one worker
-thread that works in that pair; the caller runs the other strips and
-then joins the worker.  Strips write disjoint entries, so a threaded
-pass gives the serial pass's bits, and the row sums and the Jacobian's
-diagonal are formed after the join, over full rows.  Below the threshold
-a pass stays on the caller's thread, with one strip pair: there the GIL
-handoffs around each strip's numpy calls cost more than the second core
-saves (the constant's comment holds the sweep).  The dense LU of
+second strip pair, and each block of more than one strip hands one
+worker thread, working in that pair, every other mirrored tile, every
+other strip and half the row sums (the Jacobian's diagonal among them),
+with a barrier after the tiles and after the strips; the caller runs the
+rest and then joins the worker.  Tiles, strips and row sums write
+disjoint entries, and each row is still summed whole, so a threaded pass
+gives the serial pass's bits.  Below the threshold a pass stays on the
+caller's thread, with one strip pair: there the GIL handoffs around each
+strip's numpy calls cost about what the second core saves (the
+constant's comment holds the sweep).  The dense LU of
 np.linalg.solve runs on as many BLAS threads as the caller's BLAS pool
 has, and its bits depend on that count; the CLI pins it to one.
 
@@ -84,17 +96,20 @@ _WIDE = np.longdouble
 _BLOCK = 4_000_000
 # rows per strip of a mirrored diagonal tile
 _STRIP = 32
+# a strip square's diagonal and its lower triangle, sliced for a short strip
+_DIAGONAL = np.arange(_STRIP)
+_LOWER = np.tri(_STRIP, dtype=bool)
 # bytes of _WIDE rows up to which a solve's force runs in one row block
 # (_solve_area): all n rows up to n = 256 under x87
 _ONE_BLOCK = 1 << 20
-# ions from which a pairwise pass runs every other strip on a worker
-# thread when two CPUs are usable (_work_area, _pair_rows).  Below it the
-# GIL handoffs around each strip's small numpy calls cost more than the
-# second core saves.  Threaded over serial time of solve_equilibrium plus
-# one S_8 (2-core x86-64, one BLAS thread, in process, median of 11-52
-# alternating pairs):
-#   N       227   331   484   600   708   1036  1500
-#   ratio   1.26  1.11  1.09  0.99  0.88  0.82  0.88
+# ions from which a pairwise pass runs every other tile, strip and row
+# sum on a worker thread when two CPUs are usable (_work_area,
+# _pair_rows).  Below it the GIL handoffs around each strip's small numpy
+# calls cost about what the second core saves.  Threaded over serial time
+# of solve_equilibrium plus one S_8 (2-core x86-64, one BLAS thread, in
+# process, median of 31 alternating pairs):
+#   N       331   400   484   550   600   650   708   850   1036  1500
+#   ratio   1.24  1.05  0.99  0.94  1.00  0.93  0.89  0.82  0.80  0.85
 _THREAD_MIN_IONS = 700
 
 
@@ -180,31 +195,70 @@ def _pass_area(n: int) -> tuple:
     return _work_area(n, min(n, max(1, _BLOCK // n)))
 
 
-def _in_two(there, here):
-    """here() on this thread while a worker thread runs there() in a copy
-    of this thread's context (numpy's errstate is a context variable), and
-    the worker joined.  An exception of either is raised after the join,
-    this thread's first."""
-    failed = []
+@functools.cache
+def _sign_byte(dtype: np.dtype) -> int | None:
+    """The byte of a ``dtype`` value whose top bit is its sign, so that
+    flipping that bit negates the value, or None where no one bit does (a
+    double-double longdouble has two signs)."""
+    values = np.array([1, 0, np.inf], dtype=dtype) / 3
+    negated = np.negative(values)
+    for byte in range(dtype.itemsize):
+        flipped = values.copy()
+        flipped.view(np.uint8).reshape(len(values), -1)[:, byte] ^= 0x80
+        if (np.array_equal(flipped, negated)
+                and np.array_equal(np.signbit(flipped), np.signbit(negated))):
+            return byte
+    return None
 
-    def worker():
+
+def _negate(a: np.ndarray) -> None:
+    """np.negative(a, out=a) for a contiguous ``a``, by flipping the sign
+    bit in a byte view where the format has one.  IEEE negation flips that
+    bit alone, so the bits are np.negative's; for x87's extended values the
+    xor costs ~0.6 ns a value, numpy's negation loop 2.4-3 ns (x86-64)."""
+    byte = _sign_byte(a.dtype)
+    if byte is None:
+        np.negative(a, out=a)
+        return
+    signs = a.reshape(-1).view(np.uint8).reshape(a.size, -1)[:, byte]
+    np.bitwise_xor(signs, 0x80, out=signs)
+
+
+def _in_two(*steps):
+    """Each of ``steps`` on two threads, step(1) on a worker thread and
+    step(0) on this one, with a barrier between consecutive steps, and the
+    worker joined.  The worker runs in a copy of this thread's context
+    (numpy's errstate is a context variable).  An exception of either
+    thread breaks the barrier, so the other stops at its next wait, and is
+    raised after the join, this thread's first."""
+    barrier, failed = threading.Barrier(2), [None, None]
+
+    def run(k):
         try:
-            there()
+            for i, step in enumerate(steps):
+                if i:
+                    barrier.wait()
+                step(k)
+        except threading.BrokenBarrierError:
+            pass  # the other thread failed, and its exception is raised
         except BaseException as exc:  # re-raised on the caller's thread
-            failed.append(exc)
+            barrier.abort()
+            failed[k] = exc
 
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(worker,))
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(run, 1))
     thread.start()
     try:
-        here()
+        run(0)
     finally:
         thread.join()
-    if failed:
-        raise failed[0]
+    for exc in failed:
+        if exc is not None:
+            raise exc
 
 
 def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, rows: np.ndarray,
-               strips: np.ndarray) -> np.ndarray:
+               strips: np.ndarray, above: np.ndarray | None = None,
+               sums: np.ndarray | None = None) -> np.ndarray:
     """Fill ``rows`` with rows [lo, lo + len(rows)) of M[i, j] =
     entry(|u_i - u_j|), entry(inf) on the diagonal, times sign(u_i - u_j)
     off it when ``odd`` (M[i, j] = -M[j, i]), and return it.  ``rows`` has
@@ -215,8 +269,16 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, rows: np.ndarray,
     only.  The diagonal tile of the block is evaluated in row strips, on
     and above the diagonal only, at u_j - u_i, so a strip's transpose fills
     the rows below it as is.  Columns left of the tile are evaluated
-    directly.  Every row keeps its full length, so row sums reduce in the
-    same order as over a directly evaluated matrix.
+    directly, except those of ``above``: the block of rows just above this
+    one, [lo - len(above), lo), as an earlier call left them, in memory it
+    may share with ``rows``.  Before any strip writes, the columns
+    [lo - len(above), lo) are filled from above's columns [lo, lo +
+    len(rows)), transposed (and negated when ``odd``) in tiles of _STRIP
+    rows of ``above``, each copied through a strip buffer, so every read
+    is of contiguous rows and no ufunc runs on a strided 2-D view.  Every
+    row keeps its full length, so row sums reduce in the same order as
+    over a directly evaluated matrix.  With ``sums``, each row's sum goes
+    there once every entry is in place.
 
     Each strip's differences d are formed in one of its strip pair's two
     buffers, and ``entry(d, spare)`` may work in d and return it: the
@@ -227,17 +289,35 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, rows: np.ndarray,
     rows written through a strided view, would make numpy allocate an
     iterator buffer, ~0.24 MB per strip at N = 1500.
 
-    With a second strip pair in ``strips`` (see _work_area), a worker
-    thread runs every other strip in that pair while this thread runs the
-    rest.  A strip writes only its own rows from its diagonal on, the rows
-    below it in its own columns and its own rows left of the tile, so no
-    two strips write one entry, and each entry gets the bits a serial pass
-    gives it; entry(d, spare) must be safe to call from two threads at once.
+    With a second strip pair in ``strips`` (see _work_area) and more than
+    one strip in the block, a worker thread runs every other mirrored
+    tile, every other strip and half the row sums, in that pair and in
+    that order, while this thread runs the rest, with a barrier after the
+    tiles and after the strips.  A tile writes only its own columns, a
+    strip only its own rows from its diagonal on, the rows below it in its
+    own columns and its own rows left of the tile, and a row sum only its
+    row's slot, so no two of them write one entry, and each entry gets the
+    bits a serial pass gives it; entry(d, spare) must be safe to call from
+    two threads at once.
     """
     n, hi = u.size, lo + len(rows)
+    edge = lo if above is None else lo - len(above)
+    parts = 2 if len(strips) > 1 and hi - lo > _STRIP else 1
 
-    def run(starts, pair):
-        """The strips starting at ``starts``, in ``pair``, a strip pair."""
+    def mirror(k):
+        """Columns [edge, lo): every parts-th tile of ``above`` from the k-th."""
+        buffer = strips[k][0]
+        for r in range(k * _STRIP, lo - edge, parts * _STRIP):
+            t = min(r + _STRIP, lo - edge)
+            tile = buffer[:(t - r) * (hi - lo)].reshape(t - r, hi - lo)
+            tile[...] = above[r:t, lo:hi]
+            if odd:
+                _negate(tile)
+            rows[:, edge + r:edge + t] = tile.T
+
+    def run(k):
+        """Every parts-th strip from the k-th, in strip pair k."""
+        pair = strips[k]
 
         def differences(first, second, shape):
             """first - second, both broadcast to ``shape``, in pair[0]."""
@@ -246,42 +326,61 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, rows: np.ndarray,
             other[...] = second
             return np.subtract(diff, other, out=diff)
 
-        for a in starts:
+        for a in range(lo + k * _STRIP, hi, parts * _STRIP):
             b = min(a + _STRIP, hi)
-            # flip[k, c] = entry(u_(a+c) - u_(a+k)) = |M[a+c, a+k]|: the
+            # flip[r, c] = entry(u_(a+c) - u_(a+r)) = |M[a+c, a+r]|: the
             # differences are distances except in the strip's own square
             d = differences(u[None, a:], u[a:b, None], (b - a, n - a))
             square = d[:, :b - a]
             np.abs(square, out=square)
-            square[np.arange(b - a), np.arange(b - a)] = np.inf
+            square[_DIAGONAL[:b - a], _DIAGONAL[:b - a]] = np.inf
             flip = entry(d, pair[1])
             rows[b - lo:, a:b] = flip[:, b - a:hi - a].T
             if odd:
-                np.negative(flip, out=flip)
+                _negate(flip)
                 rows[a - lo:b - lo, a:] = flip
                 # M[i, j] >= 0 on and below the diagonal, where u_i >= u_j
                 square = rows[a - lo:b - lo, a:b]
-                np.abs(square, out=square, where=np.tri(b - a, dtype=bool))
+                np.abs(square, out=square, where=_LOWER[:b - a, :b - a])
             else:
                 rows[a - lo:b - lo, a:] = flip
-            if lo > 0:
-                left = differences(u[a:b, None], u[None, :lo], (b - a, lo))
-                rows[a - lo:b - lo, :lo] = entry(left, pair[1])
+            if edge > 0:
+                left = differences(u[a:b, None], u[None, :edge], (b - a, edge))
+                rows[a - lo:b - lo, :edge] = entry(left, pair[1])
 
-    if len(strips) == 1 or hi - lo <= _STRIP:
-        run(range(lo, hi, _STRIP), strips[0])
+    def add(k):
+        """Row sums of the k-th of ``parts`` runs of rows."""
+        r0, r1 = len(rows) * k // parts, len(rows) * (k + 1) // parts
+        rows[r0:r1].sum(axis=1, out=sums[r0:r1])
+
+    steps = [mirror] if edge < lo else []
+    steps.append(run)
+    if sums is not None:
+        steps.append(add)
+    if parts == 1:
+        for step in steps:
+            step(0)
     else:
-        _in_two(lambda: run(range(lo + _STRIP, hi, 2 * _STRIP), strips[1]),
-                lambda: run(range(lo, hi, 2 * _STRIP), strips[0]))
+        _in_two(*steps)
     return rows
 
 
 def _row_sums(u: np.ndarray, entry, odd: bool, work: tuple) -> np.ndarray:
     """sum_j M[i, j] for every row of the _pair_rows matrix, in blocks of
-    as many rows as ``work`` (a _work_area) holds."""
+    as many rows as ``work`` (a _work_area) holds; each block after the
+    first mirrors the columns of the block before from the rows that block
+    left in the area.  Each block's sums get their own array, joined after
+    the pass: one result array allocated ahead of the pass raised the peak
+    RSS of ``iondec sums --n-ions 300`` by 1 MB under a 1 MiB mmap
+    threshold, by where it landed on the heap."""
     n, (area, strips) = u.size, work
-    return np.concatenate([_pair_rows(u, entry, odd, lo, area[:n - lo], strips).sum(axis=1)
-                           for lo in range(0, n, len(area))])
+    blocks = []
+    for lo in range(0, n, len(area)):
+        rows = area[:n - lo]
+        blocks.append(np.empty(len(rows), dtype=area.dtype))
+        _pair_rows(u, entry, odd, lo, rows, strips, above=area if lo else None,
+                   sums=blocks[-1])
+    return np.concatenate(blocks)
 
 
 def _coulomb(d, spare):
@@ -309,9 +408,10 @@ def _jacobian(u: np.ndarray, work: tuple) -> np.ndarray:
     bytes) read as an (N, N) array, which the next call on them overwrites."""
     n, (area, strips) = u.size, work
     jac = area.reshape(-1).view(float)[:n * n].reshape(n, n)
-    _pair_rows(u, _stiffness, False, 0, jac, strips)
+    sums = np.empty(n)
+    _pair_rows(u, _stiffness, False, 0, jac, strips, sums=sums)
     # the kernel's diagonal is -2/inf = -0, which the row sum ignores
-    np.fill_diagonal(jac, 1.0 - jac.sum(axis=1))
+    np.fill_diagonal(jac, 1.0 - sums)
     return jac
 
 

@@ -31,8 +31,11 @@ discrete``; ``scaling`` scaling, decoherence and sums.  Only chain,
 adiabatic and the array functions of the others load numpy, and only
 once a call gets past its scalar checks.  So ``scales``, ``continuum``,
 ``decohere --mode closed`` and every refusal that an argv, a config or a
-scalar check decides load no numpy: a bad config, an ion count outside
-[1, MAX_IONS] (or below 2 where a command needs pairs), a bad ``--exponent``,
+scalar check decides load no numpy: a bad config, an ion count below 1
+(or below 2 where a command needs pairs), an ion count above MAX_IONS for
+the calls that solve a chain (``equilibrium``, ``sums`` and ``decohere
+--mode discrete``; ``scales``, ``continuum``, ``decohere --mode closed``
+and ``scaling`` solve nothing and take it), a bad ``--exponent``,
 ``--points``, ``adiabatic`` ratio flag, ``--theta-end`` below the step
 limit, ``--n-min``/``--n-max`` range or ``--s0-target``.  No subcommand
 loads scipy or numpy.ma.

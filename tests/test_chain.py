@@ -380,12 +380,12 @@ def test_pair_entries_see_only_positive_distances(n, rows_per_block, monkeypatch
     the diagonal), in one row block or several."""
     pair_rows, seen = chain_module._pair_rows, []
 
-    def checked_pair_rows(u, entry, odd, lo, rows, strips):
+    def checked_pair_rows(u, entry, odd, lo, rows, strips, **given):
         def checked_entry(d, spare):
             seen.append(d.size)
             assert np.all(d > 0)
             return entry(d, spare)
-        return pair_rows(u, checked_entry, odd, lo, rows, strips)
+        return pair_rows(u, checked_entry, odd, lo, rows, strips, **given)
 
     monkeypatch.setattr(chain_module, "_pair_rows", checked_pair_rows)
     chain = _fixed_positions(n)
@@ -400,6 +400,88 @@ def test_pair_entries_see_only_positive_distances(n, rows_per_block, monkeypatch
             _pair_sums(u, p, work)
     # every pair (and each diagonal) went through an entry in each of the 5 passes
     assert sum(seen) >= 5 * n * (n + 1) // 2
+
+
+def _values_handed(u, entry, odd, work):
+    """The values a row-sum pass in ``work`` hands its entry."""
+    seen = []
+
+    def counted(d, spare):
+        seen.append(d.size)
+        return entry(d, spare)
+
+    _row_sums(u, counted, odd, work)
+    return sum(seen)
+
+
+@pytest.mark.parametrize("n, rows", [(257, None), (331, None), (500, None), (129, 45)])
+def test_later_blocks_mirror_the_block_above(n, rows):
+    """From the second row block on, a pass fills the columns of the block
+    above from the rows that block left in the area, so a force and an S_8
+    in a solve's two-block area (None) hand their entries no more values
+    than in one block of all N rows.  In an area of 45 rows the third block
+    still evaluates the columns left of the second directly, and only
+    those go beyond the one-block count."""
+    u = _fixed_positions(n).positions
+    work = _solve_area(n) if rows is None else _work_area(n, rows)
+    m = len(work[0])
+    assert m < n or np.dtype(np.longdouble).itemsize != 16
+    beyond = sum(min(m, n - lo) * max(lo - m, 0) for lo in range(0, n, m))
+    for entry, odd in ((chain_module._coulomb, True),
+                       (lambda d, spare: _inverse_power(d, 8, spare), False)):
+        one_block = _values_handed(u, entry, odd, _work_area(n, n))
+        assert _values_handed(u, entry, odd, work) <= one_block + beyond
+
+
+def _homogeneity_gap(jac, u, force):
+    """max|A u - (3u - 2F)| over max|A| max|u|, in extended precision."""
+    u = np.asarray(u, dtype=np.longdouble)
+    gap = jac.astype(np.longdouble) @ u - (3 * u - 2 * force)
+    return float(np.max(np.abs(gap)) / (np.max(np.abs(jac)) * np.max(np.abs(u))))
+
+
+@pytest.mark.parametrize("threaded", [False, True], ids=["serial", "two-thread"])
+@pytest.mark.parametrize("scale", ["1", "1.01", "0.97"])
+@pytest.mark.parametrize("n", [5, 50, 500, 1500])
+def test_jacobian_and_force_keep_the_homogeneity_identity(n, scale, threaded, chains,
+                                                          monkeypatch):
+    """The Coulomb sum is homogeneous of degree -2 in the positions, so
+    Euler's theorem gives A(u) u = 3u - 2F(u) for the Jacobian A and the
+    force F at any positions: a check that needs no second kernel.  At the
+    solved chain and off it, on one thread and two (measured <= 1.5e-16 on
+    x86-64)."""
+    u = chains(n).positions * np.longdouble(scale)
+    _threads(monkeypatch, threaded)
+    jac = _jacobian(u, _solve_area(n))
+    assert _homogeneity_gap(jac, u, _force(u, _solve_area(n))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [5, 500])
+def test_homogeneity_identity_catches_a_wrong_jacobian(n, chains):
+    """Off-diagonal entries scaled by 1.5, with the diagonal rebuilt from
+    the row sums as _jacobian builds it, break the identity."""
+    u = chains(n).positions * np.longdouble("1.01")
+    jac = _jacobian(u, _solve_area(n)).copy()
+    np.fill_diagonal(jac, 0.0)
+    jac *= 1.5
+    np.fill_diagonal(jac, 1.0 - jac.sum(axis=1))
+    assert _homogeneity_gap(jac, u, _force(u, _solve_area(n))) > 1e-14
+
+
+@pytest.mark.parametrize("one_byte", [True, False], ids=["sign-byte", "np.negative"])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_negate_gives_the_bits_of_np_negative(dtype, one_byte, monkeypatch):
+    """Signed zeros, infinities, NaN, subnormals and ordinary values, by
+    the sign byte or, where no one byte holds the sign, by np.negative."""
+    if not one_byte:
+        monkeypatch.setattr(chain_module, "_sign_byte", lambda dtype: None)
+    tiny = np.finfo(dtype).smallest_subnormal
+    values = np.concatenate([np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny],
+                                      dtype=dtype),
+                             np.array([1.0, -2.0, 1e300], dtype=dtype) / 3])
+    negated = values.copy()
+    chain_module._negate(negated)
+    assert _value_bytes(negated) == _value_bytes(np.negative(values))
 
 
 # ------------------------------------------------------- solve work area
@@ -545,11 +627,13 @@ def _all_kernel_bytes(n):
     return out
 
 
-@pytest.mark.parametrize("n", [2, 31, 33, 64, 65, 150, 300])
+@pytest.mark.parametrize("n", [2, 31, 33, 64, 65, 150, 257, 300, 331, 500])
 def test_threaded_pass_gives_the_serial_bits(n, monkeypatch):
     """Odd and even strip counts, a block of one strip (no thread) and
-    blocks with lo > 0 give the serial pass's bytes on two threads, also
-    when the interpreter switches threads every microsecond."""
+    blocks with lo > 0, mirrored from the block above (a solve's area from
+    N = 257 on, and the 45-row area), give the serial pass's bytes on two
+    threads, also when the interpreter switches threads every
+    microsecond."""
     _threads(monkeypatch, False)
     serial = _all_kernel_bytes(n)
     _threads(monkeypatch, True)
@@ -610,6 +694,35 @@ def test_entry_error_on_either_thread_is_raised_after_the_join(monkeypatch):
         chain_module._pair_rows(u, caller_fails, True, 0, *_pass_area(150))
     # the worker ran its strips at rows 32 and 96 before the error surfaced
     assert done == [(32, 118), (32, 54)]
+    assert threading.active_count() == running
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_entry_error_before_a_barrier_ends_the_pass(failing, monkeypatch):
+    """A block of a two-block pass mirrors, runs its strips and sums its
+    rows on both threads, with a barrier between the steps: an entry that
+    fails on either thread breaks the barrier, so the other thread does not
+    wait there, and the entry's own error is raised after the join."""
+    _threads(monkeypatch, True)
+    u = _fixed_positions(150).positions
+    running, raised = threading.active_count(), []
+
+    def fails(d, spare):
+        if (threading.current_thread() is caller) == (failing == "caller"):
+            raise ValueError(failing)
+        return chain_module._coulomb(d, spare)
+
+    def call():
+        try:
+            _row_sums(u, fails, True, _work_area(150, 75))
+        except ValueError as exc:
+            raised.append(str(exc))
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert raised == [failing]
     assert threading.active_count() == running
 
 

@@ -859,6 +859,26 @@ def test_call_without_arrays_loads_no_numpy(argv, rc, extra):
         BASE_MODULES | {f"iondec.{m}" for m in extra}
 
 
+@pytest.mark.parametrize("argv, rc", [(["scales", "--n-ions", "10000"], 0),
+                                      (["sums", "--n-ions", str(MAX_IONS + 1)], 1)])
+def test_only_calls_that_solve_cap_the_ion_count(argv, rc):
+    """equilibrium, sums and decohere --mode discrete solve a chain and
+    refuse an ion count above MAX_IONS with one error line; scales,
+    continuum, decohere --mode closed and scaling solve nothing and take
+    it.  Neither loads numpy."""
+    proc = _python("-X", "importtime", "-m", "iondec.cli", *argv)
+    assert proc.returncode == rc
+    timed = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    loaded = {line.rsplit("|", 1)[1].strip() for line in timed}
+    assert sorted(m for m in loaded if m.split(".")[0] == "numpy") == []
+    messages = [line for line in proc.stderr.splitlines() if line not in timed]
+    if rc:
+        assert proc.stdout == ""
+        assert len(messages) == 1 and messages[0].startswith("error: ")
+    else:
+        assert proc.stdout and messages == []
+
+
 @pytest.mark.parametrize("argv, rc", [(["scales"], 0),
                                       (["equilibrium", "--n-ions", "0"], 1)])
 def test_python_m_iondec_is_the_cli(argv, rc):
