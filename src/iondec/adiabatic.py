@@ -151,6 +151,7 @@ class DriveField:
 
     def regime_ratios(self, omega0):
         """(max|f|/w0, rotation-rate/w0); the adiabatic analysis wants both << 1."""
+        check_positive("omega0", omega0)
         if self.kind == "circular":
             return self.amplitude / omega0, abs(self.rotation) / omega0
         if self.kind == "constant":
@@ -484,6 +485,7 @@ def adiabatic_phase(drive, omega0, t):
     (|f|^2 overflows, or the product with t does) is refused with
     DomainError.
     """
+    check_positive("omega0", omega0)
     check_nonnegative("t", t)
     try:
         with np.errstate(over="ignore", invalid="ignore"):

@@ -35,22 +35,19 @@ caller allocates, and the kernel fills the block of rows it is handed and
 allocates nothing of that size itself: fresh row blocks and strip
 temporaries would grow the heap past glibc's trim threshold, which stays
 at 128 KiB once the mmap threshold is fixed (as the benchmark fixes it),
-and be page-faulted back in at every call.  A solve allocates one area
-(_solve_area) and hands it to every force and Jacobian call of its
-Newton loop and line search.  While N _WIDE rows fit in _ONE_BLOCK
-(1 MiB, N <= 256 under x87) it holds all of them, so the force runs in
-one block.  Above that it holds as many _WIDE rows as hold the N x N
-float64 Jacobian, ⌈8N/itemsize⌉ (⌈N/2⌉ under x87).  _jacobian alone
+and be page-faulted back in at every call.  One rule sizes every area
+(_area): a solve allocates one and hands it to every force and Jacobian
+call of its Newton loop and line search.  While N _WIDE rows fit in
+_ONE_BLOCK (1 MiB, N <= 256 under x87) it holds all of them, so the force
+runs in one block.  Above that it holds as many _WIDE rows as hold the
+N x N float64 Jacobian, ⌈8N/itemsize⌉ (⌈N/2⌉ under x87).  _jacobian alone
 reads the area's words as float64; the force never runs while the
 Jacobian is in use, so it reads the same words as _WIDE, in blocks of
 that many rows.  A larger area would raise the solve's peak, as
 np.linalg.solve makes its own 8 N^2-byte LU copy of the Jacobian on top
 of it; the faults left in a solve are that copy's, which numpy allocates
 inside np.linalg.solve.  A lone pass (a residual, a pair sum) allocates
-an area of _BLOCK // N rows, at most N (_pass_area): one block up to
-N = 2000.  In the solve's smaller area a lone S_8 was faster at N = 331,
-but its fastest runs were slower at N = 600 (7.0-7.3 instead of 6.0-6.3
-ms) in two sets of alternating pairs.
+the area a solve over its ions would, capped for a chain above MAX_IONS.
 
 From _THREAD_MIN_IONS ions up, and with two CPUs usable, an area holds a
 second strip pair, and each block of more than one strip hands one
@@ -92,15 +89,13 @@ from .physmodel import DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_IONS  # re-exported
 # working precision of positions and forces; see the module docstring
 _WIDE = np.longdouble
 
-# pairwise entries per row block of a lone pass (_pass_area)
-_BLOCK = 4_000_000
 # rows per strip of a mirrored diagonal tile
 _STRIP = 32
 # a strip square's diagonal and its lower triangle, sliced for a short strip
 _DIAGONAL = np.arange(_STRIP)
 _LOWER = np.tri(_STRIP, dtype=bool)
-# bytes of _WIDE rows up to which a solve's force runs in one row block
-# (_solve_area): all n rows up to n = 256 under x87
+# bytes of _WIDE rows up to which a pass runs in one row block (_area):
+# all n rows up to n = 256 under x87
 _ONE_BLOCK = 1 << 20
 # ions from which a pairwise pass runs every other tile, strip and row
 # sum on a worker thread when two CPUs are usable (_work_area,
@@ -118,7 +113,8 @@ class IonChain:
     """N ions at ordered dimensionless positions; everything else is derived.
 
     ``positions`` must be a non-empty 1-D array of finite, strictly
-    increasing values; the chain keeps a read-only copy in the working
+    increasing values of integer or float dtype (no bool, complex, string
+    or object values); the chain keeps a read-only copy in the working
     precision _WIDE.
     Finiteness is checked before the ordering, so an infinity is refused
     without the NaN its difference would produce.  Equality is identity,
@@ -130,6 +126,12 @@ class IonChain:
     _pair_sums: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        try:
+            given = np.asarray(self.positions).dtype
+        except ValueError:  # a ragged sequence
+            raise ValidationError("positions", "expected a non-empty 1-D array") from None
+        if given.kind not in "iuf":
+            raise ValidationError("positions", f"must be real numbers, got dtype {given}")
         pos = np.array(self.positions, dtype=_WIDE)
         if pos.ndim != 1 or pos.size == 0:
             raise ValidationError("positions", "expected a non-empty 1-D array")
@@ -154,7 +156,7 @@ class IonChain:
         NaN, although an ion pulled infinitely both ways gets a NaN force.
         """
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            res = float(np.max(np.abs(_force(self.positions, _pass_area(self.n_ions)))))
+            res = float(np.max(np.abs(_force(self.positions, _area(self.n_ions)))))
         return math.inf if math.isnan(res) else res
 
 
@@ -181,18 +183,19 @@ def _work_area(n: int, rows: int) -> tuple:
     return area[:rows * n].reshape(rows, n), area[rows * n:].reshape(pairs, 2, _STRIP * n)
 
 
-def _solve_area(n: int) -> tuple:
-    """The work area of one solve over n ions: all n _WIDE rows while they
-    fit in _ONE_BLOCK bytes, else as many as hold the n x n float64
-    Jacobian."""
+def _area(n: int) -> tuple:
+    """The work area of every pairwise pass over n ions: all n _WIDE rows
+    while they fit in _ONE_BLOCK bytes, else as many as hold the n x n
+    float64 Jacobian.  Above MAX_IONS ions (a chain no solve gives) it has
+    fewer rows, so that with its strips it takes no more bytes than a
+    MAX_IONS solve's area, though never fewer than one row."""
     itemsize = np.dtype(_WIDE).itemsize
-    return _work_area(n, n if itemsize * n * n <= _ONE_BLOCK else -(-8 * n // itemsize))
-
-
-def _pass_area(n: int) -> tuple:
-    """The work area of one lone pass over n ions: _BLOCK // n rows, at
-    most n, so peak memory stays ~tens of MB."""
-    return _work_area(n, min(n, max(1, _BLOCK // n)))
+    if itemsize * n * n <= _ONE_BLOCK:
+        return _work_area(n, n)
+    m, strips = min(n, MAX_IONS), 4 * _STRIP  # the rows of two strip pairs
+    # at n <= MAX_IONS, m = n and this is the Jacobian's ⌈8n/itemsize⌉ rows
+    rows = (-(-8 * m // itemsize) + strips) * m // n - strips
+    return _work_area(n, max(1, rows))
 
 
 @functools.cache
@@ -369,18 +372,14 @@ def _row_sums(u: np.ndarray, entry, odd: bool, work: tuple) -> np.ndarray:
     """sum_j M[i, j] for every row of the _pair_rows matrix, in blocks of
     as many rows as ``work`` (a _work_area) holds; each block after the
     first mirrors the columns of the block before from the rows that block
-    left in the area.  Each block's sums get their own array, joined after
-    the pass: one result array allocated ahead of the pass raised the peak
-    RSS of ``iondec sums --n-ions 300`` by 1 MB under a 1 MiB mmap
-    threshold, by where it landed on the heap."""
+    left in the area."""
     n, (area, strips) = u.size, work
-    blocks = []
+    sums = np.empty(n, dtype=area.dtype)
     for lo in range(0, n, len(area)):
         rows = area[:n - lo]
-        blocks.append(np.empty(len(rows), dtype=area.dtype))
         _pair_rows(u, entry, odd, lo, rows, strips, above=area if lo else None,
-                   sums=blocks[-1])
-    return np.concatenate(blocks)
+                   sums=sums[lo:lo + len(rows)])
+    return sums
 
 
 def _coulomb(d, spare):
@@ -439,7 +438,7 @@ def solve_equilibrium(n_ions: int, tol: float = DEFAULT_TOL,
     max_iter = check_integer("max_iter", max_iter, 1)
 
     u = _initial_guess(n_ions)
-    work = _solve_area(n_ions)
+    work = _area(n_ions)
     f = _force(u, work)
     best = math.inf
     for _ in range(max_iter):

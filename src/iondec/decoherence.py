@@ -125,11 +125,14 @@ class FidelityCurve:
 
 
 def fidelity_curve(per_ion: np.ndarray | list, times: np.ndarray | list) -> FidelityCurve:
-    """prod_i cos^2(t/tau_i) and exp(-t^2/tau_vib^2) at each time."""
+    """prod_i cos^2(t/tau_i) and exp(-t^2/tau_vib^2) at each time of the
+    1-D ``times``, one row per time."""
     import numpy as np
 
     rates = np.asarray(per_ion, dtype=float)
     t = np.asarray(times, dtype=float)
+    if t.ndim != 1:
+        raise ValidationError("times", f"expected a 1-D array of times, got {t.ndim} dimensions")
     if not np.all((t >= 0) & (t < math.inf)):
         raise ValidationError("times", "must be finite and >= 0 (NaN and inf "
                               "are refused)")

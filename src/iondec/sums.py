@@ -90,11 +90,11 @@ def pair_sum_exact_all(chain: IonChain, n: int) -> np.ndarray:
     if sums is None:
         import numpy as np
 
-        from .chain import _pass_area, _row_sums
+        from .chain import _area, _row_sums
 
         with np.errstate(over="ignore"):
             sums = _row_sums(chain.positions, lambda d, spare: _inverse_power(d, n, spare),
-                             odd=False, work=_pass_area(chain.n_ions)).astype(float)
+                             odd=False, work=_area(chain.n_ions)).astype(float)
         if not np.all(np.isfinite(sums)):
             raise DomainError(f"S_{n} overflows a float on this chain")
         chain._pair_sums[n] = sums

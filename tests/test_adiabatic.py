@@ -173,6 +173,17 @@ def test_phase_closed_forms():
         adiabatic_phase(demo_drive(), W0, math.nan)
 
 
+@pytest.mark.parametrize("omega0", [0, -1, math.nan])
+def test_phase_and_regime_ratios_refuse_a_bad_omega0(omega0):
+    """Not a ZeroDivisionError at 0, nor a phase of the wrong sign below."""
+    for drive in (demo_drive(), DriveField.constant(0.003, 0.004),
+                  DriveField.sampled([0.0, 1.0], [0.0, 1.0], [1.0, 0.0])):
+        with pytest.raises(ValidationError, match="omega0"):
+            adiabatic_phase(drive, omega0, 1.0)
+        with pytest.raises(ValidationError, match="omega0"):
+            drive.regime_ratios(omega0)
+
+
 @pytest.mark.parametrize("drive, omega0, t", [
     (DriveField.circular(1e200, 0.0), 1e202, 1.0),
     (DriveField.constant(0.0, 1e160), 1e162, 1.0),

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from iondec import chain as chain_module
-from iondec.chain import (IonChain, _force, _jacobian, _pass_area, _row_sums, _solve_area,
-                          _work_area, local_spacings, solve_equilibrium)
+from iondec.chain import (IonChain, _area, _force, _jacobian, _row_sums, _work_area,
+                          local_spacings, solve_equilibrium)
 from iondec.continuum import ContinuumModel, min_spacing
 from iondec.errors import DomainError, SolverError, ValidationError
 from iondec.sums import _inverse_power, pair_sum_exact_all
@@ -210,9 +210,29 @@ def test_non_finite_positions_refused(positions):
 
 
 def test_constructor_refuses_empty_or_non_vector_positions():
-    for positions in ([], [[0.0, 1.0]]):
+    for positions in ([], [[0.0, 1.0]], [[0.0, 1.0], [2.0]]):
         with pytest.raises(ValidationError):
             IonChain(positions)
+
+
+@pytest.mark.parametrize("positions", [[0.0, 1.0 + 2.0j], ["0", "1"], [False, True],
+                                       np.array([0.0, 1.0], dtype=object)],
+                         ids=["complex", "string", "bool", "object"])
+def test_constructor_refuses_non_real_positions(positions):
+    with pytest.raises(ValidationError, match="positions: must be real numbers"):
+        IonChain(positions)
+
+
+@pytest.mark.parametrize("positions", [[1, 2**60 + 1, 2**61], [0, 2**60 + 1, 2.5 * 2**60],
+                                       np.array([1, 2, 5], dtype=np.uint8),
+                                       np.array([0.1, 0.7], dtype=np.float32)],
+                         ids=["int", "int-and-float", "uint8", "float32"])
+def test_real_positions_convert_as_given(positions):
+    """Integer and float positions convert to longdouble from the values as
+    given: a list mixing ints and floats is not rounded to float64 first,
+    so 2^60 + 1 stays exact under x87."""
+    expected = np.array(positions, dtype=np.longdouble)
+    assert _value_bytes(IonChain(positions).positions) == _value_bytes(expected)
 
 
 def test_count_and_certificate_are_derived_not_given():
@@ -341,17 +361,17 @@ def _pair_sums(u, n, work):
 
 
 def _assert_kernels_match_full(n, rows=None):
-    """The force and the pair sums in row blocks of ``rows`` rows (a lone
-    pass's block when None), and the Jacobian in a solve's area."""
+    """The force and the pair sums in row blocks of ``rows`` rows (the
+    area of every pass when None), and the Jacobian in that area."""
     chain = _fixed_positions(n)
     u = chain.positions
-    work = _pass_area(n) if rows is None else _work_area(n, rows)
+    work = _area(n) if rows is None else _work_area(n, rows)
     force = _force(u, work)
     ref = _force_full(u)
     assert force.dtype == ref.dtype
     assert np.array_equal(force, ref)
     assert np.array_equal(np.signbit(force), np.signbit(ref))
-    assert np.array_equal(_jacobian(u, _solve_area(n)), _jacobian_full(u))
+    assert np.array_equal(_jacobian(u, _area(n)), _jacobian_full(u))
     for p in (2, 6, 8, 16):
         ref = _pair_sums_full(u, p)
         assert np.array_equal(pair_sum_exact_all(chain, p), ref)
@@ -390,9 +410,9 @@ def test_pair_entries_see_only_positive_distances(n, rows_per_block, monkeypatch
     monkeypatch.setattr(chain_module, "_pair_rows", checked_pair_rows)
     chain = _fixed_positions(n)
     u = chain.positions
-    work = _pass_area(n) if rows_per_block is None else _work_area(n, rows_per_block)
+    work = _area(n) if rows_per_block is None else _work_area(n, rows_per_block)
     _force(u, work)
-    _jacobian(u, _solve_area(n))
+    _jacobian(u, _area(n))
     for p in (2, 3, 8):
         if rows_per_block is None:
             pair_sum_exact_all(chain, p)
@@ -423,7 +443,7 @@ def test_later_blocks_mirror_the_block_above(n, rows):
     still evaluates the columns left of the second directly, and only
     those go beyond the one-block count."""
     u = _fixed_positions(n).positions
-    work = _solve_area(n) if rows is None else _work_area(n, rows)
+    work = _area(n) if rows is None else _work_area(n, rows)
     m = len(work[0])
     assert m < n or np.dtype(np.longdouble).itemsize != 16
     beyond = sum(min(m, n - lo) * max(lo - m, 0) for lo in range(0, n, m))
@@ -452,8 +472,8 @@ def test_jacobian_and_force_keep_the_homogeneity_identity(n, scale, threaded, ch
     x86-64)."""
     u = chains(n).positions * np.longdouble(scale)
     _threads(monkeypatch, threaded)
-    jac = _jacobian(u, _solve_area(n))
-    assert _homogeneity_gap(jac, u, _force(u, _solve_area(n))) <= 1e-14
+    jac = _jacobian(u, _area(n))
+    assert _homogeneity_gap(jac, u, _force(u, _area(n))) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [5, 500])
@@ -461,11 +481,11 @@ def test_homogeneity_identity_catches_a_wrong_jacobian(n, chains):
     """Off-diagonal entries scaled by 1.5, with the diagonal rebuilt from
     the row sums as _jacobian builds it, break the identity."""
     u = chains(n).positions * np.longdouble("1.01")
-    jac = _jacobian(u, _solve_area(n)).copy()
+    jac = _jacobian(u, _area(n)).copy()
     np.fill_diagonal(jac, 0.0)
     jac *= 1.5
     np.fill_diagonal(jac, 1.0 - jac.sum(axis=1))
-    assert _homogeneity_gap(jac, u, _force(u, _solve_area(n))) > 1e-14
+    assert _homogeneity_gap(jac, u, _force(u, _area(n))) > 1e-14
 
 
 @pytest.mark.parametrize("one_byte", [True, False], ids=["sign-byte", "np.negative"])
@@ -505,15 +525,15 @@ def test_reused_work_area_keeps_the_bits(n, rows_per_block):
     1 or 45 rows."""
     u1 = _fixed_positions(n).positions
     u2 = u1 * np.longdouble(0.9) + np.longdouble(0.1)
-    work = _solve_area(n)
+    work = _area(n)
     force_work = work if rows_per_block is None else _work_area(n, rows_per_block)
     for u in (u1, u2):
         force = _force(u, force_work)
         assert force.dtype == np.longdouble
-        assert _value_bytes(force) == _value_bytes(_force(u, _pass_area(n)))
+        assert _value_bytes(force) == _value_bytes(_force(u, _area(n)))
         jac = _jacobian(u, work)
         assert jac.dtype == np.float64
-        assert _value_bytes(jac) == _value_bytes(_jacobian(u, _solve_area(n)))
+        assert _value_bytes(jac) == _value_bytes(_jacobian(u, _area(n)))
 
 
 @pytest.mark.parametrize("n, rows", [(256, 256), (257, 129)])
@@ -523,7 +543,7 @@ def test_small_solves_run_the_force_in_one_block(n, rows):
     the entries and strip calls of two blocks.  Above that it holds the
     rows that hold the N x N float64 Jacobian."""
     itemsize = np.dtype(np.longdouble).itemsize
-    assert len(_solve_area(n)[0]) == (rows if itemsize == 16 else n)
+    assert len(_area(n)[0]) == (rows if itemsize == 16 else n)
 
 
 def _traced_peak(call):
@@ -544,7 +564,7 @@ def test_kernels_write_into_the_area_they_are_handed():
     one fresh array: the solve holds it across the next Jacobian call."""
     n = 500
     u = _fixed_positions(n).positions
-    work = _solve_area(n)
+    work = _area(n)
     rows = chain_module._pair_rows(u, chain_module._coulomb, True, 0, *work)
     assert np.shares_memory(rows, work[0])
     assert np.shares_memory(_jacobian(u, work), work[0])
@@ -568,6 +588,43 @@ def test_solve_stays_within_its_memory_budget():
     assert peak <= 1.8 * 8 * n * n
 
 
+@pytest.mark.parametrize("lone_pass", ["pair_sum", "residual"])
+def test_lone_pass_takes_a_solves_area(lone_pass):
+    """A fresh chain's pair sums and residual run in the area a solve over
+    its ions takes (⌈N/2⌉ longdouble rows under x87), not in a fresh
+    N x N longdouble block: at N = 1500 either traced 19.6-21.2 MB, 1.09-1.18
+    x 8 N^2 on one CPU and on two, against 37.6-39.2 MB in that block
+    (x86-64)."""
+    n = 1500
+    positions = _fixed_positions(n).positions
+    chain = IonChain(positions)
+    if lone_pass == "pair_sum":
+        peak = _traced_peak(lambda: pair_sum_exact_all(chain, 8))
+    else:
+        peak = _traced_peak(lambda: IonChain(positions).residual)
+    assert peak <= 1.2 * 8 * n * n
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpu"])
+def test_area_above_max_ions_is_capped_at_a_max_ions_solves(cpus, monkeypatch):
+    """A chain above MAX_IONS, which only a library caller can build, gets
+    an area of no more bytes, strips included, than a MAX_IONS solve's,
+    while up to MAX_IONS the rows still hold the N x N float64 Jacobian.
+    np.empty leaves the pages untouched, so this only allocates."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    most, itemsize = chain_module.MAX_IONS, np.dtype(np.longdouble).itemsize
+
+    def nbytes(work):
+        return sum(part.nbytes for part in work)
+
+    for n in (most + 1, 10**4):
+        rows = len(_area(n)[0])
+        assert 1 <= rows < -(-8 * n // itemsize)
+        assert nbytes(_area(n)) <= nbytes(_area(most))
+    for n in (2, 256, 257, 700, 1500, most - 1, most):
+        assert len(_area(n)[0]) * n * itemsize >= 8 * n * n
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="counts page faults under glibc's allocator")
 def test_solve_does_not_fault_its_kernel_temporaries_back_in():
@@ -582,7 +639,7 @@ def test_solve_does_not_fault_its_kernel_temporaries_back_in():
     with a warm area."""
     code = textwrap.dedent("""
         import resource
-        from iondec.chain import _force, _initial_guess, _solve_area, solve_equilibrium
+        from iondec.chain import _area, _force, _initial_guess, solve_equilibrium
 
         def faults():
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -591,7 +648,7 @@ def test_solve_does_not_fault_its_kernel_temporaries_back_in():
         before = faults()
         solve_equilibrium(484)
         solve = faults() - before
-        u, work = _initial_guess(1500), _solve_area(1500)
+        u, work = _initial_guess(1500), _area(1500)
         _force(u, work)
         _force(u, work)
         before = faults()
@@ -615,14 +672,13 @@ def _threads(monkeypatch, threaded):
 
 
 def _all_kernel_bytes(n):
-    """The value bytes of the force (in a solve's area, a lone pass's and
-    a 45-row area, whose second block has lo > 0), the Jacobian and the
-    pair sums S_2, S_3 and S_8 of a fresh chain."""
+    """The value bytes of the force (in the area of every pass and in a
+    45-row area, whose second block has lo > 0), the Jacobian and the pair
+    sums S_2, S_3 and S_8 of a fresh chain."""
     chain = _fixed_positions(n)
     u = chain.positions
-    out = [_value_bytes(_force(u, area)) for area in
-           (_solve_area(n), _pass_area(n), _work_area(n, 45))]
-    out.append(_value_bytes(_jacobian(u, _solve_area(n))))
+    out = [_value_bytes(_force(u, area)) for area in (_area(n), _work_area(n, 45))]
+    out.append(_value_bytes(_jacobian(u, _area(n))))
     out += [_value_bytes(pair_sum_exact_all(chain, p)) for p in (2, 3, 8)]
     return out
 
@@ -652,8 +708,8 @@ def test_threaded_pass_gives_the_serial_bits(n, monkeypatch):
 def test_pass_below_the_threshold_has_one_strip_pair(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     least = chain_module._THREAD_MIN_IONS
-    assert len(_pass_area(least - 1)[1]) == 1
-    assert len(_pass_area(least)[1]) == 2
+    assert len(_area(least - 1)[1]) == 1
+    assert len(_area(least)[1]) == 2
 
 
 def test_pair_sum_overflowing_on_the_worker_is_a_domain_error(monkeypatch):
@@ -680,7 +736,7 @@ def test_entry_error_on_either_thread_is_raised_after_the_join(monkeypatch):
         return chain_module._coulomb(d, spare)
 
     with pytest.raises(ValueError, match="worker"):
-        chain_module._pair_rows(u, worker_fails, True, 0, *_pass_area(150))
+        chain_module._pair_rows(u, worker_fails, True, 0, *_area(150))
     assert threading.active_count() == running
 
     def caller_fails(d, spare):
@@ -691,7 +747,7 @@ def test_entry_error_on_either_thread_is_raised_after_the_join(monkeypatch):
         return chain_module._coulomb(d, spare)
 
     with pytest.raises(ValueError, match="caller"):
-        chain_module._pair_rows(u, caller_fails, True, 0, *_pass_area(150))
+        chain_module._pair_rows(u, caller_fails, True, 0, *_area(150))
     # the worker ran its strips at rows 32 and 96 before the error surfaced
     assert done == [(32, 118), (32, 54)]
     assert threading.active_count() == running
@@ -744,7 +800,7 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(chain_module, "threading", types.SimpleNamespace(Thread=no_thread))
     chain = _fixed_positions(150)
-    assert len(_solve_area(150)[1]) == 1
-    _force(chain.positions, _solve_area(150))
-    _jacobian(chain.positions, _solve_area(150))
+    assert len(_area(150)[1]) == 1
+    _force(chain.positions, _area(150))
+    _jacobian(chain.positions, _area(150))
     pair_sum_exact_all(chain, 8)

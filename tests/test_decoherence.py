@@ -172,6 +172,14 @@ def test_fidelity_validation():
         fidelity_curve([-0.1], [0.0])
 
 
+@pytest.mark.parametrize("times", [0.5, [[0.0, 1.0], [2.0, 3.0]]], ids=["scalar", "2-D"])
+def test_fidelity_refuses_times_that_are_not_1d(times):
+    """One row per time: a scalar or a 2-D ``times`` would give the two
+    columns different shapes."""
+    with pytest.raises(ValidationError, match="times"):
+        fidelity_curve([0.1, 0.2], times)
+
+
 def test_closed_form_rate_outside_the_float_range_is_refused(ba):
     """s0^(n+1) underflowing at N = 1e30, and a rate underflowing to zero
     in a 1e-60 Hz trap, are refused instead of dividing by zero."""
