@@ -50,13 +50,14 @@ and an arange per call.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (AccuracyError, DomainError, ValidationError, check_finite,
-                     check_nonnegative, check_positive)
+                     check_nonnegative, check_positive, check_reals)
 
 DEFAULT_DTHETA = 0.05
 MAX_DTHETA = 0.1
@@ -108,13 +109,15 @@ class DriveField:
         check_finite("fy", fy)
         return cls(kind="constant", fx=float(fx), fy=float(fy))
 
+    def __post_init__(self):
+        if self.kind not in ("circular", "constant", "sampled"):
+            raise ValidationError("kind", f"unknown drive kind {self.kind!r}")
+
     @classmethod
     def sampled(cls, times, fx, fy):
-        t = _samples("times", times)
-        x = _samples("fx", fx)
-        y = _samples("fy", fy)
-        if t.ndim != 1 or t.size < 2:
-            raise ValidationError("times", "need at least two samples")
+        t = check_reals("times", times, least=2)
+        x = check_reals("fx", fx)
+        y = check_reals("fy", fy)
         for name, values in (("fx", x), ("fy", y)):
             if values.shape != t.shape:
                 raise ValidationError(name, "sample arrays must match the time grid")
@@ -160,25 +163,6 @@ class DriveField:
         angle = np.unwrap(np.arctan2(self.fy_samples, self.fx_samples))
         rates = np.abs(np.diff(angle) / np.diff(self.times))
         return eps, float(np.max(rates)) / omega0
-
-
-def _samples(name, values):
-    """values as a float array, if it is an array of integer or float dtype
-    with finite entries, or a sequence of finite reals (check_finite's rule:
-    no bool, no string, no int beyond the float range); ValidationError
-    naming name if not."""
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind not in "iuf":
-            raise ValidationError(name, f"samples must be real numbers, got dtype {values.dtype}")
-        samples = values.astype(float)
-    else:
-        try:
-            samples = np.array([check_finite(name, v) for v in values], dtype=float)
-        except TypeError:
-            raise ValidationError(name, f"need a sequence of samples, got {values!r}") from None
-    if not np.all(np.isfinite(samples)):
-        raise ValidationError(name, "samples must be finite")
-    return samples
 
 
 def _warn_regime(drive, omega0):
@@ -230,7 +214,7 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None):
         Precession (fast) angular frequency, rad/s.
     drive : DriveField
     initial : pair of complex
-        (u_plus, u_minus) at t = 0; must be normalized.
+        (u_plus, u_minus) at t = 0, numbers (not bools); must be normalized.
     t_end : float
         Integration window in seconds.
     dt : float, optional
@@ -244,9 +228,11 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None):
     """
     check_positive("omega0", omega0)
     check_nonnegative("t_end", t_end)
-    u0 = np.asarray(initial, dtype=complex)
-    if u0.shape != (2,):
-        raise ValidationError("initial", "expected a (u_plus, u_minus) pair")
+    pair = tuple(initial) if np.iterable(initial) else ()
+    if len(pair) != 2 or any(isinstance(u, bool) or not isinstance(u, numbers.Complex)
+                             for u in pair):
+        raise ValidationError("initial", "expected a (u_plus, u_minus) pair of numbers")
+    u0 = np.array(pair, dtype=complex)
     norm0 = float(np.abs(u0[0])**2 + np.abs(u0[1])**2)
     if not abs(norm0 - 1.0) <= 1e-9:
         raise ValidationError("initial", f"state must be normalized, |u|^2 = {norm0!r}")

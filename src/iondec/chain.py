@@ -83,7 +83,8 @@ import numpy as np
 
 from .continuum import (ContinuumModel, chain_length, invert_cubic_count,
                          min_spacing)
-from .errors import SolverError, ValidationError, check_integer, check_positive
+from .errors import (SolverError, ValidationError, check_integer, check_positive,
+                     check_reals)
 from .physmodel import DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_IONS  # re-exported
 
 # working precision of positions and forces; see the module docstring
@@ -112,12 +113,10 @@ _THREAD_MIN_IONS = 700
 class IonChain:
     """N ions at ordered dimensionless positions; everything else is derived.
 
-    ``positions`` must be a non-empty 1-D array of finite, strictly
-    increasing values of integer or float dtype (no bool, complex, string
-    or object values); the chain keeps a read-only copy in the working
-    precision _WIDE.
-    Finiteness is checked before the ordering, so an infinity is refused
-    without the NaN its difference would produce.  Equality is identity,
+    ``positions`` must pass errors.check_reals (the one array rule) and be
+    strictly increasing, checked in that order, so an infinity is refused
+    without the NaN its difference would produce; the chain keeps a
+    read-only copy in the working precision _WIDE.  Equality is identity,
     as an array has no single truth value to compare by.
     """
 
@@ -126,17 +125,7 @@ class IonChain:
     _pair_sums: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        try:
-            given = np.asarray(self.positions).dtype
-        except ValueError:  # a ragged sequence
-            raise ValidationError("positions", "expected a non-empty 1-D array") from None
-        if given.kind not in "iuf":
-            raise ValidationError("positions", f"must be real numbers, got dtype {given}")
-        pos = np.array(self.positions, dtype=_WIDE)
-        if pos.ndim != 1 or pos.size == 0:
-            raise ValidationError("positions", "expected a non-empty 1-D array")
-        if not np.all(np.isfinite(pos)):
-            raise ValidationError("positions", "must be finite")
+        pos = check_reals("positions", self.positions, dtype=_WIDE)
         if not np.all(np.diff(pos) > 0):
             raise ValidationError("positions", "must be strictly increasing")
         pos.flags.writeable = False

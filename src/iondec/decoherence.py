@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .continuum import ContinuumModel, min_spacing
-from .errors import DomainError, ValidationError, check_integer
+from .errors import DomainError, ValidationError, check_integer, check_reals
 from .physmodel import (CONSTANTS, IonSpecies, TrapConfig, derive_scales,
                         qsq_convention_stamp, radiative_time)
 from .sums import chain_total_asymptotic, pair_sum_exact_all, zeta
@@ -91,18 +91,16 @@ def per_ion_rates(chain: IonChain, species: IonSpecies, trap: TrapConfig) -> np.
 def aggregate_tau_vib(per_ion: np.ndarray | list) -> float:
     """tau_vib from tau_vib^-2 = sum of squared rates; +inf if all vanish.
 
-    A sum of squares that leaves the normal float range (rates below
-    ~1e-154 or above ~1e154) is taken again on rates scaled by their
-    maximum; every other input keeps the direct sum's bits.
+    The rates pass errors.check_reals and are >= 0.  A sum of squares
+    outside the normal float range (rates below ~1e-154 or above ~1e154)
+    is taken again on rates scaled by their maximum; every other input
+    keeps the direct sum's bits.
     """
     import numpy as np
 
-    rates = np.asarray(per_ion, dtype=float)
-    if rates.size == 0:
-        raise ValidationError("per_ion", "need at least one rate")
-    if not np.all((rates >= 0) & (rates < math.inf)):
-        raise ValidationError("per_ion", "rates must be finite and >= 0 "
-                              "(NaN and inf are refused)")
+    rates = check_reals("per_ion", per_ion)
+    if np.any(rates < 0):
+        raise ValidationError("per_ion", "rates must be >= 0")
     with np.errstate(over="ignore"):
         total_sq = float(np.sum(rates**2))
     if sys.float_info.min <= total_sq < math.inf:
@@ -125,17 +123,14 @@ class FidelityCurve:
 
 
 def fidelity_curve(per_ion: np.ndarray | list, times: np.ndarray | list) -> FidelityCurve:
-    """prod_i cos^2(t/tau_i) and exp(-t^2/tau_vib^2) at each time of the
-    1-D ``times``, one row per time."""
+    """prod_i cos^2(t/tau_i) and exp(-t^2/tau_vib^2) at each time of
+    ``times`` (errors.check_reals, may be empty, >= 0), one row per time."""
     import numpy as np
 
-    rates = np.asarray(per_ion, dtype=float)
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1:
-        raise ValidationError("times", f"expected a 1-D array of times, got {t.ndim} dimensions")
-    if not np.all((t >= 0) & (t < math.inf)):
-        raise ValidationError("times", "must be finite and >= 0 (NaN and inf "
-                              "are refused)")
+    rates = check_reals("per_ion", per_ion)
+    t = check_reals("times", times, least=0)
+    if np.any(t < 0):
+        raise ValidationError("times", "must be >= 0")
     tau_vib = aggregate_tau_vib(rates)
     product = np.prod(np.cos(np.outer(t, rates)) ** 2, axis=1)
     if math.isinf(tau_vib):

@@ -1,15 +1,15 @@
-"""Exception types shared across the library, and the four input rules.
+"""Exception types shared across the library, and the five input rules.
 
 The CLI maps these onto distinct exit codes, so user input problems
 (ValidationError, DomainError) stay distinguishable from numerical
 failures (SolverError, AccuracyError).
 
-check_integer, check_positive, check_nonnegative and check_finite own the
-four input rules, "a count is an integer in a range", "a parameter is a
-positive finite real", "a parameter is a non-negative finite real" and
-"a parameter is a finite real".  Every
-module imports this one, and it loads no numpy, so a check made here costs
-no import.
+check_integer, check_positive, check_nonnegative, check_finite and
+check_reals own the five input rules, "a count is an integer in a range",
+"a parameter is a positive finite real", "a parameter is a non-negative
+finite real", "a parameter is a finite real" and "an array is 1-D, of
+finite reals".  Every module imports this one, and it loads no numpy at
+import, so a check made here costs no import.
 """
 from __future__ import annotations
 
@@ -86,3 +86,31 @@ def check_finite(field: str, value) -> float:
     if not _is_finite_real(value):
         raise ValidationError(field, f"must be a finite number, got {value!r}")
     return value
+
+
+def check_reals(field: str, values, least: int = 1, dtype=float):
+    """values as a new 1-D array of dtype with at least least entries, all
+    finite, if it is an array of integer or float dtype, or an iterable,
+    read once, of values that each pass check_finite; ValidationError
+    naming field if not.  Each iterated value converts to dtype as given,
+    so an int reaches a wider dtype exactly."""
+    import numpy as np
+
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iuf":
+            raise ValidationError(field, f"must be real numbers, got dtype {values.dtype}")
+    elif isinstance(values, (str, bytes, bytearray)) or not np.iterable(values):
+        raise ValidationError(field, f"need a 1-D array of real numbers, got {values!r}")
+    else:
+        values = list(values)
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(field, f"must be real numbers, got {value!r}")
+            check_finite(field, value)
+    array = np.array(values, dtype=dtype)
+    if array.ndim != 1 or array.size < least:
+        raise ValidationError(
+            field, f"need a 1-D array of at least {least} numbers, got shape {array.shape}")
+    if not np.all(np.isfinite(array)):
+        raise ValidationError(field, "must be finite")
+    return array

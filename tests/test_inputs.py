@@ -1,13 +1,19 @@
 """The input contract of every entry point that takes a count, a positive
-real, a non-negative real or a finite real: ion counts are integers (Python or numpy,
-never a bool, float or string), and a numpy integer gives exactly the
-Python int's result; positive, non-negative and plain finite reals are
-real numbers, never a bool or a string, and finite as a float; the sample
-tables of a sampled drive hold finite reals by the same rule.  Each refusal
-is a ValidationError naming the parameter.
+real, a non-negative real, a finite real or an array of reals: ion counts
+are integers (Python or numpy, never a bool, float or string), and a numpy
+integer gives exactly the Python int's result; positive, non-negative and
+plain finite reals are real numbers, never a bool or a string, and finite
+as a float.  An array (a chain's positions, a sampled drive's tables, the
+per-ion rates and the times of a fidelity curve) is a 1-D array of integer
+or float dtype, or an iterable, read once, of such finite reals; numpy and
+Python numbers give the same bits.  A two-level state is a pair of
+numbers, complex allowed.  Each refusal is a ValidationError naming the
+parameter.
 
-Rows that existing tests already cover (chain_length's and min_spacing's
-bad counts, solve_equilibrium's string tolerance) are not repeated here.
+Scalar rows that existing tests already cover (chain_length's and
+min_spacing's bad counts, solve_equilibrium's string tolerance) are not
+repeated here; the array table tries every bad kind at every array entry
+point, since one rule owns them all.
 """
 import math
 import warnings
@@ -16,9 +22,9 @@ import numpy as np
 import pytest
 
 from iondec.adiabatic import DriveField, adiabatic_phase, integrate_tls
-from iondec.chain import solve_equilibrium
+from iondec.chain import IonChain, solve_equilibrium
 from iondec.continuum import ContinuumModel, chain_length, min_spacing
-from iondec.decoherence import closed_form_rate
+from iondec.decoherence import aggregate_tau_vib, closed_form_rate, fidelity_curve
 from iondec.errors import (ValidationError, check_finite, check_integer,
                            check_nonnegative, check_positive)
 from iondec.physmodel import IonSpecies, Multipole, TrapConfig, radiative_time
@@ -217,3 +223,76 @@ def test_circular_drive_takes_numpy_floats_of_every_width(label):
         warnings.simplefilter("error")
         drive = DriveField.circular(value, value)
     assert repr(drive) == repr(DriveField.circular(2.0, 2.0))
+
+
+# an array every array entry point takes: increasing and non-negative
+GOOD = [0.0, 2.0]
+# array entry point -> (field, a call passing the value as that array,
+# returning what it computed from it)
+ARRAYS = {
+    "IonChain": ("positions", lambda v: IonChain(v).positions),
+    "DriveField.sampled(times)": ("times", lambda v: DriveField.sampled(v, GOOD, GOOD).times),
+    "DriveField.sampled(fx)": ("fx", lambda v: DriveField.sampled(GOOD, v, GOOD).fx_samples),
+    "DriveField.sampled(fy)": ("fy", lambda v: DriveField.sampled(GOOD, GOOD, v).fy_samples),
+    "aggregate_tau_vib": ("per_ion", aggregate_tau_vib),
+    "fidelity_curve(per_ion)": ("per_ion", lambda v: fidelity_curve(v, GOOD).product),
+    "fidelity_curve(times)": ("times", lambda v: fidelity_curve(GOOD, v).product),
+}
+BAD_ARRAYS = {
+    "bool": [0.0, True],
+    "strings": ["0", "2"],
+    "string": "02",
+    "bytes": bytearray(b"02"),
+    "complex": [0.0, 2.0 + 1j],
+    "ragged": [[0.0], [1.0, 2.0]],
+    "2-D": np.array([[0.0, 1.0], [2.0, 3.0]]),
+    "scalar": 2.0,
+    "10**400": [0, 10**400],
+    "nan": [0.0, math.nan],
+}
+
+
+def _bits(result):
+    """Every value bit of a result, longdouble included (its repr is exact;
+    its padding bytes are not values)."""
+    return [repr(x) for x in np.asarray(result).ravel().tolist()]
+
+
+@pytest.mark.parametrize("label", BAD_ARRAYS)
+@pytest.mark.parametrize("name", ARRAYS)
+def test_array_that_is_not_finite_reals_is_refused(name, label):
+    field, call = ARRAYS[name]
+    with pytest.raises(ValidationError) as err:
+        call(BAD_ARRAYS[label])
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("name", ARRAYS)
+def test_array_takes_numpy_python_and_one_shot_numbers_alike(name):
+    call = ARRAYS[name][1]
+    want = _bits(call(GOOD))
+    for given in ([0, 2], (np.float64(0.0), np.int64(2)), np.array(GOOD),
+                  np.array([0, 2], dtype=np.uint8), (x for x in GOOD)):
+        assert _bits(call(given)) == want
+
+
+@pytest.mark.parametrize("initial", [(True, False), ("1", "0"), [[1], [0, 1]], "10",
+                                     np.array([True, False]), 1.0],
+                         ids=["bool", "strings", "ragged", "string", "bool array", "scalar"])
+def test_state_that_is_not_a_pair_of_numbers_is_refused(initial):
+    with pytest.raises(ValidationError) as err:
+        integrate_tls(W0, DRIVE, initial, 0.01)
+    assert err.value.field == "initial"
+
+
+def test_state_takes_complex_and_numpy_numbers():
+    want = integrate_tls(W0, DRIVE, (1j, 0), 0.01)
+    got = integrate_tls(W0, DRIVE, np.array([1j, 0.0]), 0.01)
+    assert np.array_equal(got.u_plus, want.u_plus)
+    assert np.array_equal(got.u_minus, want.u_minus)
+
+
+def test_drive_of_unknown_kind_is_refused():
+    with pytest.raises(ValidationError) as err:
+        DriveField("bogus")
+    assert err.value.field == "kind"
