@@ -52,12 +52,12 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (AccuracyError, DomainError, ValidationError, check_finite,
-                     check_nonnegative, check_positive, check_reals)
+from .errors import (AccuracyError, ValidationError, check_finite, check_nonnegative,
+                     check_positive, check_reals, in_float_range)
 
 DEFAULT_DTHETA = 0.05
 MAX_DTHETA = 0.1
@@ -96,37 +96,51 @@ class DriveField:
     fx_samples: np.ndarray | None = field(default=None, repr=False)
     fy_samples: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        """Every construction checks its kind's own fields and stores them as floats
+        (arrays for a sampled table); other kinds' fields must keep their defaults."""
+        if self.kind == "circular":
+            own = {"amplitude": float(check_nonnegative("amplitude", self.amplitude)),
+                   "rotation": float(check_finite("rotation", self.rotation))}
+        elif self.kind == "constant":
+            own = {name: float(check_finite(name, getattr(self, name))) for name in ("fx", "fy")}
+        elif self.kind == "sampled":
+            t = check_reals("times", self.times, least=2)
+            own = {"times": t, "fx_samples": check_reals("fx", self.fx_samples),
+                   "fy_samples": check_reals("fy", self.fy_samples)}
+            for name in ("fx", "fy"):
+                if own[f"{name}_samples"].shape != t.shape:
+                    raise ValidationError(name, "sample arrays must match the time grid")
+            if np.any(np.diff(t) <= 0):
+                raise ValidationError("times", "must be strictly increasing")
+        else:
+            raise ValidationError("kind", f"unknown drive kind {self.kind!r}")
+        for spec in fields(self)[1:]:  # every field after kind
+            if spec.name in own:
+                object.__setattr__(self, spec.name, own[spec.name])
+            elif getattr(self, spec.name) is not spec.default:
+                raise ValidationError(spec.name, f"does not apply to a {self.kind} drive")
+
     @classmethod
     def circular(cls, amplitude, rotation):
         """f(t) = amplitude * (cos(rotation*t), sin(rotation*t))."""
-        check_nonnegative("amplitude", amplitude)
-        check_finite("rotation", rotation)
-        return cls(kind="circular", amplitude=float(amplitude), rotation=float(rotation))
+        return cls(kind="circular", amplitude=amplitude, rotation=rotation)
 
     @classmethod
     def constant(cls, fx, fy):
-        check_finite("fx", fx)
-        check_finite("fy", fy)
-        return cls(kind="constant", fx=float(fx), fy=float(fy))
-
-    def __post_init__(self):
-        if self.kind not in ("circular", "constant", "sampled"):
-            raise ValidationError("kind", f"unknown drive kind {self.kind!r}")
+        return cls(kind="constant", fx=fx, fy=fy)
 
     @classmethod
     def sampled(cls, times, fx, fy):
-        t = check_reals("times", times, least=2)
-        x = check_reals("fx", fx)
-        y = check_reals("fy", fy)
-        for name, values in (("fx", x), ("fy", y)):
-            if values.shape != t.shape:
-                raise ValidationError(name, "sample arrays must match the time grid")
-        if np.any(np.diff(t) <= 0):
-            raise ValidationError("times", "must be strictly increasing")
-        return cls(kind="sampled", times=t, fx_samples=x, fy_samples=y)
+        return cls(kind="sampled", times=times, fx_samples=fx, fy_samples=fy)
 
     def components(self, t):
-        """(f_x, f_y) at time t (scalar or array), angular-frequency units."""
+        """(f_x, f_y) at time t, angular-frequency units: scalars for a finite real
+        t, arrays for an integer or float array of finite times of any shape."""
+        if not isinstance(t, np.ndarray):
+            check_finite("t", t)
+        elif t.dtype.kind not in "iuf" or not np.all(np.isfinite(t)):
+            raise ValidationError("t", f"need finite real numbers, got a {t.dtype} array")
         t = np.asarray(t, dtype=float)
         fx, fy = np.empty_like(t), np.empty_like(t)
         self._components_into(t, fx, fy)
@@ -473,27 +487,22 @@ def adiabatic_phase(drive, omega0, t):
     """
     check_positive("omega0", omega0)
     check_nonnegative("t", t)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if drive.kind == "circular":
-                phase = drive.amplitude**2 * t / omega0
-            elif drive.kind == "constant":
-                phase = (drive.fx**2 + drive.fy**2) * t / omega0
-            else:
-                knots = drive.times[(drive.times > 0) & (drive.times < t)]
-                edges = np.concatenate([[0.0], knots, [t]])
-                mids = 0.5 * (edges[:-1] + edges[1:])
-                f2_edges = drive.magnitude(edges) ** 2
-                f2_mids = drive.magnitude(mids) ** 2
-                seg = (edges[1:] - edges[:-1]) / 6.0 * (
-                    f2_edges[:-1] + 4.0 * f2_mids + f2_edges[1:])
-                phase = float(np.sum(seg)) / omega0
-    except OverflowError:
-        phase = math.inf
-    if not phase < math.inf:
-        raise DomainError(f"the adiabatic phase at t = {t!r} s leaves the float "
-                          f"range (omega0 = {omega0!r} rad/s)")
-    return phase
+
+    def phase():
+        if drive.kind == "circular":
+            return drive.amplitude**2 * t / omega0
+        if drive.kind == "constant":
+            return (drive.fx**2 + drive.fy**2) * t / omega0
+        knots = drive.times[(drive.times > 0) & (drive.times < t)]
+        edges = np.concatenate([[0.0], knots, [t]])
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        f2_edges = drive.magnitude(edges) ** 2
+        f2_mids = drive.magnitude(mids) ** 2
+        seg = (edges[1:] - edges[:-1]) / 6.0 * (
+            f2_edges[:-1] + 4.0 * f2_mids + f2_edges[1:])
+        return float(np.sum(seg)) / omega0
+    return in_float_range(f"the adiabatic phase at t = {t!r} s leaves the float "
+                          f"range (omega0 = {omega0!r} rad/s)", phase, allow_zero=True)
 
 
 def overlap_fidelity(trajectory):

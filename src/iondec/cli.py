@@ -32,13 +32,14 @@ adiabatic and the array functions of the others load numpy, and only
 once a call gets past its scalar checks.  So ``scales``, ``continuum``,
 ``decohere --mode closed`` and every refusal that an argv, a config or a
 scalar check decides load no numpy: a bad config, an ion count below 1
-(or below 2 where a command needs pairs), an ion count above MAX_IONS for
-the calls that solve a chain (``equilibrium``, ``sums`` and ``decohere
---mode discrete``; ``scales``, ``continuum``, ``decohere --mode closed``
-and ``scaling`` solve nothing and take it), a bad ``--exponent``,
+(or below 2 where a command needs pairs, ``equilibrium`` among them), an
+ion count above MAX_IONS for the calls that solve a chain (``equilibrium``,
+``sums`` and ``decohere --mode discrete``; ``scales``, ``continuum``,
+``decohere --mode closed`` and ``scaling`` solve nothing and take it, up
+to a count whose scales leave the float range), a bad ``--exponent``,
 ``--points``, ``adiabatic`` ratio flag, ``--theta-end`` below the step
-limit, ``--n-min``/``--n-max`` range or ``--s0-target``.  No subcommand
-loads scipy or numpy.ma.
+limit, ``--n-min``/``--n-max`` range (under a decade included) or
+``--s0-target``.  No subcommand loads scipy or numpy.ma.
 """
 from __future__ import annotations
 
@@ -245,6 +246,7 @@ def _solve(cfg):
 
 
 def _cmd_equilibrium(cfg, args):
+    check_integer("n_ions", cfg.trap.n_ions, 2)  # local_spacings needs a pair
     chain = _solve(cfg)
     from .chain import local_spacings
 
@@ -380,9 +382,12 @@ def _cmd_scaling(cfg, args):
     from .scaling import (LOG_POWERS, REFERENCE_EXPONENTS, check_n_range,
                           default_n_grid, fit_exponent, scan)
 
-    # default_n_grid's checks, then scan's, made before the grid loads numpy
+    # default_n_grid's checks, fit_exponent's and scan's, made before numpy loads
+    n_min, n_max = check_n_range(args.n_min, args.n_max)
+    if n_max / n_min < 10.0 - 1e-9:
+        raise ValidationError("--n-max", f"the fit needs a decade in N: --n-max {n_max} "
+                              f"is under 10 * --n-min {n_min}")
     if target is not None:
-        check_n_range(args.n_min, args.n_max)
         check_positive("s0_target", target)
     grid = default_n_grid(args.n_min, args.n_max)
     if args.policy == "fixed_spacing" and target is None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, in_float_range
 
 EULER_GAMMA = 0.5772156649015329
 #: discreteness constant of the fluid model, 6 e^(gamma - 13/5) ~= 0.794
@@ -44,9 +44,10 @@ class ContinuumModel(enum.Enum):
 def chain_length(n_ions: int, model: ContinuumModel) -> float:
     """Half-length L of the chain in units of d0, for N >= 2 ions."""
     n_ions = check_integer("n_ions", n_ions, 2)
-    if model is ContinuumModel.NEAREST_NEIGHBOR:
-        return (math.pi**2 * n_ions / 2.0) ** (1.0 / 3.0)
-    return (3.0 * n_ions * math.log(C0_DUBIN * n_ions)) ** (1.0 / 3.0)
+    return in_float_range(
+        "the ion count puts the chain half-length L outside the float range",
+        lambda: (math.pi**2 * n_ions / 2.0 if model is ContinuumModel.NEAREST_NEIGHBOR
+                 else 3.0 * n_ions * math.log(C0_DUBIN * n_ions)) ** (1.0 / 3.0))
 
 
 def min_spacing(n_ions: int, model: ContinuumModel) -> float:

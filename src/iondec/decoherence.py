@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .continuum import ContinuumModel, min_spacing
-from .errors import DomainError, ValidationError, check_integer, check_reals
+from .errors import ValidationError, check_integer, check_reals, in_float_range
 from .physmodel import (CONSTANTS, IonSpecies, TrapConfig, derive_scales,
                         qsq_convention_stamp, radiative_time)
 from .sums import chain_total_asymptotic, pair_sum_exact_all, zeta
@@ -46,16 +46,11 @@ def vibrational_prefactor(species: IonSpecies, trap: TrapConfig) -> float:
     positive float range are refused with DomainError.
     """
     scales = derive_scales(species, trap)
-    try:
-        pref = (scales.q2_coul * scales.q_sq
-                / (2.0 * math.pi * CONSTANTS.hbar * species.mass
-                   * species.omega0 * trap.omega_t))
-    except ZeroDivisionError:  # the denominator underflowed
-        pref = math.inf
-    if not 0 < pref < math.inf:
-        raise DomainError("the species and trap put the vibrational prefactor "
-                          "outside the float range")
-    return pref
+    return in_float_range(
+        "the species and trap put the vibrational prefactor outside the float range",
+        lambda: (scales.q2_coul * scales.q_sq
+                 / (2.0 * math.pi * CONSTANTS.hbar * species.mass
+                    * species.omega0 * trap.omega_t)))
 
 
 def per_ion_rates(chain: IonChain, species: IonSpecies, trap: TrapConfig) -> np.ndarray:
@@ -77,15 +72,9 @@ def per_ion_rates(chain: IonChain, species: IonSpecies, trap: TrapConfig) -> np.
     two_p = 2 * species.multipole.pair_exponent
     sums = pair_sum_exact_all(chain, two_p)
     pref = vibrational_prefactor(species, trap)
-    try:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            rates = pref * sums / scales.d0 ** two_p
-        if np.all((rates > 0) & (rates < math.inf)):
-            return rates
-    except OverflowError:
-        pass
-    raise DomainError(f"N = {chain.n_ions}, d0 = {scales.d0!r} m put a per-ion "
-                      "rate outside the float range")
+    return in_float_range(f"N = {chain.n_ions}, d0 = {scales.d0!r} m put a per-ion "
+                          "rate outside the float range",
+                          lambda: pref * sums / scales.d0 ** two_p)
 
 
 def aggregate_tau_vib(per_ion: np.ndarray | list) -> float:
@@ -124,7 +113,8 @@ class FidelityCurve:
 
 def fidelity_curve(per_ion: np.ndarray | list, times: np.ndarray | list) -> FidelityCurve:
     """prod_i cos^2(t/tau_i) and exp(-t^2/tau_vib^2) at each time of
-    ``times`` (errors.check_reals, may be empty, >= 0), one row per time."""
+    ``times`` (errors.check_reals, may be empty, >= 0), one row per time.
+    A time whose product with a rate overflows raises DomainError."""
     import numpy as np
 
     rates = check_reals("per_ion", per_ion)
@@ -132,11 +122,11 @@ def fidelity_curve(per_ion: np.ndarray | list, times: np.ndarray | list) -> Fide
     if np.any(t < 0):
         raise ValidationError("times", "must be >= 0")
     tau_vib = aggregate_tau_vib(rates)
-    product = np.prod(np.cos(np.outer(t, rates)) ** 2, axis=1)
-    if math.isinf(tau_vib):
-        gaussian = np.ones_like(t)
-    else:
-        gaussian = np.exp(-(t / tau_vib) ** 2)
+    product, gaussian = in_float_range(
+        "a time times a per-ion rate leaves the float range",
+        lambda: (np.prod(np.cos(np.outer(t, rates)) ** 2, axis=1),
+                 np.ones_like(t) if math.isinf(tau_vib) else np.exp(-(t / tau_vib) ** 2)),
+        allow_zero=True)
     return FidelityCurve(product=product, gaussian=gaussian)
 
 
@@ -162,16 +152,11 @@ def closed_form_rate(n_ions: int, species: IonSpecies, trap: TrapConfig,
     pref = vibrational_prefactor(species, trap)
     two_p = 2 * species.multipole.pair_exponent
     s0_m = min_spacing(n_ions, model) * scales.d0
-    try:
-        total = chain_total_asymptotic(n_ions, 2 * two_p, model)
-        full = pref * 2.0 * zeta(two_p) * math.sqrt(total) / scales.d0 ** two_p
-        bare = math.sqrt(n_ions) * pref / s0_m ** two_p
-        if 0 < full < math.inf:
-            return ClosedFormRate(full=full, bare=bare)
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise DomainError(f"N = {n_ions}, d0 = {scales.d0!r} m put the closed-form "
-                      "rate outside the float range")
+    total = chain_total_asymptotic(n_ions, 2 * two_p, model)
+    return ClosedFormRate(*in_float_range(
+        f"N = {n_ions}, d0 = {scales.d0!r} m put the closed-form rate outside the float range",
+        lambda: (pref * 2.0 * zeta(two_p) * math.sqrt(total) / scales.d0 ** two_p,
+                 math.sqrt(n_ions) * pref / s0_m ** two_p)))
 
 
 @dataclass(frozen=True)
@@ -203,25 +188,26 @@ def build_report(species: IonSpecies, trap: TrapConfig, mode: DecoherenceMode,
     is refused with DomainError.
     """
     n = trap.n_ions
+
+    def in_range(times):
+        return in_float_range(f"N = {n}: a vibrational time or tau_vib/tau_s is "
+                              "outside the float range", times)
     if mode is DecoherenceMode.DISCRETE_SUM:
         if chain is None:
             raise ValidationError("chain", "DISCRETE_SUM needs the solved "
                                   "equilibrium chain")
-        import numpy as np
-
         rates = per_ion_rates(chain, species, trap)
         tau_vib = aggregate_tau_vib(rates)
-        with np.errstate(divide="ignore", over="ignore"):
-            per_tau = 1.0 / rates  # inf where the rate vanishes (N = 1)
-        per_tau_finite = bool(np.all(per_tau < math.inf))
+        if n == 1:  # no pair: the one rate is 0 and its time infinite
+            per_tau = rates + math.inf
+        else:
+            per_tau, _ = in_range(lambda: (1.0 / rates, tau_vib / species.tau_s))
     elif mode is DecoherenceMode.CONTINUUM_CLOSED_FORM:
         tau_vib = 1.0 / closed_form_rate(n, species, trap, model).full
-        per_tau, per_tau_finite = None, True
+        per_tau = None
+        in_range(lambda: tau_vib / species.tau_s)
     else:
         raise ValidationError("mode", f"unknown mode {mode!r}")
-    if n > 1 and not (tau_vib / species.tau_s < math.inf and per_tau_finite):
-        raise DomainError(f"N = {n}: a vibrational time or tau_vib/tau_s is "
-                          "outside the float range")
     tau_rad = radiative_time(species, n)
     t_d = combined_window(tau_rad, tau_vib)
     ratio = "inf" if math.isinf(tau_vib) else f"{tau_vib / species.tau_s:.6g}"

@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and the five input rules.
+"""Exception types shared across the library, its input rules and its float-range rule.
 
 The CLI maps these onto distinct exit codes, so user input problems
 (ValidationError, DomainError) stay distinguishable from numerical
@@ -8,13 +8,17 @@ check_integer, check_positive, check_nonnegative, check_finite and
 check_reals own the five input rules, "a count is an integer in a range",
 "a parameter is a positive finite real", "a parameter is a non-negative
 finite real", "a parameter is a finite real" and "an array is 1-D, of
-finite reals".  Every module imports this one, and it loads no numpy at
-import, so a check made here costs no import.
+finite reals".  in_float_range owns the rule for computed values, "a
+result that leaves the float range is refused with DomainError".  Every
+module imports this one, and it loads no numpy at import, so a check made
+here costs no import.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
+import sys
 
 
 class ValidationError(ValueError):
@@ -114,3 +118,24 @@ def check_reals(field: str, values, least: int = 1, dtype=float):
     if not np.all(np.isfinite(array)):
         raise ValidationError(field, "must be finite")
     return array
+
+
+def in_float_range(message: str, compute, allow_zero: bool = False):
+    """compute(), if it raises no OverflowError or ZeroDivisionError and
+    every number of its result (a float, an ndarray, or a tuple of them) is
+    finite and > 0, or >= 0 with allow_zero; DomainError(message) if not.
+    Where numpy is loaded, its floating-point warnings are off for compute:
+    this check reports what they would have said."""
+    np = sys.modules.get("numpy")
+    try:
+        with np.errstate(all="ignore") if np else contextlib.nullcontext():
+            result = compute()
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(message) from None
+    for value in result if isinstance(result, tuple) else (result,):
+        low = high = value
+        if np and isinstance(value, np.ndarray):  # NaN propagates; empty passes
+            low, high = value.min(initial=1.0), value.max(initial=0.0)
+        if not ((low >= 0 if allow_zero else low > 0) and high < math.inf):
+            raise DomainError(message)
+    return result

@@ -11,7 +11,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ValidationError, check_integer, check_positive
+from .errors import ValidationError, check_integer, check_positive, in_float_range
 
 
 @dataclass(frozen=True)
@@ -170,23 +170,22 @@ def derive_scales(species: IonSpecies, trap: TrapConfig) -> DerivedScales:
     species' ``qsq_constant`` (default 1).  Inputs that put any of the
     four scales outside the positive float range raise DomainError.
     """
-    try:
+    def scales():
         q2_coul = species.charge**2 / (4.0 * math.pi * CONSTANTS.epsilon0)
         d0 = (q2_coul / (species.mass * trap.omega_z**2)) ** (1.0 / 3.0)
         k0 = species.omega0 / CONSTANTS.c_light
         p = species.multipole.pair_exponent
         q_sq = species.qsq_constant * CONSTANTS.hbar / (species.tau_s * k0 ** (2 * p - 3))
-        if all(0 < value < math.inf for value in (d0, k0, q2_coul, q_sq)):
-            return DerivedScales(d0=d0, k0=k0, q2_coul=q2_coul, q_sq=q_sq)
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise DomainError("the species and trap put a derived scale (d0, k0, "
-                      "q2_coul or q_sq) outside the float range")
+        return d0, k0, q2_coul, q_sq
+    return DerivedScales(*in_float_range("the species and trap put a derived scale (d0, k0, "
+                                         "q2_coul or q_sq) outside the float range", scales))
 
 
 def radiative_time(species: IonSpecies, n_ions: int) -> float:
     """Radiative decoherence window of an N-ion register: 2 tau_s / N."""
-    return 2.0 * species.tau_s / check_integer("n_ions", n_ions, 1)
+    n_ions = check_integer("n_ions", n_ions, 1)
+    return in_float_range("the ion count puts tau_rad = 2 tau_s / N outside the "
+                          "float range", lambda: 2.0 * species.tau_s / n_ions)
 
 
 def qsq_convention_stamp(species: IonSpecies) -> str:

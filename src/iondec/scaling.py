@@ -20,8 +20,7 @@ from typing import TYPE_CHECKING
 
 from .continuum import C0_DUBIN, ContinuumModel, min_spacing
 from .decoherence import closed_form_rate
-from .errors import (DomainError, SolverError, ValidationError, check_integer,
-                     check_positive)
+from .errors import SolverError, ValidationError, check_integer, check_positive, in_float_range
 from .physmodel import CONSTANTS, IonSpecies, TrapConfig, derive_scales
 
 if TYPE_CHECKING:
@@ -155,21 +154,18 @@ def _solve_omega_z(n_ions, species, s0_target, model):
     """
     s0_dim = min_spacing(n_ions, model)
 
-    def gap(omega_z):
+    def gap(omega_z, q2):
         d0 = (q2 / (species.mass * omega_z**2)) ** (1.0 / 3.0)
         return s0_dim * d0 - s0_target
 
-    d0_needed = s0_target / s0_dim
-    try:
+    def bracket():
         q2 = species.charge**2 / (4.0 * math.pi * CONSTANTS.epsilon0)
-        guess = math.sqrt(q2 / (species.mass * d0_needed**3))
+        guess = math.sqrt(q2 / (species.mass * (s0_target / s0_dim)**3))
         lo, hi = 0.5 * guess, 2.0 * guess
-        if gap(lo) > 0 > gap(hi):
-            return _brentq(gap, lo, hi, xtol=1e-30, rtol=1e-14)
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise DomainError(f"s0 target {s0_target!r} m gives no finite omega_z "
-                      f"at N = {n_ions}")
+        return q2, lo, hi, gap(lo, q2), -gap(hi, q2)  # gap(lo) > 0 > gap(hi)
+    q2, lo, hi, _, _ = in_float_range(f"s0 target {s0_target!r} m gives no finite "
+                                      f"omega_z at N = {n_ions}", bracket)
+    return _brentq(lambda omega_z: gap(omega_z, q2), lo, hi, xtol=1e-30, rtol=1e-14)
 
 
 def scan(n_values, species: IonSpecies, trap: TrapConfig,

@@ -25,7 +25,8 @@ callers get a copy and may modify it freely.
 zeta is a table of recorded bits, the same on every host.  The array
 functions import numpy (and the chain kernel) when called, after their
 argument checks, so zeta, pair_sum_approx and chain_total_asymptotic, and
-the closed-form rates built on them, load neither.
+the closed-form rates built on them, load neither.  A sum or total that
+leaves the float range raises DomainError (an exact one may underflow to 0).
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING
 
 from .continuum import (ContinuumModel, _profile, chain_length, invert_cubic_count,
                          min_spacing)
-from .errors import DomainError, ValidationError, check_integer, check_positive
+from .errors import DomainError, ValidationError, check_integer, check_positive, in_float_range
 
 if TYPE_CHECKING:
     import numpy as np
@@ -88,15 +89,11 @@ def pair_sum_exact_all(chain: IonChain, n: int) -> np.ndarray:
     check_integer("n_ions", chain.n_ions, 2)
     sums = chain._pair_sums.get(n)
     if sums is None:
-        import numpy as np
-
         from .chain import _area, _row_sums
 
-        with np.errstate(over="ignore"):
-            sums = _row_sums(chain.positions, lambda d, spare: _inverse_power(d, n, spare),
-                             odd=False, work=_area(chain.n_ions)).astype(float)
-        if not np.all(np.isfinite(sums)):
-            raise DomainError(f"S_{n} overflows a float on this chain")
+        sums = in_float_range(f"S_{n} overflows a float on this chain", lambda: _row_sums(
+            chain.positions, lambda d, spare: _inverse_power(d, n, spare), odd=False,
+            work=_area(chain.n_ions)).astype(float), allow_zero=True)
         chain._pair_sums[n] = sums
     return sums.copy()
 
@@ -128,10 +125,8 @@ def pair_sum_approx(s_local: float, n: int) -> float:
     """Zeta shortcut 2 zeta(n)/s^n for a locally uniform chain."""
     n = _check_exponent(n)
     check_positive("s_local", s_local)
-    try:
-        return 2.0 * zeta(n) / s_local ** float(n)
-    except (OverflowError, ZeroDivisionError):
-        raise DomainError(f"s^{n} at s = {s_local!r} leaves the float range") from None
+    return in_float_range(f"s^{n} at s = {s_local!r} leaves the float range",
+                          lambda: 2.0 * zeta(n) / s_local ** float(n))
 
 
 @dataclass(frozen=True)
@@ -176,7 +171,8 @@ def chain_total_exact(sites: ContinuumSites, n: int) -> float:
             "sites", f"expected ContinuumSites, got {type(sites).__name__}")
     import numpy as np
 
-    return float(np.sum(sites.spacings ** -float(n)))
+    return in_float_range(f"T_{n} overflows a float on these sites",
+                          lambda: float(np.sum(sites.spacings ** -float(n))), allow_zero=True)
 
 
 def chain_total_asymptotic(n_ions: int, n: int, model: ContinuumModel) -> float:
@@ -186,7 +182,9 @@ def chain_total_asymptotic(n_ions: int, n: int, model: ContinuumModel) -> float:
     """
     length, s0 = chain_length(n_ions, model), min_spacing(n_ions, model)
     n = _check_exponent(n)
-    return (length / s0 ** (n + 1.0)) * math.sqrt(4.0 * math.pi / (4.0 * n + 7.0))
+    return in_float_range(
+        f"T_{n} from the continuum integral at N = {n_ions:.6g} leaves the float range",
+        lambda: (length / s0 ** (n + 1.0)) * math.sqrt(4.0 * math.pi / (4.0 * n + 7.0)))
 
 
 def _check_exponent(n: int) -> int:

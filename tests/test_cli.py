@@ -689,6 +689,13 @@ REFUSED_CASES = [
     ["sums", "--n-ions", "3", "--exponent", "100000"],
     ["decohere", "--mode", "closed", "--n-ions", str(10**30)],
     ["equilibrium", "--n-ions", str(MAX_IONS + 1)],
+    ["equilibrium", "--n-ions", "1"],
+    ["scaling", "--n-min", "100", "--n-max", "500"],
+    ["scaling", "--n-min", "2", "--n-max", "3"],
+    # a count beyond the float range: the scales, L and s0 leave it
+    ["scales", "--n-ions", str(10**400)],
+    ["continuum", "--n-ions", str(10**400)],
+    ["decohere", "--mode", "closed", "--n-ions", str(10**400)],
 ]
 
 
@@ -847,6 +854,12 @@ NUMPY_FREE_CALLS = [
     (["scaling", "--n-min", "1", "--n-max", "10"], 1, _SCALING),
     (["scaling", "--n-min", "100", "--n-max", "50"], 1, _SCALING),
     (["scaling", "--policy", "fixed_spacing", "--s0-target=-1e-6"], 1, _SCALING),
+    (["equilibrium", "--n-ions", "1"], 1, set()),
+    (["scaling", "--n-min", "100", "--n-max", "500"], 1, _SCALING),
+    (["scaling", "--n-min", "2", "--n-max", "3"], 1, _SCALING),
+    (["scales", "--n-ions", str(10**400)], 1, set()),
+    (["continuum", "--n-ions", str(10**400)], 1, set()),
+    (["decohere", "--mode", "closed", "--n-ions", str(10**400)], 1, _CLOSED),
 ]
 
 

@@ -7,8 +7,10 @@ as a float.  An array (a chain's positions, a sampled drive's tables, the
 per-ion rates and the times of a fidelity curve) is a 1-D array of integer
 or float dtype, or an iterable, read once, of such finite reals; numpy and
 Python numbers give the same bits.  A two-level state is a pair of
-numbers, complex allowed.  Each refusal is a ValidationError naming the
-parameter.
+numbers, complex allowed.  A drive's time is a finite real or an integer
+or float array of finite times.  Each refusal is a ValidationError naming
+the parameter.  A computed value that leaves the float range is refused
+with a DomainError and no warning, whichever function computes it.
 
 Scalar rows that existing tests already cover (chain_length's and
 min_spacing's bad counts, solve_equilibrium's string tolerance) are not
@@ -24,11 +26,16 @@ import pytest
 from iondec.adiabatic import DriveField, adiabatic_phase, integrate_tls
 from iondec.chain import IonChain, solve_equilibrium
 from iondec.continuum import ContinuumModel, chain_length, min_spacing
-from iondec.decoherence import aggregate_tau_vib, closed_form_rate, fidelity_curve
-from iondec.errors import (ValidationError, check_finite, check_integer,
-                           check_nonnegative, check_positive)
-from iondec.physmodel import IonSpecies, Multipole, TrapConfig, radiative_time
+from iondec.decoherence import (DecoherenceMode, aggregate_tau_vib, build_report,
+                                closed_form_rate, fidelity_curve, per_ion_rates,
+                                vibrational_prefactor)
+from iondec.errors import (DomainError, ValidationError, check_finite, check_integer,
+                           check_nonnegative, check_positive, in_float_range)
+from iondec.physmodel import (IonSpecies, Multipole, TrapConfig, derive_scales,
+                              radiative_time)
 from iondec.scaling import default_n_grid, scan
+from iondec.sums import (chain_total_asymptotic, chain_total_exact, continuum_sites,
+                         pair_sum_approx, pair_sum_exact_all)
 
 DU = ContinuumModel.DUBIN_FLUID
 BA = IonSpecies.from_lab_units("Ba+", mass_amu=137.33, charge_e=1.0, f0_hz=1.7e14,
@@ -37,6 +44,7 @@ TRAP = TrapConfig.from_lab_units(fz_hz=1e5, ft_hz=2e7, n_ions=10)
 W0 = 1.0e3
 EQUAL = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 DRIVE = DriveField.circular(0.01 * W0, 1e-3 * W0)
+SAMPLED = DriveField.sampled([0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [0.0, 1.0, 1.0])
 
 # entry point -> (the field a bad count is refused under, a call whose
 # result's repr shows every bit and every type computed from the count)
@@ -107,6 +115,7 @@ def test_positive_real_that_is_not_a_finite_real_is_refused(name, label):
 NONNEGATIVE = {
     "integrate_tls(t_end)": ("t_end", lambda x: integrate_tls(W0, DRIVE, EQUAL, x)),
     "DriveField.circular": ("amplitude", lambda x: DriveField.circular(x, 1.0)),
+    "DriveField(amplitude)": ("amplitude", lambda x: DriveField("circular", amplitude=x)),
     "adiabatic_phase": ("t", lambda x: adiabatic_phase(DRIVE, W0, x)),
 }
 BAD_NONNEGATIVE = {**BAD_REALS, "-1e-300": -1e-300, "nan": math.nan, "inf": math.inf}
@@ -134,6 +143,12 @@ FINITE = {
     "DriveField.circular(rotation)": ("rotation", lambda x: DriveField.circular(0.1, x)),
     "DriveField.constant(fx)": ("fx", lambda x: DriveField.constant(x, 0.0)),
     "DriveField.constant(fy)": ("fy", lambda x: DriveField.constant(0.0, x)),
+    "DriveField(rotation)": ("rotation",
+                             lambda x: DriveField("circular", amplitude=1.0, rotation=x)),
+    "DriveField(fx)": ("fx", lambda x: DriveField("constant", fx=x)),
+    "DriveField(fy)": ("fy", lambda x: DriveField("constant", fy=x)),
+    "DriveField.components": ("t", DRIVE.components),
+    "DriveField.magnitude": ("t", SAMPLED.magnitude),
 }
 BAD_FINITE = {**BAD_REALS, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 
@@ -234,6 +249,10 @@ ARRAYS = {
     "DriveField.sampled(times)": ("times", lambda v: DriveField.sampled(v, GOOD, GOOD).times),
     "DriveField.sampled(fx)": ("fx", lambda v: DriveField.sampled(GOOD, v, GOOD).fx_samples),
     "DriveField.sampled(fy)": ("fy", lambda v: DriveField.sampled(GOOD, GOOD, v).fy_samples),
+    "DriveField(times)": ("times", lambda v: DriveField(
+        "sampled", times=v, fx_samples=GOOD, fy_samples=GOOD).times),
+    "DriveField(fx_samples)": ("fx", lambda v: DriveField(
+        "sampled", times=GOOD, fx_samples=v, fy_samples=GOOD).fx_samples),
     "aggregate_tau_vib": ("per_ion", aggregate_tau_vib),
     "fidelity_curve(per_ion)": ("per_ion", lambda v: fidelity_curve(v, GOOD).product),
     "fidelity_curve(times)": ("times", lambda v: fidelity_curve(GOOD, v).product),
@@ -296,3 +315,124 @@ def test_drive_of_unknown_kind_is_refused():
     with pytest.raises(ValidationError) as err:
         DriveField("bogus")
     assert err.value.field == "kind"
+
+
+@pytest.mark.parametrize("kind, given, field", [
+    ("sampled", {}, "times"),
+    ("sampled", {"times": GOOD, "fx_samples": GOOD}, "fy"),
+    ("circular", {"amplitude": 1.0, "fx": 1.0}, "fx"),
+    ("constant", {"fx": 1.0, "rotation": 0.0}, "rotation"),
+    ("circular", {"amplitude": 1.0, "times": GOOD}, "times"),
+], ids=["no tables", "no fy table", "circular fx", "constant rotation", "circular times"])
+def test_drive_refuses_missing_fields_and_fields_of_another_kind(kind, given, field):
+    with pytest.raises(ValidationError) as err:
+        DriveField(kind, **given)
+    assert err.value.field == field
+
+
+def test_drive_constructor_and_classmethods_build_the_same_drive():
+    assert repr(DriveField("circular", amplitude=1, rotation=np.float32(2.0))) == \
+        repr(DriveField.circular(1.0, 2.0))
+    assert repr(DriveField("constant", fx=1, fy=-2)) == repr(DriveField.constant(1.0, -2.0))
+    given = DriveField("sampled", times=[0, 1, 3], fx_samples=[1, 0, 2], fy_samples=[0, 1, 1])
+    for name in ("times", "fx_samples", "fy_samples"):
+        assert np.array_equal(getattr(given, name), getattr(SAMPLED, name))
+
+
+@pytest.mark.parametrize("t", [None, np.array([True]), np.array(["1"]),
+                               np.array([0.0, math.inf]), np.array([[math.nan]]), [0.0, 1.0]],
+                         ids=["None", "bool array", "string array", "inf array", "nan array",
+                              "list"])
+def test_drive_time_that_is_not_a_finite_real_or_real_array_is_refused(t):
+    for method in (DRIVE.components, DRIVE.magnitude, SAMPLED.components):
+        with pytest.raises(ValidationError) as err:
+            method(t)
+        assert err.value.field == "t"
+
+
+def test_drive_time_array_of_any_shape_gives_the_float_array_result():
+    t = np.arange(6).reshape(2, 3)
+    for drive in (DRIVE, SAMPLED, DriveField.constant(1.0, 2.0)):
+        got, want = drive.components(t), drive.components(t.astype(float))
+        for g, w in zip(got, want):
+            assert g.shape == t.shape and np.array_equal(g, w)
+        assert drive.magnitude(t[0, 1]) == drive.magnitude(1.0)
+
+
+# The float-range rule, errors.in_float_range: label -> (a call whose
+# computed value leaves the float range, a fragment of its refusal).  The
+# first nine rows are a refusal of each function that wrote the rule out
+# by hand; the rest are calls that ended in an OverflowError, a
+# ZeroDivisionError, an inf, a NaN or a RuntimeWarning.
+SOFT = TrapConfig.from_lab_units(fz_hz=1e-60, ft_hz=2e7, n_ions=10)
+FLOAT_RANGE = {
+    "derive_scales": (lambda: derive_scales(IonSpecies.from_lab_units(
+        "X", 137.33, 1e300, 1.7e14, 50.0, Multipole.E2), TRAP), "derived scale"),
+    "vibrational_prefactor": (lambda: vibrational_prefactor(IonSpecies.from_lab_units(
+        "X", 1e-200, 1.0, 1.7e14, 50.0, Multipole.E2, qsq_constant=1e200), TRAP),
+        "vibrational prefactor"),
+    "per_ion_rates": (lambda: per_ion_rates(solve_equilibrium(10), BA, SOFT), "per-ion rate"),
+    "closed_form_rate": (lambda: closed_form_rate(10, BA, SOFT), "closed-form rate"),
+    "build_report": (lambda: build_report(
+        BA, TrapConfig.from_lab_units(1e-50, 2e7, 10), DecoherenceMode.DISCRETE_SUM,
+        chain=solve_equilibrium(10)), "vibrational time"),
+    "pair_sum_exact_all": (lambda: pair_sum_exact_all(IonChain([-0.5, 0.0, 0.5]), 5000),
+                           "S_5000"),
+    "pair_sum_approx": (lambda: pair_sum_approx(0.5, 5000), "s\\^5000"),
+    "adiabatic_phase": (lambda: adiabatic_phase(DriveField.circular(1e200, 0.0), 1e202, 1.0),
+                        "adiabatic phase"),
+    "_solve_omega_z": (lambda: scan([10, 100], BA, TRAP, s0_target=1e300), "omega_z"),
+    "chain_length(10**400)": (lambda: chain_length(10**400, DU), "half-length"),
+    "min_spacing(10**400)": (lambda: min_spacing(10**400, DU), "half-length"),
+    "radiative_time(10**400)": (lambda: radiative_time(BA, 10**400), "tau_rad"),
+    "closed_form_rate(10**400)": (lambda: closed_form_rate(10**400, BA, TRAP), "half-length"),
+    "chain_total_asymptotic(10**30)": (lambda: chain_total_asymptotic(10**30, 16, DU), "T_16"),
+    "chain_total_asymptotic(n=400)": (lambda: chain_total_asymptotic(10**5, 400, DU), "T_400"),
+    "pair_sum_approx(1e-160)": (lambda: pair_sum_approx(1e-160, 2), "s\\^2"),
+    "chain_total_exact(n=400)": (lambda: chain_total_exact(continuum_sites(100, DU), 400),
+                                 "T_400"),
+    "fidelity_curve(1e300 x 1e10)": (lambda: fidelity_curve([1e300], [1e10]), "float range"),
+}
+
+
+@pytest.mark.parametrize("label", FLOAT_RANGE)
+def test_value_beyond_the_float_range_is_refused_without_a_warning(label):
+    call, fragment = FLOAT_RANGE[label]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=fragment):
+            call()
+
+
+@pytest.mark.parametrize("result, allow_zero, refused", [
+    (1.0, False, False), (0.0, False, True), (0.0, True, False), (-0.0, True, False),
+    (-1e-300, True, True), (math.inf, True, True), (math.nan, True, True),
+    ((1.0, np.array([1.0, math.inf])), False, True), ((2.0, np.array([0.0])), True, False),
+    (np.array([[1.0, math.nan]]), True, True), (np.array([]), False, False),
+    (np.array([1, 2]), False, False), (np.float32(1e-30), False, False),
+])
+def test_float_range_rule_checks_every_number_of_the_result(result, allow_zero, refused):
+    if refused:
+        with pytest.raises(DomainError, match="^out$"):
+            in_float_range("out", lambda: result, allow_zero)
+    else:
+        assert in_float_range("out", lambda: result, allow_zero) is result
+
+
+@pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
+def test_float_range_rule_refuses_an_overflow_or_a_division_by_zero(error):
+    def compute():
+        raise error
+    with pytest.raises(DomainError, match="^out$"):
+        in_float_range("out", compute)
+
+
+def test_float_range_rule_turns_numpy_warnings_off_only_inside():
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            in_float_range("out", lambda: np.array([1e300]) * 1e300)
+        assert np.geterr() == before
+        with pytest.raises(RuntimeWarning):
+            np.array([1e300]) * 1e300
