@@ -241,6 +241,8 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None):
     allocated.
     """
     check_positive("omega0", omega0)
+    if not isinstance(drive, DriveField):
+        raise ValidationError("drive", f"expected DriveField, got {drive!r}")
     check_nonnegative("t_end", t_end)
     pair = tuple(initial) if np.iterable(initial) else ()
     if len(pair) != 2 or any(isinstance(u, bool) or not isinstance(u, numbers.Complex)
@@ -485,6 +487,8 @@ def adiabatic_phase(drive, omega0, t):
     (|f|^2 overflows, or the product with t does) is refused with
     DomainError.
     """
+    if not isinstance(drive, DriveField):
+        raise ValidationError("drive", f"expected DriveField, got {drive!r}")
     check_positive("omega0", omega0)
     check_nonnegative("t", t)
 

@@ -83,9 +83,13 @@ import numpy as np
 
 from .continuum import (ContinuumModel, chain_length, invert_cubic_count,
                          min_spacing)
-from .errors import (SolverError, ValidationError, check_integer, check_positive,
-                     check_reals)
-from .physmodel import DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_IONS  # re-exported
+from .errors import SolverError, ValidationError, check_integer, check_reals
+from .physmodel import MAX_IONS  # re-exported
+
+#: Every solve's certificate: max-norm force residual <= DEFAULT_TOL within
+#: DEFAULT_MAX_ITER Newton iterations, read when solve_equilibrium runs.
+DEFAULT_TOL = 1e-12
+DEFAULT_MAX_ITER = 200
 
 # working precision of positions and forces; see the module docstring
 _WIDE = np.longdouble
@@ -414,26 +418,24 @@ def _initial_guess(n: int) -> np.ndarray:
     return invert_cubic_count(centered.astype(float), L, s0).astype(_WIDE)
 
 
-def solve_equilibrium(n_ions: int, tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER) -> IonChain:
-    """Solve the N-ion force balance to max-norm residual <= tol.
+def solve_equilibrium(n_ions: int) -> IonChain:
+    """Solve the N-ion force balance to max-norm residual <= DEFAULT_TOL
+    within DEFAULT_MAX_ITER Newton iterations.
 
     Damped Newton with a backtracking line search that preserves the
     ion ordering.  Initialized from the continuum cubic-count inverse
     for N >= 10 and from a uniform lattice below that.
     """
     n_ions = check_integer("n_ions", n_ions, 1, MAX_IONS)
-    check_positive("tol", tol)
-    max_iter = check_integer("max_iter", max_iter, 1)
 
     u = _initial_guess(n_ions)
     work = _area(n_ions)
     f = _force(u, work)
     best = math.inf
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         res = float(np.max(np.abs(f)))
         best = min(best, res)
-        if res <= tol:
+        if res <= DEFAULT_TOL:
             chain = IonChain(u)
             # res is max|F| at exactly these positions: fill the cache with it
             chain.__dict__["residual"] = res
@@ -444,7 +446,7 @@ def solve_equilibrium(n_ions: int, tol: float = DEFAULT_TOL,
             trial = u - lam * step
             if np.all(np.diff(trial) > 0):
                 f_trial = _force(trial, work)
-                if np.max(np.abs(f_trial)) < max(res * (1.0 - 0.25 * lam), 0.5 * tol):
+                if np.max(np.abs(f_trial)) < max(res * (1.0 - 0.25 * lam), 0.5 * DEFAULT_TOL):
                     u, f = trial, f_trial
                     break
             lam *= 0.5
@@ -455,7 +457,7 @@ def solve_equilibrium(n_ions: int, tol: float = DEFAULT_TOL,
                 message += (f"; the working precision has {nmant} mantissa bits, "
                             "and the certificate is sized for x87's 63")
             raise SolverError(message, best)
-    raise SolverError(f"no convergence in {max_iter} Newton iterations", best)
+    raise SolverError(f"no convergence in {DEFAULT_MAX_ITER} Newton iterations", best)
 
 
 def local_spacings(chain: IonChain) -> np.ndarray:

@@ -12,14 +12,15 @@ threads, moving the last printed digit, so ``main`` sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before
 numpy loads, unless the environment already names a count.  Each
 count and positive real is checked by errors.check_integer or
-errors.check_positive, the library's own two rules.  Exit codes: 0 ok,
-1 bad config/validation (a missing, unreadable or non-UTF-8 config
-file included), 2 numerical failure, 3 output I/O failure.  A refused
-call writes one ``error:`` or ``numerical failure:`` line to stderr and
-nothing to stdout; a call that succeeds writes each warning its command
-raised as one ``warning:`` line on stderr, after the output.  Each
-subcommand makes every refusal and computes every array before the first
-byte, then its CSV rows are formatted and written as they are produced.
+errors.check_positive, the library's own two rules.  Exit codes: 0 ok
+(``--help`` too), 1 bad command line, config or value (a missing,
+unreadable or non-UTF-8 config file included), 2 numerical failure, 3
+output I/O failure.  A refused call writes one ``error:`` or ``numerical
+failure:`` line to stderr and nothing to stdout; a call that succeeds
+writes each warning its command raised as one ``warning:`` line on
+stderr, after the output.  Each subcommand makes every refusal and
+computes every array before the first byte, then its CSV rows are
+formatted and written as they are produced.
 
 Every call is a fresh process, so this module loads at import only what
 parsing a config needs: errors, physmodel and continuum, and not numpy.
@@ -50,6 +51,7 @@ import itertools
 import math
 import numbers
 import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -57,9 +59,8 @@ from dataclasses import dataclass, replace
 from .continuum import ContinuumModel, _profile, chain_length, min_spacing
 from .errors import (AccuracyError, DomainError, SolverError, ValidationError,
                      check_integer, check_positive)
-from .physmodel import (DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_IONS, IonSpecies,
-                        Multipole, TrapConfig, derive_scales, qsq_convention_stamp,
-                        radiative_time)
+from .physmodel import (MAX_IONS, IonSpecies, Multipole, TrapConfig, derive_scales,
+                        qsq_convention_stamp, radiative_time)
 
 BA_EXAMPLE = """\
 [species]
@@ -78,8 +79,6 @@ n_ions = 1000
 [model]
 continuum = dubin_fluid
 qsq_constant = 1.0
-chain_tol = 1e-12
-max_iter = 200
 """
 
 PRESETS = {"ba_example": BA_EXAMPLE}
@@ -92,7 +91,7 @@ MAX_POINTS = 10**6
 _SECTIONS = {
     "species": {"name", "mass_amu", "charge_e", "f0_hz", "tau_s_s", "multipole"},
     "trap": {"fz_hz", "ft_hz", "n_ions"},
-    "model": {"continuum", "qsq_constant", "chain_tol", "max_iter"},
+    "model": {"continuum", "qsq_constant"},
 }
 _REQUIRED = ("species", "trap")
 
@@ -102,8 +101,6 @@ class RunConfig:
     species: IonSpecies
     trap: TrapConfig
     model: ContinuumModel
-    chain_tol: float
-    max_iter: int
 
 
 def _number(section, key, raw):
@@ -172,7 +169,6 @@ def parse_config(text: str) -> RunConfig:
         n_ions=n_ions)
 
     model = ContinuumModel.DUBIN_FLUID
-    chain_tol, max_iter = DEFAULT_TOL, DEFAULT_MAX_ITER
     if "continuum" in mo:
         kind = mo["continuum"].strip().lower()
         try:
@@ -181,15 +177,7 @@ def parse_config(text: str) -> RunConfig:
             raise ValidationError(
                 "continuum", f"expected one of "
                 f"{[m.value for m in ContinuumModel]}, got {kind!r}") from None
-    if "chain_tol" in mo:
-        chain_tol = check_positive("chain_tol",
-                                   _number("model", "chain_tol", mo["chain_tol"]))
-    if "max_iter" in mo:
-        value = _number("model", "max_iter", mo["max_iter"])
-        # a whole number written as a float ("2e2") is that integer
-        max_iter = check_integer("max_iter", int(value) if value.is_integer() else value, 1)
-    return RunConfig(species=species, trap=trap, model=model,
-                     chain_tol=chain_tol, max_iter=max_iter)
+    return RunConfig(species=species, trap=trap, model=model)
 
 
 def load_config(path_or_preset: str) -> RunConfig:
@@ -241,8 +229,7 @@ def _solve(cfg):
     check_integer("n_ions", cfg.trap.n_ions, 1, MAX_IONS)
     from .chain import solve_equilibrium
 
-    return solve_equilibrium(cfg.trap.n_ions, tol=cfg.chain_tol,
-                             max_iter=cfg.max_iter)
+    return solve_equilibrium(cfg.trap.n_ions)
 
 
 def _cmd_equilibrium(cfg, args):
@@ -420,8 +407,24 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a usage error is a ValidationError naming the command,
+    so main reports it as every refusal (exit 1, one ``error:`` line), and a
+    negative number in exponent form (``--rot-ratio -1e-3``) is a value, as
+    ``-0.001`` is.  Subcommand parsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern, ^-\d+$|^-\d*\.\d+$, misses the exponent form
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def error(self, message):
+        # an argument that holds a line break must not break the one line
+        raise ValidationError(self.prog, " ".join(message.splitlines()))
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="iondec",
         description="Ion-chain decoherence calculations: equilibrium structure, "
                     "lattice sums, adiabatic dynamics, and decoherence windows.")
@@ -489,8 +492,8 @@ def main(argv=None) -> int:
     # it takes effect only while numpy is not loaded, as in a CLI process
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _apply_overrides(load_config(args.config), args)
         with warnings.catch_warnings(record=True) as caught:
             # each command makes its refusals and computes its arrays before

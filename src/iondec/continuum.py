@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import DomainError, check_integer, in_float_range
+from .errors import DomainError, ValidationError, check_integer, in_float_range
 
 EULER_GAMMA = 0.5772156649015329
 #: discreteness constant of the fluid model, 6 e^(gamma - 13/5) ~= 0.794
@@ -42,8 +42,12 @@ class ContinuumModel(enum.Enum):
 
 
 def chain_length(n_ions: int, model: ContinuumModel) -> float:
-    """Half-length L of the chain in units of d0, for N >= 2 ions."""
+    """Half-length L of the chain in units of d0, for N >= 2 ions.  Every
+    function that takes a model reaches it here, where anything but a
+    ContinuumModel is refused."""
     n_ions = check_integer("n_ions", n_ions, 2)
+    if not isinstance(model, ContinuumModel):
+        raise ValidationError("model", f"expected ContinuumModel, got {model!r}")
     return in_float_range(
         "the ion count puts the chain half-length L outside the float range",
         lambda: (math.pi**2 * n_ions / 2.0 if model is ContinuumModel.NEAREST_NEIGHBOR

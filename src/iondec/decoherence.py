@@ -38,19 +38,21 @@ class DecoherenceMode(enum.Enum):
     CONTINUUM_CLOSED_FORM = "continuum_closed_form"
 
 
-def vibrational_prefactor(species: IonSpecies, trap: TrapConfig) -> float:
-    """q2_coul*Q_sq/(2 pi hbar m w0 w_t), in m^2p/s.
+def _prefactor(species: IonSpecies, trap: TrapConfig) -> tuple[float, float]:
+    """(q2_coul*Q_sq/(2 pi hbar m w0 w_t) in m^2p/s, d0 in m), from one
+    derive_scales.
 
-    Multiplying by a pair sum in SI units (S_2p/d0^2p, units m^-2p)
-    yields a rate in 1/s.  A species and trap that put it outside the
+    The prefactor times a pair sum in SI units (S_2p/d0^2p, units m^-2p)
+    is a rate in 1/s.  A species and trap that put it outside the
     positive float range are refused with DomainError.
     """
     scales = derive_scales(species, trap)
-    return in_float_range(
+    prefactor = in_float_range(
         "the species and trap put the vibrational prefactor outside the float range",
         lambda: (scales.q2_coul * scales.q_sq
                  / (2.0 * math.pi * CONSTANTS.hbar * species.mass
                     * species.omega0 * trap.omega_t)))
+    return prefactor, scales.d0
 
 
 def per_ion_rates(chain: IonChain, species: IonSpecies, trap: TrapConfig) -> np.ndarray:
@@ -68,13 +70,12 @@ def per_ion_rates(chain: IonChain, species: IonSpecies, trap: TrapConfig) -> np.
 
     if chain.n_ions == 1:
         return np.zeros(1)
-    scales = derive_scales(species, trap)
+    pref, d0 = _prefactor(species, trap)
     two_p = 2 * species.multipole.pair_exponent
     sums = pair_sum_exact_all(chain, two_p)
-    pref = vibrational_prefactor(species, trap)
-    return in_float_range(f"N = {chain.n_ions}, d0 = {scales.d0!r} m put a per-ion "
+    return in_float_range(f"N = {chain.n_ions}, d0 = {d0!r} m put a per-ion "
                           "rate outside the float range",
-                          lambda: pref * sums / scales.d0 ** two_p)
+                          lambda: pref * sums / d0 ** two_p)
 
 
 def aggregate_tau_vib(per_ion: np.ndarray | list) -> float:
@@ -148,14 +149,13 @@ def closed_form_rate(n_ions: int, species: IonSpecies, trap: TrapConfig,
                      model: ContinuumModel = ContinuumModel.DUBIN_FLUID) -> ClosedFormRate:
     """Aggregate vibrational rate from the continuum chain totals, N >= 2."""
     n_ions = check_integer("n_ions", n_ions, 2)
-    scales = derive_scales(species, trap)
-    pref = vibrational_prefactor(species, trap)
+    pref, d0 = _prefactor(species, trap)
     two_p = 2 * species.multipole.pair_exponent
-    s0_m = min_spacing(n_ions, model) * scales.d0
+    s0_m = min_spacing(n_ions, model) * d0
     total = chain_total_asymptotic(n_ions, 2 * two_p, model)
     return ClosedFormRate(*in_float_range(
-        f"N = {n_ions}, d0 = {scales.d0!r} m put the closed-form rate outside the float range",
-        lambda: (pref * 2.0 * zeta(two_p) * math.sqrt(total) / scales.d0 ** two_p,
+        f"N = {n_ions}, d0 = {d0!r} m put the closed-form rate outside the float range",
+        lambda: (pref * 2.0 * zeta(two_p) * math.sqrt(total) / d0 ** two_p,
                  math.sqrt(n_ions) * pref / s0_m ** two_p)))
 
 

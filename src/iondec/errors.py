@@ -8,10 +8,11 @@ check_integer, check_positive, check_nonnegative, check_finite and
 check_reals own the five input rules, "a count is an integer in a range",
 "a parameter is a positive finite real", "a parameter is a non-negative
 finite real", "a parameter is a finite real" and "an array is 1-D, of
-finite reals".  in_float_range owns the rule for computed values, "a
-result that leaves the float range is refused with DomainError".  Every
-module imports this one, and it loads no numpy at import, so a check made
-here costs no import.
+finite reals"; a refusal shows the value it refused, an int beyond the
+float range by its digit count (_shown).  in_float_range owns the rule
+for computed values, "a result that leaves the float range is refused
+with DomainError".  Every module imports this one, and it loads no numpy
+at import, so a check made here costs no import.
 """
 from __future__ import annotations
 
@@ -45,13 +46,27 @@ class AccuracyError(RuntimeError):
     """An integration exceeded its accuracy budget and was aborted."""
 
 
+def _shown(value) -> str:
+    """repr(value), except that an int beyond the float range is shown by
+    its digit count: its repr is a line of hundreds of digits, and from
+    4300 digits on Python refuses to write it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        return repr(value)
+    size = abs(int(value))
+    if size <= sys.float_info.max:
+        return repr(value)
+    digits = int(math.log10(size)) + 1  # log10 may round across a power of ten
+    digits += (size >= 10**digits) - (size < 10**(digits - 1))
+    return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+
+
 def check_integer(field: str, value, least: int, most: int | None = None) -> int:
     """value as a Python int, if it is an integer (Python or numpy, not a
     bool) with least <= value <= most; ValidationError naming field if not."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or value < least or (most is not None and value > most)):
         bound = f">= {least}" if most is None else f"in [{least}, {most}]"
-        raise ValidationError(field, f"need an integer {bound}, got {value!r}")
+        raise ValidationError(field, f"need an integer {bound}, got {_shown(value)}")
     return int(value)
 
 
@@ -72,7 +87,7 @@ def check_positive(field: str, value) -> float:
     """value as given, if it is a finite real > 0; ValidationError naming
     field if not."""
     if not (_is_finite_real(value) and value > 0):
-        raise ValidationError(field, f"must be a positive finite number, got {value!r}")
+        raise ValidationError(field, f"must be a positive finite number, got {_shown(value)}")
     return value
 
 
@@ -80,7 +95,8 @@ def check_nonnegative(field: str, value) -> float:
     """value as given, if it is a finite real >= 0; ValidationError naming
     field if not."""
     if not (_is_finite_real(value) and value >= 0):
-        raise ValidationError(field, f"must be a non-negative finite number, got {value!r}")
+        raise ValidationError(field, "must be a non-negative finite number, "
+                              f"got {_shown(value)}")
     return value
 
 
@@ -88,7 +104,7 @@ def check_finite(field: str, value) -> float:
     """value as given, if it is a finite real; ValidationError naming field
     if not."""
     if not _is_finite_real(value):
-        raise ValidationError(field, f"must be a finite number, got {value!r}")
+        raise ValidationError(field, f"must be a finite number, got {_shown(value)}")
     return value
 
 
@@ -104,7 +120,7 @@ def check_reals(field: str, values, least: int = 1, dtype=float):
         if values.dtype.kind not in "iuf":
             raise ValidationError(field, f"must be real numbers, got dtype {values.dtype}")
     elif isinstance(values, (str, bytes, bytearray)) or not np.iterable(values):
-        raise ValidationError(field, f"need a 1-D array of real numbers, got {values!r}")
+        raise ValidationError(field, f"need a 1-D array of real numbers, got {_shown(values)}")
     else:
         values = list(values)
         for value in values:

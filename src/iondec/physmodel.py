@@ -27,15 +27,12 @@ class PhysicalConstants:
 
 CONSTANTS = PhysicalConstants()
 
-#: Largest ion count of chain.solve_equilibrium, and its default max-norm
-#: force residual and Newton iteration limit.  chain re-exports all three;
-#: they live here so that the CLI reads them without loading numpy.
-#: MAX_IONS is the largest count that certifies with room to spare: the
-#: dense Newton solve certifies at N = 3000 (~6e-13) and 3500 (~8e-13), but
-#: from N ~ 3750 its line search stalls above DEFAULT_TOL.
+#: Largest ion count of chain.solve_equilibrium, which re-exports it; it
+#: lives here so that the CLI reads it without loading numpy.  It is the
+#: largest count that certifies with room to spare: the dense Newton solve
+#: certifies at N = 3000 (~6e-13) and 3500 (~8e-13), but from N ~ 3750 its
+#: line search stalls above chain.DEFAULT_TOL.
 MAX_IONS = 3000
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 200
 
 
 class Multipole(enum.Enum):

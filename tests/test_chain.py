@@ -126,9 +126,10 @@ def test_center_gap_tracks_fluid_spacing(chains):
     assert gap == pytest.approx(s0, rel=0.10)
 
 
-def test_solver_reports_best_residual():
-    with pytest.raises(SolverError) as err:
-        solve_equilibrium(60, max_iter=2)
+def test_solver_reports_best_residual(monkeypatch):
+    monkeypatch.setattr(chain_module, "DEFAULT_MAX_ITER", 2)
+    with pytest.raises(SolverError, match="no convergence in 2 Newton") as err:
+        solve_equilibrium(60)
     assert err.value.residual is not None
     assert err.value.residual > 0
 
@@ -171,26 +172,6 @@ def test_solve_at_max_ions_certifies():
         f"from iondec.chain import solve_equilibrium; print(solve_equilibrium({n}).residual)",
         **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "2"))
     assert float(residual) <= chain_module.DEFAULT_TOL
-
-
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, "1e-12", None])
-def test_solver_refuses_bad_tolerance(tol):
-    with pytest.raises(ValidationError) as err:
-        solve_equilibrium(20, tol=tol)
-    assert err.value.field == "tol"
-
-
-@pytest.mark.parametrize("max_iter", [0, -1, 2.5, 200.0, float("inf"), float("nan"), None])
-def test_solver_refuses_bad_iteration_limit(max_iter):
-    with pytest.raises(ValidationError) as err:
-        solve_equilibrium(20, max_iter=max_iter)
-    assert err.value.field == "max_iter"
-
-
-def test_valid_solver_settings_keep_their_bits(chains):
-    chain = solve_equilibrium(60, tol=np.float64(1e-12), max_iter=np.int64(200))
-    assert np.array_equal(chain.positions, chains(60).positions)
-    assert chain.residual == chains(60).residual
 
 
 def test_from_positions_requires_sorted():

@@ -10,7 +10,7 @@ from iondec.continuum import ContinuumModel
 from iondec.decoherence import (DecoherenceMode, aggregate_tau_vib,
                                 build_report, closed_form_rate,
                                 combined_window, fidelity_curve,
-                                per_ion_rates, vibrational_prefactor)
+                                _prefactor, per_ion_rates)
 from iondec.errors import DomainError, ValidationError
 from iondec.physmodel import (CONSTANTS, Multipole, TrapConfig, derive_scales,
                               radiative_time)
@@ -34,9 +34,10 @@ def trap_for(n):
 
 
 def test_prefactor_value_and_identity(ba, trap1000):
-    pref = vibrational_prefactor(ba, trap1000)
+    pref, d0 = _prefactor(ba, trap1000)
     assert pref == pytest.approx(PREFACTOR, rel=1e-12)
     scales = derive_scales(ba, trap1000)
+    assert d0 == scales.d0
     manual = (scales.q2_coul * scales.q_sq
               / (2 * math.pi * CONSTANTS.hbar * ba.mass * ba.omega0
                  * trap1000.omega_t))
@@ -48,7 +49,7 @@ def test_three_ion_center_rate(ba, chains):
     rate = per_ion_rates(chains(3), ba, trap)[1]
     assert rate == pytest.approx(RATE_3_CENTER, rel=1e-12)
     scales = derive_scales(ba, trap)
-    manual = (vibrational_prefactor(ba, trap)
+    manual = (_prefactor(ba, trap)[0]
               * pair_sum_exact_all(chains(3), 8)[1] / scales.d0**8)
     assert rate == pytest.approx(manual, rel=1e-14)
 
@@ -215,7 +216,7 @@ def test_closed_form_frozen_and_identity(ba, trap1000):
     assert cf.full == pytest.approx(CLOSED_FULL_1000, rel=1e-12)
     assert cf.full / cf.bare == pytest.approx(FULL_OVER_BARE, rel=1e-9)
     scales = derive_scales(ba, trap1000)
-    manual = (vibrational_prefactor(ba, trap1000) * 2.0 * zeta(8)
+    manual = (_prefactor(ba, trap1000)[0] * 2.0 * zeta(8)
               * math.sqrt(chain_total_asymptotic(1000, 16, DU)) / scales.d0**8)
     assert cf.full == pytest.approx(manual, rel=1e-14)
     with pytest.raises(ValidationError):
@@ -240,7 +241,7 @@ def test_e1_multipole_switch(ba_e1, chains):
     rates = per_ion_rates(chains(3), ba_e1, trap)
     assert rates[1] == pytest.approx(RATE_3_CENTER_E1, rel=1e-12)
     scales = derive_scales(ba_e1, trap)
-    manual = (vibrational_prefactor(ba_e1, trap)
+    manual = (_prefactor(ba_e1, trap)[0]
               * pair_sum_exact_all(chains(3), 6)[1] / scales.d0**6)
     assert rates[1] == pytest.approx(manual, rel=1e-14)
 

@@ -13,8 +13,7 @@ the parameter.  A computed value that leaves the float range is refused
 with a DomainError and no warning, whichever function computes it.
 
 Scalar rows that existing tests already cover (chain_length's and
-min_spacing's bad counts, solve_equilibrium's string tolerance) are not
-repeated here; the array table tries every bad kind at every array entry
+min_spacing's bad counts) are not repeated here; the array table tries every bad kind at every array entry
 point, since one rule owns them all.
 """
 import math
@@ -26,11 +25,11 @@ import pytest
 from iondec.adiabatic import DriveField, adiabatic_phase, integrate_tls
 from iondec.chain import IonChain, solve_equilibrium
 from iondec.continuum import ContinuumModel, chain_length, min_spacing
-from iondec.decoherence import (DecoherenceMode, aggregate_tau_vib, build_report,
-                                closed_form_rate, fidelity_curve, per_ion_rates,
-                                vibrational_prefactor)
+from iondec.decoherence import (DecoherenceMode, _prefactor, aggregate_tau_vib,
+                                build_report, closed_form_rate, fidelity_curve,
+                                per_ion_rates)
 from iondec.errors import (DomainError, ValidationError, check_finite, check_integer,
-                           check_nonnegative, check_positive, in_float_range)
+                           check_nonnegative, check_positive, check_reals, in_float_range)
 from iondec.physmodel import (IonSpecies, Multipole, TrapConfig, derive_scales,
                               radiative_time)
 from iondec.scaling import default_n_grid, scan
@@ -71,14 +70,11 @@ REALS = {
     "TrapConfig": ("omega_z", lambda x: TrapConfig(x, 2.0, 5)),
     "integrate_tls(omega0)": ("omega0", lambda x: integrate_tls(x, DRIVE, EQUAL, 0.01)),
     "integrate_tls(dt)": ("dt", lambda x: integrate_tls(W0, DRIVE, EQUAL, 0.01, dt=x)),
-    "solve_equilibrium(tol)": ("tol", lambda x: solve_equilibrium(5, tol=x)),
     "scan(s0_target)": ("s0_target", lambda x: scan([10, 100], BA, TRAP, s0_target=x)),
 }
 # a bool, a string, and an int beyond the float range, by test id
 BAD_REALS = {"True": True, "'1'": "1", "10**400": 10**400}
-# tests/test_chain.py refuses a string tolerance
-REFUSED_REALS = [(name, label) for name in REALS for label in BAD_REALS
-                 if (name, label) != ("solve_equilibrium(tol)", "'1'")]
+REFUSED_REALS = [(name, label) for name in REALS for label in BAD_REALS]
 
 
 @pytest.mark.parametrize("name", COUNTS)
@@ -231,6 +227,60 @@ def test_count_rule_bounds_an_int_beyond_the_float_range_as_an_int():
         check_integer("n", 10**400, 1, 10)
 
 
+# check function -> a call that refuses the value it is given
+SHOWN = {
+    "check_integer": lambda v: check_integer("x", v, 1, 10),
+    "check_positive": lambda v: check_positive("x", v),
+    "check_nonnegative": lambda v: check_nonnegative("x", v),
+    "check_finite": lambda v: check_finite("x", v),
+    "check_reals": lambda v: check_reals("x", v),
+    "check_reals(element)": lambda v: check_reals("x", [0.0, v]),
+}
+
+
+@pytest.mark.parametrize("name", SHOWN)
+def test_refusal_shows_an_int_beyond_the_float_range_by_its_digit_count(name):
+    """Its repr would fill the line with digits, and from 4300 digits on
+    Python refuses to write it."""
+    for value, shown in ((10**5000, "an integer of 5001 digits"),
+                         (-10**5000, "a negative integer of 5001 digits"),
+                         (10**400, "an integer of 401 digits"),
+                         (10**400 - 1, "an integer of 400 digits")):
+        with pytest.raises(ValidationError) as err:
+            SHOWN[name](value)
+        assert err.value.field == "x"
+        assert str(err.value).endswith(f"got {shown}")
+
+
+# The object rule: a model or drive argument of another type is refused,
+# neither replaced by the Dubin formulas nor failed on with AttributeError.
+# entry point -> (field, a call passing the value as that argument)
+OBJECTS = {
+    "chain_length": ("model", lambda m: chain_length(100, m)),
+    "min_spacing": ("model", lambda m: min_spacing(100, m)),
+    "continuum_sites": ("model", lambda m: continuum_sites(100, m)),
+    "chain_total_asymptotic": ("model", lambda m: chain_total_asymptotic(100, 16, m)),
+    "closed_form_rate": ("model", lambda m: closed_form_rate(100, BA, TRAP, m)),
+    "build_report": ("model", lambda m: build_report(
+        BA, TRAP, DecoherenceMode.CONTINUUM_CLOSED_FORM, m)),
+    "scan": ("model", lambda m: scan([10, 100], BA, TRAP, m)),
+    "scan(s0_target)": ("model", lambda m: scan([10, 100], BA, TRAP, m, s0_target=1e-6)),
+    "integrate_tls": ("drive", lambda d: integrate_tls(W0, d, EQUAL, 0.01)),
+    "adiabatic_phase": ("drive", lambda d: adiabatic_phase(d, W0, 1.0)),
+}
+BAD_OBJECTS = {"None": None, "'nearest_neighbor'": "nearest_neighbor",
+               "'dubin_fluid'": "dubin_fluid", "'circular'": "circular"}
+
+
+@pytest.mark.parametrize("label", BAD_OBJECTS)
+@pytest.mark.parametrize("name", OBJECTS)
+def test_model_or_drive_of_another_type_is_refused(name, label):
+    field, call = OBJECTS[name]
+    with pytest.raises(ValidationError) as err:
+        call(BAD_OBJECTS[label])
+    assert err.value.field == field
+
+
 @pytest.mark.parametrize("label", NUMPY_FLOATS)
 def test_circular_drive_takes_numpy_floats_of_every_width(label):
     value = NUMPY_FLOATS[label]
@@ -368,7 +418,7 @@ SOFT = TrapConfig.from_lab_units(fz_hz=1e-60, ft_hz=2e7, n_ions=10)
 FLOAT_RANGE = {
     "derive_scales": (lambda: derive_scales(IonSpecies.from_lab_units(
         "X", 137.33, 1e300, 1.7e14, 50.0, Multipole.E2), TRAP), "derived scale"),
-    "vibrational_prefactor": (lambda: vibrational_prefactor(IonSpecies.from_lab_units(
+    "vibrational_prefactor": (lambda: _prefactor(IonSpecies.from_lab_units(
         "X", 1e-200, 1.0, 1.7e14, 50.0, Multipole.E2, qsq_constant=1e200), TRAP),
         "vibrational prefactor"),
     "per_ion_rates": (lambda: per_ion_rates(solve_equilibrium(10), BA, SOFT), "per-ion rate"),
