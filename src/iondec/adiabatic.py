@@ -56,8 +56,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (AccuracyError, ValidationError, check_finite, check_nonnegative,
-                     check_positive, check_reals, in_float_range)
+from .errors import (AccuracyError, ValidationError, check_finite, check_instance,
+                     check_nonnegative, check_positive, check_reals, in_float_range)
 
 DEFAULT_DTHETA = 0.05
 MAX_DTHETA = 0.1
@@ -241,8 +241,7 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None):
     allocated.
     """
     check_positive("omega0", omega0)
-    if not isinstance(drive, DriveField):
-        raise ValidationError("drive", f"expected DriveField, got {drive!r}")
+    check_instance("drive", drive, DriveField)
     check_nonnegative("t_end", t_end)
     pair = tuple(initial) if np.iterable(initial) else ()
     if len(pair) != 2 or any(isinstance(u, bool) or not isinstance(u, numbers.Complex)
@@ -487,8 +486,7 @@ def adiabatic_phase(drive, omega0, t):
     (|f|^2 overflows, or the product with t does) is refused with
     DomainError.
     """
-    if not isinstance(drive, DriveField):
-        raise ValidationError("drive", f"expected DriveField, got {drive!r}")
+    check_instance("drive", drive, DriveField)
     check_positive("omega0", omega0)
     check_nonnegative("t", t)
 
@@ -516,6 +514,7 @@ def overlap_fidelity(trajectory):
     for the equal-superposition start.  Rejects trajectories that did not
     start in the equal superposition, where this reduction fails.
     """
+    check_instance("trajectory", trajectory, SpinTrajectory)
     start = np.array([trajectory.u_plus[0], trajectory.u_minus[0]])
     if np.max(np.abs(start - 1.0 / np.sqrt(2.0))) > 1e-9:
         raise ValidationError(

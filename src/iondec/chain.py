@@ -81,9 +81,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .continuum import (ContinuumModel, chain_length, invert_cubic_count,
-                         min_spacing)
-from .errors import SolverError, ValidationError, check_integer, check_reals
+from .continuum import ContinuumModel, _length_and_spacing, invert_cubic_count
+from .errors import SolverError, ValidationError, check_instance, check_integer, check_reals
 from .physmodel import MAX_IONS  # re-exported
 
 #: Every solve's certificate: max-norm force residual <= DEFAULT_TOL within
@@ -413,8 +412,7 @@ def _initial_guess(n: int) -> np.ndarray:
         return 1.3 * centered
     # the fluid model's sites: with s0 = 4L/3N the inverse's argument is
     # 2m/N, so |m| <= (N-1)/2 keeps every index inside the cubic's range
-    L = chain_length(n, ContinuumModel.DUBIN_FLUID)
-    s0 = min_spacing(n, ContinuumModel.DUBIN_FLUID)
+    L, s0 = _length_and_spacing(n, ContinuumModel.DUBIN_FLUID)
     return invert_cubic_count(centered.astype(float), L, s0).astype(_WIDE)
 
 
@@ -463,7 +461,7 @@ def solve_equilibrium(n_ions: int) -> IonChain:
 def local_spacings(chain: IonChain) -> np.ndarray:
     """Local spacing of every ion: the mean of its two gaps, or the single
     gap of an edge ion."""
-    check_integer("n_ions", chain.n_ions, 2)
+    check_integer("n_ions", check_instance("chain", chain, IonChain).n_ions, 2)
     gaps = np.diff(chain.positions.astype(float))
     out = np.empty(chain.n_ions)
     out[0], out[-1] = gaps[0], gaps[-1]

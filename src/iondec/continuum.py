@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import DomainError, ValidationError, check_integer, in_float_range
+from .errors import DomainError, check_instance, check_integer, in_float_range
 
 EULER_GAMMA = 0.5772156649015329
 #: discreteness constant of the fluid model, 6 e^(gamma - 13/5) ~= 0.794
@@ -46,8 +46,7 @@ def chain_length(n_ions: int, model: ContinuumModel) -> float:
     function that takes a model reaches it here, where anything but a
     ContinuumModel is refused."""
     n_ions = check_integer("n_ions", n_ions, 2)
-    if not isinstance(model, ContinuumModel):
-        raise ValidationError("model", f"expected ContinuumModel, got {model!r}")
+    check_instance("model", model, ContinuumModel)
     return in_float_range(
         "the ion count puts the chain half-length L outside the float range",
         lambda: (math.pi**2 * n_ions / 2.0 if model is ContinuumModel.NEAREST_NEIGHBOR
@@ -56,11 +55,16 @@ def chain_length(n_ions: int, model: ContinuumModel) -> float:
 
 def min_spacing(n_ions: int, model: ContinuumModel) -> float:
     """Central (minimum) ion spacing s0 in units of d0, for N >= 2 ions."""
+    return _length_and_spacing(n_ions, model)[1]
+
+
+def _length_and_spacing(n_ions: int, model: ContinuumModel) -> tuple[float, float]:
+    """(L, s0) from one chain_length, for the callers that need both."""
     n_ions = check_integer("n_ions", n_ions, 2)
     L = chain_length(n_ions, model)
     if model is ContinuumModel.NEAREST_NEIGHBOR:
-        return 2.0 * math.pi**2 / L**2
-    return 4.0 * L / (3.0 * n_ions)
+        return L, 2.0 * math.pi**2 / L**2
+    return L, 4.0 * L / (3.0 * n_ions)
 
 
 def _profile(s0, x):

@@ -21,11 +21,12 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .continuum import ContinuumModel, min_spacing
-from .errors import ValidationError, check_integer, check_reals, in_float_range
+from .continuum import ContinuumModel, _length_and_spacing
+from .errors import (ValidationError, check_instance, check_integer, check_reals,
+                     in_float_range)
 from .physmodel import (CONSTANTS, IonSpecies, TrapConfig, derive_scales,
                         qsq_convention_stamp, radiative_time)
-from .sums import chain_total_asymptotic, pair_sum_exact_all, zeta
+from .sums import _total_asymptotic, pair_sum_exact_all, zeta
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,6 +63,11 @@ def per_ion_rates(chain: IonChain, species: IonSpecies, trap: TrapConfig) -> np.
     range (zero after underflow, or not finite) is refused with
     DomainError, as closed_form_rate refuses its aggregate.
     """
+    from .chain import IonChain
+
+    check_instance("chain", chain, IonChain)
+    check_instance("species", species, IonSpecies)
+    check_instance("trap", trap, TrapConfig)
     if chain.n_ions != trap.n_ions:
         raise ValidationError(
             "chain", f"chain has {chain.n_ions} ions but the trap is configured "
@@ -151,8 +157,9 @@ def closed_form_rate(n_ions: int, species: IonSpecies, trap: TrapConfig,
     n_ions = check_integer("n_ions", n_ions, 2)
     pref, d0 = _prefactor(species, trap)
     two_p = 2 * species.multipole.pair_exponent
-    s0_m = min_spacing(n_ions, model) * d0
-    total = chain_total_asymptotic(n_ions, 2 * two_p, model)
+    length, s0 = _length_and_spacing(n_ions, model)
+    s0_m = s0 * d0
+    total = _total_asymptotic(n_ions, 2 * two_p, length, s0)
     return ClosedFormRate(*in_float_range(
         f"N = {n_ions}, d0 = {d0!r} m put the closed-form rate outside the float range",
         lambda: (pref * 2.0 * zeta(two_p) * math.sqrt(total) / d0 ** two_p,
@@ -183,11 +190,14 @@ def build_report(species: IonSpecies, trap: TrapConfig, mode: DecoherenceMode,
 
     DISCRETE_SUM reports on the chain the caller solved, which must match
     trap.n_ions; without one it raises ValidationError.  The closed form
-    needs no chain.  For N >= 2 every reported time is finite: a rate so
-    small that its reciprocal, or tau_vib/tau_s, leaves the float range
-    is refused with DomainError.
+    reports from the model and refuses a chain.  Each route checks every
+    argument, the one it does not read included.  For N >= 2 every
+    reported time is finite: a rate so small that its reciprocal, or
+    tau_vib/tau_s, leaves the float range is refused with DomainError.
     """
-    n = trap.n_ions
+    n = check_instance("trap", trap, TrapConfig).n_ions
+    check_instance("mode", mode, DecoherenceMode)
+    check_instance("model", model, ContinuumModel)
 
     def in_range(times):
         return in_float_range(f"N = {n}: a vibrational time or tau_vib/tau_s is "
@@ -202,12 +212,13 @@ def build_report(species: IonSpecies, trap: TrapConfig, mode: DecoherenceMode,
             per_tau = rates + math.inf
         else:
             per_tau, _ = in_range(lambda: (1.0 / rates, tau_vib / species.tau_s))
-    elif mode is DecoherenceMode.CONTINUUM_CLOSED_FORM:
+    else:
+        if chain is not None:
+            raise ValidationError("chain", "CONTINUUM_CLOSED_FORM reports from the "
+                                  "model and takes no chain")
         tau_vib = 1.0 / closed_form_rate(n, species, trap, model).full
         per_tau = None
         in_range(lambda: tau_vib / species.tau_s)
-    else:
-        raise ValidationError("mode", f"unknown mode {mode!r}")
     tau_rad = radiative_time(species, n)
     t_d = combined_window(tau_rad, tau_vib)
     ratio = "inf" if math.isinf(tau_vib) else f"{tau_vib / species.tau_s:.6g}"

@@ -4,15 +4,17 @@ The CLI maps these onto distinct exit codes, so user input problems
 (ValidationError, DomainError) stay distinguishable from numerical
 failures (SolverError, AccuracyError).
 
-check_integer, check_positive, check_nonnegative, check_finite and
-check_reals own the five input rules, "a count is an integer in a range",
-"a parameter is a positive finite real", "a parameter is a non-negative
-finite real", "a parameter is a finite real" and "an array is 1-D, of
-finite reals"; a refusal shows the value it refused, an int beyond the
-float range by its digit count (_shown).  in_float_range owns the rule
-for computed values, "a result that leaves the float range is refused
-with DomainError".  Every module imports this one, and it loads no numpy
-at import, so a check made here costs no import.
+check_integer, check_positive, check_nonnegative, check_finite,
+check_reals and check_instance own the six input rules, "a count is an
+integer in a range", "a parameter is a positive finite real", "a
+parameter is a non-negative finite real", "a parameter is a finite
+real", "an array is 1-D, of finite reals" and "an object argument (a
+species, trap, chain, model, drive, ...) is an instance of its class";
+a refusal shows the value it refused, an int beyond the float range by
+its digit count (_shown).  in_float_range owns the rule for computed
+values, "a result that leaves the float range is refused with
+DomainError".  Every module imports this one, and it loads no numpy at
+import, so a check made here costs no import.
 """
 from __future__ import annotations
 
@@ -134,6 +136,15 @@ def check_reals(field: str, values, least: int = 1, dtype=float):
     if not np.all(np.isfinite(array)):
         raise ValidationError(field, "must be finite")
     return array
+
+
+def check_instance(field: str, value, cls):
+    """value as given, if it is an instance of cls; ValidationError naming
+    field if not, so a wrong object is refused before any of its
+    attributes is read."""
+    if not isinstance(value, cls):
+        raise ValidationError(field, f"expected {cls.__name__}, got {_shown(value)}")
+    return value
 
 
 def in_float_range(message: str, compute, allow_zero: bool = False):

@@ -11,7 +11,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError, check_integer, check_positive, in_float_range
+from .errors import (ValidationError, check_instance, check_integer, check_positive,
+                     in_float_range)
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,7 @@ class IonSpecies:
         check_positive("omega0", self.omega0)
         check_positive("tau_s", self.tau_s)
         check_positive("qsq_constant", self.qsq_constant)
-        if not isinstance(self.multipole, Multipole):
-            raise ValidationError("multipole", f"expected Multipole, got {self.multipole!r}")
+        check_instance("multipole", self.multipole, Multipole)
 
     @classmethod
     def from_lab_units(cls, name: str, mass_amu: float, charge_e: float,
@@ -167,6 +167,9 @@ def derive_scales(species: IonSpecies, trap: TrapConfig) -> DerivedScales:
     species' ``qsq_constant`` (default 1).  Inputs that put any of the
     four scales outside the positive float range raise DomainError.
     """
+    check_instance("species", species, IonSpecies)
+    check_instance("trap", trap, TrapConfig)
+
     def scales():
         q2_coul = species.charge**2 / (4.0 * math.pi * CONSTANTS.epsilon0)
         d0 = (q2_coul / (species.mass * trap.omega_z**2)) ** (1.0 / 3.0)
@@ -180,6 +183,7 @@ def derive_scales(species: IonSpecies, trap: TrapConfig) -> DerivedScales:
 
 def radiative_time(species: IonSpecies, n_ions: int) -> float:
     """Radiative decoherence window of an N-ion register: 2 tau_s / N."""
+    check_instance("species", species, IonSpecies)
     n_ions = check_integer("n_ions", n_ions, 1)
     return in_float_range("the ion count puts tau_rad = 2 tau_s / N outside the "
                           "float range", lambda: 2.0 * species.tau_s / n_ions)

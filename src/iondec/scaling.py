@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING
 
 from .continuum import C0_DUBIN, ContinuumModel, min_spacing
 from .decoherence import closed_form_rate
-from .errors import SolverError, ValidationError, check_integer, check_positive, in_float_range
+from .errors import (SolverError, ValidationError, check_instance, check_integer,
+                     check_positive, in_float_range)
 from .physmodel import CONSTANTS, IonSpecies, TrapConfig, derive_scales
 
 if TYPE_CHECKING:
@@ -180,6 +181,8 @@ def scan(n_values, species: IonSpecies, trap: TrapConfig,
     retuning omega_z per N.  trap.omega_t is held either way.  The Q^2
     convention of every rate is the species' own qsq_constant.
     """
+    check_instance("species", species, IonSpecies)
+    check_instance("trap", trap, TrapConfig)
     if s0_target is not None:
         s0_target = float(check_positive("s0_target", s0_target))
     import numpy as np
@@ -216,7 +219,7 @@ def fit_exponent(series: ScalingSeries, log_power: float | None = None) -> Expon
     """
     import numpy as np
 
-    n = series.n_ions.astype(float)
+    n = check_instance("series", series, ScalingSeries).n_ions.astype(float)
     if n.size < 4:
         raise ValidationError("series", "need at least 4 rows to fit")
     if n.max() / n.min() < 10.0 - 1e-9:

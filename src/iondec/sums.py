@@ -24,9 +24,11 @@ callers get a copy and may modify it freely.
 
 zeta is a table of recorded bits, the same on every host.  The array
 functions import numpy (and the chain kernel) when called, after their
-argument checks, so zeta, pair_sum_approx and chain_total_asymptotic, and
-the closed-form rates built on them, load neither.  A sum or total that
-leaves the float range raises DomainError (an exact one may underflow to 0).
+argument checks (pair_sum_exact_all imports the chain module first, to
+check that its chain is an IonChain), so zeta, pair_sum_approx and
+chain_total_asymptotic, and the closed-form rates built on them, load
+neither.  A sum or total that leaves the float range raises DomainError
+(an exact one may underflow to 0).
 """
 from __future__ import annotations
 
@@ -35,9 +37,9 @@ import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .continuum import (ContinuumModel, _profile, chain_length, invert_cubic_count,
-                         min_spacing)
-from .errors import DomainError, ValidationError, check_integer, check_positive, in_float_range
+from .continuum import ContinuumModel, _length_and_spacing, _profile, invert_cubic_count
+from .errors import (DomainError, check_instance, check_integer, check_positive,
+                     in_float_range)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -86,11 +88,11 @@ def zeta(n: int) -> float:
 def pair_sum_exact_all(chain: IonChain, n: int) -> np.ndarray:
     """S_n(i) for every ion in one mirrored pass, memoized on the chain."""
     n = _check_exponent(n)
-    check_integer("n_ions", chain.n_ions, 2)
+    from .chain import IonChain, _area, _row_sums
+
+    check_integer("n_ions", check_instance("chain", chain, IonChain).n_ions, 2)
     sums = chain._pair_sums.get(n)
     if sums is None:
-        from .chain import _area, _row_sums
-
         sums = in_float_range(f"S_{n} overflows a float on this chain", lambda: _row_sums(
             chain.positions, lambda d, spare: _inverse_power(d, n, spare), odd=False,
             work=_area(chain.n_ions)).astype(float), allow_zero=True)
@@ -151,8 +153,7 @@ def continuum_sites(n_ions: int, model: ContinuumModel) -> ContinuumSites:
     solution for the outer ions and it is rejected here rather than
     silently placing only the inner third of the chain.
     """
-    L = chain_length(n_ions, model)
-    s0 = min_spacing(n_ions, model)
+    L, s0 = _length_and_spacing(n_ions, model)
     import numpy as np
 
     z = invert_cubic_count(np.arange(n_ions) - (n_ions - 1) / 2.0, L, s0)
@@ -166,9 +167,7 @@ def chain_total_exact(sites: ContinuumSites, n: int) -> float:
     approximation is chain_total_asymptotic.
     """
     n = _check_exponent(n)
-    if not isinstance(sites, ContinuumSites):
-        raise ValidationError(
-            "sites", f"expected ContinuumSites, got {type(sites).__name__}")
+    check_instance("sites", sites, ContinuumSites)
     import numpy as np
 
     return in_float_range(f"T_{n} overflows a float on these sites",
@@ -180,8 +179,13 @@ def chain_total_asymptotic(n_ions: int, n: int, model: ContinuumModel) -> float:
 
     L and s0 are the model's half-length and central spacing at N ions.
     """
-    length, s0 = chain_length(n_ions, model), min_spacing(n_ions, model)
-    n = _check_exponent(n)
+    length, s0 = _length_and_spacing(n_ions, model)
+    return _total_asymptotic(n_ions, _check_exponent(n), length, s0)
+
+
+def _total_asymptotic(n_ions: int, n: int, length: float, s0: float) -> float:
+    """chain_total_asymptotic from the model's L and s0 at n_ions, for a
+    caller that has them already."""
     return in_float_range(
         f"T_{n} from the continuum integral at N = {n_ions:.6g} leaves the float range",
         lambda: (length / s0 ** (n + 1.0)) * math.sqrt(4.0 * math.pi / (4.0 * n + 7.0)))

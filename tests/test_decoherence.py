@@ -301,6 +301,24 @@ def test_report_mode_validation(ba, trap1000):
         build_report(ba, trap1000, "discrete")
 
 
+def test_report_closed_form_refuses_a_chain(ba, chains):
+    """The closed form reports from the model; a chain it would not read
+    (here one of 5 ions for a 10-ion trap) is refused, not ignored."""
+    with pytest.raises(ValidationError) as info:
+        build_report(ba, trap_for(10), DecoherenceMode.CONTINUUM_CLOSED_FORM,
+                     chain=chains(5))
+    assert info.value.field == "chain"
+
+
+def test_report_discrete_checks_the_model(ba, chains):
+    """The discrete route reads no model, but a model that is not a
+    ContinuumModel is refused there as on the closed form."""
+    with pytest.raises(ValidationError) as info:
+        build_report(ba, trap_for(10), DecoherenceMode.DISCRETE_SUM, "no model",
+                     chain=chains(10))
+    assert info.value.field == "model"
+
+
 def test_vibrational_dephasing_is_subdominant(ba, trap1000, chains):
     """At the 1000-ion design point the radiative window (0.1 s)
     dominates: vibrational dephasing alone would allow ~10^10 longer."""
@@ -349,8 +367,9 @@ def test_rates_follow_one_si_monomial(logs, multipole, ba, chains):
     assert per_ion_rates(chain, scaled_species, scaled_trap) == rescaled(
         per_ion_rates(chain, species, trap), rate_factor)
     for mode in DecoherenceMode:
-        report = build_report(species, trap, mode, chain=chain)
-        scaled = build_report(scaled_species, scaled_trap, mode, chain=chain)
+        given = chain if mode is DecoherenceMode.DISCRETE_SUM else None
+        report = build_report(species, trap, mode, chain=given)
+        scaled = build_report(scaled_species, scaled_trap, mode, chain=given)
         tau_vib, tau_rad = report.tau_vib / rate_factor, report.tau_rad * f_tau
         assert scaled.tau_vib == rescaled(report.tau_vib, 1 / rate_factor)
         assert scaled.tau_rad == rescaled(report.tau_rad, f_tau)

@@ -1,5 +1,6 @@
 """The input contract of every entry point that takes a count, a positive
-real, a non-negative real, a finite real or an array of reals: ion counts
+real, a non-negative real, a finite real, an array of reals or an object
+of an iondec class: ion counts
 are integers (Python or numpy, never a bool, float or string), and a numpy
 integer gives exactly the Python int's result; positive, non-negative and
 plain finite reals are real numbers, never a bool or a string, and finite
@@ -8,8 +9,12 @@ per-ion rates and the times of a fidelity curve) is a 1-D array of integer
 or float dtype, or an iterable, read once, of such finite reals; numpy and
 Python numbers give the same bits.  A two-level state is a pair of
 numbers, complex allowed.  A drive's time is a finite real or an integer
-or float array of finite times.  Each refusal is a ValidationError naming
-the parameter.  A computed value that leaves the float range is refused
+or float array of finite times.  An object argument (a species, trap,
+chain, model, mode, multipole, drive, continuum sites, scaling series or
+spin trajectory) is an instance of its class, checked before any of its
+attributes is read, so a wrong object never ends in AttributeError or in
+another object's defaults.  Each refusal is a ValidationError naming the
+parameter.  A computed value that leaves the float range is refused
 with a DomainError and no warning, whichever function computes it.
 
 Scalar rows that existing tests already cover (chain_length's and
@@ -22,17 +27,18 @@ import warnings
 import numpy as np
 import pytest
 
-from iondec.adiabatic import DriveField, adiabatic_phase, integrate_tls
-from iondec.chain import IonChain, solve_equilibrium
+from iondec.adiabatic import DriveField, adiabatic_phase, integrate_tls, overlap_fidelity
+from iondec.chain import IonChain, local_spacings, solve_equilibrium
 from iondec.continuum import ContinuumModel, chain_length, min_spacing
 from iondec.decoherence import (DecoherenceMode, _prefactor, aggregate_tau_vib,
                                 build_report, closed_form_rate, fidelity_curve,
                                 per_ion_rates)
-from iondec.errors import (DomainError, ValidationError, check_finite, check_integer,
-                           check_nonnegative, check_positive, check_reals, in_float_range)
+from iondec.errors import (DomainError, ValidationError, check_finite, check_instance,
+                           check_integer, check_nonnegative, check_positive, check_reals,
+                           in_float_range)
 from iondec.physmodel import (IonSpecies, Multipole, TrapConfig, derive_scales,
                               radiative_time)
-from iondec.scaling import default_n_grid, scan
+from iondec.scaling import default_n_grid, fit_exponent, scan
 from iondec.sums import (chain_total_asymptotic, chain_total_exact, continuum_sites,
                          pair_sum_approx, pair_sum_exact_all)
 
@@ -235,6 +241,7 @@ SHOWN = {
     "check_finite": lambda v: check_finite("x", v),
     "check_reals": lambda v: check_reals("x", v),
     "check_reals(element)": lambda v: check_reals("x", [0.0, v]),
+    "check_instance": lambda v: check_instance("x", v, str),
 }
 
 
@@ -252,9 +259,12 @@ def test_refusal_shows_an_int_beyond_the_float_range_by_its_digit_count(name):
         assert str(err.value).endswith(f"got {shown}")
 
 
-# The object rule: a model or drive argument of another type is refused,
-# neither replaced by the Dubin formulas nor failed on with AttributeError.
+# The object rule, errors.check_instance: an object argument of another
+# type is refused, neither replaced by the Dubin formulas (a model) nor
+# failed on with AttributeError.  The test keeps its first rows' name.
 # entry point -> (field, a call passing the value as that argument)
+CHAIN = solve_equilibrium(10)
+DISCRETE, CLOSED = DecoherenceMode.DISCRETE_SUM, DecoherenceMode.CONTINUUM_CLOSED_FORM
 OBJECTS = {
     "chain_length": ("model", lambda m: chain_length(100, m)),
     "min_spacing": ("model", lambda m: min_spacing(100, m)),
@@ -267,6 +277,30 @@ OBJECTS = {
     "scan(s0_target)": ("model", lambda m: scan([10, 100], BA, TRAP, m, s0_target=1e-6)),
     "integrate_tls": ("drive", lambda d: integrate_tls(W0, d, EQUAL, 0.01)),
     "adiabatic_phase": ("drive", lambda d: adiabatic_phase(d, W0, 1.0)),
+    "derive_scales(species)": ("species", lambda v: derive_scales(v, TRAP)),
+    "derive_scales(trap)": ("trap", lambda v: derive_scales(BA, v)),
+    "radiative_time": ("species", lambda v: radiative_time(v, 10)),
+    "IonSpecies": ("multipole", lambda v: IonSpecies("X", BA.mass, BA.charge, BA.omega0,
+                                                     BA.tau_s, v)),
+    "IonSpecies.from_lab_units": ("multipole", lambda v: IonSpecies.from_lab_units(
+        "X", 137.33, 1.0, 1.7e14, 50.0, v)),
+    "per_ion_rates(chain)": ("chain", lambda v: per_ion_rates(v, BA, TRAP)),
+    "per_ion_rates(species)": ("species", lambda v: per_ion_rates(
+        IonChain([0.0]), v, TrapConfig(1.0, 2.0, 1))),
+    "per_ion_rates(trap)": ("trap", lambda v: per_ion_rates(CHAIN, BA, v)),
+    "build_report(species)": ("species", lambda v: build_report(v, TRAP, CLOSED)),
+    "build_report(trap)": ("trap", lambda v: build_report(BA, v, CLOSED)),
+    "build_report(mode)": ("mode", lambda v: build_report(BA, TRAP, v)),
+    "build_report(chain)": ("chain", lambda v: build_report(BA, TRAP, DISCRETE, chain=v)),
+    "build_report(discrete model)": ("model", lambda v: build_report(
+        BA, TRAP, DISCRETE, v, chain=CHAIN)),
+    "local_spacings": ("chain", local_spacings),
+    "pair_sum_exact_all": ("chain", lambda v: pair_sum_exact_all(v, 8)),
+    "chain_total_exact": ("sites", lambda v: chain_total_exact(v, 8)),
+    "scan(species)": ("species", lambda v: scan([10, 100], v, TRAP)),
+    "scan(trap)": ("trap", lambda v: scan([10, 100], BA, v)),
+    "fit_exponent": ("series", fit_exponent),
+    "overlap_fidelity": ("trajectory", overlap_fidelity),
 }
 BAD_OBJECTS = {"None": None, "'nearest_neighbor'": "nearest_neighbor",
                "'dubin_fluid'": "dubin_fluid", "'circular'": "circular"}
@@ -279,6 +313,11 @@ def test_model_or_drive_of_another_type_is_refused(name, label):
     with pytest.raises(ValidationError) as err:
         call(BAD_OBJECTS[label])
     assert err.value.field == field
+
+
+def test_object_rule_returns_the_object_itself():
+    assert check_instance("model", DU, ContinuumModel) is DU
+    assert check_instance("drive", DRIVE, DriveField) is DRIVE
 
 
 @pytest.mark.parametrize("label", NUMPY_FLOATS)
