@@ -56,7 +56,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (AccuracyError, ValidationError, check_finite, check_instance,
+from .errors import (AccuracyError, ValidationError, _shown, check_finite, check_instance,
                      check_nonnegative, check_positive, check_reals, in_float_range)
 
 DEFAULT_DTHETA = 0.05
@@ -114,7 +114,7 @@ class DriveField:
             if np.any(np.diff(t) <= 0):
                 raise ValidationError("times", "must be strictly increasing")
         else:
-            raise ValidationError("kind", f"unknown drive kind {self.kind!r}")
+            raise ValidationError("kind", f"unknown drive kind {_shown(self.kind)}")
         for spec in fields(self)[1:]:  # every field after kind
             if spec.name in own:
                 object.__setattr__(self, spec.name, own[spec.name])

@@ -1,7 +1,9 @@
 """Command-line interface: INI config in, deterministic CSV out.
 
 Physics parameters live in a sectioned key = value file ([species],
-[trap], [model]); command flags select what to compute, and a subcommand
+[trap], and an optional [model] that holds only qsq_constant: rates,
+reports and scans use the Dubin fluid model, and any other key is
+refused); command flags select what to compute, and a subcommand
 that reads the ion count or the multipole order takes a flag that
 overrides it: ``--n-ions`` every subcommand but ``adiabatic``,
 ``--multipole`` only ``scales``, ``decohere`` and ``scaling``.  All
@@ -57,7 +59,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .continuum import ContinuumModel, _profile, chain_length, min_spacing
-from .errors import (AccuracyError, DomainError, SolverError, ValidationError,
+from .errors import (AccuracyError, DomainError, SolverError, ValidationError, _shown,
                      check_integer, check_positive)
 from .physmodel import (MAX_IONS, IonSpecies, Multipole, TrapConfig, derive_scales,
                         qsq_convention_stamp, radiative_time)
@@ -77,7 +79,6 @@ ft_hz = 2e7
 n_ions = 1000
 
 [model]
-continuum = dubin_fluid
 qsq_constant = 1.0
 """
 
@@ -91,7 +92,7 @@ MAX_POINTS = 10**6
 _SECTIONS = {
     "species": {"name", "mass_amu", "charge_e", "f0_hz", "tau_s_s", "multipole"},
     "trap": {"fz_hz", "ft_hz", "n_ions"},
-    "model": {"continuum", "qsq_constant"},
+    "model": {"qsq_constant"},
 }
 _REQUIRED = ("species", "trap")
 
@@ -100,14 +101,13 @@ _REQUIRED = ("species", "trap")
 class RunConfig:
     species: IonSpecies
     trap: TrapConfig
-    model: ContinuumModel
 
 
 def _number(section, key, raw):
     try:
         return float(raw)
     except ValueError:
-        raise ValidationError(key, f"[{section}] {key} is not a number: {raw!r}") from None
+        raise ValidationError(key, f"[{section}] {key} is not a number: {_shown(raw)}") from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -146,7 +146,7 @@ def parse_config(text: str) -> RunConfig:
     sp = parser["species"]
     multipole_raw = sp["multipole"].strip().upper()
     if multipole_raw not in ("E1", "E2"):
-        raise ValidationError("multipole", f"expected E1 or E2, got {sp['multipole']!r}")
+        raise ValidationError("multipole", f"expected E1 or E2, got {_shown(sp['multipole'])}")
     # IonSpecies and TrapConfig check that each number is positive and finite
     species = IonSpecies.from_lab_units(
         name=sp["name"].strip(),
@@ -162,22 +162,13 @@ def parse_config(text: str) -> RunConfig:
     try:
         n_ions = int(n_raw)
     except ValueError:
-        raise ValidationError("n_ions", f"[trap] n_ions is not an integer: {n_raw!r}") from None
+        raise ValidationError("n_ions", "[trap] n_ions is not an integer: "
+                              f"{_shown(n_raw)}") from None
     trap = TrapConfig.from_lab_units(
         fz_hz=_number("trap", "fz_hz", tr["fz_hz"]),
         ft_hz=_number("trap", "ft_hz", tr["ft_hz"]),
         n_ions=n_ions)
-
-    model = ContinuumModel.DUBIN_FLUID
-    if "continuum" in mo:
-        kind = mo["continuum"].strip().lower()
-        try:
-            model = ContinuumModel(kind)
-        except ValueError:
-            raise ValidationError(
-                "continuum", f"expected one of "
-                f"{[m.value for m in ContinuumModel]}, got {kind!r}") from None
-    return RunConfig(species=species, trap=trap, model=model)
+    return RunConfig(species=species, trap=trap)
 
 
 def load_config(path_or_preset: str) -> RunConfig:
@@ -345,7 +336,7 @@ def _cmd_decohere(cfg, args):
 
     mode = DecoherenceMode[_MODES[args.mode]]
     chain = _solve(cfg) if mode is DecoherenceMode.DISCRETE_SUM else None
-    report = build_report(cfg.species, cfg.trap, mode, cfg.model, chain=chain)
+    report = build_report(cfg.species, cfg.trap, mode, chain=chain)
     tau = [] if report.per_ion_tau is None else report.per_ion_tau.tolist()
     footer = [
         f"# tau_vib = {_fmt(report.tau_vib)}",
@@ -379,8 +370,8 @@ def _cmd_scaling(cfg, args):
     grid = default_n_grid(args.n_min, args.n_max)
     if args.policy == "fixed_spacing" and target is None:
         scales = derive_scales(cfg.species, cfg.trap)
-        target = min_spacing(cfg.trap.n_ions, cfg.model) * scales.d0
-    series = scan(grid, cfg.species, cfg.trap, cfg.model, s0_target=target)
+        target = min_spacing(cfg.trap.n_ions, ContinuumModel.DUBIN_FLUID) * scales.d0
+    series = scan(grid, cfg.species, cfg.trap, s0_target=target)
     raw = fit_exponent(series)
     fits = [f"# fit: slope = {_fmt(raw.slope)}, width = {_fmt(raw.width)}, "
             "log_power = none"]

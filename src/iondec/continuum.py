@@ -9,11 +9,14 @@ only in how L and s0 depend on N:
   L = (3 N ln(c0 N))^(1/3) with c0 = 6 e^(gamma - 13/5), s0 = 4L/3N.
 
 All lengths are dimensionless (units of the trap scale d0).  DubinFluid
-is the default everywhere downstream: at N = 1000 it reproduces the
-known ~0.5 um central spacing for a Ba+ trap (0.496 um on the ba_example
-preset), the nearest-neighbour normalization does not (0.932 um).  Its
-density 1/s(z) integrates over [-L, L] to 4L/(3 s0) = 2L^3/(3 pi^2) = N/3,
-so it describes a third of the ions and puts the centre gap ~1.9x too wide.
+is the one model of the rates, reports and scans downstream: at N = 1000
+it reproduces the known ~0.5 um central spacing for a Ba+ trap (0.496 um
+on the ba_example preset), the nearest-neighbour normalization does not
+(0.932 um).  Its density 1/s(z) integrates over [-L, L] to 4L/(3 s0) =
+2L^3/(3 pi^2) = N/3, so it describes a third of the ions and puts the
+centre gap ~1.9x too wide; it is kept as a comparison only (the profile
+functions here, chain_total_asymptotic and the ``continuum`` subcommand),
+and continuum_sites refuses it.
 
 invert_cubic_count inverts the cumulative count n(z) = (z - z^3/3L^2)/s0
 of this profile in closed form.  It is the one site inversion of the

@@ -9,7 +9,8 @@ transverse motion gives the per-ion dephasing rate
 and the chain dephases with tau_vib^-2 = sum_i tau_i^-2.  Radiative
 decay contributes tau_rad = 2 tau_s / N, and the computational window
 adds the two as rates.  The closed-form route replaces the per-ion sum
-by its continuum evaluation 2 zeta(2p) sqrt(T_4p).  It is scalar
+by its continuum evaluation 2 zeta(2p) sqrt(T_4p) on the Dubin fluid
+model, the one model the rates use.  It is scalar
 arithmetic: only the functions that take or return arrays import numpy,
 when called, so closed_form_rate and the closed-form report load none.
 """
@@ -151,13 +152,12 @@ class ClosedFormRate:
     bare: float
 
 
-def closed_form_rate(n_ions: int, species: IonSpecies, trap: TrapConfig,
-                     model: ContinuumModel = ContinuumModel.DUBIN_FLUID) -> ClosedFormRate:
-    """Aggregate vibrational rate from the continuum chain totals, N >= 2."""
+def closed_form_rate(n_ions: int, species: IonSpecies, trap: TrapConfig) -> ClosedFormRate:
+    """Aggregate vibrational rate from the Dubin fluid's chain totals, N >= 2."""
     n_ions = check_integer("n_ions", n_ions, 2)
     pref, d0 = _prefactor(species, trap)
     two_p = 2 * species.multipole.pair_exponent
-    length, s0 = _length_and_spacing(n_ions, model)
+    length, s0 = _length_and_spacing(n_ions, ContinuumModel.DUBIN_FLUID)
     s0_m = s0 * d0
     total = _total_asymptotic(n_ions, 2 * two_p, length, s0)
     return ClosedFormRate(*in_float_range(
@@ -183,21 +183,18 @@ def combined_window(tau_rad: float, tau_vib: float) -> float:
     return 1.0 / (1.0 / tau_rad + 1.0 / tau_vib)
 
 
-def build_report(species: IonSpecies, trap: TrapConfig, mode: DecoherenceMode,
-                 model: ContinuumModel = ContinuumModel.DUBIN_FLUID,
+def build_report(species: IonSpecies, trap: TrapConfig, mode: DecoherenceMode, *,
                  chain: IonChain | None = None) -> DecoherenceReport:
     """Assemble per-ion rates (or the closed form), tau_rad, and t_d.
 
     DISCRETE_SUM reports on the chain the caller solved, which must match
     trap.n_ions; without one it raises ValidationError.  The closed form
-    reports from the model and refuses a chain.  Each route checks every
-    argument, the one it does not read included.  For N >= 2 every
+    reports from the Dubin fluid model and refuses a chain.  For N >= 2 every
     reported time is finite: a rate so small that its reciprocal, or
     tau_vib/tau_s, leaves the float range is refused with DomainError.
     """
     n = check_instance("trap", trap, TrapConfig).n_ions
     check_instance("mode", mode, DecoherenceMode)
-    check_instance("model", model, ContinuumModel)
 
     def in_range(times):
         return in_float_range(f"N = {n}: a vibrational time or tau_vib/tau_s is "
@@ -216,7 +213,7 @@ def build_report(species: IonSpecies, trap: TrapConfig, mode: DecoherenceMode,
         if chain is not None:
             raise ValidationError("chain", "CONTINUUM_CLOSED_FORM reports from the "
                                   "model and takes no chain")
-        tau_vib = 1.0 / closed_form_rate(n, species, trap, model).full
+        tau_vib = 1.0 / closed_form_rate(n, species, trap).full
         per_tau = None
         in_range(lambda: tau_vib / species.tau_s)
     tau_rad = radiative_time(species, n)

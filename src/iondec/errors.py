@@ -10,11 +10,11 @@ integer in a range", "a parameter is a positive finite real", "a
 parameter is a non-negative finite real", "a parameter is a finite
 real", "an array is 1-D, of finite reals" and "an object argument (a
 species, trap, chain, model, drive, ...) is an instance of its class";
-a refusal shows the value it refused, an int beyond the float range by
-its digit count (_shown).  in_float_range owns the rule for computed
-values, "a result that leaves the float range is refused with
-DomainError".  Every module imports this one, and it loads no numpy at
-import, so a check made here costs no import.
+a refusal shows the value it refused in about SHOWN_MAX characters at
+most (_shown).  in_float_range owns the rule for computed values, "a
+result that leaves the float range is refused with DomainError".
+Every module imports this one, and it loads no numpy at import, so a
+check made here costs no import.
 """
 from __future__ import annotations
 
@@ -48,18 +48,25 @@ class AccuracyError(RuntimeError):
     """An integration exceeded its accuracy budget and was aborted."""
 
 
+#: longest repr a refusal shows whole; a longer one is cut to its head
+SHOWN_MAX = 80
+
+
 def _shown(value) -> str:
-    """repr(value), except that an int beyond the float range is shown by
-    its digit count: its repr is a line of hundreds of digits, and from
-    4300 digits on Python refuses to write it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        return repr(value)
-    size = abs(int(value))
-    if size <= sys.float_info.max:
-        return repr(value)
-    digits = int(math.log10(size)) + 1  # log10 may round across a power of ten
-    digits += (size >= 10**digits) - (size < 10**(digits - 1))
-    return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+    """repr(value) if it is at most SHOWN_MAX characters long; a longer
+    repr is cut to its head and its length, so every refusal is bounded.
+    An int beyond the float range is shown by its digit count: from 4300
+    digits on Python refuses to write its repr at all."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        size = abs(int(value))
+        if size > sys.float_info.max:
+            digits = int(math.log10(size)) + 1  # log10 may round across a power of ten
+            digits += (size >= 10**digits) - (size < 10**(digits - 1))
+            return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+    text = repr(value)
+    if len(text) <= SHOWN_MAX:
+        return text
+    return f"{text[:SHOWN_MAX - 20]}... ({len(text)} characters)"
 
 
 def check_integer(field: str, value, least: int, most: int | None = None) -> int:
@@ -127,7 +134,7 @@ def check_reals(field: str, values, least: int = 1, dtype=float):
         values = list(values)
         for value in values:
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValidationError(field, f"must be real numbers, got {value!r}")
+                raise ValidationError(field, f"must be real numbers, got {_shown(value)}")
             check_finite(field, value)
     array = np.array(values, dtype=dtype)
     if array.ndim != 1 or array.size < least:

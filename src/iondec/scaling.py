@@ -5,9 +5,10 @@ lets the chain lengthen and the central spacing shrink; holding the
 central spacing fixed instead requires relaxing omega_z with N.  scan
 takes the trap it scans and one policy value, s0_target: None holds the
 voltages, a spacing in meters holds that spacing.  Both scans push
-every N through the closed-form rate pipeline and fit effective log-log
-exponents afterwards — quoted asymptotic exponents are carried as
-reference metadata only, never substituted for the computation.
+every N through the closed-form rate pipeline on the Dubin fluid model
+and fit effective log-log exponents afterwards — quoted asymptotic
+exponents are carried as reference metadata only, never substituted for
+the computation.
 
 Every check here (check_n_range among them) loads no numpy; each array
 function imports it when called, after its checks.
@@ -142,8 +143,9 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
                       min(abs(fpre), abs(fcur)))
 
 
-def _solve_omega_z(n_ions, species, s0_target, model):
-    """omega_z making the model's central spacing equal the target.
+def _solve_omega_z(n_ions, species, s0_target, s0_dim):
+    """omega_z making the central spacing s0_dim * d0 equal the target;
+    s0_dim is min_spacing(n_ions, DUBIN_FLUID), which scan has already.
 
     The spacing is monotone decreasing in omega_z (stiffer axial trap,
     shorter chain), so a sign-change bracket plus Brent's method
@@ -153,8 +155,6 @@ def _solve_omega_z(n_ions, species, s0_target, model):
     small that q^2, omega_z or the spacing leaves the float range raises
     DomainError.
     """
-    s0_dim = min_spacing(n_ions, model)
-
     def gap(omega_z, q2):
         d0 = (q2 / (species.mass * omega_z**2)) ** (1.0 / 3.0)
         return s0_dim * d0 - s0_target
@@ -169,10 +169,10 @@ def _solve_omega_z(n_ions, species, s0_target, model):
     return _brentq(lambda omega_z: gap(omega_z, q2), lo, hi, xtol=1e-30, rtol=1e-14)
 
 
-def scan(n_values, species: IonSpecies, trap: TrapConfig,
-         model: ContinuumModel = ContinuumModel.DUBIN_FLUID, *,
+def scan(n_values, species: IonSpecies, trap: TrapConfig, *,
          s0_target: float | None = None) -> ScalingSeries:
-    """Walk N over n_values and evaluate the closed-form pipeline at each.
+    """Walk N over n_values and evaluate the closed-form pipeline, on the
+    Dubin fluid model, at each.
 
     n_values holds at least two distinct integers (Python or numpy) from 2
     to 2**53; a float, bool or string count is refused, never truncated.
@@ -198,14 +198,15 @@ def scan(n_values, species: IonSpecies, trap: TrapConfig,
     vib = np.empty(ns.size)
     rad = np.empty(ns.size)
     for k, n in enumerate(ns.tolist()):
+        s0_dim = min_spacing(n, ContinuumModel.DUBIN_FLUID)
         wz = (trap.omega_z if s0_target is None
-              else _solve_omega_z(n, species, s0_target, model))
+              else _solve_omega_z(n, species, s0_target, s0_dim))
         trap_n = TrapConfig(omega_z=wz, omega_t=trap.omega_t, n_ions=n)
         scales = derive_scales(species, trap_n)
         omega_z[k] = wz
         d0[k] = scales.d0
-        s0[k] = min_spacing(n, model) * scales.d0
-        vib[k] = closed_form_rate(n, species, trap_n, model).full
+        s0[k] = s0_dim * scales.d0
+        vib[k] = closed_form_rate(n, species, trap_n).full
         rad[k] = n / (2.0 * species.tau_s)
     return ScalingSeries(n_ions=ns, omega_z=omega_z, d0_m=d0, s0_m=s0,
                          rate_vib=vib, rate_rad=rad)

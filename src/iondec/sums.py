@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .continuum import ContinuumModel, _length_and_spacing, _profile, invert_cubic_count
-from .errors import (DomainError, check_instance, check_integer, check_positive,
+from .errors import (DomainError, _shown, check_instance, check_integer, check_positive,
                      in_float_range)
 
 if TYPE_CHECKING:
@@ -194,5 +194,5 @@ def _total_asymptotic(n_ions: int, n: int, length: float, s0: float) -> float:
 def _check_exponent(n: int) -> int:
     """n as an int, if it is an integer (Python or numpy) >= 2."""
     if not isinstance(n, numbers.Integral) or n < 2:
-        raise DomainError(f"lattice sums need integer n >= 2, got {n!r}")
+        raise DomainError(f"lattice sums need integer n >= 2, got {_shown(n)}")
     return int(n)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import iondec
 from iondec.cli import (BA_EXAMPLE, MAX_POINTS, _fmt, _profile_grid, _table,
                         load_config, main, parse_config)
-from iondec.continuum import ContinuumModel
 from iondec.decoherence import DecoherenceMode, build_report
 from iondec.errors import ValidationError
 from iondec import chain as chain_module
@@ -41,14 +40,13 @@ def test_preset_values():
     assert cfg.trap.omega_z == pytest.approx(2 * math.pi * 1e5, rel=1e-15)
     assert cfg.trap.omega_t == pytest.approx(2 * math.pi * 2e7, rel=1e-15)
     assert cfg.trap.n_ions == 1000
-    assert cfg.model is ContinuumModel.DUBIN_FLUID
     assert cfg.species.qsq_constant == 1.0
 
 
 def test_model_section_is_optional():
     trimmed = BA_EXAMPLE.split("[model]")[0]
     cfg = parse_config(trimmed)
-    assert cfg.model is ContinuumModel.DUBIN_FLUID
+    assert cfg == parse_config(BA_EXAMPLE)
     assert cfg.species.qsq_constant == 1.0
 
 
@@ -85,10 +83,8 @@ def test_bad_values_name_the_key():
         parse_config(BA_EXAMPLE.replace("n_ions = 1000", "n_ions = 2.5"))
     assert err.value.field == "n_ions"
     with pytest.raises(ValidationError) as err:
-        parse_config(BA_EXAMPLE.replace("continuum = dubin_fluid",
-                                        "continuum = solid"))
-    assert err.value.field == "continuum"
-    assert "dubin_fluid" in str(err.value)
+        parse_config(BA_EXAMPLE.replace("qsq_constant = 1.0", "qsq_constant = big"))
+    assert err.value.field == "qsq_constant"
 
 
 def test_malformed_lines_report_line_numbers():
@@ -563,7 +559,8 @@ def test_exit_config_unreadable(capsys, tmp_path):
 @pytest.mark.parametrize("text, message", [
     (BA_EXAMPLE.replace("n_ions = 1000\n", "n_ions = 1000\nn_ions = 7\n"),
      "line 13: option 'n_ions' in section 'trap' already exists"),
-    (BA_EXAMPLE + "[trap]\n", "line 17: section 'trap' already exists"),
+    (BA_EXAMPLE + "[trap]\n", f"line {len(BA_EXAMPLE.splitlines()) + 1}: "
+     "section 'trap' already exists"),
 ], ids=["key", "section"])
 def test_exit_config_repeated_entry(text, message, capsys, tmp_path):
     path = tmp_path / "repeated.ini"
@@ -715,23 +712,28 @@ def test_bad_input_refused_with_one_line(argv, capsys, recwarn):
     assert not recwarn.list
 
 
-# The solve always certifies at chain.DEFAULT_TOL within chain.DEFAULT_MAX_ITER:
-# a config that names either retired key is refused, whatever its value.
-RETIRED_SOLVER_SETTINGS = ["chain_tol = 1e-3", "chain_tol = 1e-12", "chain_tol = inf",
-                           "chain_tol = nan", "chain_tol = 1e400", "max_iter = 200",
-                           "max_iter = inf", "max_iter = nan", "max_iter = 0.5",
-                           "max_iter = 1e400"]
+# The solve always certifies at chain.DEFAULT_TOL within chain.DEFAULT_MAX_ITER,
+# and rates, reports and scans run on the Dubin fluid model: a config that
+# names a retired key is refused, whatever its value.
+RETIRED_SETTINGS = ["chain_tol = 1e-3", "chain_tol = 1e-12", "chain_tol = inf",
+                    "chain_tol = nan", "chain_tol = 1e400", "max_iter = 200",
+                    "max_iter = inf", "max_iter = nan", "max_iter = 0.5",
+                    "max_iter = 1e400", "continuum = dubin_fluid",
+                    "continuum = nearest_neighbor", "continuum = solid"]
 
 
-@pytest.mark.parametrize("setting", RETIRED_SOLVER_SETTINGS, ids=RETIRED_SOLVER_SETTINGS)
+@pytest.mark.parametrize("setting", RETIRED_SETTINGS, ids=RETIRED_SETTINGS)
 def test_bad_solver_settings_refused_with_one_line(setting, tmp_path, capsys, recwarn):
     path = tmp_path / "solver.ini"
     path.write_text(f"{BA_EXAMPLE}{setting}\n")
-    assert main(["equilibrium", "--config", str(path), "--n-ions", "50"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
     key = setting.split(" = ")[0]
-    assert captured.err.splitlines() == [f"error: {key}: unknown key {key!r} in [model]"]
+    for argv in (["equilibrium", "--n-ions", "50"], ["decohere", "--mode", "closed"],
+                 ["scaling", "--policy", "fixed_spacing"]):
+        assert main(argv + ["--config", str(path)]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.splitlines() == [
+            f"error: {key}: unknown key {key!r} in [model]"], argv
     assert not recwarn.list
 
 

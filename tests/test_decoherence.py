@@ -14,6 +14,7 @@ from iondec.decoherence import (DecoherenceMode, aggregate_tau_vib,
 from iondec.errors import DomainError, ValidationError
 from iondec.physmodel import (CONSTANTS, Multipole, TrapConfig, derive_scales,
                               radiative_time)
+from iondec.scaling import scan
 from iondec.sums import chain_total_asymptotic, pair_sum_exact_all, zeta
 
 DU = ContinuumModel.DUBIN_FLUID
@@ -26,7 +27,9 @@ CLOSED_FULL_1000 = 4.1004332043445373e-10
 FULL_OVER_BARE = 1.128017089383138
 RATE_3_CENTER_E1 = 1.0338772528185409e-19
 
-DISCRETE_OVER_CLOSED = {200: 0.84478, 500: 0.86784, 1000: 0.88118}
+# discrete over closed-form aggregate rate: N -> (E2, E1)
+DISCRETE_OVER_CLOSED = {200: (0.84478, 0.88728), 500: (0.86784, 0.90437),
+                        1000: (0.88118, 0.91419)}
 
 
 def trap_for(n):
@@ -224,16 +227,18 @@ def test_closed_form_frozen_and_identity(ba, trap1000):
 
 
 @pytest.mark.parametrize("n_ions", sorted(DISCRETE_OVER_CLOSED))
-def test_discrete_vs_closed_routes(n_ions, ba, chains):
-    """The two routes to the aggregate rate must agree to O(1): the
-    closed form uses continuum sites, which undercount the central
-    crowding of the real chain by 10-30% at these sizes."""
+def test_discrete_vs_closed_routes(n_ions, ba, ba_e1, chains):
+    """The two routes to the aggregate rate must agree to O(1), for both
+    multipoles: the closed form, on the Dubin fluid model, uses continuum
+    sites, which undercount the central crowding of the real chain by
+    10-30% at these sizes."""
     trap = trap_for(n_ions)
-    discrete = 1.0 / aggregate_tau_vib(per_ion_rates(chains(n_ions), ba, trap))
-    closed = closed_form_rate(n_ions, ba, trap).full
-    ratio = discrete / closed
-    assert 0.7 < ratio < 1.4
-    assert ratio == pytest.approx(DISCRETE_OVER_CLOSED[n_ions], abs=5e-4)
+    for species, pinned in zip((ba, ba_e1), DISCRETE_OVER_CLOSED[n_ions]):
+        discrete = 1.0 / aggregate_tau_vib(per_ion_rates(chains(n_ions), species, trap))
+        closed = closed_form_rate(n_ions, species, trap).full
+        ratio = discrete / closed
+        assert 0.7 < ratio < 1.4
+        assert ratio == pytest.approx(pinned, abs=5e-4)
 
 
 def test_e1_multipole_switch(ba_e1, chains):
@@ -310,13 +315,18 @@ def test_report_closed_form_refuses_a_chain(ba, chains):
     assert info.value.field == "chain"
 
 
-def test_report_discrete_checks_the_model(ba, chains):
-    """The discrete route reads no model, but a model that is not a
-    ContinuumModel is refused there as on the closed form."""
-    with pytest.raises(ValidationError) as info:
-        build_report(ba, trap_for(10), DecoherenceMode.DISCRETE_SUM, "no model",
-                     chain=chains(10))
-    assert info.value.field == "model"
+def test_rates_reports_and_scans_take_no_model(ba, chains):
+    """They run on the Dubin fluid model only: a model passed where one
+    used to go is a TypeError, never read as a chain or as another
+    argument."""
+    trap = trap_for(10)
+    for call in (lambda: closed_form_rate(10, ba, trap, DU),
+                 lambda: build_report(ba, trap, DecoherenceMode.CONTINUUM_CLOSED_FORM, DU),
+                 lambda: build_report(ba, trap, DecoherenceMode.DISCRETE_SUM, DU,
+                                      chain=chains(10)),
+                 lambda: scan([10, 100], ba, trap, DU)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_vibrational_dephasing_is_subdominant(ba, trap1000, chains):

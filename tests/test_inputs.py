@@ -14,7 +14,8 @@ chain, model, mode, multipole, drive, continuum sites, scaling series or
 spin trajectory) is an instance of its class, checked before any of its
 attributes is read, so a wrong object never ends in AttributeError or in
 another object's defaults.  Each refusal is a ValidationError naming the
-parameter.  A computed value that leaves the float range is refused
+parameter, and shows the refused value in at most about SHOWN_MAX
+characters.  A computed value that leaves the float range is refused
 with a DomainError and no warning, whichever function computes it.
 
 Scalar rows that existing tests already cover (chain_length's and
@@ -33,14 +34,14 @@ from iondec.continuum import ContinuumModel, chain_length, min_spacing
 from iondec.decoherence import (DecoherenceMode, _prefactor, aggregate_tau_vib,
                                 build_report, closed_form_rate, fidelity_curve,
                                 per_ion_rates)
-from iondec.errors import (DomainError, ValidationError, check_finite, check_instance,
+from iondec.errors import (SHOWN_MAX, DomainError, ValidationError, check_finite, check_instance,
                            check_integer, check_nonnegative, check_positive, check_reals,
                            in_float_range)
 from iondec.physmodel import (IonSpecies, Multipole, TrapConfig, derive_scales,
                               radiative_time)
 from iondec.scaling import default_n_grid, fit_exponent, scan
 from iondec.sums import (chain_total_asymptotic, chain_total_exact, continuum_sites,
-                         pair_sum_approx, pair_sum_exact_all)
+                         pair_sum_approx, pair_sum_exact_all, zeta)
 
 DU = ContinuumModel.DUBIN_FLUID
 BA = IonSpecies.from_lab_units("Ba+", mass_amu=137.33, charge_e=1.0, f0_hz=1.7e14,
@@ -259,6 +260,83 @@ def test_refusal_shows_an_int_beyond_the_float_range_by_its_digit_count(name):
         assert str(err.value).endswith(f"got {shown}")
 
 
+@pytest.mark.parametrize("name", SHOWN)
+def test_refusal_cuts_a_long_value_to_its_head_and_length(name):
+    """A value whose repr is longer than SHOWN_MAX is shown by the head of
+    its repr and its length, so no refusal message grows with its input."""
+    for value in (b"x" * (SHOWN_MAX - 2), b"x" * 10**5):
+        text = repr(value)
+        with pytest.raises(ValidationError) as err:
+            SHOWN[name](value)
+        assert str(err.value).endswith(
+            f"got {text[:SHOWN_MAX - 20]}... ({len(text)} characters)")
+        assert len(str(err.value)) < 2 * SHOWN_MAX
+
+
+@pytest.mark.parametrize("name", SHOWN)
+def test_refusal_shows_a_short_value_whole(name):
+    """Up to SHOWN_MAX characters the refused value's repr is shown as it
+    is, so every message of a short value reads as it always has."""
+    for value in (b"x" * (SHOWN_MAX - 3), b"1e-3", None):
+        with pytest.raises(ValidationError) as err:
+            SHOWN[name](value)
+        assert str(err.value).endswith(f"got {value!r}")
+
+
+def test_an_integer_within_the_float_range_is_cut_like_any_long_repr():
+    """An integer within the float range is shown by its repr, cut like any
+    other once it is longer than SHOWN_MAX; only one beyond the float range
+    is shown by its digit count."""
+    for value, shown in ((10**(SHOWN_MAX - 1), str(10**(SHOWN_MAX - 1))),
+                         (-10**(SHOWN_MAX - 2), str(-10**(SHOWN_MAX - 2))),
+                         (10**SHOWN_MAX, f"{str(10**SHOWN_MAX)[:SHOWN_MAX - 20]}... "
+                                         f"({SHOWN_MAX + 1} characters)"),
+                         (-10**300, f"{str(-10**300)[:SHOWN_MAX - 20]}... (302 characters)")):
+        with pytest.raises(ValidationError) as err:
+            check_integer("x", value, 1, 10)
+        assert str(err.value).endswith(f"got {shown}")
+
+
+# numpy integers are integers too: each refusal shows the value's repr and
+# raises the rule's own error, never a bare ValueError from the display.
+NUMPY_INT_REFUSALS = {
+    "check_integer(0)": (lambda: check_integer("x", np.int64(0), 1, 10), ValidationError,
+                         "x: need an integer in [1, 10], got np.int64(0)"),
+    "check_integer(-5)": (lambda: check_integer("x", np.int32(-5), 1, 10), ValidationError,
+                          "x: need an integer in [1, 10], got np.int32(-5)"),
+    "chain_length(0)": (lambda: chain_length(np.int64(0), DU), ValidationError,
+                        "n_ions: need an integer >= 2, got np.int64(0)"),
+    "chain_length(1)": (lambda: chain_length(np.int64(1), DU), ValidationError,
+                        "n_ions: need an integer >= 2, got np.int64(1)"),
+    "TrapConfig(0)": (lambda: TrapConfig(1.0, 2.0, np.int64(0)), ValidationError,
+                      "n_ions: need an integer >= 1, got np.int64(0)"),
+    "zeta(0)": (lambda: zeta(np.int64(0)), DomainError,
+                "lattice sums need integer n >= 2, got np.int64(0)"),
+    "zeta(-5)": (lambda: zeta(np.int32(-5)), DomainError,
+                 "lattice sums need integer n >= 2, got np.int32(-5)"),
+}
+
+
+@pytest.mark.parametrize("name", NUMPY_INT_REFUSALS)
+def test_a_numpy_integer_is_refused_with_its_repr(name):
+    call, error, message = NUMPY_INT_REFUSALS[name]
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_a_long_list_of_the_wrong_type_is_refused_in_one_short_line():
+    """The whole repr of this list would make a message of about 690,000
+    characters."""
+    with pytest.raises(ValidationError) as err:
+        local_spacings(list(range(10**5)))
+    assert err.value.field == "chain"
+    assert str(err.value) == ("chain: expected IonChain, got "
+                              f"{repr(list(range(10**5)))[:SHOWN_MAX - 20]}... "
+                              "(688890 characters)")
+
+
 # The object rule, errors.check_instance: an object argument of another
 # type is refused, neither replaced by the Dubin formulas (a model) nor
 # failed on with AttributeError.  The test keeps its first rows' name.
@@ -270,11 +348,6 @@ OBJECTS = {
     "min_spacing": ("model", lambda m: min_spacing(100, m)),
     "continuum_sites": ("model", lambda m: continuum_sites(100, m)),
     "chain_total_asymptotic": ("model", lambda m: chain_total_asymptotic(100, 16, m)),
-    "closed_form_rate": ("model", lambda m: closed_form_rate(100, BA, TRAP, m)),
-    "build_report": ("model", lambda m: build_report(
-        BA, TRAP, DecoherenceMode.CONTINUUM_CLOSED_FORM, m)),
-    "scan": ("model", lambda m: scan([10, 100], BA, TRAP, m)),
-    "scan(s0_target)": ("model", lambda m: scan([10, 100], BA, TRAP, m, s0_target=1e-6)),
     "integrate_tls": ("drive", lambda d: integrate_tls(W0, d, EQUAL, 0.01)),
     "adiabatic_phase": ("drive", lambda d: adiabatic_phase(d, W0, 1.0)),
     "derive_scales(species)": ("species", lambda v: derive_scales(v, TRAP)),
@@ -288,12 +361,12 @@ OBJECTS = {
     "per_ion_rates(species)": ("species", lambda v: per_ion_rates(
         IonChain([0.0]), v, TrapConfig(1.0, 2.0, 1))),
     "per_ion_rates(trap)": ("trap", lambda v: per_ion_rates(CHAIN, BA, v)),
+    "closed_form_rate(species)": ("species", lambda v: closed_form_rate(100, v, TRAP)),
+    "closed_form_rate(trap)": ("trap", lambda v: closed_form_rate(100, BA, v)),
     "build_report(species)": ("species", lambda v: build_report(v, TRAP, CLOSED)),
     "build_report(trap)": ("trap", lambda v: build_report(BA, v, CLOSED)),
     "build_report(mode)": ("mode", lambda v: build_report(BA, TRAP, v)),
     "build_report(chain)": ("chain", lambda v: build_report(BA, TRAP, DISCRETE, chain=v)),
-    "build_report(discrete model)": ("model", lambda v: build_report(
-        BA, TRAP, DISCRETE, v, chain=CHAIN)),
     "local_spacings": ("chain", local_spacings),
     "pair_sum_exact_all": ("chain", lambda v: pair_sum_exact_all(v, 8)),
     "chain_total_exact": ("sites", lambda v: chain_total_exact(v, 8)),

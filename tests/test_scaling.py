@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from iondec import scaling
-from iondec.continuum import C0_DUBIN, ContinuumModel
+from iondec import continuum, scaling
+from iondec.continuum import C0_DUBIN, ContinuumModel, min_spacing
 from iondec.decoherence import closed_form_rate
 from iondec.errors import SolverError, ValidationError
 from iondec.physmodel import TrapConfig
@@ -183,37 +183,43 @@ def test_exponent_fit_record():
     assert (fit.slope, fit.width) == (2.0, 0.1)
 
 
-# omega_z holding a 5 um spacing, recorded as exact floats from the
-# scipy.optimize.brentq solve; omega_z depends on the model, not on the
-# multipole order.
+# omega_z holding a 5 um spacing on the Dubin fluid model (which the ids
+# name), recorded as exact floats from the scipy.optimize.brentq solve;
+# omega_z does not depend on the multipole order.
 PINNED_N = [2, 10, 1000, 30000]
-PINNED_OMEGA_Z = {
-    ContinuumModel.NEAREST_NEIGHBOR: [25279221.642115194, 5055844.32842304,
-                                      50558.44328423039, 1685.2814428076802],
-    ContinuumModel.DUBIN_FLUID: [2578612.2299008644, 1091908.7491660195,
-                                 19602.862077896665, 802.7899561105827],
-}
+PINNED_OMEGA_Z = [2578612.2299008644, 1091908.7491660195, 19602.862077896665,
+                  802.7899561105827]
 
 
-@pytest.mark.parametrize("model", list(ContinuumModel), ids=lambda m: m.name)
-@pytest.mark.parametrize("species", ["ba", "ba_e1"])
-def test_fixed_spacing_omega_z_is_bit_identical_to_pinned(species, model, request,
-                                                           trap1000):
-    series = scan(PINNED_N, request.getfixturevalue(species), trap1000, model,
-                  s0_target=5e-6)
-    assert series.omega_z.tolist() == PINNED_OMEGA_Z[model]
+@pytest.mark.parametrize("species", ["ba", "ba_e1"], ids=lambda s: f"{s}-DUBIN_FLUID")
+def test_fixed_spacing_omega_z_is_bit_identical_to_pinned(species, request, trap1000):
+    series = scan(PINNED_N, request.getfixturevalue(species), trap1000, s0_target=5e-6)
+    assert series.omega_z.tolist() == PINNED_OMEGA_Z
+
+
+@pytest.mark.parametrize("s0_target", [None, S0_TARGET])
+def test_scan_takes_the_half_length_twice_per_n(s0_target, monkeypatch, grid, ba, trap1000):
+    """Each N takes the Dubin half-length L twice: once for the central
+    spacing, which the fixed-spacing solve reuses, and once in
+    closed_form_rate."""
+    calls = []
+    chain_length = continuum.chain_length
+    monkeypatch.setattr(continuum, "chain_length",
+                        lambda n, model: calls.append(n) or chain_length(n, model))
+    series = scan(grid, ba, trap1000, s0_target=s0_target)
+    assert sorted(calls) == sorted(2 * series.n_ions.tolist())
 
 
 def test_brentq_port_matches_scipy(monkeypatch, ba):
     """The in-module Brent iteration returns scipy's bits on every case."""
     brentq = pytest.importorskip("scipy.optimize").brentq
     ns = np.unique(np.rint(np.geomspace(2, 1e6, 40)).astype(int)).tolist()
-    targets = np.geomspace(1e-7, 1e-3, 4).tolist()
-    cases = [(n, t, model) for n in ns for t in targets for model in ContinuumModel]
+    targets = np.geomspace(1e-7, 1e-3, 8).tolist()
+    cases = [(n, t, min_spacing(n, ContinuumModel.DUBIN_FLUID)) for n in ns for t in targets]
     assert len(cases) >= 300
 
     def solve_all():
-        return [scaling._solve_omega_z(n, ba, t, model) for n, t, model in cases]
+        return [scaling._solve_omega_z(n, ba, t, s0_dim) for n, t, s0_dim in cases]
 
     ported = solve_all()
     monkeypatch.setattr(scaling, "_brentq", brentq)
