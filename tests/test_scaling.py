@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from iondec import continuum, scaling
+from iondec import continuum, decoherence, physmodel, scaling
 from iondec.continuum import C0_DUBIN, ContinuumModel, min_spacing
 from iondec.decoherence import closed_form_rate
 from iondec.errors import SolverError, ValidationError
@@ -198,16 +198,35 @@ def test_fixed_spacing_omega_z_is_bit_identical_to_pinned(species, request, trap
 
 
 @pytest.mark.parametrize("s0_target", [None, S0_TARGET])
-def test_scan_takes_the_half_length_twice_per_n(s0_target, monkeypatch, grid, ba, trap1000):
-    """Each N takes the Dubin half-length L twice: once for the central
-    spacing, which the fixed-spacing solve reuses, and once in
-    closed_form_rate."""
-    calls = []
+def test_scan_derives_each_n_once(s0_target, monkeypatch, grid, ba, trap1000):
+    """Each N takes the Dubin half-length L once and its scales once: the
+    central spacing, the fixed-spacing solve and the closed form share
+    them."""
+    lengths, scales = [], []
     chain_length = continuum.chain_length
     monkeypatch.setattr(continuum, "chain_length",
-                        lambda n, model: calls.append(n) or chain_length(n, model))
+                        lambda n, model: lengths.append(n) or chain_length(n, model))
+    derive_scales = physmodel.derive_scales
+    for module in (scaling, decoherence):
+        monkeypatch.setattr(module, "derive_scales", lambda species, trap:
+                            scales.append(trap.n_ions) or derive_scales(species, trap))
     series = scan(grid, ba, trap1000, s0_target=s0_target)
-    assert sorted(calls) == sorted(2 * series.n_ions.tolist())
+    assert sorted(lengths) == sorted(scales) == series.n_ions.tolist()
+
+
+def test_retuning_past_the_transverse_trap_names_n_and_the_spacing(ba):
+    """Holding 0.118 um at N = 2 takes omega_z above omega_t: refused
+    before the trap is built, naming N, the held spacing and both
+    frequencies."""
+    trap = TrapConfig.from_lab_units(fz_hz=1e5, ft_hz=2e7, n_ions=10000)
+    with pytest.raises(ValidationError) as info:
+        scan([2, 20], ba, trap, s0_target=1.1783913480047522e-07)
+    assert str(info.value) == (
+        "s0_target: holding s0 = 1.1783913480047522e-07 m at N = 2 takes omega_z = "
+        "712699947.6067758 rad/s, not below omega_t = 125663706.14359173 rad/s; a "
+        "shorter chain needs a stiffer axial trap, so raise the smallest N or omega_t")
+    series = scan([100, 1000], ba, trap, s0_target=1.1783913480047522e-07)
+    assert series.omega_z[0] < trap.omega_t
 
 
 def test_brentq_port_matches_scipy(monkeypatch, ba):
