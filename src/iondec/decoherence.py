@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from .continuum import ContinuumModel, _length_and_spacing
 from .errors import (ValidationError, check_instance, check_integer, check_reals,
                      in_float_range)
-from .physmodel import (CONSTANTS, DerivedScales, IonSpecies, TrapConfig, derive_scales,
+from .physmodel import (CONSTANTS, IonSpecies, TrapConfig, derive_scales,
                         qsq_convention_stamp, radiative_time)
 from .sums import _total_asymptotic, pair_sum_exact_all, zeta
 
@@ -40,17 +40,15 @@ class DecoherenceMode(enum.Enum):
     CONTINUUM_CLOSED_FORM = "continuum_closed_form"
 
 
-def _prefactor(species: IonSpecies, trap: TrapConfig,
-               scales: DerivedScales | None = None) -> tuple[float, float]:
-    """(q2_coul*Q_sq/(2 pi hbar m w0 w_t) in m^2p/s, d0 in m), from the
-    trap's scales, which one derive_scales makes when none are given.
+def _prefactor(species: IonSpecies, trap: TrapConfig) -> tuple[float, float]:
+    """(q2_coul*Q_sq/(2 pi hbar m w0 w_t) in m^2p/s, d0 in m), from one
+    derive_scales.
 
     The prefactor times a pair sum in SI units (S_2p/d0^2p, units m^-2p)
     is a rate in 1/s.  A species and trap that put it outside the
     positive float range are refused with DomainError.
     """
-    if scales is None:
-        scales = derive_scales(species, trap)
+    scales = derive_scales(species, trap)
     prefactor = in_float_range(
         "the species and trap put the vibrational prefactor outside the float range",
         lambda: (scales.q2_coul * scales.q_sq

@@ -23,7 +23,7 @@ from .continuum import C0_DUBIN, ContinuumModel, _length_and_spacing
 from .decoherence import _closed_form_rate, _prefactor
 from .errors import (SolverError, ValidationError, check_instance, check_integer,
                      check_positive, in_float_range)
-from .physmodel import CONSTANTS, IonSpecies, TrapConfig, derive_scales
+from .physmodel import CONSTANTS, IonSpecies, TrapConfig
 
 if TYPE_CHECKING:
     import numpy as np
@@ -207,12 +207,12 @@ def scan(n_values, species: IonSpecies, trap: TrapConfig, *,
             wz = _solve_omega_z(n, species, s0_target, s0_dim)
             if not trap.omega_t > wz:
                 raise ValidationError(
-                    "s0_target", f"holding s0 = {s0_target!r} m at N = {n} takes "
+                    "n_values", f"holding s0 = {s0_target!r} m at N = {n} takes "
                     f"omega_z = {wz!r} rad/s, not below omega_t = {trap.omega_t!r} "
                     "rad/s; a shorter chain needs a stiffer axial trap, so raise the "
                     "smallest N or omega_t")
         trap_n = TrapConfig(omega_z=wz, omega_t=trap.omega_t, n_ions=n)
-        pref, d0_n = _prefactor(species, trap_n, derive_scales(species, trap_n))
+        pref, d0_n = _prefactor(species, trap_n)
         omega_z[k] = wz
         d0[k] = d0_n
         s0[k] = s0_dim * d0_n

@@ -484,21 +484,23 @@ def test_jacobian_is_symmetric_with_least_eigenvalue_one(n, where):
     """E(u) is 1-strongly convex on the ordered cone: J = I + C with C
     positive semidefinite and C·1 = 0, so lambda_min(J) = 1 at every
     ordered u, not only at the equilibrium (measured within 0.51 eps
-    lambda_max on x86-64, with numpy's AVX-512 kernels on and off)."""
+    lambda_max on x86-64, with numpy's AVX-512 kernels on and off; the
+    bound allows 4 eps lambda_max, as eigvalsh's rounding depends on the
+    LAPACK build)."""
     u = _initial_guess(n) if where == "initial-guess" else _random_ordered(n)
     jac = _jacobian(u, _area(n))
     assert np.array_equal(jac, jac.T)
     eig = np.linalg.eigvalsh(jac)
-    assert abs(eig[0] - 1.0) <= np.finfo(float).eps * eig[-1]
+    assert abs(eig[0] - 1.0) <= 4 * np.finfo(float).eps * eig[-1]
 
 
 @pytest.mark.parametrize("n", SPECTRUM_N)
 def test_solved_spectrum_starts_with_centre_of_mass_and_breathing_modes(n, chains):
     """At the equilibrium of a harmonic well the two lowest eigenvalues of
     J are 1 and 3, for every N (measured within 0.52 eps lambda_max on
-    x86-64)."""
+    x86-64; the bound allows 4 eps lambda_max)."""
     eig = np.linalg.eigvalsh(_jacobian(chains(n).positions, _area(n)))
-    tol = np.finfo(float).eps * eig[-1]
+    tol = 4 * np.finfo(float).eps * eig[-1]
     assert abs(eig[0] - 1.0) <= tol and abs(eig[1] - 3.0) <= tol
 
 

@@ -207,9 +207,8 @@ def test_scan_derives_each_n_once(s0_target, monkeypatch, grid, ba, trap1000):
     monkeypatch.setattr(continuum, "chain_length",
                         lambda n, model: lengths.append(n) or chain_length(n, model))
     derive_scales = physmodel.derive_scales
-    for module in (scaling, decoherence):
-        monkeypatch.setattr(module, "derive_scales", lambda species, trap:
-                            scales.append(trap.n_ions) or derive_scales(species, trap))
+    monkeypatch.setattr(decoherence, "derive_scales", lambda species, trap:
+                        scales.append(trap.n_ions) or derive_scales(species, trap))
     series = scan(grid, ba, trap1000, s0_target=s0_target)
     assert sorted(lengths) == sorted(scales) == series.n_ions.tolist()
 
@@ -222,7 +221,7 @@ def test_retuning_past_the_transverse_trap_names_n_and_the_spacing(ba):
     with pytest.raises(ValidationError) as info:
         scan([2, 20], ba, trap, s0_target=1.1783913480047522e-07)
     assert str(info.value) == (
-        "s0_target: holding s0 = 1.1783913480047522e-07 m at N = 2 takes omega_z = "
+        "n_values: holding s0 = 1.1783913480047522e-07 m at N = 2 takes omega_z = "
         "712699947.6067758 rad/s, not below omega_t = 125663706.14359173 rad/s; a "
         "shorter chain needs a stiffer axial trap, so raise the smallest N or omega_t")
     series = scan([100, 1000], ba, trap, s0_target=1.1783913480047522e-07)
