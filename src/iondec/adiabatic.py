@@ -31,14 +31,14 @@ it were built alone, so the output is bit-identical to building one chunk
 per call, and short windows do not pay numpy's per-call overhead once per
 stored point.
 
-Each run allocates one work area, sized for its largest batch, and every
-chunk call writes all of its intermediates there: _chunk_operator and
-_coupling take their scratch from the caller and allocate none of their
-own.  A call's ~0.4 MB of fresh temporaries would grow the heap past
-glibc's trim threshold, which stays at 128 KiB once the mmap threshold is
-fixed (as the benchmark fixes it); the heap would then be trimmed at every
-free and the temporaries page-faulted back in at the next call, ~60
-faults per call.
+Each run allocates one work area (two on two CPUs, see below), sized for
+its largest batch, and every chunk call writes all of its intermediates
+there: _chunk_operator and _coupling take their scratch from the caller
+and allocate none of their own.  A call's ~0.4 MB of fresh temporaries
+would grow the heap past glibc's trim threshold, which stays at 128 KiB
+once the mmap threshold is fixed (as the benchmark fixes it); the heap
+would then be trimmed at every free and the temporaries page-faulted
+back in at the next call, ~60 faults per call.
 
 The run also lays its area out once for each batch shape (B chunks of m
 steps) it meets, at most three: the full batch, a shorter last full batch
@@ -46,6 +46,30 @@ and the leftover chunk.  A _ChunkLayout holds every view a chunk call
 reads or writes, and the half-step offsets of its grid, so the call only
 issues its ufunc and matmul calls; slicing the area afresh cost ~40 views
 and an arange per call.
+
+A chunk call has two halves: _build_steps, the coupling grid and the RK4
+entries, ufuncs only, and _reduce_steps, the pairwise matmuls, which
+numpy hands to BLAS one 2x2 product at a time (~37% and ~63% of a call
+at 81 chunks of 25 steps).  When two CPUs are usable and the window has
+more than one batch, the run takes a second work area and goes in
+lockstep steps: in step i a worker thread builds batch i in area i mod 2
+while the caller reduces batch i - 1 in the other area and propagates
+its stored points, with a barrier between steps (_threads._in_two).  So
+BLAS, the reduction's matmul and the propagation's dot, is only ever
+called from the caller's thread.  Measured at 81 chunks of 25 steps
+(2-core x86-64, one BLAS thread), two threads each reducing at once took
+2.3x the time of one thread reducing both in turn, and two builds at
+once gained nothing (0.9x), but a build on a worker beside a reduction
+took 1/1.5 of the serial time.  On one usable CPU, or for a single
+batch, the caller builds and reduces each batch in turn in one area.
+Each half writes the same bits wherever it runs, so the output does not
+depend on the schedule.
+
+The caller propagates the state into one (stored points, 2) array, each
+row written in place by the chunk operator's dot with the row before;
+after each batch it checks that batch's stored norms, so a run that
+leaves the norm budget is refused at its first bad batch, not at the
+end of the window.
 """
 from __future__ import annotations
 
@@ -56,6 +80,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ._threads import _in_two, _usable_cpus
 from .errors import (AccuracyError, ValidationError, _shown, check_finite, check_instance,
                      check_nonnegative, check_positive, check_reals, in_float_range)
 
@@ -66,7 +91,8 @@ _MAX_STORED = 4000
 # Longest window, in RK4 steps.  A chunk's operators take a work area of
 # 288 B per step plus 32 B per chunk (_work_size) and a layout whose
 # half-step offsets take 16 B per step, and decimated to _MAX_STORED points
-# a chunk is at most MAX_STEPS / _MAX_STORED = 1e6 steps (~0.3 GB).
+# a chunk is at most MAX_STEPS / _MAX_STORED = 1e6 steps (~0.3 GB; twice
+# that on two CPUs, which build the next batch in a second area).
 MAX_STEPS = 4_000_000_000
 # RK4 steps whose operators one _chunk_operator call builds at once: enough
 # that a call's fixed cost (~45 numpy calls on a laid-out area, ~80-130 us)
@@ -201,7 +227,7 @@ class SpinTrajectory:
     u_minus: np.ndarray
 
     def norms(self):
-        return np.abs(self.u_plus) ** 2 + np.abs(self.u_minus) ** 2
+        return _norms(self.u_plus, self.u_minus)
 
     @property
     def norm_drift(self) -> float:
@@ -214,13 +240,18 @@ class SpinTrajectory:
         return float(np.max(np.abs(norms - norms[0])))
 
 
+def _norms(u_plus, u_minus):
+    return np.abs(u_plus) ** 2 + np.abs(u_minus) ** 2
+
+
 def integrate_tls(omega0, drive, initial, t_end, dt=None):
     """Integrate the two-level amplitudes from 0 to t_end.
 
     The trajectory keeps the start and at most 4000 further points,
     evenly decimated.  A run whose norm drifts by more than
     DEFAULT_NORM_BUDGET = 1e-6 at a stored point is aborted with
-    AccuracyError.
+    AccuracyError once the batch of stored points that holds it is
+    checked, without integrating the rest of the window.
 
     Parameters
     ----------
@@ -285,32 +316,64 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None):
 
     n_stored = starts.size + 1
     theta = np.empty(n_stored)
-    up = np.empty(n_stored, dtype=complex)
-    um = np.empty(n_stored, dtype=complex)
-    theta[0], up[0], um[0] = 0.0, u0[0], u0[1]
+    theta[0] = 0.0
     theta[1:] = np.append(starts[1:], n_steps) * dtheta
+    # one row (u_+, u_-) per stored point, written in place row after row
+    states = np.empty((n_stored, 2), dtype=complex)
+    states[0] = u0
+    start = _norms(u0[:1], u0[1:])
+    rows = iter(states)
+    u, done = next(rows), 1
 
-    # the first batch is the largest, in chunks and in steps; the batches
-    # of one shape run together, so each shape is laid out once
-    work = np.empty(_work_size(batches[0][0].size, stride), dtype=complex)
-    layout = None
-    u = u0.copy()
-    out = 1
-    for theta0, m in batches:
-        if layout is None or layout.shape != (theta0.size, m):
-            layout = _ChunkLayout(work, theta0.size, m, dtheta)
-        for op in _chunk_operator(drive, omega0, theta0, layout):
-            u = op @ u
-            up[out], um[out] = u[0], u[1]
-            out += 1
+    def propagate(ops):
+        """Step the state across a batch's chunks, one stored row each, and
+        refuse the run at the first batch whose norm leaves the budget."""
+        nonlocal u, done
+        for op, row in zip(ops, rows):
+            op.dot(u, out=row)
+            u = row
+        batch = states[done:done + len(ops)]
+        done += len(ops)
+        drift = float(np.max(np.abs(_norms(batch[:, 0], batch[:, 1]) - start)))
+        if not drift <= DEFAULT_NORM_BUDGET:
+            raise AccuracyError(
+                f"norm drifted by {drift:.3e} (budget {DEFAULT_NORM_BUDGET:.1e}); "
+                "pass a smaller step dt, or integrate a shorter window")
 
-    traj = SpinTrajectory(theta=theta, u_plus=up, u_minus=um)
-    drift = traj.norm_drift
-    if not drift <= DEFAULT_NORM_BUDGET:
-        raise AccuracyError(
-            f"norm drifted by {drift:.3e} (budget {DEFAULT_NORM_BUDGET:.1e}); "
-            "pass a smaller step dt, or integrate a shorter window")
-    return traj
+    # Batches run from the largest, in chunks and in steps, down, and those
+    # of one shape run together, so an area is sized by its first batch and
+    # lays each shape out once.  With two CPUs, batch i is built in area
+    # i mod 2 (see the module docstring).
+    two = len(batches) > 1 and _usable_cpus() > 1
+    areas = [np.empty(_work_size(theta0.size, m), dtype=complex)
+             for theta0, m in batches[:1 + two]]
+    layouts = [None] * len(areas)
+
+    def layout(i):
+        """Batch i's layout of area i mod len(areas)."""
+        theta0, m = batches[i]
+        a = i % len(areas)
+        if layouts[a] is None or layouts[a].shape != (theta0.size, m):
+            layouts[a] = _ChunkLayout(areas[a], theta0.size, m, dtheta)
+        return layouts[a]
+
+    def step(i):
+        """Lockstep step i: the worker builds batch i while this thread
+        reduces and propagates batch i - 1."""
+        def run(k):
+            if k and i < len(batches):
+                _build_steps(drive, omega0, batches[i][0], layout(i))
+            elif not k and i:
+                propagate(_reduce_steps(layouts[(i - 1) % 2]))
+        return run
+
+    if two:
+        _in_two(*map(step, range(len(batches) + 1)))
+    else:
+        for i, (theta0, _) in enumerate(batches):
+            propagate(_chunk_operator(drive, omega0, theta0, layout(i)))
+    return SpinTrajectory(theta=theta, u_plus=states[:, 0].copy(),
+                          u_minus=states[:, 1].copy())
 
 
 def _coupling(drive, omega0, theta, out):
@@ -401,14 +464,14 @@ class _ChunkLayout:
         self.result = src[:, 0]
 
 
-def _chunk_operator(drive, omega0, theta0, layout):
-    """Products of m consecutive RK4 one-step operators, one per chunk start.
+def _build_steps(drive, omega0, theta0, layout):
+    """The RK4 one-step operators A_k of B chunks of m steps, written into
+    the layout's operator stack: ufuncs only, so no BLAS call.
 
     theta0 is a vector of B chunk starts and layout a _ChunkLayout of
-    shape (B, m); the result is a (B, 2, 2) stack.  Each step is
-    u_{k+1} = A_k u_k with A_k assembled from the coupling at theta_k,
-    theta_k + dtheta/2 and theta_k + dtheta, all read off one grid of
-    2m + 1 half steps.
+    shape (B, m).  Each step is u_{k+1} = A_k u_k with A_k assembled from
+    the coupling at theta_k, theta_k + dtheta/2 and theta_k + dtheta, all
+    read off one grid of 2m + 1 half steps.
 
     With M_i = [[0, b_i], [c_i, 0]], b = -i g, c = -i g*, the stages are
     k1 = M_1, k2 = M_2 (I + dtheta/2 k1), k3 = M_2 (I + dtheta/2 k2) and
@@ -418,14 +481,9 @@ def _chunk_operator(drive, omega0, theta0, layout):
     the stacked matmul rounded it.  The off-diagonal "0 +" keeps the signed
     zeros of an undriven step as the matmul left them.
 
-    Within each chunk the A_k then combine by pairwise matrix products
-    along the step axis, on stacked matmul: a general 2x2 product written
-    elementwise would not round as BLAS does.
-
     Every intermediate is written into the layout's views of the work
     area, by ufuncs with the operands of the plain expressions in their
-    order, so the bits are those of freshly allocated temporaries.  The
-    result is a view into the area that the next call overwrites.
+    order, so the bits are those of freshly allocated temporaries.
     """
     h, dtheta, s = layout.h, layout.dtheta, layout.s
     b, c = layout.b, layout.c
@@ -468,13 +526,33 @@ def _chunk_operator(drive, omega0, theta0, layout):
         np.add(acc, np.multiply(m3, x, out=k3), out=acc)
         np.add(one, np.multiply(s, acc, out=acc), out=entry)
 
-    # pairwise reduction; tail = (dst, src) passes an odd level's last
-    # operator through
+
+def _reduce_steps(layout):
+    """Each chunk's product of the one-step operators _build_steps left in
+    the layout, a (B, 2, 2) view into its work area.
+
+    The A_k combine by pairwise matrix products along the step axis, on
+    stacked matmul: a general 2x2 product written elementwise would not
+    round as BLAS does.
+    """
+    # tail = (dst, src) passes an odd level's last operator through
     for later, earlier, out, tail in layout.levels:
         np.matmul(later, earlier, out=out)
         if tail is not None:
             np.copyto(*tail)
     return layout.result
+
+
+def _chunk_operator(drive, omega0, theta0, layout):
+    """Products of m consecutive RK4 one-step operators, one per chunk start:
+    _build_steps, then _reduce_steps, in the one work area of the layout.
+
+    theta0 is a vector of B chunk starts and layout a _ChunkLayout of
+    shape (B, m); the result is a (B, 2, 2) stack, a view into the area
+    that the next call overwrites.
+    """
+    _build_steps(drive, omega0, theta0, layout)
+    return _reduce_steps(layout)
 
 
 def adiabatic_phase(drive, omega0, t):

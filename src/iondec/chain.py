@@ -65,12 +65,13 @@ second strip pair, and each block of more than one strip hands one
 worker thread, working in that pair, every other mirrored tile, every
 other strip and half the row sums (the Jacobian's diagonal among them),
 with a barrier after the tiles and after the strips; the caller runs the
-rest and then joins the worker.  Tiles, strips and row sums write
-disjoint entries, and each row is still summed whole, so a threaded pass
-gives the serial pass's bits.  Below the threshold a pass stays on the
-caller's thread, with one strip pair: there the GIL handoffs around each
-strip's numpy calls cost about what the second core saves (the
-constant's comment holds the sweep).  The dense LU of
+rest and then joins the worker.  The CPU count and the two-thread runner
+live in ``_threads``, which ``adiabatic``'s integrator shares.  Tiles,
+strips and row sums write disjoint entries, and each row is still summed
+whole, so a threaded pass gives the serial pass's bits.  Below the
+threshold a pass stays on the caller's thread, with one strip pair: there
+the GIL handoffs around each strip's numpy calls cost about what the
+second core saves (the constant's comment holds the sweep).  The dense LU of
 np.linalg.solve runs on as many BLAS threads as the caller's BLAS pool
 has, and its bits depend on that count; the CLI pins it to one.
 
@@ -83,15 +84,13 @@ per exponent on the chain itself.
 """
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._threads import _in_two, _usable_cpus
 from .continuum import ContinuumModel, _length_and_spacing, invert_cubic_count
 from .errors import SolverError, ValidationError, check_instance, check_integer, check_reals
 from .physmodel import MAX_IONS  # re-exported
@@ -163,14 +162,6 @@ class IonChain:
         return math.inf if math.isnan(res) else res
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the OS
-    reports one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _work_area(n: int, rows: int) -> tuple:
     """A work area of ``rows`` pairwise rows of n ions, in one _WIDE
     allocation: (rows, strips).
@@ -228,38 +219,6 @@ def _negate(a: np.ndarray) -> None:
         return
     signs = a.reshape(-1).view(np.uint8).reshape(a.size, -1)[:, byte]
     np.bitwise_xor(signs, 0x80, out=signs)
-
-
-def _in_two(*steps):
-    """Each of ``steps`` on two threads, step(1) on a worker thread and
-    step(0) on this one, with a barrier between consecutive steps, and the
-    worker joined.  The worker runs in a copy of this thread's context
-    (numpy's errstate is a context variable).  An exception of either
-    thread breaks the barrier, so the other stops at its next wait, and is
-    raised after the join, this thread's first."""
-    barrier, failed = threading.Barrier(2), [None, None]
-
-    def run(k):
-        try:
-            for i, step in enumerate(steps):
-                if i:
-                    barrier.wait()
-                step(k)
-        except threading.BrokenBarrierError:
-            pass  # the other thread failed, and its exception is raised
-        except BaseException as exc:  # re-raised on the caller's thread
-            barrier.abort()
-            failed[k] = exc
-
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(run, 1))
-    thread.start()
-    try:
-        run(0)
-    finally:
-        thread.join()
-    for exc in failed:
-        if exc is not None:
-            raise exc
 
 
 def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, rows: np.ndarray,
@@ -449,7 +408,10 @@ def solve_equilibrium(n_ions: int) -> IonChain:
             # res is max|F| at exactly these positions: fill the cache with it
             chain.__dict__["residual"] = res
             return chain
-        step = np.linalg.solve(_jacobian(u, work), f.astype(float)).astype(_WIDE)
+        # J is exactly symmetric, so its transpose is the same matrix, and
+        # numpy copies that column-ordered view for LAPACK without the
+        # transposing gather a row-ordered J takes: the same bits, cheaper
+        step = np.linalg.solve(_jacobian(u, work).T, f.astype(float)).astype(_WIDE)
         lam = 1.0
         while lam >= 1e-8:
             trial = u - lam * step

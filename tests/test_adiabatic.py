@@ -4,14 +4,16 @@ import platform
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iondec import adiabatic
+from iondec import _threads, adiabatic
 from iondec.adiabatic import (DEFAULT_DTHETA, DriveField, SpinTrajectory,
                               adiabatic_phase, integrate_tls, overlap_fidelity)
 from iondec.adiabatic import _ChunkLayout, _chunk_operator, _coupling, _work_size
@@ -417,20 +419,113 @@ BIT_DRIVES = {
 @pytest.mark.parametrize("stride", [1, 7, 1500])
 @pytest.mark.parametrize("drive", list(BIT_DRIVES.values()), ids=list(BIT_DRIVES))
 def test_batch_size_moves_no_bit(drive, stride, monkeypatch):
-    """theta and u± keep every int64 word at any _BATCH_STEPS.  The
-    2999-step window leaves a shorter last full batch at 1024 and 2048
-    steps (stride 1: 951 chunks after whole batches; stride 7: 136), a
-    3-step leftover chunk at stride 7 and a 1499-step one at stride 1500."""
+    """theta and u± keep every int64 word at any _BATCH_STEPS, on one CPU
+    (one work area) and on two (the lockstep schedule's two areas).  The
+    2999-step window is one batch at stride 1 of 4096 steps, and 2999
+    batches at stride 1 of 1 step; it leaves a shorter last full batch at
+    1024 and 2048 steps (stride 1: 951 chunks after whole batches; stride
+    7: 136, so all three batch shapes), a 3-step leftover chunk at stride
+    7 and a 1499-step one at stride 1500 (two batches)."""
     t_end = 149.93
     keep_every(monkeypatch, t_end, stride)
     words = []
-    for batch in (1, 7, 1024, 2048):
+    for batch in (1, 7, 1024, 2048, 4096):
         monkeypatch.setattr(adiabatic, "_BATCH_STEPS", batch)
-        traj = integrate_tls(W0, drive, EQUAL, t_end)
-        words.append(np.concatenate([traj.theta, traj.u_plus.view(float),
-                                     traj.u_minus.view(float)]).view(np.int64))
+        for cpus in (1, 2):
+            monkeypatch.setattr(adiabatic, "_usable_cpus", lambda: cpus)
+            traj = integrate_tls(W0, drive, EQUAL, t_end)
+            words.append(np.concatenate([traj.theta, traj.u_plus.view(float),
+                                         traj.u_minus.view(float)]).view(np.int64))
     for other in words[1:]:
         assert np.array_equal(other, words[0])
+
+
+def _count_calls(monkeypatch, name, before=None):
+    """Wrap adiabatic.<name> so that each call appends the calling thread's
+    id to the returned list, after running before(len(list)) if given."""
+    calls, kernel = [], getattr(adiabatic, name)
+
+    def counted(*args):
+        if before is not None:
+            before(len(calls))
+        calls.append(threading.get_ident())
+        return kernel(*args)
+    monkeypatch.setattr(adiabatic, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_refused_window_stops_after_its_first_bad_batch(cpus, monkeypatch):
+    """The norm is checked batch by batch as the caller propagates, so a
+    refused run stops at the first batch whose norm leaves the budget: one
+    batch later on two CPUs, whose worker builds the next batch meanwhile,
+    not at the last of the window's 100 batches (200,000 steps stored
+    every 50th, 40 chunks a batch)."""
+    monkeypatch.setattr(adiabatic, "_usable_cpus", lambda: cpus)
+    builds = _count_calls(monkeypatch, "_build_steps")
+    monkeypatch.setattr(adiabatic, "DEFAULT_NORM_BUDGET", math.inf)
+    norms = integrate_tls(W0, demo_drive(), EQUAL, 1e4).norms()
+    drift = np.abs(norms - norms[0])
+    assert len(builds) == 100
+    budget = float(np.max(drift[:1001]))
+    first_bad = (np.argmax(drift > budget) - 1) // 40
+    assert first_bad == 25
+    builds.clear()
+    monkeypatch.setattr(adiabatic, "DEFAULT_NORM_BUDGET", budget)
+    with pytest.raises(AccuracyError, match=r"^norm drifted by \S+ \(budget "):
+        integrate_tls(W0, demo_drive(), EQUAL, 1e4)
+    assert len(builds) == first_bad + cpus
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_stage_build_failure_surfaces_and_leaves_no_thread(cpus, monkeypatch):
+    """An exception in batch 3's stage build, on the worker when two CPUs
+    are usable, is raised from integrate_tls, and the worker is joined."""
+    class Failing(Exception):
+        pass
+
+    def fail_at_batch_3(batch):
+        if batch == 3:
+            raise Failing
+
+    monkeypatch.setattr(adiabatic, "_usable_cpus", lambda: cpus)
+    builds = _count_calls(monkeypatch, "_build_steps", before=fail_at_batch_3)
+    running = threading.active_count()
+    with pytest.raises(Failing):
+        integrate_tls(W0, demo_drive(), EQUAL, 1e4)
+    assert len(builds) == 3
+    assert threading.active_count() == running
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_blas_runs_on_the_calling_thread_only(cpus, monkeypatch):
+    """Every reduction (its stacked matmul is BLAS, as is the propagation's
+    dot) runs on the caller's thread; with two CPUs usable and more than
+    one batch, every stage build runs on one worker."""
+    monkeypatch.setattr(adiabatic, "_usable_cpus", lambda: cpus)
+    builds = _count_calls(monkeypatch, "_build_steps")
+    reductions = _count_calls(monkeypatch, "_reduce_steps")
+    integrate_tls(W0, demo_drive(), EQUAL, 1e3)
+    caller = threading.get_ident()
+    assert len(reductions) == len(builds) == 10
+    assert set(reductions) == {caller}
+    if cpus == 1:
+        assert set(builds) == {caller}
+    else:
+        assert len(set(builds)) == 1 and caller not in builds
+
+
+def test_one_usable_cpu_starts_no_thread(monkeypatch):
+    """With one CPU in the affinity set, a pinned window of five batches
+    runs on the caller and keeps its bits."""
+    def no_thread(*args, **kwargs):
+        raise AssertionError("integrate_tls started a thread")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(_threads, "threading", types.SimpleNamespace(Thread=no_thread))
+    name, drive, t_end, _, up, um, drift = PINNED[0]
+    traj = integrate_tls(W0, drive, EQUAL, t_end)
+    assert (traj.u_plus[-1], traj.u_minus[-1], traj.norm_drift) == (up, um, drift)
 
 
 @pytest.mark.parametrize("B, m", [(1, 1), (1, 7), (3, 333), (205, 5), (1, 1024)])

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from iondec import _threads as _threads_module
 from iondec import chain as chain_module
 from iondec.chain import (IonChain, _area, _force, _initial_guess, _jacobian, _row_sums,
                           _work_area, local_spacings, solve_equilibrium)
@@ -814,7 +815,7 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch):
 
     monkeypatch.setattr(chain_module, "_THREAD_MIN_IONS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(chain_module, "threading", types.SimpleNamespace(Thread=no_thread))
+    monkeypatch.setattr(_threads_module, "threading", types.SimpleNamespace(Thread=no_thread))
     chain = _fixed_positions(150)
     assert len(_area(150)[1]) == 1
     _force(chain.positions, _area(150))

@@ -830,10 +830,10 @@ BASE_MODULES = {"iondec", "iondec.errors", "iondec.physmodel", "iondec.continuum
 SUBCOMMAND_MODULES = [
     (["scales"], set()),
     (["continuum", "--points", "5"], set()),
-    (["equilibrium", "--n-ions", "5"], {"chain"}),
-    (["sums", "--n-ions", "5"], {"chain", "sums"}),
-    (["adiabatic", "--theta-end", "10"], {"adiabatic"}),
-    (["decohere", "--n-ions", "5"], {"chain", "sums", "decoherence"}),
+    (["equilibrium", "--n-ions", "5"], {"_threads", "chain"}),
+    (["sums", "--n-ions", "5"], {"_threads", "chain", "sums"}),
+    (["adiabatic", "--theta-end", "10"], {"_threads", "adiabatic"}),
+    (["decohere", "--n-ions", "5"], {"_threads", "chain", "sums", "decoherence"}),
     (["decohere", "--mode", "closed"], {"sums", "decoherence"}),
     (["scaling", "--n-min", "10", "--n-max", "100"], {"sums", "decoherence", "scaling"}),
     (["scaling", "--policy", "fixed_spacing", "--n-min", "10", "--n-max", "100"],
