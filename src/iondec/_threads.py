@@ -1,5 +1,5 @@
 """The second CPU: how many CPUs a process may use, and a lockstep runner
-that splits each step of a kernel between this thread and one worker.
+of a kernel's two lanes, on this thread and one worker or both on this one.
 
 ``chain``'s pairwise passes and ``adiabatic``'s integrator both use it;
 each decides from _usable_cpus() whether to start the worker at all.
@@ -19,13 +19,19 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _in_two(*steps):
-    """Each of ``steps`` on two threads, step(1) on a worker thread and
-    step(0) on this one, with a barrier between consecutive steps, and the
-    worker joined.  The worker runs in a copy of this thread's context
-    (numpy's errstate is a context variable).  An exception of either
-    thread breaks the barrier, so the other stops at its next wait, and is
-    raised after the join, this thread's first."""
+def _in_two(*steps, threaded):
+    """Each of ``steps`` as two lanes in lockstep: step(0) then step(1) on
+    this thread unless ``threaded``, and no thread started; else step(1)
+    on a worker thread and step(0) on this one, with a barrier between
+    consecutive steps, and the worker joined.  The worker runs in a copy of
+    this thread's context (numpy's errstate is a context variable).  An
+    exception of either thread breaks the barrier, so the other stops at
+    its next wait, and is raised after the join, this thread's first."""
+    if not threaded:
+        for step in steps:
+            step(0)
+            step(1)
+        return
     barrier, failed = threading.Barrier(2), [None, None]
 
     def run(k):

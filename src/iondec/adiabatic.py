@@ -32,38 +32,37 @@ per call, and short windows do not pay numpy's per-call overhead once per
 stored point.
 
 Each run allocates one work area (two on two CPUs, see below), sized for
-its largest batch, and every chunk call writes all of its intermediates
-there: _chunk_operator and _coupling take their scratch from the caller
-and allocate none of their own.  A call's ~0.4 MB of fresh temporaries
-would grow the heap past glibc's trim threshold, which stays at 128 KiB
-once the mmap threshold is fixed (as the benchmark fixes it); the heap
-would then be trimmed at every free and the temporaries page-faulted
-back in at the next call, ~60 faults per call.
+its largest batch, and every batch writes all of its intermediates
+there: _build_steps, _reduce_steps and _coupling take their scratch from
+the caller and allocate none of their own.  A batch's ~0.4 MB of fresh
+temporaries would grow the heap past glibc's trim threshold, which stays
+at 128 KiB once the mmap threshold is fixed (as the benchmark fixes it);
+the heap would then be trimmed at every free and the temporaries
+page-faulted back in at the next batch, ~60 faults per batch.
 
 The run also lays its area out once for each batch shape (B chunks of m
 steps) it meets, at most three: the full batch, a shorter last full batch
-and the leftover chunk.  A _ChunkLayout holds every view a chunk call
-reads or writes, and the half-step offsets of its grid, so the call only
-issues its ufunc and matmul calls; slicing the area afresh cost ~40 views
-and an arange per call.
+and the leftover chunk.  A _ChunkLayout holds every view a batch reads
+or writes, and the half-step offsets of its grid, so its two halves only
+issue their ufunc and matmul calls; slicing the area afresh cost ~40
+views and an arange per batch.
 
-A chunk call has two halves: _build_steps, the coupling grid and the RK4
+A batch has two halves: _build_steps, the coupling grid and the RK4
 entries, ufuncs only, and _reduce_steps, the pairwise matmuls, which
-numpy hands to BLAS one 2x2 product at a time (~37% and ~63% of a call
-at 81 chunks of 25 steps).  When two CPUs are usable and the window has
-more than one batch, the run takes a second work area and goes in
-lockstep steps: in step i a worker thread builds batch i in area i mod 2
-while the caller reduces batch i - 1 in the other area and propagates
-its stored points, with a barrier between steps (_threads._in_two).  So
-BLAS, the reduction's matmul and the propagation's dot, is only ever
-called from the caller's thread.  Measured at 81 chunks of 25 steps
+numpy hands to BLAS one 2x2 product at a time (~37% and ~63% of a batch
+at 81 chunks of 25 steps).  A run goes in lockstep steps of two lanes
+(_threads._in_two): in step i lane 0 reduces batch i - 1 and propagates
+its stored points, and lane 1 builds batch i.  When two CPUs are usable
+and the window has more than one batch, lane 1 runs on a worker thread
+and builds batch i in area i mod 2 of two.  So BLAS, the reduction's
+matmul and the propagation's dot, is only ever called from the caller's
+thread.  Measured at 81 chunks of 25 steps
 (2-core x86-64, one BLAS thread), two threads each reducing at once took
 2.3x the time of one thread reducing both in turn, and two builds at
 once gained nothing (0.9x), but a build on a worker beside a reduction
-took 1/1.5 of the serial time.  On one usable CPU, or for a single
-batch, the caller builds and reduces each batch in turn in one area.
-Each half writes the same bits wherever it runs, so the output does not
-depend on the schedule.
+took 1/1.5 of the serial time.  Otherwise the caller runs lane 0, then
+lane 1, in one area.  Each half writes the same bits wherever it runs,
+so the output does not depend on the schedule.
 
 The caller propagates the state into one (stored points, 2) array, each
 row written in place by the chunk operator's dot with the row before;
@@ -94,9 +93,9 @@ _MAX_STORED = 4000
 # a chunk is at most MAX_STEPS / _MAX_STORED = 1e6 steps (~0.3 GB; twice
 # that on two CPUs, which build the next batch in a second area).
 MAX_STEPS = 4_000_000_000
-# RK4 steps whose operators one _chunk_operator call builds at once: enough
-# that a call's fixed cost (~45 numpy calls on a laid-out area, ~80-130 us)
-# is a small share of it.  A 2048-step batch takes a ~0.6 MB work area (see
+# RK4 steps whose operators one batch builds at once: enough that a
+# batch's fixed cost (~45 numpy calls on a laid-out area, ~80-130 us) is a
+# small share of it.  A 2048-step batch takes a ~0.6 MB work area (see
 # the module docstring), below the benchmark's 1 MiB mmap threshold; 4096
 # steps were no faster.
 _BATCH_STEPS = 2048
@@ -358,20 +357,16 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None):
         return layouts[a]
 
     def step(i):
-        """Lockstep step i: the worker builds batch i while this thread
-        reduces and propagates batch i - 1."""
+        """Lockstep step i: lane 0 reduces and propagates batch i - 1, and
+        lane 1 builds batch i, after it when both share one area."""
         def run(k):
             if k and i < len(batches):
                 _build_steps(drive, omega0, batches[i][0], layout(i))
             elif not k and i:
-                propagate(_reduce_steps(layouts[(i - 1) % 2]))
+                propagate(_reduce_steps(layouts[(i - 1) % len(areas)]))
         return run
 
-    if two:
-        _in_two(*map(step, range(len(batches) + 1)))
-    else:
-        for i, (theta0, _) in enumerate(batches):
-            propagate(_chunk_operator(drive, omega0, theta0, layout(i)))
+    _in_two(*map(step, range(len(batches) + 1)), threaded=two)
     return SpinTrajectory(theta=theta, u_plus=states[:, 0].copy(),
                           u_minus=states[:, 1].copy())
 
@@ -396,18 +391,18 @@ def _coupling(drive, omega0, theta, out):
 
 
 def _work_size(B, m):
-    """Complex elements of the work area _chunk_operator needs for B chunks
-    of m steps: 18 per step and 2 per chunk, so 288 B per step plus 32 B per
+    """Complex elements of the work area of a batch of B chunks of m
+    steps: 18 per step and 2 per chunk, so 288 B per step plus 32 B per
     chunk, at most 320 B per step."""
     return 18 * B * m + 2 * B
 
 
 class _ChunkLayout:
-    """Every view of a work area that _chunk_operator reads or writes for
-    B chunks of m steps of dtheta, and the half-step offsets of its grid.
+    """Every view of a work area that a batch of B chunks of m steps of
+    dtheta reads or writes, and the half-step offsets of its grid.
 
     integrate_tls lays its area out once for each (B, m) it meets, so a
-    chunk call only issues its ufunc and matmul calls.  The area is
+    batch only issues its ufunc and matmul calls.  The area is
     [b | c | ops | stage], b and c holding the couplings on B rows of
     2m + 1 half steps; the stage area first holds the coupling's scratch,
     then ten (B, m) stage arrays, then the reduction's odd levels.
@@ -543,18 +538,6 @@ def _reduce_steps(layout):
     return layout.result
 
 
-def _chunk_operator(drive, omega0, theta0, layout):
-    """Products of m consecutive RK4 one-step operators, one per chunk start:
-    _build_steps, then _reduce_steps, in the one work area of the layout.
-
-    theta0 is a vector of B chunk starts and layout a _ChunkLayout of
-    shape (B, m); the result is a (B, 2, 2) stack, a view into the area
-    that the next call overwrites.
-    """
-    _build_steps(drive, omega0, theta0, layout)
-    return _reduce_steps(layout)
-
-
 def adiabatic_phase(drive, omega0, t):
     """Accumulated phase Phi(t) = int_0^t |f|^2/omega0 dt'.
 
@@ -590,11 +573,12 @@ def overlap_fidelity(trajectory):
 
     The fast phases cancel in the inner product, leaving Re[(u+ + u-)/sqrt(2)]
     for the equal-superposition start.  Rejects trajectories that did not
-    start in the equal superposition, where this reduction fails.
+    start in the equal superposition, where this reduction fails, and a
+    start that holds a NaN.
     """
     check_instance("trajectory", trajectory, SpinTrajectory)
     start = np.array([trajectory.u_plus[0], trajectory.u_minus[0]])
-    if np.max(np.abs(start - 1.0 / np.sqrt(2.0))) > 1e-9:
+    if not np.max(np.abs(start - 1.0 / np.sqrt(2.0))) <= 1e-9:
         raise ValidationError(
             "trajectory", "overlap formula assumes u+(0) = u-(0) = 1/sqrt(2)")
     return np.real((trajectory.u_plus + trajectory.u_minus) / np.sqrt(2.0))

@@ -60,16 +60,16 @@ of it; the faults left in a solve are that copy's, which numpy allocates
 inside np.linalg.solve.  A lone pass (a residual, a pair sum) allocates
 the area a solve over its ions would, capped for a chain above MAX_IONS.
 
-From _THREAD_MIN_IONS ions up, and with two CPUs usable, an area holds a
-second strip pair, and each block of more than one strip hands one
-worker thread, working in that pair, every other mirrored tile, every
+Every pass runs as two lanes, each with every other mirrored tile, every
 other strip and half the row sums (the Jacobian's diagonal among them),
-with a barrier after the tiles and after the strips; the caller runs the
-rest and then joins the worker.  The CPU count and the two-thread runner
-live in ``_threads``, which ``adiabatic``'s integrator shares.  Tiles,
-strips and row sums write disjoint entries, and each row is still summed
-whole, so a threaded pass gives the serial pass's bits.  Below the
-threshold a pass stays on the caller's thread, with one strip pair: there
+with a barrier after the tiles and after the strips.  From
+_THREAD_MIN_IONS ions up, with two CPUs usable, an area holds a second
+strip pair, and a block of more than one strip runs lane 1 on one worker
+thread in that pair; otherwise the caller runs both lanes in turn.  The
+CPU count and the lockstep runner live in ``_threads``, which
+``adiabatic``'s integrator shares.  Tiles, strips and row sums write
+disjoint entries, and each row is still summed whole, so the bits do not
+depend on where the lanes run.  Below the threshold no worker starts:
 the GIL handoffs around each strip's numpy calls cost about what the
 second core saves (the constant's comment holds the sweep).  The dense LU of
 np.linalg.solve runs on as many BLAS threads as the caller's BLAS pool
@@ -254,25 +254,24 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, rows: np.ndarray,
     rows written through a strided view, would make numpy allocate an
     iterator buffer, ~0.24 MB per strip at N = 1500.
 
-    With a second strip pair in ``strips`` (see _work_area) and more than
-    one strip in the block, a worker thread runs every other mirrored
-    tile, every other strip and half the row sums, in that pair and in
-    that order, while this thread runs the rest, with a barrier after the
-    tiles and after the strips.  A tile writes only its own columns, a
-    strip only its own rows from its diagonal on, the rows below it in its
-    own columns and its own rows left of the tile, and a row sum only its
-    row's slot, so no two of them write one entry, and each entry gets the
-    bits a serial pass gives it; entry(d, spare) must be safe to call from
-    two threads at once.
+    The pass runs as two lanes (_threads._in_two), lane k taking every
+    other mirrored tile, every other strip and half the row sums from the
+    k-th, in strip pair k % len(strips); with a second strip pair (see
+    _work_area) and more than one strip in the block, lane 1 runs on a
+    worker thread.  A tile writes only its own columns, a strip only its
+    own rows from its diagonal on, the rows below it in its own columns
+    and its own rows left of the tile, and a row sum only its row's slot,
+    so no two of them write one entry, and each entry's bits do not
+    depend on where its lane runs; entry(d, spare) must be safe to call
+    from two threads at once.
     """
     n, hi = u.size, lo + len(rows)
     edge = lo if above is None else lo - len(above)
-    parts = 2 if len(strips) > 1 and hi - lo > _STRIP else 1
 
     def mirror(k):
-        """Columns [edge, lo): every parts-th tile of ``above`` from the k-th."""
-        buffer = strips[k][0]
-        for r in range(k * _STRIP, lo - edge, parts * _STRIP):
+        """Columns [edge, lo): every other tile of ``above`` from the k-th."""
+        buffer = strips[k % len(strips)][0]
+        for r in range(k * _STRIP, lo - edge, 2 * _STRIP):
             t = min(r + _STRIP, lo - edge)
             tile = buffer[:(t - r) * (hi - lo)].reshape(t - r, hi - lo)
             tile[...] = above[r:t, lo:hi]
@@ -281,8 +280,8 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, rows: np.ndarray,
             rows[:, edge + r:edge + t] = tile.T
 
     def run(k):
-        """Every parts-th strip from the k-th, in strip pair k."""
-        pair = strips[k]
+        """Every other strip from the k-th, in strip pair k % len(strips)."""
+        pair = strips[k % len(strips)]
 
         def differences(first, second, shape):
             """first - second, both broadcast to ``shape``, in pair[0]."""
@@ -291,7 +290,7 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, rows: np.ndarray,
             other[...] = second
             return np.subtract(diff, other, out=diff)
 
-        for a in range(lo + k * _STRIP, hi, parts * _STRIP):
+        for a in range(lo + k * _STRIP, hi, 2 * _STRIP):
             b = min(a + _STRIP, hi)
             # flip[r, c] = entry(u_(a+c) - u_(a+r)) = |M[a+c, a+r]|: the
             # differences are distances except in the strip's own square
@@ -314,19 +313,15 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, rows: np.ndarray,
                 rows[a - lo:b - lo, :edge] = entry(left, pair[1])
 
     def add(k):
-        """Row sums of the k-th of ``parts`` runs of rows."""
-        r0, r1 = len(rows) * k // parts, len(rows) * (k + 1) // parts
+        """Row sums of the k-th half of the rows."""
+        r0, r1 = len(rows) * k // 2, len(rows) * (k + 1) // 2
         rows[r0:r1].sum(axis=1, out=sums[r0:r1])
 
     steps = [mirror] if edge < lo else []
     steps.append(run)
     if sums is not None:
         steps.append(add)
-    if parts == 1:
-        for step in steps:
-            step(0)
-    else:
-        _in_two(*steps)
+    _in_two(*steps, threaded=len(strips) > 1 and hi - lo > _STRIP)
     return rows
 
 

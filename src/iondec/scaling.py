@@ -226,7 +226,9 @@ def fit_exponent(series: ScalingSeries, log_power: float | None = None) -> Expon
     """Effective exponent of rate_vib against N.
 
     log_power = c divides out a (ln c0 N)^c factor before fitting, so a
-    rate following N^a (ln c0 N)^c comes back with slope exactly a.
+    rate following N^a (ln c0 N)^c comes back with slope exactly a.  A
+    rate_vib that is not finite and positive everywhere has no log and is
+    refused.
     """
     import numpy as np
 
@@ -235,7 +237,10 @@ def fit_exponent(series: ScalingSeries, log_power: float | None = None) -> Expon
         raise ValidationError("series", "need at least 4 rows to fit")
     if n.max() / n.min() < 10.0 - 1e-9:
         raise ValidationError("series", "rows must span at least a decade in N")
-    y = np.log(series.rate_vib)
+    rate = np.asarray(series.rate_vib)
+    if not np.all((rate > 0) & (rate < math.inf)):
+        raise ValidationError("series", "rate_vib must be finite and positive to fit its log")
+    y = np.log(rate)
     if log_power is not None:
         y = y - log_power * np.log(np.log(C0_DUBIN * n))
     coeffs, cov = np.polyfit(np.log(n), y, 1, cov=True)

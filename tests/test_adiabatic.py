@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from iondec import _threads, adiabatic
 from iondec.adiabatic import (DEFAULT_DTHETA, DriveField, SpinTrajectory,
                               adiabatic_phase, integrate_tls, overlap_fidelity)
-from iondec.adiabatic import _ChunkLayout, _chunk_operator, _coupling, _work_size
+from iondec.adiabatic import _build_steps, _ChunkLayout, _coupling, _reduce_steps, _work_size
 from iondec.errors import AccuracyError, DomainError, ValidationError
 
 W0 = 1.0
@@ -161,6 +161,14 @@ def test_windows_beyond_max_steps_refused(monkeypatch, recwarn):
 def test_overlap_rejects_other_initial_states():
     traj = integrate_tls(W0, demo_drive(), (1.0, 0.0), 10.0)
     with pytest.raises(ValidationError):
+        overlap_fidelity(traj)
+
+
+def test_overlap_rejects_a_nan_start():
+    """A NaN compares false with the tolerance, so it must not pass as the
+    equal superposition."""
+    traj = SpinTrajectory(np.zeros(2), np.array([np.nan, 1.0]), np.array([np.nan, 0.0]))
+    with pytest.raises(ValidationError, match="trajectory"):
         overlap_fidelity(traj)
 
 
@@ -358,11 +366,19 @@ def test_batched_chunks_match_one_chunk_per_call(case, stride, monkeypatch):
     for pos in range(0, n_steps, stride):
         m = min(stride, n_steps - pos)
         layout = _layout(1, m, dtheta)
-        u = _chunk_operator(drive, W0, np.array([pos * dtheta]), layout)[0] @ u
+        u = _build_and_reduce(drive, W0, np.array([pos * dtheta]), layout)[0] @ u
         stored.append(u)
     stored = np.array(stored)
     assert np.array_equal(traj.u_plus, stored[:, 0])
     assert np.array_equal(traj.u_minus, stored[:, 1])
+
+
+def _build_and_reduce(drive, omega0, theta0, layout):
+    """The products of B chunks of m one-step operators, a (B, 2, 2) view
+    into the layout's area: _build_steps, then _reduce_steps, as
+    integrate_tls runs them on one area."""
+    _build_steps(drive, omega0, theta0, layout)
+    return _reduce_steps(layout)
 
 
 def _layout(B, m, dtheta):
@@ -372,7 +388,7 @@ def _layout(B, m, dtheta):
 
 def _stacked_chunk_operator(drive, omega0, theta0, dtheta, m):
     """The RK4 assembly on stacked (B, m, 2, 2) matrix products, with the
-    coupling evaluated three times per step: the form _chunk_operator's
+    coupling evaluated three times per step: the form _build_steps'
     component assembly replaced, kept as its bit-for-bit reference."""
     k = np.arange(m)
     theta0 = np.asarray(theta0, dtype=float)[:, None]
@@ -535,7 +551,7 @@ def test_chunk_operator_bits_match_stacked_matmul(drive, B, m):
     a signed zero (equal under ==) counts as a difference."""
     dtheta = 123.456 / 2470
     theta0 = np.arange(B) * (m * dtheta)
-    got = _chunk_operator(drive, W0, theta0, _layout(B, m, dtheta))
+    got = _build_and_reduce(drive, W0, theta0, _layout(B, m, dtheta))
     want = _stacked_chunk_operator(drive, W0, theta0, dtheta, m)
     assert got.shape == (B, 2, 2)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -557,11 +573,11 @@ def test_chunk_operator_writes_into_the_area_it_is_handed(B, m):
     work = np.empty(_work_size(B, m), dtype=complex)
     layout = _ChunkLayout(work, B, m, dtheta)
     drive = demo_drive()
-    ops = _chunk_operator(drive, W0, theta0, layout)
+    ops = _build_and_reduce(drive, W0, theta0, layout)
     assert np.shares_memory(ops, work)
     tracemalloc.start()
     try:
-        _chunk_operator(drive, W0, theta0, layout)
+        _build_and_reduce(drive, W0, theta0, layout)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

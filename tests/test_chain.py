@@ -707,11 +707,18 @@ def test_threaded_pass_gives_the_serial_bits(n, monkeypatch):
     N = 257 on, and the 45-row area), give the serial pass's bytes on two
     threads, also when the interpreter switches threads every
     microsecond."""
+    in_two, flags = chain_module._in_two, []
+
+    def recorded(*steps, threaded):
+        flags.append(threaded)
+        return in_two(*steps, threaded=threaded)
+
+    monkeypatch.setattr(chain_module, "_in_two", recorded)
     _threads(monkeypatch, False)
     serial = _all_kernel_bytes(n)
+    assert flags and not any(flags)
+    flags.clear()
     _threads(monkeypatch, True)
-    in_two, calls = chain_module._in_two, []
-    monkeypatch.setattr(chain_module, "_in_two", lambda *run: calls.append(1) or in_two(*run))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -719,7 +726,7 @@ def test_threaded_pass_gives_the_serial_bits(n, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
-    assert bool(calls) == (n > chain_module._STRIP)
+    assert any(flags) == (n > chain_module._STRIP)
 
 
 def test_pass_below_the_threshold_has_one_strip_pair(monkeypatch):
@@ -807,6 +814,32 @@ def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
     assert chain_module._usable_cpus() == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert chain_module._usable_cpus() == 1
+
+
+def test_unthreaded_lanes_run_in_turn_on_the_caller(monkeypatch):
+    """Without ``threaded``, _in_two runs lane 0 and then lane 1 of each
+    step on the calling thread and starts no thread, and an exception in a
+    step's lane 0 stops the run before that step's lane 1."""
+    def no_thread(*args, **kwargs):
+        raise AssertionError("_in_two started a thread")
+
+    monkeypatch.setattr(_threads_module, "threading", types.SimpleNamespace(Thread=no_thread))
+    caller, ran = threading.get_ident(), []
+
+    def step(name, failing_lane=None):
+        def lane(k):
+            ran.append((name, k, threading.get_ident()))
+            if k == failing_lane:
+                raise ValueError(name)
+        return lane
+
+    _threads_module._in_two(step("a"), step("b"), step("c"), threaded=False)
+    assert ran == [(name, k, caller) for name in "abc" for k in (0, 1)]
+    ran.clear()
+    with pytest.raises(ValueError, match="b"):
+        _threads_module._in_two(step("a"), step("b", failing_lane=0), step("c"),
+                                threaded=False)
+    assert ran == [("a", 0, caller), ("a", 1, caller), ("b", 0, caller)]
 
 
 def test_one_usable_cpu_starts_no_thread(monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,18 @@ def test_scan_validation(ba, trap1000):
     assert np.array_equal(series.n_ions, expected)
     with pytest.raises(ValidationError, match="distinct"):
         scan([], ba, trap1000)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_fit_refuses_a_rate_without_a_log(bad, e2_series):
+    """One rate_vib that is NaN, infinite, zero or negative is refused
+    before np.log runs, so numpy warns of nothing."""
+    rates = e2_series.rate_vib.copy()
+    rates[len(rates) // 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="series"):
+            fit_exponent(dataclasses.replace(e2_series, rate_vib=rates))
 
 
 def test_fit_preconditions(ba, trap1000):
