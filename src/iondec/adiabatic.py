@@ -34,7 +34,8 @@ stored point.
 Each run allocates one work area (two on two CPUs, see below), sized for
 its largest batch, and every batch writes all of its intermediates
 there: _build_steps, _reduce_steps and _coupling take their scratch from
-the caller and allocate none of their own.  A batch's ~0.4 MB of fresh
+the caller and allocate none of their own, not even a numpy cast or
+broadcast buffer.  A batch's ~0.4 MB of fresh
 temporaries would grow the heap past glibc's trim threshold, which stays
 at 128 KiB once the mmap threshold is fixed (as the benchmark fixes it);
 the heap would then be trimmed at every free and the temporaries
@@ -377,15 +378,18 @@ def _coupling(drive, omega0, theta, out):
 
     out = (g, e, f, fx) are three complex arrays and a float array of
     theta's shape: g is built in g, and the others are scratch (fx may
-    share g's memory).
+    share g's memory).  e = i theta and f = fx - i fy are written part by
+    part, with the bits of 1j * theta and fx - 1j * fy (signed zeros
+    included, for theta >= 0), so no float array is cast to complex.
     """
     g, e, f, fx = out
-    np.multiply(1j, theta, out=e)
+    e.real = 0.0
+    e.imag = theta
     np.exp(e, out=e)
     t = np.divide(theta, omega0, out=theta)
     drive._components_into(t, fx, t)
-    np.multiply(1j, t, out=f)
-    np.subtract(fx, f, out=f)
+    np.subtract(fx, np.multiply(0.0, t, out=f.real), out=f.real)
+    np.subtract(0.0, t, out=f.imag)
     np.multiply(e, f, out=g)
     return np.divide(g, omega0, out=g)
 
@@ -428,6 +432,7 @@ class _ChunkLayout:
         stage = 2 * gl + 4 * n
         self.b, self.c = b, c
         self.grid = real(stage + gl, B, half_steps)
+        self.starts = real(gl, B, half_steps)  # each row's chunk start, in c
         self.coupling = (b, cplx(stage, B, half_steps), c, real(0, B, half_steps))
         # b and c at theta_k, theta_k + dtheta/2 and theta_k + dtheta
         b1, b2, b3 = b[:, 0:2 * m:2], b[:, 1::2], b[:, 2::2]
@@ -482,7 +487,10 @@ def _build_steps(drive, omega0, theta0, layout):
     """
     h, dtheta, s = layout.h, layout.dtheta, layout.s
     b, c = layout.b, layout.c
-    np.add(np.asarray(theta0, dtype=float)[:, None], layout.offsets, out=layout.grid)
+    # full-size operands: numpy would buffer broadcast ones, 16 B per point
+    np.copyto(layout.starts, np.asarray(theta0, dtype=float)[:, None])
+    np.copyto(layout.grid, layout.offsets)
+    np.add(layout.starts, layout.grid, out=layout.grid)
     g = _coupling(drive, omega0, layout.grid, layout.coupling)
     np.conjugate(g, out=c)
     np.multiply(-1j, c, out=c)

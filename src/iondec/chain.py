@@ -105,8 +105,7 @@ _WIDE = np.longdouble
 
 # rows per strip of a mirrored diagonal tile
 _STRIP = 32
-# a strip square's diagonal and its lower triangle, sliced for a short strip
-_DIAGONAL = np.arange(_STRIP)
+# a strip square's lower triangle, sliced for a short strip
 _LOWER = np.tri(_STRIP, dtype=bool)
 # bytes of _WIDE rows up to which a pass runs in one row block (_area):
 # all n rows up to n = 256 under x87
@@ -297,7 +296,7 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, rows: np.ndarray,
             d = differences(u[None, a:], u[a:b, None], (b - a, n - a))
             square = d[:, :b - a]
             np.abs(square, out=square)
-            square[_DIAGONAL[:b - a], _DIAGONAL[:b - a]] = np.inf
+            d.reshape(-1)[:(b - a) * (n - a):n - a + 1] = np.inf  # its diagonal
             flip = entry(d, pair[1])
             rows[b - lo:, a:b] = flip[:, b - a:hi - a].T
             if odd:

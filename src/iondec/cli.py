@@ -1,9 +1,8 @@
 """Command-line interface: INI config in, deterministic CSV out.
 
-Physics parameters live in a sectioned key = value file ([species],
-[trap], and an optional [model] that holds only qsq_constant: rates,
-reports and scans use the Dubin fluid model, and any other key is
-refused); command flags select what to compute, and a subcommand
+Physics parameters live in a sectioned key = value file ([species] and
+[trap], both required; any other section or key is refused, the retired
+[model] among them); command flags select what to compute, and a subcommand
 that reads the ion count or the multipole order takes a flag that
 overrides it: ``--n-ions`` every subcommand but ``adiabatic``,
 ``--multipole`` only ``scales``, ``decohere`` and ``scaling``.  All
@@ -78,9 +77,6 @@ multipole = E2
 fz_hz = 1e5
 ft_hz = 2e7
 n_ions = 1000
-
-[model]
-qsq_constant = 1.0
 """
 
 PRESETS = {"ba_example": BA_EXAMPLE}
@@ -93,9 +89,7 @@ MAX_POINTS = 10**6
 _SECTIONS = {
     "species": {"name", "mass_amu", "charge_e", "f0_hz", "tau_s_s", "multipole"},
     "trap": {"fz_hz", "ft_hz", "n_ions"},
-    "model": {"qsq_constant"},
 }
-_REQUIRED = ("species", "trap")
 
 
 @dataclass(frozen=True)
@@ -133,17 +127,16 @@ def parse_config(text: str) -> RunConfig:
         for key in parser[section]:
             if key not in _SECTIONS[section]:
                 raise ValidationError(key, f"unknown key {key!r} in [{section}]")
-    missing = [s for s in _REQUIRED if not parser.has_section(s)]
+    missing = [s for s in _SECTIONS if not parser.has_section(s)]
     if missing:
         raise ValidationError("config", "missing required section(s) "
                               + ", ".join(f"[{s}]" for s in missing))
-    for section in _REQUIRED:
+    for section in _SECTIONS:
         absent = _SECTIONS[section] - set(parser[section])
         if absent:
             raise ValidationError("config", f"[{section}] is missing "
                                   + ", ".join(sorted(absent)))
 
-    mo = parser["model"] if parser.has_section("model") else {}
     sp = parser["species"]
     multipole_raw = sp["multipole"].strip().upper()
     if multipole_raw not in ("E1", "E2"):
@@ -155,8 +148,7 @@ def parse_config(text: str) -> RunConfig:
         charge_e=_number("species", "charge_e", sp["charge_e"]),
         f0_hz=_number("species", "f0_hz", sp["f0_hz"]),
         tau_s_s=_number("species", "tau_s_s", sp["tau_s_s"]),
-        multipole=Multipole[multipole_raw],
-        qsq_constant=_number("model", "qsq_constant", mo.get("qsq_constant", "1")))
+        multipole=Multipole[multipole_raw])
 
     tr = parser["trap"]
     n_raw = tr["n_ions"].strip()

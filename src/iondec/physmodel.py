@@ -35,6 +35,10 @@ CONSTANTS = PhysicalConstants()
 #: line search stalls above chain.DEFAULT_TOL.
 MAX_IONS = 3000
 
+#: Constant c of the order-of-magnitude lifetime convention
+#: Q^2 = c hbar/(tau_s k0^(2p-3)); qsq_convention_stamp records it.
+QSQ_CONSTANT = 1.0
+
 
 class Multipole(enum.Enum):
     """Transition type; sets the exponent p of the 1/r^p perturbing coupling."""
@@ -64,10 +68,8 @@ class IonSpecies:
     tau_s : float
         Spontaneous lifetime of the upper level, seconds.
     multipole : Multipole
-        E1 or E2; selects the coupling exponent p = 3 or 4.
-    qsq_constant : float
-        Constant c of the lifetime convention Q^2 = c hbar/(tau_s k0^(2p-3))
-        for the squared multipole moment (default 1).
+        E1 or E2; selects the coupling exponent p = 3 or 4.  The squared
+        multipole moment follows from tau_s (derive_scales, QSQ_CONSTANT).
     """
 
     name: str
@@ -76,21 +78,18 @@ class IonSpecies:
     omega0: float
     tau_s: float
     multipole: Multipole
-    qsq_constant: float = 1.0
 
     def __post_init__(self):
         check_positive("mass", self.mass)
         check_positive("charge", self.charge)
         check_positive("omega0", self.omega0)
         check_positive("tau_s", self.tau_s)
-        check_positive("qsq_constant", self.qsq_constant)
         check_instance("multipole", self.multipole, Multipole)
 
     @classmethod
     def from_lab_units(cls, name: str, mass_amu: float, charge_e: float,
                        f0_hz: float, tau_s_s: float,
-                       multipole: Multipole,
-                       qsq_constant: float = 1.0) -> "IonSpecies":
+                       multipole: Multipole) -> "IonSpecies":
         """Build from laboratory units: amu, elementary charges, and hertz.
 
         Frequencies are quoted as ordinary frequencies (omega/2pi), matching
@@ -107,7 +106,6 @@ class IonSpecies:
             omega0=2.0 * math.pi * f0_hz,
             tau_s=tau_s_s,
             multipole=multipole,
-            qsq_constant=qsq_constant,
         )
 
 
@@ -164,7 +162,7 @@ def derive_scales(species: IonSpecies, trap: TrapConfig) -> DerivedScales:
     Q^2 = c * hbar / (tau_s * k0^(2p-3)), i.e. c hbar/(tau_s k0^5) for a
     quadrupole (p = 4) and c hbar/(tau_s k0^3) for a dipole (p = 3).  The
     proportionality constant c is an order-of-magnitude convention, the
-    species' ``qsq_constant`` (default 1).  Inputs that put any of the
+    module constant QSQ_CONSTANT = 1.  Inputs that put any of the
     four scales outside the positive float range raise DomainError.
     """
     check_instance("species", species, IonSpecies)
@@ -175,7 +173,7 @@ def derive_scales(species: IonSpecies, trap: TrapConfig) -> DerivedScales:
         d0 = (q2_coul / (species.mass * trap.omega_z**2)) ** (1.0 / 3.0)
         k0 = species.omega0 / CONSTANTS.c_light
         p = species.multipole.pair_exponent
-        q_sq = species.qsq_constant * CONSTANTS.hbar / (species.tau_s * k0 ** (2 * p - 3))
+        q_sq = QSQ_CONSTANT * CONSTANTS.hbar / (species.tau_s * k0 ** (2 * p - 3))
         return d0, k0, q2_coul, q_sq
     return DerivedScales(*in_float_range("the species and trap put a derived scale (d0, k0, "
                                          "q2_coul or q_sq) outside the float range", scales))
@@ -190,8 +188,8 @@ def radiative_time(species: IonSpecies, n_ions: int) -> float:
 
 
 def qsq_convention_stamp(species: IonSpecies) -> str:
-    """Human-readable record of the species' Q^2 convention."""
+    """Human-readable record of the Q^2 convention for the species' multipole."""
     p = species.multipole.pair_exponent
     symbol = "Q^2" if species.multipole is Multipole.E2 else "D^2"
-    return (f"{symbol} = {species.qsq_constant:g} * hbar/(tau_s * k0^{2 * p - 3}) "
+    return (f"{symbol} = {QSQ_CONSTANT:g} * hbar/(tau_s * k0^{2 * p - 3}) "
             f"({species.multipole.value} lifetime convention)")

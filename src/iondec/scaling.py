@@ -181,8 +181,7 @@ def scan(n_values, species: IonSpecies, trap: TrapConfig, *,
     retuning omega_z per N; an N whose retuned omega_z is not below
     trap.omega_t, which is held either way, is refused with
     ValidationError.  Each N takes one derive_scales and one Dubin
-    half-length.  The Q^2 convention of every rate is the species' own
-    qsq_constant.
+    half-length.  Every rate takes Q^2 by physmodel.QSQ_CONSTANT.
     """
     check_instance("species", species, IonSpecies)
     check_instance("trap", trap, TrapConfig)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import iondec
 from iondec.cli import (BA_EXAMPLE, MAX_POINTS, _fmt, _profile_grid, _table,
                         load_config, main, parse_config)
-from iondec.decoherence import DecoherenceMode, build_report
 from iondec.errors import ValidationError
 from iondec import chain as chain_module
 from iondec.physmodel import MAX_IONS, Multipole
@@ -40,14 +39,6 @@ def test_preset_values():
     assert cfg.trap.omega_z == pytest.approx(2 * math.pi * 1e5, rel=1e-15)
     assert cfg.trap.omega_t == pytest.approx(2 * math.pi * 2e7, rel=1e-15)
     assert cfg.trap.n_ions == 1000
-    assert cfg.species.qsq_constant == 1.0
-
-
-def test_model_section_is_optional():
-    trimmed = BA_EXAMPLE.split("[model]")[0]
-    cfg = parse_config(trimmed)
-    assert cfg == parse_config(BA_EXAMPLE)
-    assert cfg.species.qsq_constant == 1.0
 
 
 def test_empty_config_lists_required_sections():
@@ -82,9 +73,6 @@ def test_bad_values_name_the_key():
     with pytest.raises(ValidationError) as err:
         parse_config(BA_EXAMPLE.replace("n_ions = 1000", "n_ions = 2.5"))
     assert err.value.field == "n_ions"
-    with pytest.raises(ValidationError) as err:
-        parse_config(BA_EXAMPLE.replace("qsq_constant = 1.0", "qsq_constant = big"))
-    assert err.value.field == "qsq_constant"
 
 
 def test_malformed_lines_report_line_numbers():
@@ -347,49 +335,6 @@ def test_float_range_refused_with_one_line(old, new, argv, capsys, tmp_path, rec
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert not recwarn.list
-
-
-def test_qsq_constant_sets_the_species_convention(capsys, tmp_path):
-    path = tmp_path / "qsq.ini"
-    path.write_text(BA_EXAMPLE.replace("qsq_constant = 1.0", "qsq_constant = 7.5"))
-    _, default = run(capsys, ["scales"])
-    rc, scaled = run(capsys, ["scales", "--config", str(path)])
-    assert rc == 0
-    assert scaled[0] == "# Q^2 = 7.5 * hbar/(tau_s * k0^5) (E2 lifetime convention)"
-    assert float(scaled[5].split(",")[1]) == pytest.approx(
-        7.5 * float(default[5].split(",")[1]), rel=1e-14)
-
-    def tau_vib(lines):
-        return float(next(line for line in lines if line.startswith("# tau_vib = "))
-                     .removeprefix("# tau_vib = "))
-
-    _, default = run(capsys, ["decohere", "--mode", "closed"])
-    rc, scaled = run(capsys, ["decohere", "--mode", "closed", "--config", str(path)])
-    assert rc == 0
-    # printed with 12 significant digits, so equal to 1e-11 on the page
-    assert tau_vib(scaled) == pytest.approx(tau_vib(default) / 7.5, rel=1e-11)
-    assert scaled[-1].startswith("# Qsq_convention = Q^2 = 7.5 * hbar/(tau_s * k0^5)")
-    closed = DecoherenceMode.CONTINUUM_CLOSED_FORM
-    base, convention = (build_report(cfg.species, cfg.trap, closed).tau_vib
-                        for cfg in (load_config("ba_example"), load_config(str(path))))
-    assert convention == pytest.approx(base / 7.5, rel=1e-12)
-
-
-@pytest.mark.parametrize("argv", [
-    ["scales"], ["equilibrium", "--n-ions", "3"], ["continuum", "--points", "5"],
-    ["sums", "--n-ions", "5"], ["adiabatic", "--theta-end", "10"],
-    ["decohere", "--n-ions", "5"], ["scaling", "--n-min", "10", "--n-max", "100"],
-], ids=lambda argv: argv[0])
-def test_bad_qsq_constant_refused_by_every_subcommand(argv, capsys, tmp_path, recwarn):
-    path = tmp_path / "qsq.ini"
-    path.write_text(BA_EXAMPLE.replace("qsq_constant = 1.0", "qsq_constant = 1e400"))
-    assert main(argv + ["--config", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "qsq_constant" in lines[0]
     assert not recwarn.list
 
 
@@ -728,7 +673,8 @@ def test_bad_input_refused_with_one_line(argv, capsys, recwarn):
 
 # The solve always certifies at chain.DEFAULT_TOL within chain.DEFAULT_MAX_ITER,
 # and rates, reports and scans run on the Dubin fluid model: a config that
-# names a retired key is refused, whatever its value.
+# names a retired key is refused, whatever its value.  Appended to the
+# preset, the key lands in its last section, [trap].
 RETIRED_SETTINGS = ["chain_tol = 1e-3", "chain_tol = 1e-12", "chain_tol = inf",
                     "chain_tol = nan", "chain_tol = 1e400", "max_iter = 200",
                     "max_iter = inf", "max_iter = nan", "max_iter = 0.5",
@@ -747,7 +693,27 @@ def test_bad_solver_settings_refused_with_one_line(setting, tmp_path, capsys, re
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err.splitlines() == [
-            f"error: {key}: unknown key {key!r} in [model]"], argv
+            f"error: {key}: unknown key {key!r} in [trap]"], argv
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("section", ["[model]\nqsq_constant = 1.0\n", "[model]\n"],
+                         ids=["qsq_constant", "empty"])
+@pytest.mark.parametrize("argv", [
+    ["scales"], ["equilibrium", "--n-ions", "3"], ["continuum", "--points", "5"],
+    ["sums", "--n-ions", "5"], ["adiabatic", "--theta-end", "10"],
+    ["decohere", "--n-ions", "5"], ["scaling", "--n-min", "10", "--n-max", "100"],
+], ids=lambda argv: argv[0])
+def test_model_section_refused_by_every_subcommand(argv, section, capsys, tmp_path,
+                                                   recwarn):
+    """The Q^2 convention constant is physmodel.QSQ_CONSTANT, so the retired
+    [model] section is refused as any unknown section is, even empty."""
+    path = tmp_path / "model.ini"
+    path.write_text(f"{BA_EXAMPLE}\n{section}")
+    assert main(argv + ["--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: config: unknown section [model]"]
     assert not recwarn.list
 
 
@@ -968,8 +934,7 @@ def test_continuum_at_max_points_streams_its_rows():
 
 # ------------------------------------------------------------ config fuzz
 
-FUZZ_KEYS = ("mass_amu", "charge_e", "f0_hz", "tau_s_s", "fz_hz", "ft_hz",
-             "qsq_constant")
+FUZZ_KEYS = ("mass_amu", "charge_e", "f0_hz", "tau_s_s", "fz_hz", "ft_hz")
 FUZZ_COMMANDS = [
     ["scales"],
     ["equilibrium", "--n-ions", "3"],

@@ -340,31 +340,31 @@ def test_vibrational_dephasing_is_subdominant(ba, trap1000, chains):
 
 
 # ------------------------------------------------ SI covariance of the rates
-# Every rate is one monomial in the seven SI inputs times a function of N:
+# Every rate is one monomial in the six SI inputs times a function of N:
 #     c q2^(1-2p/3) m^(2p/3-1) w_z^(4p/3) / (w_t w0^(2p-2) tau_s),
-# with q2 = q^2/(4 pi eps0), c = qsq_constant and 2p = 6 (E1) or 8 (E2).
+# with q2 = q^2/(4 pi eps0), c = physmodel.QSQ_CONSTANT and 2p = 6 (E1)
+# or 8 (E2).
 
 LOG_FACTOR = st.floats(min_value=-2.0, max_value=2.0)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(logs=st.tuples(*[LOG_FACTOR] * 7), multipole=st.sampled_from(list(Multipole)))
+@given(logs=st.tuples(*[LOG_FACTOR] * 6), multipole=st.sampled_from(list(Multipole)))
 def test_rates_follow_one_si_monomial(logs, multipole, ba, chains):
-    """Rescaling mass, charge, omega0, tau_s, qsq_constant, omega_z and
-    omega_t by factors up to e^2 rescales the closed-form and per-ion rates
-    by the monomial above, and build_report's times accordingly."""
+    """Rescaling mass, charge, omega0, tau_s, omega_z and omega_t by factors
+    up to e^2 rescales the closed-form and per-ion rates by the monomial
+    above, and build_report's times accordingly."""
     n = 10
     chain, trap = chains(n), trap_for(n)
     species = dataclasses.replace(ba, multipole=multipole)
-    f_m, f_q, f_w0, f_tau, f_c, f_z, f_t = map(math.exp, logs)
+    f_m, f_q, f_w0, f_tau, f_z, f_t = map(math.exp, logs)
     scaled_species = dataclasses.replace(
         species, mass=species.mass * f_m, charge=species.charge * f_q,
-        omega0=species.omega0 * f_w0, tau_s=species.tau_s * f_tau,
-        qsq_constant=species.qsq_constant * f_c)
+        omega0=species.omega0 * f_w0, tau_s=species.tau_s * f_tau)
     scaled_trap = TrapConfig(omega_z=trap.omega_z * f_z, omega_t=trap.omega_t * f_t,
                              n_ions=n)
     p = multipole.pair_exponent
-    rate_factor = (f_c * (f_q * f_q) ** (1 - 2 * p / 3) * f_m ** (2 * p / 3 - 1)
+    rate_factor = ((f_q * f_q) ** (1 - 2 * p / 3) * f_m ** (2 * p / 3 - 1)
                    * f_z ** (4 * p / 3) / (f_t * f_w0 ** (2 * p - 2) * f_tau))
 
     def rescaled(value, factor):

@@ -531,7 +531,7 @@ FLOAT_RANGE = {
     "derive_scales": (lambda: derive_scales(IonSpecies.from_lab_units(
         "X", 137.33, 1e300, 1.7e14, 50.0, Multipole.E2), TRAP), "derived scale"),
     "vibrational_prefactor": (lambda: _prefactor(IonSpecies.from_lab_units(
-        "X", 1e-200, 1.0, 1.7e14, 50.0, Multipole.E2, qsq_constant=1e200), TRAP),
+        "X", 1e-200, 1.0, 1.7e14, 5e-199, Multipole.E2), TRAP),
         "vibrational prefactor"),
     "per_ion_rates": (lambda: per_ion_rates(solve_equilibrium(10), BA, SOFT), "per-ion rate"),
     "closed_form_rate": (lambda: closed_form_rate(10, BA, SOFT), "closed-form rate"),

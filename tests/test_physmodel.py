@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -48,8 +47,6 @@ def test_constants_spot_values():
     (dict(charge_e=-2.0), "charge_e"),
     (dict(f0_hz=0.0), "f0_hz"),
     (dict(tau_s_s=-5.0), "tau_s_s"),
-    (dict(qsq_constant=0.0), "qsq_constant"),
-    (dict(qsq_constant=math.inf), "qsq_constant"),
 ])
 def test_species_rejects_nonpositive(kwargs, field):
     base = dict(name="X", mass_amu=1.0, charge_e=1.0, f0_hz=1e14,
@@ -132,14 +129,6 @@ def test_e1_convention(ba, ba_e1, trap):
         CONSTANTS.hbar / (ba_e1.tau_s * scales.k0**3), rel=1e-14)
     assert "k0^3" in qsq_convention_stamp(ba_e1)
     assert "k0^5" in qsq_convention_stamp(ba)
-
-
-def test_qsq_constant_multiplier(ba, trap):
-    scaled = replace(ba, qsq_constant=7.5)
-    assert derive_scales(scaled, trap).q_sq == pytest.approx(
-        7.5 * BA_QSQ_E2, rel=1e-11)
-    stamp = qsq_convention_stamp(scaled)
-    assert "7.5" in stamp and "k0^5" in stamp
 
 
 def test_pair_exponent():
