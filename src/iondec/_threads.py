@@ -1,8 +1,16 @@
-"""The second CPU: how many CPUs a process may use, and a lockstep runner
-of a kernel's two lanes, on this thread and one worker or both on this one.
+"""The second CPU: how many CPUs a process may use, and the two-lane
+lockstep schedule that ``chain``'s pairwise passes and ``adiabatic``'s
+integrator run on.
 
-``chain``'s pairwise passes and ``adiabatic``'s integrator both use it;
-each decides from _usable_cpus() whether to start the worker at all.
+A kernel splits each step of its work into two lanes, 0 and 1, that
+write disjoint memory, and runs its steps in lockstep: both lanes finish
+step i before either starts step i + 1.  With a worker, lane 1 runs on
+it and lane 0 on the calling thread, with a barrier between steps;
+without one, the caller runs lane 0, then lane 1, and starts no thread.
+Each lane computes the same bits wherever it runs, so the output does
+not depend on the schedule.  Each kernel decides from _usable_cpus(),
+and from whether it has enough numpy work per step to release the GIL
+for, whether to start the worker at all.
 """
 from __future__ import annotations
 
@@ -20,13 +28,12 @@ def _usable_cpus() -> int:
 
 
 def _in_two(*steps, threaded):
-    """Each of ``steps`` as two lanes in lockstep: step(0) then step(1) on
-    this thread unless ``threaded``, and no thread started; else step(1)
-    on a worker thread and step(0) on this one, with a barrier between
-    consecutive steps, and the worker joined.  The worker runs in a copy of
-    this thread's context (numpy's errstate is a context variable).  An
-    exception of either thread breaks the barrier, so the other stops at
-    its next wait, and is raised after the join, this thread's first."""
+    """Run ``steps`` in the lockstep schedule (module docstring), step(k)
+    being lane k of a step: on a joined worker when ``threaded``, else on
+    this thread alone.  The worker runs in a copy of this thread's
+    context, as numpy's errstate is a context variable from numpy 2.0 on.
+    An exception of either thread breaks the barrier, so the other stops
+    at its next wait, and is raised after the join, this thread's first."""
     if not threaded:
         for step in steps:
             step(0)

@@ -29,41 +29,20 @@ The operators are built for many stored chunks at once (about
 _BATCH_STEPS = 2048 steps per numpy call), each chunk paired exactly as if
 it were built alone, so the output is bit-identical to building one chunk
 per call, and short windows do not pay numpy's per-call overhead once per
-stored point.
+stored point.  Every batch writes all of its intermediates into a work
+area the run allocates, laid out once per batch shape (_ChunkLayout), and
+the kernels allocate no scratch of their own, not even a numpy cast or
+broadcast buffer, for the reason chain._work_area gives.
 
-Each run allocates one work area (two on two CPUs, see below), sized for
-its largest batch, and every batch writes all of its intermediates
-there: _build_steps, _reduce_steps and _coupling take their scratch from
-the caller and allocate none of their own, not even a numpy cast or
-broadcast buffer.  A batch's ~0.4 MB of fresh
-temporaries would grow the heap past glibc's trim threshold, which stays
-at 128 KiB once the mmap threshold is fixed (as the benchmark fixes it);
-the heap would then be trimmed at every free and the temporaries
-page-faulted back in at the next batch, ~60 faults per batch.
-
-The run also lays its area out once for each batch shape (B chunks of m
-steps) it meets, at most three: the full batch, a shorter last full batch
-and the leftover chunk.  A _ChunkLayout holds every view a batch reads
-or writes, and the half-step offsets of its grid, so its two halves only
-issue their ufunc and matmul calls; slicing the area afresh cost ~40
-views and an arange per batch.
-
-A batch has two halves: _build_steps, the coupling grid and the RK4
-entries, ufuncs only, and _reduce_steps, the pairwise matmuls, which
-numpy hands to BLAS one 2x2 product at a time (~37% and ~63% of a batch
-at 81 chunks of 25 steps).  A run goes in lockstep steps of two lanes
-(_threads._in_two): in step i lane 0 reduces batch i - 1 and propagates
-its stored points, and lane 1 builds batch i.  When two CPUs are usable
-and the window has more than one batch, lane 1 runs on a worker thread
-and builds batch i in area i mod 2 of two.  So BLAS, the reduction's
-matmul and the propagation's dot, is only ever called from the caller's
-thread.  Measured at 81 chunks of 25 steps
-(2-core x86-64, one BLAS thread), two threads each reducing at once took
-2.3x the time of one thread reducing both in turn, and two builds at
-once gained nothing (0.9x), but a build on a worker beside a reduction
-took 1/1.5 of the serial time.  Otherwise the caller runs lane 0, then
-lane 1, in one area.  Each half writes the same bits wherever it runs,
-so the output does not depend on the schedule.
+A run's two lanes (``_threads``): in step i, lane 0 reduces batch i - 1
+(_reduce_steps) and propagates its stored points, and lane 1 builds batch
+i (_build_steps, ufuncs only).  Lane 1 runs on a worker when two CPUs are
+usable and the window has more than one batch, building batch i in area
+i mod 2 of two; otherwise the caller runs lane 0 before lane 1, and one
+area serves both.  So every BLAS call, the reduction's matmul and the
+propagation's dot, stays on the caller's thread: two reductions at once
+ran slower than one after the other, while a build beside a reduction
+paid off.
 
 The caller propagates the state into one (stored points, 2) array, each
 row written in place by the chunk operator's dot with the row before;
@@ -96,8 +75,8 @@ _MAX_STORED = 4000
 MAX_STEPS = 4_000_000_000
 # RK4 steps whose operators one batch builds at once: enough that a
 # batch's fixed cost (~45 numpy calls on a laid-out area, ~80-130 us) is a
-# small share of it.  A 2048-step batch takes a ~0.6 MB work area (see
-# the module docstring), below the benchmark's 1 MiB mmap threshold; 4096
+# small share of it.  A 2048-step batch takes a ~0.6 MB work area
+# (_work_size), below the benchmark's 1 MiB mmap threshold; 4096
 # steps were no faster.
 _BATCH_STEPS = 2048
 
@@ -342,8 +321,7 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None):
 
     # Batches run from the largest, in chunks and in steps, down, and those
     # of one shape run together, so an area is sized by its first batch and
-    # lays each shape out once.  With two CPUs, batch i is built in area
-    # i mod 2 (see the module docstring).
+    # lays each shape out once.
     two = len(batches) > 1 and _usable_cpus() > 1
     areas = [np.empty(_work_size(theta0.size, m), dtype=complex)
              for theta0, m in batches[:1 + two]]
@@ -358,8 +336,7 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None):
         return layouts[a]
 
     def step(i):
-        """Lockstep step i: lane 0 reduces and propagates batch i - 1, and
-        lane 1 builds batch i, after it when both share one area."""
+        """Step i of the run's two lanes (module docstring)."""
         def run(k):
             if k and i < len(batches):
                 _build_steps(drive, omega0, batches[i][0], layout(i))
@@ -405,8 +382,9 @@ class _ChunkLayout:
     """Every view of a work area that a batch of B chunks of m steps of
     dtheta reads or writes, and the half-step offsets of its grid.
 
-    integrate_tls lays its area out once for each (B, m) it meets, so a
-    batch only issues its ufunc and matmul calls.  The area is
+    integrate_tls lays its area out once for each (B, m) it meets, at most
+    three (the full batch, a shorter last full batch and the leftover
+    chunk), so a batch only issues its ufunc and matmul calls.  The area is
     [b | c | ops | stage], b and c holding the couplings on B rows of
     2m + 1 half steps; the stage area first holds the coupling's scratch,
     then ten (B, m) stage arrays, then the reduction's odd levels.

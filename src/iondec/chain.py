@@ -20,60 +20,16 @@ form there.  So the Jacobian is J = I + C, where C (off-diagonal entries
 -2/|u_i - u_j|^3, each row summing to zero) is positive semidefinite
 with C·1 = 0.  Hence lambda_min(J) = 1 at every ordered u, not only at
 the equilibrium, and every Newton system is symmetric positive definite;
-J is exactly symmetric, as the kernel mirrors each tile (below).  At the
+J is exactly symmetric, as the kernel mirrors each pair.  At the
 equilibrium the two lowest eigenvalues are 1 and 3, the centre-of-mass
 and breathing modes of a harmonic well.
 
 All O(N^2) pairwise work (the force, the Jacobian and the lattice sums
-of ``sums``) goes through one kernel, ``_pair_rows``.  Each pairwise
-entry is a function of the distance |u_i - u_j|, and the kernel alone
-knows the pair geometry: it evaluates the upper triangle of each
-diagonal row-block tile, mirrors it, and gives the force its sign.  The
-mirrored values are the bits a direct evaluation gives: IEEE subtraction
-is sign-symmetric (u_j - u_i == -(u_i - u_j) exactly), and |d| and
-negation are exact; the kernel negates by flipping the sign bit in a byte
-view (_negate), which is all IEEE negation does, at a quarter to a fifth
-of the cost of numpy's x87 negation loop.  Rows keep their full length, so row sums
-reduce in the same order as before.  A pass in several row blocks mirrors
-across blocks too: before its strips write, each block after the first fills
-the columns of the block above it from the rows that block left in the
-work area, so a two-block pass (every solve's force from N = 257 under
-x87) evaluates each pair once, as a one-block pass does; only the
-columns left of the block above are evaluated directly.
-
-Every pass writes its rows and strips into a work area (_work_area) its
-caller allocates, and the kernel fills the block of rows it is handed and
-allocates nothing of that size itself: fresh row blocks and strip
-temporaries would grow the heap past glibc's trim threshold, which stays
-at 128 KiB once the mmap threshold is fixed (as the benchmark fixes it),
-and be page-faulted back in at every call.  One rule sizes every area
-(_area): a solve allocates one and hands it to every force and Jacobian
-call of its Newton loop and line search.  While N _WIDE rows fit in
-_ONE_BLOCK (1 MiB, N <= 256 under x87) it holds all of them, so the force
-runs in one block.  Above that it holds as many _WIDE rows as hold the
-N x N float64 Jacobian, ⌈8N/itemsize⌉ (⌈N/2⌉ under x87).  _jacobian alone
-reads the area's words as float64; the force never runs while the
-Jacobian is in use, so it reads the same words as _WIDE, in blocks of
-that many rows.  A larger area would raise the solve's peak, as
-np.linalg.solve makes its own 8 N^2-byte LU copy of the Jacobian on top
-of it; the faults left in a solve are that copy's, which numpy allocates
-inside np.linalg.solve.  A lone pass (a residual, a pair sum) allocates
-the area a solve over its ions would, capped for a chain above MAX_IONS.
-
-Every pass runs as two lanes, each with every other mirrored tile, every
-other strip and half the row sums (the Jacobian's diagonal among them),
-with a barrier after the tiles and after the strips.  From
-_THREAD_MIN_IONS ions up, with two CPUs usable, an area holds a second
-strip pair, and a block of more than one strip runs lane 1 on one worker
-thread in that pair; otherwise the caller runs both lanes in turn.  The
-CPU count and the lockstep runner live in ``_threads``, which
-``adiabatic``'s integrator shares.  Tiles, strips and row sums write
-disjoint entries, and each row is still summed whole, so the bits do not
-depend on where the lanes run.  Below the threshold no worker starts:
-the GIL handoffs around each strip's numpy calls cost about what the
-second core saves (the constant's comment holds the sweep).  The dense LU of
-np.linalg.solve runs on as many BLAS threads as the caller's BLAS pool
-has, and its bits depend on that count; the CLI pins it to one.
+of ``sums``) goes through one kernel, _pair_rows, which alone knows the
+pair geometry, evaluates each pair once and mirrors it, and writes into
+a work area its caller allocates (_work_area, sized by _area).  The dense
+LU of np.linalg.solve runs on as many BLAS threads as the caller's BLAS
+pool has, and its bits depend on that count; the CLI pins it to one.
 
 An ``IonChain`` is its positions, frozen and read-only; the ion count,
 the residual certificate and the pair sums are pure functions of them.
@@ -169,7 +125,14 @@ def _work_area(n: int, rows: int) -> tuple:
     the float64 Jacobian read from its words.  ``strips`` holds the strip
     pairs of _pair_rows, each two _WIDE buffers of _STRIP rows of n: one
     pair, or, from _THREAD_MIN_IONS ions up with two CPUs usable, a second
-    pair for the worker thread, which then runs every other strip.
+    pair for the lane that runs on a worker thread.
+
+    The kernels write every row block and strip into an area their caller
+    allocates, and allocate nothing of that size themselves: fresh arrays
+    would grow the heap past glibc's trim threshold, which stays at 128 KiB
+    once the mmap threshold is fixed (as the benchmark fixes it), and be
+    page-faulted back in at every call.  ``adiabatic``'s integrator keeps
+    the same rule for the same reason.
     """
     pairs = 2 if n >= _THREAD_MIN_IONS and _usable_cpus() > 1 else 1
     area = np.empty((rows + 2 * pairs * _STRIP) * n, dtype=_WIDE)
@@ -178,10 +141,15 @@ def _work_area(n: int, rows: int) -> tuple:
 
 def _area(n: int) -> tuple:
     """The work area of every pairwise pass over n ions: all n _WIDE rows
-    while they fit in _ONE_BLOCK bytes, else as many as hold the n x n
-    float64 Jacobian.  Above MAX_IONS ions (a chain no solve gives) it has
-    fewer rows, so that with its strips it takes no more bytes than a
-    MAX_IONS solve's area, though never fewer than one row."""
+    while they fit in _ONE_BLOCK bytes, so the force runs in one block,
+    else as many as hold the n x n float64 Jacobian, ⌈8n/itemsize⌉ (⌈n/2⌉
+    under x87), in whose blocks the force runs.  A solve hands one area to
+    every force and Jacobian call; the force never runs while the Jacobian
+    in its words is in use.  It is no larger because np.linalg.solve makes
+    its own 8 n^2-byte LU copy of the Jacobian on top of it.  Above
+    MAX_IONS ions (a chain no solve gives) it has fewer rows, so that with
+    its strips it takes no more bytes than a MAX_IONS solve's area, though
+    never fewer than one row."""
     itemsize = np.dtype(_WIDE).itemsize
     if itemsize * n * n <= _ONE_BLOCK:
         return _work_area(n, n)
@@ -210,8 +178,8 @@ def _sign_byte(dtype: np.dtype) -> int | None:
 def _negate(a: np.ndarray) -> None:
     """np.negative(a, out=a) for a contiguous ``a``, by flipping the sign
     bit in a byte view where the format has one.  IEEE negation flips that
-    bit alone, so the bits are np.negative's; for x87's extended values the
-    xor costs ~0.6 ns a value, numpy's negation loop 2.4-3 ns (x86-64)."""
+    bit alone, so the bits are np.negative's, at a quarter to a fifth of
+    the cost of numpy's x87 negation loop (x86-64)."""
     byte = _sign_byte(a.dtype)
     if byte is None:
         np.negative(a, out=a)
@@ -230,19 +198,21 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, rows: np.ndarray,
     strip pairs of a _work_area of u.size ions.
 
     ``u`` must be strictly increasing, so ``entry`` sees distances d > 0
-    only.  The diagonal tile of the block is evaluated in row strips, on
-    and above the diagonal only, at u_j - u_i, so a strip's transpose fills
-    the rows below it as is.  Columns left of the tile are evaluated
-    directly, except those of ``above``: the block of rows just above this
-    one, [lo - len(above), lo), as an earlier call left them, in memory it
-    may share with ``rows``.  Before any strip writes, the columns
-    [lo - len(above), lo) are filled from above's columns [lo, lo +
-    len(rows)), transposed (and negated when ``odd``) in tiles of _STRIP
-    rows of ``above``, each copied through a strip buffer, so every read
-    is of contiguous rows and no ufunc runs on a strided 2-D view.  Every
-    row keeps its full length, so row sums reduce in the same order as
-    over a directly evaluated matrix.  With ``sums``, each row's sum goes
-    there once every entry is in place.
+    only.  The block's diagonal tile is evaluated in row strips, on and
+    above the diagonal only, at u_j - u_i, so a strip's transpose fills
+    the rows below it as is; a mirrored value has the bits of a direct
+    evaluation, as IEEE subtraction is sign-symmetric and |d| and negation
+    are exact.  Columns left of the tile are evaluated directly, except
+    those of ``above``: the block of rows just above this one, [lo -
+    len(above), lo), as an earlier call left them, in memory it may share
+    with ``rows``.  Before any strip writes, those columns are filled from
+    above's columns [lo, lo + len(rows)), transposed (and negated when
+    ``odd``) in tiles of _STRIP rows, each copied through a strip buffer
+    so that no ufunc runs on a strided 2-D view; so a pass in two blocks
+    evaluates each pair once, as one block does.  Every row keeps its full
+    length, so row sums reduce in the same order as over a directly
+    evaluated matrix.  With ``sums``, each row's sum goes there once every
+    entry is in place.
 
     Each strip's differences d are formed in one of its strip pair's two
     buffers, and ``entry(d, spare)`` may work in d and return it: the
@@ -251,18 +221,16 @@ def _pair_rows(u: np.ndarray, entry, odd: bool, lo: int, rows: np.ndarray,
     entry's to use.  Both operands of a strip's differences are spelled
     out in full and the odd rows negated in place: a broadcast operand, or
     rows written through a strided view, would make numpy allocate an
-    iterator buffer, ~0.24 MB per strip at N = 1500.
+    iterator buffer.
 
-    The pass runs as two lanes (_threads._in_two), lane k taking every
-    other mirrored tile, every other strip and half the row sums from the
-    k-th, in strip pair k % len(strips); with a second strip pair (see
-    _work_area) and more than one strip in the block, lane 1 runs on a
-    worker thread.  A tile writes only its own columns, a strip only its
-    own rows from its diagonal on, the rows below it in its own columns
-    and its own rows left of the tile, and a row sum only its row's slot,
-    so no two of them write one entry, and each entry's bits do not
-    depend on where its lane runs; entry(d, spare) must be safe to call
-    from two threads at once.
+    In the schedule of ``_threads``, lane k takes every other mirrored
+    tile, every other strip and half the row sums from the k-th, in strip
+    pair k % len(strips); with a second strip pair and more than one strip
+    in the block, lane 1 runs on a worker thread.  A tile writes only its
+    own columns, a strip only its own rows from its diagonal on, the rows
+    below it in its own columns and its own rows left of the tile, and a
+    row sum only its row's slot, so no two of them write one entry;
+    entry(d, spare) must be safe to call from two threads at once.
     """
     n, hi = u.size, lo + len(rows)
     edge = lo if above is None else lo - len(above)

@@ -26,23 +26,25 @@ formatted and written as they are produced.
 
 Every call is a fresh process, so this module loads at import only what
 parsing a config needs: errors, physmodel and continuum, and not numpy.
-Each subcommand first makes the refusals that its flags and config decide,
-then imports the modules it runs: ``scales`` and ``continuum`` nothing
-more; ``equilibrium`` chain; ``sums`` sums and chain; ``adiabatic``
-adiabatic; ``decohere`` decoherence and sums, and chain for ``--mode
-discrete``; ``scaling`` scaling, decoherence and sums.  Only chain,
-adiabatic and the array functions of the others load numpy, and only
-once a call gets past its scalar checks.  So ``scales``, ``continuum``,
+Each subcommand first makes the refusals that its flags and config
+decide, then imports the modules it runs: ``scales`` and ``continuum``
+nothing more; ``equilibrium`` chain; ``sums`` sums and chain;
+``adiabatic`` adiabatic; ``decohere`` decoherence and sums, and chain
+for ``--mode discrete``; ``scaling`` scaling, decoherence and sums.
+Only chain and adiabatic import numpy at import; errors, continuum,
+sums, decoherence and scaling import it (and sums the chain kernel)
+inside the functions that take or return arrays, after their argument
+checks, and physmodel never does.  So ``scales``, ``continuum``,
 ``decohere --mode closed`` and every refusal that an argv, a config or a
 scalar check decides load no numpy: a bad config, an ion count below 1
 (or below 2 where a command needs pairs, ``equilibrium`` among them), an
-ion count above MAX_IONS for the calls that solve a chain (``equilibrium``,
-``sums`` and ``decohere --mode discrete``; ``scales``, ``continuum``,
-``decohere --mode closed`` and ``scaling`` solve nothing and take it, up
-to a count whose scales leave the float range), a bad ``--exponent``,
-``--points``, ``adiabatic`` ratio flag, ``--theta-end`` below the step
-limit or ``--n-min``/``--n-max`` range (under a decade included).  No
-subcommand loads scipy or numpy.ma.
+ion count above MAX_IONS for the calls that solve a chain
+(``equilibrium``, ``sums`` and ``decohere --mode discrete``; ``scales``,
+``continuum``, ``decohere --mode closed`` and ``scaling`` solve nothing
+and take it, up to a count whose scales leave the float range), a bad
+``--exponent``, ``--points``, ``adiabatic`` ratio flag, ``--theta-end``
+below the step limit or ``--n-min``/``--n-max`` range (under a decade
+included).  No subcommand loads scipy or numpy.ma.
 """
 from __future__ import annotations
 

@@ -22,10 +22,6 @@ invert_cubic_count inverts the cumulative count n(z) = (z - z^3/3L^2)/s0
 of this profile in closed form.  It is the one site inversion of the
 package: sums.continuum_sites places ion sites with it, and the
 equilibrium solver starts from those sites for N >= 10.
-
-Only invert_cubic_count takes arrays; it imports numpy when called, so the
-scalar functions (and the CLI calls that use only them, ``continuum``
-among them, through _profile) never load it.
 """
 from __future__ import annotations
 

@@ -10,9 +10,7 @@ and the chain dephases with tau_vib^-2 = sum_i tau_i^-2.  Radiative
 decay contributes tau_rad = 2 tau_s / N, and the computational window
 adds the two as rates.  The closed-form route replaces the per-ion sum
 by its continuum evaluation 2 zeta(2p) sqrt(T_4p) on the Dubin fluid
-model, the one model the rates use.  It is scalar
-arithmetic: only the functions that take or return arrays import numpy,
-when called, so closed_form_rate and the closed-form report load none.
+model, the one model the rates use, in scalar arithmetic.
 """
 from __future__ import annotations
 

@@ -13,8 +13,6 @@ species, trap, chain, model, drive, ...) is an instance of its class";
 a refusal shows the value it refused in about SHOWN_MAX characters at
 most (_shown).  in_float_range owns the rule for computed values, "a
 result that leaves the float range is refused with DomainError".
-Every module imports this one, and it loads no numpy at import, so a
-check made here costs no import.
 """
 from __future__ import annotations
 

@@ -9,9 +9,6 @@ every N through the closed-form rate pipeline on the Dubin fluid model
 and fit effective log-log exponents afterwards — quoted asymptotic
 exponents are carried as reference metadata only, never substituted for
 the computation.
-
-Every check here (check_n_range among them) loads no numpy; each array
-function imports it when called, after its checks.
 """
 from __future__ import annotations
 

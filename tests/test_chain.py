@@ -1,5 +1,6 @@
 import os
 import platform
+import re
 import subprocess
 import sys
 import textwrap
@@ -8,6 +9,7 @@ import time
 import tracemalloc
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from iondec import _threads as _threads_module
 from iondec import chain as chain_module
 from iondec.chain import (IonChain, _area, _force, _initial_guess, _jacobian, _row_sums,
                           _work_area, local_spacings, solve_equilibrium)
+from iondec.cli import BA_EXAMPLE, parse_config
 from iondec.continuum import ContinuumModel, min_spacing
 from iondec.errors import DomainError, SolverError, ValidationError
 from iondec.sums import _inverse_power, pair_sum_exact_all
@@ -854,3 +857,23 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch):
     _force(chain.positions, _area(150))
     _jacobian(chain.positions, _area(150))
     pair_sum_exact_all(chain, 8)
+
+
+def test_zigzag_thresholds_are_the_readmes(chains):
+    """The chain stays linear while beta = omega_t/omega_z exceeds
+    beta_crit = sqrt((lambda_max - 1)/2), lambda_max the largest eigenvalue
+    of the axial Hessian at the solved chain.  The README's figures hold to
+    half a unit in their last digit, and the ba_example preset's beta =
+    200 turns zigzag between N = 650 and N = 700."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    sentence, = re.findall(r"β_crit is (.*?)\.\s", readme, re.S)
+    figures = {int(n): value for value, n in re.findall(r"([\d.]+) at\s+N = (\d+)", sentence)}
+    assert sorted(figures) == [10, 100, 650, 700, 1000]
+    beta = {}
+    for n, stated in figures.items():
+        lam = np.linalg.eigvalsh(_jacobian(chains(n).positions, _area(n)))[-1]
+        beta[n] = np.sqrt((lam - 1.0) / 2.0)
+        digits = len(stated.partition(".")[2])
+        assert abs(beta[n] - float(stated)) <= 0.5 * 10.0 ** -digits, (n, beta[n])
+    trap = parse_config(BA_EXAMPLE).trap
+    assert beta[650] < trap.omega_t / trap.omega_z < beta[700]

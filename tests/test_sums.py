@@ -37,6 +37,26 @@ def test_zeta_against_independent_implementation():
             assert abs(mpmath.mpf(zeta(n)) / exact - 1) <= 4e-16, n
 
 
+def test_chain_total_asymptote_is_just_above_the_exact_integral():
+    """chain_total_asymptotic's sqrt(4 pi/(4n + 7)) is the large-n form of
+    the integral of (1 - x^2)^(n + 1) over [-1, 1], exactly sqrt(pi)
+    Gamma(n + 2)/Gamma(n + 5/2); at 40 digits it is high by an excess
+    0 < e < 1/(64 (n + 1)^2) relative for n = 2...64 (1.10e-3 at n = 2,
+    8.26e-5 at n = 12), and mp.quad agrees with the Gamma form."""
+    mpmath = pytest.importorskip("mpmath")
+    length, s0 = chain_length(100, DU), min_spacing(100, DU)
+    with mpmath.workdps(40):
+        def exact(n):
+            return mpmath.sqrt(mpmath.pi) * mpmath.gamma(n + 2) / mpmath.gamma(n + 2.5)
+        for n in range(2, 65):
+            factor = chain_total_asymptotic(100, n, DU) * s0 ** (n + 1.0) / length
+            excess = mpmath.mpf(factor) / exact(n) - 1
+            assert 0 < excess < mpmath.mpf(1) / (64 * (n + 1) ** 2), n
+        for n in (8, 12, 16):
+            integral = mpmath.quad(lambda x: (1 - x * x) ** (n + 1), [-1, 1])
+            assert abs(integral / exact(n) - 1) < mpmath.mpf(10) ** -30, n
+
+
 def test_zeta_bits_match_one_array_sum():
     """zeta's table holds the bits of one np.sum over the 10^6 terms plus
     the tail midpoint, and 1.0 where that sum rounds to 1.0 (n >= 53).
