@@ -1,7 +1,6 @@
-"""``python -m iondec``: the same entry point as the ``iondec`` script."""
-import sys
-
-from .cli import main
+"""``python -m iondec``: cli.run, the entry point of the ``iondec`` script
+too; cli's module docstring says how it ends the process."""
+from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -45,6 +45,21 @@ and take it, up to a count whose scales leave the float range), a bad
 ``--exponent``, ``--points``, ``adiabatic`` ratio flag, ``--theta-end``
 below the step limit or ``--n-min``/``--n-max`` range (under a decade
 included).  No subcommand loads scipy or numpy.ma.
+
+The ``iondec`` script, ``python -m iondec`` and ``python -m iondec.cli``
+all enter through ``run``, which ends the process as soon as ``main``
+returns, skipping the interpreter's teardown: its full garbage
+collections over numpy's objects and the freeing of every module's state
+took 28-35 ms of a numpy subcommand's 225-375 ms and 15-18 ms of a
+numpy-free one's 115-145 ms on a 2-core x86-64 host.  That is safe
+because ``main`` releases everything it holds before it returns: stdout is
+flushed inside its ``try`` (so a full disk or a closed pipe is the exit-3
+``i/o error:`` line, not a message from teardown), an ``--out`` file is
+closed by its ``with`` block, ``_threads._in_two`` has joined its worker,
+and each warning has been written; ``run`` flushes stderr last.  ``--help``
+and an unexpected exception leave ``main`` by raising and take Python's
+normal exit.  ``main(argv)`` returns the exit code and never ends the
+process, for callers in process.
 """
 from __future__ import annotations
 
@@ -457,12 +472,14 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 
 def _write_output(path, lines):
-    """Write the lines, each LF-ended, to the path or stdout as they come."""
+    """Write the lines, each LF-ended, to the path or stdout as they come,
+    and flush them: run skips the flush of teardown (module docstring)."""
     with (contextlib.nullcontext(sys.stdout) if path is None
           else open(path, "w", encoding="utf-8", newline="\n")) as handle:
         lines = iter(lines)
         while block := list(itertools.islice(lines, 4096)):
             handle.write("\n".join(block) + "\n")
+        handle.flush()
 
 
 def main(argv=None) -> int:
@@ -491,5 +508,13 @@ def main(argv=None) -> int:
     return 0
 
 
+def run():
+    """The process entry point: main, then end the process without the
+    interpreter's teardown (module docstring)."""
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

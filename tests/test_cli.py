@@ -752,10 +752,14 @@ def test_negative_number_in_exponent_form_is_a_value(value, capsys):
 # ---------------------------------------------------------- module loads
 
 def _child_env():
-    """The environment of a fresh python that imports this checkout's iondec."""
+    """The environment of a fresh python that imports this checkout's iondec,
+    without PYTHONUNBUFFERED: the child's stdout is block-buffered, as a
+    user's is, so output the CLI leaves unflushed shows."""
     src = str(Path(iondec.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def _python(*args):
@@ -888,14 +892,64 @@ def test_only_calls_that_solve_cap_the_ion_count(argv, rc):
         assert proc.stdout and messages == []
 
 
-@pytest.mark.parametrize("argv, rc", [(["scales"], 0),
-                                      (["equilibrium", "--n-ions", "0"], 1)])
-def test_python_m_iondec_is_the_cli(argv, rc):
-    package, module = _python("-m", "iondec", *argv), _python("-m", "iondec.cli", *argv)
-    assert package.returncode == module.returncode == rc
-    assert package.stdout == module.stdout
-    assert package.stderr == module.stderr
-    assert bool(package.stdout) == (rc == 0)
+# (argv, exit code, whether it writes to --out) of calls that a fresh process
+# must end exactly as main ends them in process: a table far past stdout's
+# 8 KiB buffer and a pipe's 64 KiB (4003 lines), a table that fits in the
+# buffer, so only the flush in main writes it, an --out file, a refusal, and
+# --help, which leaves main by SystemExit.
+PROCESS_CALLS = [
+    (["adiabatic", "--theta-end", "1e4"], 0, False),
+    (["scales"], 0, False),
+    (["scales"], 0, True),
+    (["equilibrium", "--n-ions", "0"], 1, False),
+    (["scales", "--help"], 0, False),
+]
+
+
+@pytest.mark.parametrize("module", ["iondec", "iondec.cli"])
+@pytest.mark.parametrize("argv, rc, to_file", PROCESS_CALLS,
+                         ids=[" ".join(argv) + " --out" * to_file
+                              for argv, _, to_file in PROCESS_CALLS])
+def test_process_keeps_every_byte_and_exit_code(module, argv, rc, to_file, tmp_path,
+                                                monkeypatch, capsys):
+    """``python -m`` ends through cli.run, which skips the interpreter's
+    teardown: stdout, an --out file, stderr and the exit code are still
+    those of main in process, with stdout block-buffered."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the width
+    out = tmp_path / "out.csv"
+    argv = argv + ["--out", str(out)] * to_file
+    with contextlib.suppress(SystemExit):
+        assert main(argv) == rc
+    expected = capsys.readouterr()
+    expected_file = None
+    if to_file:  # the child must write the file afresh
+        expected_file = out.read_bytes()
+        out.unlink()
+    proc = subprocess.run([sys.executable, "-m", module, *argv],
+                          env=dict(_child_env(), COLUMNS="80"), capture_output=True)
+    assert proc.returncode == rc
+    assert proc.stdout == expected.out.encode()
+    assert proc.stderr == expected.err.encode()
+    if to_file:
+        assert out.read_bytes() == expected_file
+    if rc:
+        assert proc.stdout == b"" and proc.stderr.startswith(b"error: ")
+        assert proc.stderr.count(b"\n") == 1
+    else:
+        assert (expected_file or proc.stdout) and proc.stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_an_io_error():
+    """A write that fails at the final flush of a block-buffered stdout is
+    the one-line exit-3 i/o error, not a message from the interpreter's
+    teardown (exit 120)."""
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "iondec", "scales"],
+                              env=_child_env(), stdout=full, stderr=subprocess.PIPE,
+                              text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("i/o error: ")
 
 
 # Runs the argv after it and prints that child's peak RSS in KiB on stderr.
