@@ -83,13 +83,14 @@ _BATCH_STEPS = 2048
 _REGIME_LIMIT = 0.1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriveField:
     """Transverse drive f(t) = (f_x, f_y, 0) in angular-frequency units.
 
     The z component is identically zero by construction.  Three forms are
     supported: a constant-magnitude circular sweep, a constant vector, and
-    a sampled table with linear interpolation (constant beyond the ends).
+    a sampled table with linear interpolation (constant beyond the ends),
+    whose tables are read-only copies.  Drives compare by identity.
     """
 
     kind: str
@@ -118,6 +119,8 @@ class DriveField:
                     raise ValidationError(name, "sample arrays must match the time grid")
             if np.any(np.diff(t) <= 0):
                 raise ValidationError("times", "must be strictly increasing")
+            for table in own.values():  # check_reals' copies, now validated
+                table.flags.writeable = False
         else:
             raise ValidationError("kind", f"unknown drive kind {_shown(self.kind)}")
         for spec in fields(self)[1:]:  # every field after kind
@@ -197,7 +200,7 @@ def _warn_regime(drive, omega0):
     return eps_ratio, rot_ratio
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinTrajectory:
     """Amplitudes u±(theta) at the stored points theta = w0*t of one run."""
 
@@ -274,11 +277,7 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None):
     n_steps = max(1, math.ceil(theta_end / (omega0 * dt) - 1e-9)) if theta_end > 0 else 0
     _warn_regime(drive, omega0)
 
-    if n_steps == 0:
-        theta = np.zeros(1)
-        return SpinTrajectory(theta=theta, u_plus=u0[:1] * np.ones(1),
-                              u_minus=u0[1:] * np.ones(1))
-    dtheta = theta_end / n_steps
+    dtheta = theta_end / n_steps if n_steps else 0.0  # t_end = -0.0 stores +0.0
     stride = max(1, -(-n_steps // _MAX_STORED))
 
     # Chunk j covers steps [starts[j], starts[j] + stride), from phase
@@ -293,12 +292,10 @@ def integrate_tls(omega0, drive, initial, t_end, dt=None):
     if n_steps % stride:
         batches.append((chunk_theta[whole.size:], n_steps % stride))
 
-    n_stored = starts.size + 1
-    theta = np.empty(n_stored)
-    theta[0] = 0.0
-    theta[1:] = np.append(starts[1:], n_steps) * dtheta
+    # a zero-step window has no chunk and stores its start alone
+    theta = np.append(starts, n_steps) * dtheta
     # one row (u_+, u_-) per stored point, written in place row after row
-    states = np.empty((n_stored, 2), dtype=complex)
+    states = np.empty((theta.size, 2), dtype=complex)
     states[0] = u0
     start = _norms(u0[:1], u0[1:])
     rows = iter(states)

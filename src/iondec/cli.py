@@ -77,7 +77,7 @@ from dataclasses import dataclass, replace
 
 from .continuum import ContinuumModel, _profile, chain_length, min_spacing
 from .errors import (AccuracyError, DomainError, SolverError, ValidationError, _shown,
-                     check_integer)
+                     check_finite, check_integer, check_nonnegative)
 from .physmodel import (MAX_IONS, IonSpecies, Multipole, TrapConfig, derive_scales,
                         qsq_convention_stamp, radiative_time)
 
@@ -302,15 +302,14 @@ def _cmd_adiabatic(cfg, args):
     # the SI values too, but would name their own parameters and print SI
     # numbers, so the flag the user typed is checked here first.
     omega0 = cfg.species.omega0
+    check_nonnegative("--eps-ratio", args.eps_ratio)
+    check_finite("--rot-ratio", args.rot_ratio)
+    check_nonnegative("--theta-end", args.theta_end)
     amplitude, rotation = args.eps_ratio * omega0, args.rot_ratio * omega0
     t_end = args.theta_end / omega0
-    for flag, ratio, si_value, least in (
-            ("--eps-ratio", args.eps_ratio, amplitude, 0.0),
-            ("--rot-ratio", args.rot_ratio, rotation, -math.inf),
-            ("--theta-end", args.theta_end, t_end, 0.0)):
-        if not (math.isfinite(ratio) and ratio >= least):
-            bound = " and >= 0" if least == 0 else ""
-            raise ValidationError(flag, f"must be finite{bound}, got {_fmt(ratio)}")
+    for flag, ratio, si_value in (("--eps-ratio", args.eps_ratio, amplitude),
+                                  ("--rot-ratio", args.rot_ratio, rotation),
+                                  ("--theta-end", args.theta_end, t_end)):
         if not math.isfinite(si_value):
             raise ValidationError(flag, f"{_fmt(ratio)} leaves the float range in "
                                   f"SI units (omega0 = {_fmt(omega0)} rad/s)")

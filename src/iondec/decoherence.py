@@ -106,7 +106,7 @@ def aggregate_tau_vib(per_ion: np.ndarray | list) -> float:
     return 1.0 / (scale * math.sqrt(float(np.sum((rates / scale) ** 2))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FidelityCurve:
     """Exact product fidelity next to its Gaussian approximation.
 
@@ -170,7 +170,7 @@ def _closed_form_rate(n_ions, species, pref, d0, length, s0) -> ClosedFormRate:
                  math.sqrt(n_ions) * pref / s0_m ** two_p)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecoherenceReport:
     """Every timescale of the N-ion computer, in seconds (per_ion_tau is
     None on the closed-form route, which has no per-ion times)."""

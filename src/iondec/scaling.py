@@ -48,7 +48,7 @@ class ExponentFit:
     width: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalingSeries:
     """One scan: per-N trap state and rates, sorted by N."""
 

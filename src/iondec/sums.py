@@ -14,18 +14,19 @@ module's pairwise kernel, which hands _inverse_power the distances
 differ from a libm powl evaluation in their last bit.  An IonChain is
 immutable, so the sums are memoized on the chain per exponent; callers
 get a copy and may modify it freely.  zeta is a table of recorded bits,
-the same on every host.  A sum or total that leaves the float range
-raises DomainError (an exact one may underflow to 0).
+the same on every host.  An exponent n follows the count rule,
+errors.check_integer with n >= 2, under the field "n".  A sum or total
+that leaves the float range raises DomainError (an exact one may
+underflow to 0).
 """
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .continuum import ContinuumModel, _length_and_spacing, _profile, invert_cubic_count
-from .errors import (DomainError, _shown, check_instance, check_integer, check_positive,
+from .errors import (ValidationError, check_instance, check_integer, check_positive,
                      in_float_range)
 
 if TYPE_CHECKING:
@@ -68,13 +69,13 @@ def zeta(n: int) -> float:
     host returns the same bits.  The bound is tested against mpmath for
     n = 2...64.
     """
-    n = _check_exponent(n)
+    n = check_integer("n", n, 2)
     return _ZETA[n - 2] if n - 2 < len(_ZETA) else 1.0
 
 
 def pair_sum_exact_all(chain: IonChain, n: int) -> np.ndarray:
     """S_n(i) for every ion in one mirrored pass, memoized on the chain."""
-    n = _check_exponent(n)
+    n = check_integer("n", n, 2)
     from .chain import IonChain, _area, _row_sums
 
     check_integer("n_ions", check_instance("chain", chain, IonChain).n_ions, 2)
@@ -112,13 +113,13 @@ def _inverse_power(d: np.ndarray, n: int, spare: np.ndarray) -> np.ndarray:
 
 def pair_sum_approx(s_local: float, n: int) -> float:
     """Zeta shortcut 2 zeta(n)/s^n for a locally uniform chain."""
-    n = _check_exponent(n)
+    n = check_integer("n", n, 2)
     check_positive("s_local", s_local)
     return in_float_range(f"s^{n} at s = {s_local!r} leaves the float range",
                           lambda: 2.0 * zeta(n) / s_local ** float(n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContinuumSites:
     """Ion sites predicted by a continuum model, with the model spacing there.
 
@@ -132,14 +133,17 @@ class ContinuumSites:
 
 
 def continuum_sites(n_ions: int, model: ContinuumModel) -> ContinuumSites:
-    """Predict all N ion sites from a continuum model.
+    """Predict all N ion sites from the DUBIN_FLUID model.
 
-    For DubinFluid the count inversion covers every ion (the density
-    integrates to exactly N).  The NearestNeighbor normalization
-    integrates to N/3 (4L/(3 s0) with L^3 = pi^2 N/2), so its cubic has no
-    solution for the outer ions and it is rejected here rather than
-    silently placing only the inner third of the chain.
+    Its count inversion covers every ion (the density integrates to
+    exactly N).  The NEAREST_NEIGHBOR density integrates to N/3 (4L/(3 s0)
+    with L^3 = pi^2 N/2), so its cubic has no site for the outer ions: that
+    model is refused up front, a ValidationError naming ``model``, rather
+    than placing only the inner third of the chain.
     """
+    if model is ContinuumModel.NEAREST_NEIGHBOR:
+        raise ValidationError("model", "NEAREST_NEIGHBOR holds N/3 ions, so it gives no "
+                              "sites; continuum_sites needs DUBIN_FLUID")
     L, s0 = _length_and_spacing(n_ions, model)
     import numpy as np
 
@@ -153,7 +157,7 @@ def chain_total_exact(sites: ContinuumSites, n: int) -> float:
     s_i is the model spacing at each site: the form whose integral
     approximation is chain_total_asymptotic.
     """
-    n = _check_exponent(n)
+    n = check_integer("n", n, 2)
     check_instance("sites", sites, ContinuumSites)
     import numpy as np
 
@@ -170,7 +174,7 @@ def chain_total_asymptotic(n_ions: int, n: int, model: ContinuumModel) -> float:
     by less than 1/(64 (n+1)^2) relative for n = 2...64.
     """
     length, s0 = _length_and_spacing(n_ions, model)
-    return _total_asymptotic(n_ions, _check_exponent(n), length, s0)
+    return _total_asymptotic(n_ions, check_integer("n", n, 2), length, s0)
 
 
 def _total_asymptotic(n_ions: int, n: int, length: float, s0: float) -> float:
@@ -179,10 +183,3 @@ def _total_asymptotic(n_ions: int, n: int, length: float, s0: float) -> float:
     return in_float_range(
         f"T_{n} from the continuum integral at N = {n_ions:.6g} leaves the float range",
         lambda: (length / s0 ** (n + 1.0)) * math.sqrt(4.0 * math.pi / (4.0 * n + 7.0)))
-
-
-def _check_exponent(n: int) -> int:
-    """n as an int, if it is an integer (Python or numpy) >= 2."""
-    if not isinstance(n, numbers.Integral) or n < 2:
-        raise DomainError(f"lattice sums need integer n >= 2, got {_shown(n)}")
-    return int(n)

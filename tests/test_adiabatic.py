@@ -51,6 +51,24 @@ def test_zero_window_is_a_single_point():
     assert overlap_fidelity(traj)[0] == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("t_end", [0.0, -0.0, 0])
+def test_zero_window_stores_the_initial_state_bits(t_end, monkeypatch):
+    """A zero-step window takes the one batched path with no batch: it
+    builds and reduces no step operator, starts no thread, and stores the
+    initial state as given, a -0.0 part included, at theta = +0.0."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a zero-step window ran a batch or a thread")
+
+    for name in ("_build_steps", "_reduce_steps", "_ChunkLayout"):
+        monkeypatch.setattr(adiabatic, name, refuse)
+    monkeypatch.setattr(_threads, "threading", types.SimpleNamespace(Thread=refuse))
+    initial = np.array([complex(0.6, -0.0), complex(-0.0, -0.8)])
+    traj = integrate_tls(W0, demo_drive(), tuple(initial), t_end)
+    stored = np.array([traj.u_plus[0], traj.u_minus[0]])
+    assert stored.view(np.uint64).tolist() == initial.view(np.uint64).tolist()
+    assert traj.theta.view(np.uint64).tolist() == [0]
+
+
 def test_demo_overlap_tracks_cos_phi():
     """Phi = eps^2 t/w0 reaches 1 rad at w0*t = 1e4 for eps = 0.01 w0."""
     traj = integrate_tls(W0, demo_drive(), EQUAL, 1e4 / W0)
@@ -349,6 +367,23 @@ def test_output_is_bit_identical_to_pinned(name, drive, t_end, stride,
     assert traj.u_plus[-1] == up
     assert traj.u_minus[-1] == um
     assert traj.norm_drift == drift
+
+
+def test_sampled_drive_tables_are_read_only():
+    """A sampled drive keeps read-only copies of the tables it checked, so
+    no later write can leave its times unordered; the caller's arrays stay
+    its own, and the pinned trajectory keeps its bits."""
+    times = _SAMPLED.copy()
+    drive = DriveField.sampled(times, 0.01 * np.cos(1e-2 * times),
+                               0.005 * np.sin(2e-2 * times))
+    for table in (drive.times, drive.fx_samples, drive.fy_samples):
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = -1.0
+    times[1] = -1.0
+    assert drive.times[1] == _SAMPLED[1]
+    _, _, t_end, _, up, um, drift = PINNED[2]
+    traj = integrate_tls(W0, drive, EQUAL, t_end)
+    assert (traj.u_plus[-1], traj.u_minus[-1], traj.norm_drift) == (up, um, drift)
 
 
 @pytest.mark.parametrize("stride", [1, 7, 1500])

@@ -15,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import iondec
-from iondec.cli import (BA_EXAMPLE, MAX_POINTS, _fmt, _profile_grid, _table,
-                        load_config, main, parse_config)
+from iondec.cli import (BA_EXAMPLE, MAX_POINTS, _build_parser, _cmd_adiabatic, _fmt,
+                        _profile_grid, _table, load_config, main, parse_config)
 from iondec.errors import ValidationError
 from iondec import chain as chain_module
 from iondec.physmodel import MAX_IONS, Multipole
@@ -582,15 +582,15 @@ def test_exit_unwritable_output(capsys, tmp_path):
 
 
 ADIABATIC_FLAG_REFUSALS = [
-    ("--theta-end=-1", "--theta-end: must be finite and >= 0, got -1"),
-    ("--theta-end=nan", "--theta-end: must be finite and >= 0, got nan"),
+    ("--theta-end=-1", "--theta-end: must be a non-negative finite number, got -1.0"),
+    ("--theta-end=nan", "--theta-end: must be a non-negative finite number, got nan"),
     ("--theta-end=3e8", "--theta-end: 300000000 needs more than MAX_STEPS = "
                         "4e+09 steps of 0.05/omega0"),
-    ("--eps-ratio=-1", "--eps-ratio: must be finite and >= 0, got -1"),
-    ("--eps-ratio=inf", "--eps-ratio: must be finite and >= 0, got inf"),
+    ("--eps-ratio=-1", "--eps-ratio: must be a non-negative finite number, got -1.0"),
+    ("--eps-ratio=inf", "--eps-ratio: must be a non-negative finite number, got inf"),
     ("--eps-ratio=1e300", "--eps-ratio: 1e+300 leaves the float range in SI "
                           "units (omega0 = 1.06814150222e+15 rad/s)"),
-    ("--rot-ratio=-inf", "--rot-ratio: must be finite, got -inf"),
+    ("--rot-ratio=-inf", "--rot-ratio: must be a finite number, got -inf"),
     ("--rot-ratio=1e300", "--rot-ratio: 1e+300 leaves the float range in SI "
                           "units (omega0 = 1.06814150222e+15 rad/s)"),
 ]
@@ -603,6 +603,10 @@ def test_adiabatic_refusal_names_the_flag_and_its_value(flag, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+    args = _build_parser().parse_args(["adiabatic", flag])
+    with pytest.raises(ValidationError) as err:
+        _cmd_adiabatic(load_config("ba_example"), args)
+    assert type(err.value) is ValidationError and err.value.field == flag.partition("=")[0]
 
 
 def test_adiabatic_theta_end_limit_is_read_from_the_integrator(capsys, monkeypatch):

@@ -1,11 +1,11 @@
 """The input contract of every entry point that takes a count, a positive
 real, a non-negative real, a finite real, an array of reals or an object
-of an iondec class: ion counts
-are integers (Python or numpy, never a bool, float or string), and a numpy
-integer gives exactly the Python int's result; positive, non-negative and
-plain finite reals are real numbers, never a bool or a string, and finite
-as a float.  An array (a chain's positions, a sampled drive's tables, the
-per-ion rates and the times of a fidelity curve) is a 1-D array of integer
+of an iondec class: ion counts and lattice-sum exponents (n >= 2, at
+every sums entry point) are integers (Python or numpy, never a bool,
+float or string), and a numpy integer gives exactly the Python int's
+result; positive, non-negative and plain finite reals are real numbers,
+never a bool or a string, and finite as a float.  An array (a chain's
+positions, a sampled drive's tables, the per-ion rates and the times of a fidelity curve) is a 1-D array of integer
 or float dtype, or an iterable, read once, of such finite reals; numpy and
 Python numbers give the same bits.  A two-level state is a pair of
 numbers, complex allowed.  A drive's time is a finite real or an integer
@@ -97,6 +97,50 @@ def test_count_that_is_not_an_integer_is_refused(name, bad):
     with pytest.raises(ValidationError) as err:
         call(bad)
     assert err.value.field == field
+
+
+# lattice-sum entry point -> a call passing the value as the exponent n,
+# which follows the count rule with n >= 2
+EXPONENTS = {
+    "zeta": zeta,
+    "pair_sum_exact_all": lambda n: pair_sum_exact_all(IonChain([-0.5, 0.0, 0.5]), n),
+    "pair_sum_approx": lambda n: pair_sum_approx(1.3, n),
+    "chain_total_exact": lambda n: chain_total_exact(continuum_sites(50, DU), n),
+    "chain_total_asymptotic": lambda n: chain_total_asymptotic(100, n, DU),
+}
+BAD_EXPONENTS = [1, 0, -2, 2.5, True, "3", np.float64(4.0), np.int64(1)]
+
+
+@pytest.mark.parametrize("bad", BAD_EXPONENTS, ids=repr)
+@pytest.mark.parametrize("name", EXPONENTS)
+def test_exponent_that_is_not_an_integer_from_two_is_refused(name, bad):
+    with pytest.raises(ValidationError) as err:
+        EXPONENTS[name](bad)
+    assert type(err.value) is ValidationError and err.value.field == "n"
+    assert str(err.value) == f"n: need an integer >= 2, got {bad!r}"
+
+
+# record -> a call that builds one; a second call builds its equal twin
+ARRAY_RECORDS = {
+    "DriveField(sampled)": lambda: DriveField.sampled([0.0, 1.0], [1.0, 0.0], [0.0, 1.0]),
+    "DriveField(circular)": lambda: DriveField.circular(1.0, 0.5),
+    "SpinTrajectory": lambda: integrate_tls(W0, DRIVE, EQUAL, 0.01),
+    "ContinuumSites": lambda: continuum_sites(10, DU),
+    "FidelityCurve": lambda: fidelity_curve([1.0, 2.0], [0.0, 0.5]),
+    "DecoherenceReport": lambda: build_report(BA, TRAP, DecoherenceMode.DISCRETE_SUM,
+                                              chain=solve_equilibrium(10)),
+    "ScalingSeries": lambda: scan([10, 100], BA, TRAP),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_a_record_that_holds_arrays_compares_by_identity(name):
+    """An array has no single truth value, so records that hold arrays
+    compare and hash by identity, as an IonChain does."""
+    record, twin = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert record == record and not record != record
+    assert record != twin and not record == twin
+    assert hash(record) == hash(record) and len({record, twin}) == 2
 
 
 def test_scan_refuses_fractional_counts_rather_than_truncating():
@@ -310,10 +354,10 @@ NUMPY_INT_REFUSALS = {
                         "n_ions: need an integer >= 2, got np.int64(1)"),
     "TrapConfig(0)": (lambda: TrapConfig(1.0, 2.0, np.int64(0)), ValidationError,
                       "n_ions: need an integer >= 1, got np.int64(0)"),
-    "zeta(0)": (lambda: zeta(np.int64(0)), DomainError,
-                "lattice sums need integer n >= 2, got np.int64(0)"),
-    "zeta(-5)": (lambda: zeta(np.int32(-5)), DomainError,
-                 "lattice sums need integer n >= 2, got np.int32(-5)"),
+    "zeta(0)": (lambda: zeta(np.int64(0)), ValidationError,
+                "n: need an integer >= 2, got np.int64(0)"),
+    "zeta(-5)": (lambda: zeta(np.int32(-5)), ValidationError,
+                 "n: need an integer >= 2, got np.int32(-5)"),
 }
 
 
@@ -324,6 +368,7 @@ def test_a_numpy_integer_is_refused_with_its_repr(name):
         call()
     assert type(err.value) is error
     assert str(err.value) == message
+    assert message.startswith(f"{err.value.field}: ")
 
 
 def test_a_long_list_of_the_wrong_type_is_refused_in_one_short_line():

@@ -78,8 +78,10 @@ def test_zeta_tends_to_one():
 
 @pytest.mark.parametrize("bad", [1, 0, -2, 2.5, np.int64(1), np.float64(4.0)])
 def test_zeta_domain(bad):
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError) as err:
         zeta(bad)
+    assert type(err.value) is ValidationError and err.value.field == "n"
+    assert str(err.value) == f"n: need an integer >= 2, got {bad!r}"
 
 
 @pytest.mark.parametrize("n", [np.int64(4), np.int32(8), np.uint8(16)])
@@ -295,10 +297,12 @@ def test_sums_beyond_the_float_range_are_refused(recwarn):
 
 
 def test_pair_sum_validation(chains):
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError) as err:
         pair_sum_exact_all(chains(3), 1)
-    with pytest.raises(ValidationError):
+    assert type(err.value) is ValidationError and err.value.field == "n"
+    with pytest.raises(ValidationError) as err:
         pair_sum_approx(-1.0, 8)
+    assert err.value.field == "s_local"
 
 
 def test_chain_total_uniform_gap():
@@ -337,9 +341,14 @@ def test_continuum_sites_cover_all_ions():
 
 def test_continuum_sites_reject_short_normalization():
     """The nearest-neighbor density integrates to N/3, so its cumulative
-    count cannot be inverted for the outer two thirds of the ions."""
-    with pytest.raises(DomainError):
-        continuum_sites(100, NN)
+    count cannot be inverted for the outer two thirds of the ions: the
+    model is refused before any site is placed, at every N."""
+    for n_ions in (2, 10, 100):
+        with pytest.raises(ValidationError) as err:
+            continuum_sites(n_ions, NN)
+        assert type(err.value) is ValidationError and err.value.field == "model"
+        assert str(err.value) == ("model: NEAREST_NEIGHBOR holds N/3 ions, so it gives "
+                                  "no sites; continuum_sites needs DUBIN_FLUID")
 
 
 @pytest.mark.parametrize("n_exp", [6, 8, 12, 16])
