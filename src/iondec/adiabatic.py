@@ -142,18 +142,6 @@ class DriveField:
     def sampled(cls, times, fx, fy):
         return cls(kind="sampled", times=times, fx_samples=fx, fy_samples=fy)
 
-    def components(self, t):
-        """(f_x, f_y) at time t, angular-frequency units: scalars for a finite real
-        t, arrays for an integer or float array of finite times of any shape."""
-        if not isinstance(t, np.ndarray):
-            check_finite("t", t)
-        elif t.dtype.kind not in "iuf" or not np.all(np.isfinite(t)):
-            raise ValidationError("t", f"need finite real numbers, got a {t.dtype} array")
-        t = np.asarray(t, dtype=float)
-        fx, fy = np.empty_like(t), np.empty_like(t)
-        self._components_into(t, fx, fy)
-        return fx[()], fy[()]  # scalars for a scalar t
-
     def _components_into(self, t, fx, fy):
         """Write f_x(t) into fx and f_y(t) into fy, float arrays of t's
         shape; fy may be t itself, which is then overwritten."""
@@ -170,8 +158,11 @@ class DriveField:
             fx[...] = np.interp(t, self.times, self.fx_samples)
             fy[...] = np.interp(t, self.times, self.fy_samples)
 
-    def magnitude(self, t):
-        fx, fy = self.components(t)
+    def _magnitude(self, t):
+        """|f(t)| at a float array t of times: the table's own, or the edges
+        and midpoints adiabatic_phase builds from them."""
+        fx, fy = np.empty_like(t), np.empty_like(t)
+        self._components_into(t, fx, fy)
         return np.hypot(fx, fy)
 
     def regime_ratios(self, omega0):
@@ -181,7 +172,7 @@ class DriveField:
             return self.amplitude / omega0, abs(self.rotation) / omega0
         if self.kind == "constant":
             return math.hypot(self.fx, self.fy) / omega0, 0.0
-        eps = float(np.max(self.magnitude(self.times))) / omega0
+        eps = float(np.max(self._magnitude(self.times))) / omega0
         angle = np.unwrap(np.arctan2(self.fy_samples, self.fx_samples))
         rates = np.abs(np.diff(angle) / np.diff(self.times))
         return eps, float(np.max(rates)) / omega0
@@ -542,8 +533,8 @@ def adiabatic_phase(drive, omega0, t):
         knots = drive.times[(drive.times > 0) & (drive.times < t)]
         edges = np.concatenate([[0.0], knots, [t]])
         mids = 0.5 * (edges[:-1] + edges[1:])
-        f2_edges = drive.magnitude(edges) ** 2
-        f2_mids = drive.magnitude(mids) ** 2
+        f2_edges = drive._magnitude(edges) ** 2
+        f2_mids = drive._magnitude(mids) ** 2
         seg = (edges[1:] - edges[:-1]) / 6.0 * (
             f2_edges[:-1] + 4.0 * f2_mids + f2_edges[1:])
         return float(np.sum(seg)) / omega0

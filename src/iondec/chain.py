@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._threads import _in_two, _usable_cpus
-from .continuum import ContinuumModel, _length_and_spacing, invert_cubic_count
+from .continuum import ContinuumModel, _invert_cubic_count, _length_and_spacing
 from .errors import SolverError, ValidationError, check_instance, check_integer, check_reals
 from .physmodel import MAX_IONS  # re-exported
 
@@ -345,7 +345,7 @@ def _initial_guess(n: int) -> np.ndarray:
     # the fluid model's sites: with s0 = 4L/3N the inverse's argument is
     # 2m/N, so |m| <= (N-1)/2 keeps every index inside the cubic's range
     L, s0 = _length_and_spacing(n, ContinuumModel.DUBIN_FLUID)
-    return invert_cubic_count(centered.astype(float), L, s0).astype(_WIDE)
+    return _invert_cubic_count(centered.astype(float), L, s0).astype(_WIDE)
 
 
 def solve_equilibrium(n_ions: int) -> IonChain:

@@ -5,16 +5,16 @@ Physics parameters live in a sectioned key = value file ([species] and
 [model] among them); command flags select what to compute, and a subcommand
 that reads the ion count or the multipole order takes a flag that
 overrides it: ``--n-ions`` every subcommand but ``adiabatic``,
-``--multipole`` only ``scales``, ``decohere`` and ``scaling``.  All
-numeric output is printed with 12 significant digits and LF line endings
-so identical configs produce byte-identical files.  The equilibrium
-solve's linear algebra can round differently with the number of BLAS
-threads, moving the last printed digit, so ``main`` sets
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before
-numpy loads, unless the environment already names a count.  Each
-count is checked by errors.check_integer, the library's own rule.
-``scaling --policy fixed_spacing`` holds the config's own central
-spacing, min_spacing(n_ions, DUBIN_FLUID) * d0.  Exit codes: 0 ok
+``--multipole`` only ``scales``, ``decohere`` and ``scaling``.  Each
+count, from a flag or the config, is checked by errors.check_integer,
+the library's own rule.  All numeric output is printed with 12
+significant digits and LF line endings so identical configs produce
+byte-identical files.  The equilibrium solve's linear algebra can round
+differently with the number of BLAS threads, moving the last printed
+digit, so ``main`` sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 before numpy loads, unless the environment already
+names a count.  ``scaling --policy fixed_spacing`` holds the config's
+own central spacing, min_spacing(n_ions, DUBIN_FLUID) * d0.  Exit codes: 0 ok
 (``--help`` too), 1 bad command line, config or value (a missing,
 unreadable or non-UTF-8 config file included), 2 numerical failure, 3
 output I/O failure.  A refused call writes one ``error:`` or ``numerical
@@ -77,7 +77,7 @@ from dataclasses import dataclass, replace
 
 from .continuum import ContinuumModel, _profile, chain_length, min_spacing
 from .errors import (AccuracyError, DomainError, SolverError, ValidationError, _shown,
-                     check_finite, check_integer, check_nonnegative)
+                     check_finite, check_instance, check_integer, check_nonnegative)
 from .physmodel import (MAX_IONS, IonSpecies, Multipole, TrapConfig, derive_scales,
                         qsq_convention_stamp, radiative_time)
 
@@ -126,7 +126,7 @@ def parse_config(text: str) -> RunConfig:
     """Validate sectioned key = value text into a RunConfig."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(text)
+        parser.read_string(check_instance("config", text, str))
     except configparser.MissingSectionHeaderError as exc:
         raise ValidationError("config", f"line {exc.lineno}: {exc.message.splitlines()[0]}"
                               if exc.message else f"line {exc.lineno}: no section header") from None
@@ -182,7 +182,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path_or_preset: str) -> RunConfig:
-    if path_or_preset in PRESETS:
+    if check_instance("config", path_or_preset, str) in PRESETS:
         return parse_config(PRESETS[path_or_preset])
     try:
         with open(path_or_preset, "r", encoding="utf-8") as handle:

@@ -18,17 +18,17 @@ centre gap ~1.9x too wide; it is kept as a comparison only (the profile
 functions here, chain_total_asymptotic and the ``continuum`` subcommand),
 and continuum_sites refuses it.
 
-invert_cubic_count inverts the cumulative count n(z) = (z - z^3/3L^2)/s0
-of this profile in closed form.  It is the one site inversion of the
-package: sums.continuum_sites places ion sites with it, and the
-equilibrium solver starts from those sites for N >= 10.
+The private _invert_cubic_count inverts the cumulative count n(z) =
+(z - z^3/3L^2)/s0 of this profile in closed form.  It is the one site
+inversion of the package: sums.continuum_sites places ion sites with it,
+and the equilibrium solver starts from those sites for N >= 10.
 """
 from __future__ import annotations
 
 import enum
 import math
 
-from .errors import DomainError, check_instance, check_integer, in_float_range
+from .errors import check_instance, check_integer, in_float_range
 
 EULER_GAMMA = 0.5772156649015329
 #: discreteness constant of the fluid model, 6 e^(gamma - 13/5) ~= 0.794
@@ -77,18 +77,15 @@ def _profile(s0, x):
     return s0 / (1.0 - x * x)
 
 
-def invert_cubic_count(counts, length: float, s0: float):
+def _invert_cubic_count(counts, length: float, s0: float):
     """Sites z whose cumulative count (z - z^3/(3 L^2))/s0 equals ``counts``.
 
     The trigonometric root z = 2 L sin(arcsin(3 s0 n/(2 L))/3) of the
-    depressed cubic, the one on the physical branch |z| <= L.  A count
-    with |3 s0 n/(2 L)| > 1 lies beyond what the density holds up to the
-    edge and raises DomainError.
+    depressed cubic, the one on the physical branch |z| <= L.  Both callers
+    pass the Dubin fluid's (L, s0) for N ions, where s0 = 4L/3N makes the
+    arcsin argument 2n/N, and centred counts |n| <= (N - 1)/2, so the
+    argument lies inside (-1, 1) and every count has its site.
     """
     import numpy as np
 
-    arg = 3.0 * s0 * counts / (2.0 * length)
-    if np.any(np.abs(arg) > 1.0):
-        raise DomainError("cumulative count exceeds what the density holds on "
-                          "|z| <= L; the cubic has no site for it")
-    return 2.0 * length * np.sin(np.arcsin(arg) / 3.0)
+    return 2.0 * length * np.sin(np.arcsin(3.0 * s0 * counts / (2.0 * length)) / 3.0)

@@ -182,11 +182,6 @@ class DecoherenceReport:
     notes: str
 
 
-def combined_window(tau_rad: float, tau_vib: float) -> float:
-    """t_d from adding the two decoherence rates."""
-    return 1.0 / (1.0 / tau_rad + 1.0 / tau_vib)
-
-
 def build_report(species: IonSpecies, trap: TrapConfig, mode: DecoherenceMode, *,
                  chain: IonChain | None = None) -> DecoherenceReport:
     """Assemble per-ion rates (or the closed form), tau_rad, and t_d.
@@ -221,7 +216,7 @@ def build_report(species: IonSpecies, trap: TrapConfig, mode: DecoherenceMode, *
         per_tau = None
         in_range(lambda: tau_vib / species.tau_s)
     tau_rad = radiative_time(species, n)
-    t_d = combined_window(tau_rad, tau_vib)
+    t_d = 1.0 / (1.0 / tau_rad + 1.0 / tau_vib)
     ratio = "inf" if math.isinf(tau_vib) else f"{tau_vib / species.tau_s:.6g}"
     notes = (f"{qsq_convention_stamp(species)}; "
              f"tau_vib = {ratio} tau_s")

@@ -1,8 +1,9 @@
 """Exception types shared across the library, its input rules and its float-range rule.
 
 The CLI maps these onto distinct exit codes, so user input problems
-(ValidationError, DomainError) stay distinguishable from numerical
-failures (SolverError, AccuracyError).
+(ValidationError, a refused argument; DomainError, a result the
+arguments put outside the float range) stay distinguishable from
+numerical failures (SolverError, AccuracyError).
 
 check_integer, check_positive, check_nonnegative, check_finite,
 check_reals and check_instance own the six input rules, "a count is an
@@ -12,7 +13,8 @@ real", "an array is 1-D, of finite reals" and "an object argument (a
 species, trap, chain, model, drive, ...) is an instance of its class";
 a refusal shows the value it refused in about SHOWN_MAX characters at
 most (_shown).  in_float_range owns the rule for computed values, "a
-result that leaves the float range is refused with DomainError".
+result that leaves the float range is refused with DomainError", and is
+the one raiser of DomainError.
 """
 from __future__ import annotations
 
@@ -31,7 +33,8 @@ class ValidationError(ValueError):
 
 
 class DomainError(ValueError):
-    """An input lies outside the mathematical domain of an operation."""
+    """A computed result lies outside the float range; raised only by
+    in_float_range."""
 
 
 class SolverError(RuntimeError):

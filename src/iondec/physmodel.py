@@ -189,7 +189,7 @@ def radiative_time(species: IonSpecies, n_ions: int) -> float:
 
 def qsq_convention_stamp(species: IonSpecies) -> str:
     """Human-readable record of the Q^2 convention for the species' multipole."""
-    p = species.multipole.pair_exponent
+    p = check_instance("species", species, IonSpecies).multipole.pair_exponent
     symbol = "Q^2" if species.multipole is Multipole.E2 else "D^2"
     return (f"{symbol} = {QSQ_CONSTANT:g} * hbar/(tau_s * k0^{2 * p - 3}) "
             f"({species.multipole.value} lifetime convention)")

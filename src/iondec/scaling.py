@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING
 
 from .continuum import C0_DUBIN, ContinuumModel, _length_and_spacing
 from .decoherence import _closed_form_rate, _prefactor
-from .errors import (SolverError, ValidationError, check_instance, check_integer,
-                     check_positive, in_float_range)
+from .errors import (SolverError, ValidationError, check_finite, check_instance,
+                     check_integer, check_positive, in_float_range)
 from .physmodel import CONSTANTS, IonSpecies, TrapConfig
 
 if TYPE_CHECKING:
@@ -221,11 +221,13 @@ def scan(n_values, species: IonSpecies, trap: TrapConfig, *,
 def fit_exponent(series: ScalingSeries, log_power: float | None = None) -> ExponentFit:
     """Effective exponent of rate_vib against N.
 
-    log_power = c divides out a (ln c0 N)^c factor before fitting, so a
-    rate following N^a (ln c0 N)^c comes back with slope exactly a.  A
-    rate_vib that is not finite and positive everywhere has no log and is
-    refused.
+    log_power = c, a finite real, divides out a (ln c0 N)^c factor before
+    fitting, so a rate following N^a (ln c0 N)^c comes back with slope
+    exactly a.  A rate_vib that is not finite and positive everywhere has
+    no log and is refused.
     """
+    if log_power is not None:
+        log_power = check_finite("log_power", log_power)
     import numpy as np
 
     n = check_instance("series", series, ScalingSeries).n_ions.astype(float)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .continuum import ContinuumModel, _length_and_spacing, _profile, invert_cubic_count
+from .continuum import ContinuumModel, _invert_cubic_count, _length_and_spacing, _profile
 from .errors import (ValidationError, check_instance, check_integer, check_positive,
                      in_float_range)
 
@@ -147,7 +147,7 @@ def continuum_sites(n_ions: int, model: ContinuumModel) -> ContinuumSites:
     L, s0 = _length_and_spacing(n_ions, model)
     import numpy as np
 
-    z = invert_cubic_count(np.arange(n_ions) - (n_ions - 1) / 2.0, L, s0)
+    z = _invert_cubic_count(np.arange(n_ions) - (n_ions - 1) / 2.0, L, s0)
     return ContinuumSites(sites=z, spacings=_profile(s0, z / L))
 
 

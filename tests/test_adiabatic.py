@@ -245,7 +245,7 @@ def test_phase_consistency_with_instantaneous_frequency():
     exact there)."""
     for drive in (demo_drive(), DriveField.constant(0.002, 0.007)):
         t = 123.0
-        V = 2.0 * float(drive.magnitude(0.0))
+        V = 2.0 * float(drive._magnitude(np.zeros(1))[0])
         second = W0 + V**2 / (2.0 * W0)
         excess = (second - W0) * t
         assert adiabatic_phase(drive, W0, t) == pytest.approx(0.5 * excess,
@@ -261,17 +261,20 @@ def test_regime_warnings():
 
 def test_sampled_drive_interpolation():
     drive = DriveField.sampled([0.0, 2.0], [0.0, 4.0], [1.0, 1.0])
-    fx, fy = drive.components(1.0)
-    assert fx == pytest.approx(2.0) and fy == pytest.approx(1.0)
-    fx, _ = drive.components(10.0)  # constant beyond the table
-    assert fx == pytest.approx(4.0)
-    assert drive.magnitude(2.0) == pytest.approx(math.hypot(4.0, 1.0), rel=1e-12)
+    t = np.array([1.0, 10.0, -1.0])  # inside the table, then beyond either end
+    fx, fy = np.empty_like(t), np.empty_like(t)
+    drive._components_into(t, fx, fy)
+    assert fx.tolist() == pytest.approx([2.0, 4.0, 0.0])  # constant beyond the table
+    assert fy.tolist() == pytest.approx([1.0, 1.0, 1.0])
+    assert drive._magnitude(np.array([2.0]))[0] == pytest.approx(math.hypot(4.0, 1.0),
+                                                                  rel=1e-12)
 
 
 def test_sampled_regime_estimate_matches_circular():
     t = np.linspace(0.0, 2000.0, 4001)
     ref = DriveField.circular(0.02, 1e-3)
-    fx, fy = ref.components(t)
+    fx, fy = np.empty_like(t), np.empty_like(t)
+    ref._components_into(t, fx, fy)
     sampled = DriveField.sampled(t, fx, fy)
     eps_ratio, rot_ratio = sampled.regime_ratios(W0)
     assert eps_ratio == pytest.approx(0.02, rel=1e-6)
@@ -577,6 +580,27 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch):
     name, drive, t_end, _, up, um, drift = PINNED[0]
     traj = integrate_tls(W0, drive, EQUAL, t_end)
     assert (traj.u_plus[-1], traj.u_minus[-1], traj.norm_drift) == (up, um, drift)
+
+
+def test_one_usable_cpu_keeps_the_two_cpu_words(monkeypatch):
+    """The schedule twin of the pin above: with one CPU in the affinity set,
+    its window keeps every int64 word of theta and u± of the run on two
+    CPUs, where a worker builds every batch."""
+    def words():
+        traj = integrate_tls(W0, drive, EQUAL, t_end)
+        return np.concatenate([traj.theta, traj.u_plus.view(float),
+                               traj.u_minus.view(float)]).view(np.int64)
+
+    _, drive, t_end, *_ = PINNED[0]
+    monkeypatch.setattr(adiabatic, "_usable_cpus", lambda: 2)
+    builds = _count_calls(monkeypatch, "_build_steps")
+    two = words()
+    assert len(builds) > 1 and threading.get_ident() not in builds
+    monkeypatch.undo()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    builds = _count_calls(monkeypatch, "_build_steps")
+    assert np.array_equal(words(), two)
+    assert set(builds) == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("B, m", [(1, 1), (1, 7), (3, 333), (205, 5), (1, 1024)])

@@ -5,7 +5,8 @@ referenced somewhere in the package's sources outside its own definition.
 A public method of an exported class must be referenced in the sources
 outside its own definition, since exporting the class does not export a
 second way to use it.  A name that only tests call is API kept for
-nobody; delete it instead.
+nobody; delete it instead.  And no module but errors writes out the
+float-range or the array rule that errors owns.
 """
 import ast
 from collections import Counter
@@ -62,3 +63,23 @@ def test_every_public_method_of_an_export_has_a_caller_in_the_package():
 
 def test_exports_exist():
     assert all(hasattr(iondec, name) for name in iondec.__all__)
+
+
+def _raised_name(node):
+    """The name a raise statement raises (``raise E`` or ``raise E(...)``)."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def test_errors_owns_the_float_range_and_array_rules():
+    """DomainError is raised only by errors.in_float_range, and only
+    errors.check_reals reads an array's dtype.kind: no other module
+    writes either rule out by hand."""
+    trees, _ = _parse_sources()
+    found = [f"{module}:{node.lineno}" for module, tree in trees.items()
+             if module != "errors.py" for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and _raised_name(node) == "DomainError"
+             or isinstance(node, ast.Attribute) and node.attr == "kind"
+             and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"]
+    assert found == []

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from iondec.continuum import (C0_DUBIN, ContinuumModel, _profile, chain_length,
-                              invert_cubic_count, min_spacing)
-from iondec.errors import DomainError, ValidationError
+from iondec.continuum import (C0_DUBIN, ContinuumModel, _invert_cubic_count,
+                              _length_and_spacing, _profile, chain_length, min_spacing)
+from iondec.errors import ValidationError
 from iondec.sums import continuum_sites
 
 NN = ContinuumModel.NEAREST_NEIGHBOR
@@ -123,12 +123,17 @@ def test_s0_ratio_is_logarithmic():
 
 
 def test_invert_roundtrip_and_range():
-    """n = 2z - z^3 is the count (z - z^3/(3 L^2))/s0 at s0 = 1/2, L^2 = 2/3."""
+    """n = 2z - z^3 is the count (z - z^3/(3 L^2))/s0 at s0 = 1/2, L^2 = 2/3.
+    On the Dubin fluid's (L, s0) for N ions, the centred counts |m| <=
+    (N - 1)/2 that both callers pass each have a site, in order, inside
+    (-L, L)."""
     length, s0 = np.sqrt(2.0 / 3.0), 0.5
     for z in (-0.7, 0.0, 0.4, 0.77):
-        assert invert_cubic_count(2.0 * z - z**3, length, s0) == pytest.approx(z, abs=1e-12)
-    with pytest.raises(DomainError):
-        invert_cubic_count(10.0, length, s0)
+        assert _invert_cubic_count(2.0 * z - z**3, length, s0) == pytest.approx(z, abs=1e-12)
+    for n in (2, 10, 11, 300, 1500):
+        length, s0 = _length_and_spacing(n, DU)
+        z = _invert_cubic_count(np.arange(n) - (n - 1) / 2.0, length, s0)
+        assert np.all(np.abs(z) < length) and np.all(np.diff(z) > 0)
 
 
 def test_inverted_cubic_reproduces_positions(chains):

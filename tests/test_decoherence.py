@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iondec import decoherence
 from iondec.continuum import ContinuumModel
 from iondec.decoherence import (DecoherenceMode, aggregate_tau_vib,
                                 build_report, closed_form_rate,
-                                combined_window, fidelity_curve,
-                                _prefactor, per_ion_rates)
+                                fidelity_curve, _prefactor, per_ion_rates)
 from iondec.errors import DomainError, ValidationError
 from iondec.physmodel import (CONSTANTS, Multipole, TrapConfig, derive_scales,
                               radiative_time)
@@ -251,11 +251,27 @@ def test_e1_multipole_switch(ba_e1, chains):
     assert rates[1] == pytest.approx(manual, rel=1e-14)
 
 
-def test_combined_window_identities():
-    assert combined_window(3.0, 3.0) == pytest.approx(1.5, rel=1e-15)
-    assert combined_window(0.1, math.inf) == pytest.approx(0.1, rel=1e-15)
-    tau = combined_window(0.2, 5.0)
-    assert 1.0 / tau == pytest.approx(1.0 / 0.2 + 1.0 / 5.0, rel=1e-15)
+def window(tau_rad, tau_vib):
+    """t_d from adding the two decoherence rates."""
+    return 1.0 / (1.0 / tau_rad + 1.0 / tau_vib)
+
+
+def test_combined_window_identities(ba, chains, monkeypatch):
+    """The report's t_d adds the two rates: equal times halve, an infinite
+    tau_vib (one ion) leaves tau_rad, and 1/t_d = 1/tau_rad + 1/tau_vib.
+    radiative_time is replaced to set tau_rad against the model's tau_vib."""
+    closed = DecoherenceMode.CONTINUUM_CLOSED_FORM
+    tau_vib = build_report(ba, trap_for(100), closed).tau_vib
+    monkeypatch.setattr(decoherence, "radiative_time", lambda species, n: tau_vib)
+    assert build_report(ba, trap_for(100), closed).t_d == pytest.approx(0.5 * tau_vib,
+                                                                        rel=1e-15)
+    monkeypatch.setattr(decoherence, "radiative_time", lambda species, n: 0.04 * tau_vib)
+    rep = build_report(ba, trap_for(100), closed)
+    assert 1.0 / rep.t_d == pytest.approx(1.0 / rep.tau_rad + 1.0 / rep.tau_vib, rel=1e-15)
+    monkeypatch.undo()
+    one = build_report(ba, trap_for(1), DecoherenceMode.DISCRETE_SUM, chain=chains(1))
+    assert math.isinf(one.tau_vib)
+    assert one.t_d == pytest.approx(one.tau_rad, rel=1e-15)
 
 
 def test_report_discrete(ba, trap1000, chains):
@@ -276,7 +292,7 @@ def test_report_closed(ba, trap1000):
     rep = build_report(ba, trap1000, DecoherenceMode.CONTINUUM_CLOSED_FORM)
     assert rep.per_ion_tau is None
     assert rep.tau_vib == pytest.approx(1.0 / CLOSED_FULL_1000, rel=1e-12)
-    assert rep.t_d == combined_window(rep.tau_rad, rep.tau_vib)
+    assert rep.t_d == window(rep.tau_rad, rep.tau_vib)
 
 
 def test_report_single_ion(ba, chains):
@@ -383,6 +399,6 @@ def test_rates_follow_one_si_monomial(logs, multipole, ba, chains):
         tau_vib, tau_rad = report.tau_vib / rate_factor, report.tau_rad * f_tau
         assert scaled.tau_vib == rescaled(report.tau_vib, 1 / rate_factor)
         assert scaled.tau_rad == rescaled(report.tau_rad, f_tau)
-        assert scaled.t_d == rescaled(combined_window(tau_rad, tau_vib), 1.0)
+        assert scaled.t_d == rescaled(window(tau_rad, tau_vib), 1.0)
         if mode is DecoherenceMode.DISCRETE_SUM:
             assert scaled.per_ion_tau == rescaled(report.per_ion_tau, 1 / rate_factor)

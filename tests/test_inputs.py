@@ -8,15 +8,15 @@ never a bool or a string, and finite as a float.  An array (a chain's
 positions, a sampled drive's tables, the per-ion rates and the times of a fidelity curve) is a 1-D array of integer
 or float dtype, or an iterable, read once, of such finite reals; numpy and
 Python numbers give the same bits.  A two-level state is a pair of
-numbers, complex allowed.  A drive's time is a finite real or an integer
-or float array of finite times.  An object argument (a species, trap,
-chain, model, mode, multipole, drive, continuum sites, scaling series or
-spin trajectory) is an instance of its class, checked before any of its
-attributes is read, so a wrong object never ends in AttributeError or in
-another object's defaults.  Each refusal is a ValidationError naming the
-parameter, and shows the refused value in at most about SHOWN_MAX
-characters.  A computed value that leaves the float range is refused
-with a DomainError and no warning, whichever function computes it.
+numbers, complex allowed.  An object argument (a species, trap, chain,
+model, mode, multipole, drive, continuum sites, scaling series, spin
+trajectory, or a config's text or path, a str) is an instance of its
+class, checked before any of its attributes is read, so a wrong object
+never ends in AttributeError, TypeError or in another object's defaults.
+Each refusal is a ValidationError naming the parameter, and shows the
+refused value in at most about SHOWN_MAX characters.  A computed value
+that leaves the float range is refused with a DomainError and no warning,
+whichever function computes it.
 
 Scalar rows that existing tests already cover (chain_length's and
 min_spacing's bad counts) are not repeated here; the array table tries every bad kind at every array entry
@@ -30,6 +30,7 @@ import pytest
 
 from iondec.adiabatic import DriveField, adiabatic_phase, integrate_tls, overlap_fidelity
 from iondec.chain import IonChain, local_spacings, solve_equilibrium
+from iondec.cli import load_config, parse_config
 from iondec.continuum import ContinuumModel, chain_length, min_spacing
 from iondec.decoherence import (DecoherenceMode, _prefactor, aggregate_tau_vib,
                                 build_report, closed_form_rate, fidelity_curve,
@@ -38,7 +39,7 @@ from iondec.errors import (SHOWN_MAX, DomainError, ValidationError, check_finite
                            check_integer, check_nonnegative, check_positive, check_reals,
                            in_float_range)
 from iondec.physmodel import (IonSpecies, Multipole, TrapConfig, derive_scales,
-                              radiative_time)
+                              qsq_convention_stamp, radiative_time)
 from iondec.scaling import default_n_grid, fit_exponent, scan
 from iondec.sums import (chain_total_asymptotic, chain_total_exact, continuum_sites,
                          pair_sum_approx, pair_sum_exact_all, zeta)
@@ -51,6 +52,7 @@ W0 = 1.0e3
 EQUAL = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 DRIVE = DriveField.circular(0.01 * W0, 1e-3 * W0)
 SAMPLED = DriveField.sampled([0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [0.0, 1.0, 1.0])
+SERIES = scan([10, 30, 100, 300, 1000], BA, TRAP)
 
 # entry point -> (the field a bad count is refused under, a call whose
 # result's repr shows every bit and every type computed from the count)
@@ -194,8 +196,7 @@ FINITE = {
                              lambda x: DriveField("circular", amplitude=1.0, rotation=x)),
     "DriveField(fx)": ("fx", lambda x: DriveField("constant", fx=x)),
     "DriveField(fy)": ("fy", lambda x: DriveField("constant", fy=x)),
-    "DriveField.components": ("t", DRIVE.components),
-    "DriveField.magnitude": ("t", SAMPLED.magnitude),
+    "fit_exponent(log_power)": ("log_power", lambda x: fit_exponent(SERIES, log_power=x)),
 }
 BAD_FINITE = {**BAD_REALS, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 
@@ -419,9 +420,13 @@ OBJECTS = {
     "scan(trap)": ("trap", lambda v: scan([10, 100], BA, v)),
     "fit_exponent": ("series", fit_exponent),
     "overlap_fidelity": ("trajectory", overlap_fidelity),
+    "qsq_convention_stamp": ("species", qsq_convention_stamp),
+    "parse_config": ("config", parse_config),
+    "load_config": ("config", load_config),
 }
 BAD_OBJECTS = {"None": None, "'nearest_neighbor'": "nearest_neighbor",
-               "'dubin_fluid'": "dubin_fluid", "'circular'": "circular"}
+               "'dubin_fluid'": "dubin_fluid", "'circular'": "circular",
+               "b'[species]'": b"[species]"}
 
 
 @pytest.mark.parametrize("label", BAD_OBJECTS)
@@ -544,26 +549,6 @@ def test_drive_constructor_and_classmethods_build_the_same_drive():
     given = DriveField("sampled", times=[0, 1, 3], fx_samples=[1, 0, 2], fy_samples=[0, 1, 1])
     for name in ("times", "fx_samples", "fy_samples"):
         assert np.array_equal(getattr(given, name), getattr(SAMPLED, name))
-
-
-@pytest.mark.parametrize("t", [None, np.array([True]), np.array(["1"]),
-                               np.array([0.0, math.inf]), np.array([[math.nan]]), [0.0, 1.0]],
-                         ids=["None", "bool array", "string array", "inf array", "nan array",
-                              "list"])
-def test_drive_time_that_is_not_a_finite_real_or_real_array_is_refused(t):
-    for method in (DRIVE.components, DRIVE.magnitude, SAMPLED.components):
-        with pytest.raises(ValidationError) as err:
-            method(t)
-        assert err.value.field == "t"
-
-
-def test_drive_time_array_of_any_shape_gives_the_float_array_result():
-    t = np.arange(6).reshape(2, 3)
-    for drive in (DRIVE, SAMPLED, DriveField.constant(1.0, 2.0)):
-        got, want = drive.components(t), drive.components(t.astype(float))
-        for g, w in zip(got, want):
-            assert g.shape == t.shape and np.array_equal(g, w)
-        assert drive.magnitude(t[0, 1]) == drive.magnitude(1.0)
 
 
 # The float-range rule, errors.in_float_range: label -> (a call whose

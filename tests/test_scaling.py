@@ -210,6 +210,19 @@ def test_fixed_spacing_omega_z_is_bit_identical_to_pinned(species, request, trap
     assert series.omega_z.tolist() == PINNED_OMEGA_Z
 
 
+@pytest.mark.parametrize("species", ["ba", "ba_e1"])
+def test_fixed_spacing_omega_z_matches_the_closed_form(species, request, trap1000):
+    """The pin's truth twin: omega_z holding a 5 um spacing is
+    sqrt(q^2/(m (s0/s0_dim)^3)), s0_dim the Dubin fluid's dimensionless
+    central spacing, to 2e-15 relative (the Brent solve lands within 5 ulps)."""
+    sp = request.getfixturevalue(species)
+    series = scan(PINNED_N, sp, trap1000, s0_target=5e-6)
+    q2 = physmodel.derive_scales(sp, trap1000).q2_coul
+    want = [math.sqrt(q2 / (sp.mass * (5e-6 / min_spacing(n, ContinuumModel.DUBIN_FLUID))**3))
+            for n in PINNED_N]
+    assert series.omega_z.tolist() == pytest.approx(want, rel=2e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("s0_target", [None, S0_TARGET])
 def test_scan_derives_each_n_once(s0_target, monkeypatch, grid, ba, trap1000):
     """Each N takes the Dubin half-length L once and its scales once: the
